@@ -50,6 +50,7 @@ from .model import (
     tfim_dissipative,
 )
 from .dynamics import (
+    Dynamics,
     choi_matrix,
     choi_min_eigenvalue,
     evolve,

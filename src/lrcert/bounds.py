@@ -90,8 +90,10 @@ def _growth_integral(v: float, t: float) -> float:
 class BoundReport:
     """One certified inequality instance.
 
-    ``passed`` requires both the slack criterion and every validity flag;
-    rows with ``valid == False`` are recorded but never count as violations.
+    ``passes(tolerance)`` requires both the slack criterion and every
+    validity flag; rows with ``valid == False`` are recorded but never count
+    as violations.  It is the one pass predicate behind the CSV and JSON
+    ``pass`` column, the manifest tallies and the CLI exit code.
     """
 
     theorem: str
@@ -108,9 +110,12 @@ class BoundReport:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
+    def passes(self, tolerance: float = SLACK_RTOL) -> bool:
+        return self.valid and self.slack >= -tolerance * max(1.0, self.rhs)
+
     @property
     def passed(self) -> bool:
-        return self.valid and self.slack >= -SLACK_RTOL * max(1.0, self.rhs)
+        return self.passes()
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import harness
+from .bounds import SLACK_RTOL
 from .harness import (
     ALL_THEOREMS,
     CORRELATION_GROUP,
@@ -40,7 +40,7 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
     p.add_argument("--config", required=config_required, help="experiment config (JSON)")
     p.add_argument("--out", default=None, help="output directory for reports")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=float, default=SLACK_RTOL,
                    help="relative slack tolerance for the pass decision")
 
 
@@ -66,8 +66,7 @@ def _formats(arg: str) -> tuple:
 
 
 def _violations(reports, tol: float) -> list:
-    return [r for r in reports if r.valid and not math.isnan(r.rhs)
-            and r.slack < -tol * max(1.0, r.rhs)]
+    return [r for r in reports if r.valid and not r.passes(tol)]
 
 
 def _summarize(manifest, reports, tol):
@@ -98,7 +97,8 @@ def main(argv=None) -> int:
         return 2
     try:
         reports, manifest = run_experiment(cfg, out_dir=args.out,
-                                           formats=_formats(args.format))
+                                           formats=_formats(args.format),
+                                           tolerance=args.tolerance)
     except Exception as exc:  # numerical failure; the point is in the message
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -141,9 +141,11 @@ def _run_random_suite(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.format in ("csv", "both"):
-            (out / "reports.csv").write_text(harness.reports_to_csv(all_reports))
+            (out / "reports.csv").write_text(harness.reports_to_csv(all_reports,
+                                                                    args.tolerance))
         if args.format in ("json", "both"):
-            (out / "reports.json").write_text(harness.reports_to_json(all_reports))
+            (out / "reports.json").write_text(harness.reports_to_json(all_reports,
+                                                                      args.tolerance))
     bad = _violations(all_reports, args.tolerance)
     print(f"{args.models} models, {len(all_reports)} rows, violations {len(bad)}")
     return 1 if bad else 0

@@ -17,9 +17,9 @@ import scipy.optimize
 
 from . import geometry
 from .bounds import BoundReport
-from .dynamics import apply_superop, evolve, propagator
+from .dynamics import Dynamics, apply_superop, evolve, propagator
 from .geometry import Site
-from .model import DissipativeInteraction, Superoperator, adjoint_generator, generator
+from .model import DissipativeInteraction, Superoperator, adjoint_generator
 from .qalgebra import (
     ObservableOp,
     _resolve_dims,
@@ -136,45 +136,49 @@ class StateFunctional:
 def correlation(omega: StateFunctional, gen: Superoperator, t: float,
                 a: ObservableOp, b: ObservableOp) -> complex:
     """w(T_t(AB)) - w(T_t(A)) w(T_t(B)), all three evolutions exact."""
-    prop = propagator(gen, t)
-    ab = a @ b
-    return omega.expect(apply_superop(prop, ab)) \
-        - omega.expect(apply_superop(prop, a)) * omega.expect(apply_superop(prop, b))
+    return _connected(omega, evolve(gen, t, a @ b), evolve(gen, t, a), evolve(gen, t, b))
+
+
+def _connected(omega: StateFunctional, ab_t: ObservableOp, a_t: ObservableOp,
+               b_t: ObservableOp) -> complex:
+    return omega.expect(ab_t) - omega.expect(a_t) * omega.expect(b_t)
 
 
 def c_ab(interaction: DissipativeInteraction, volume: Iterable[Site],
          xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
-         a: ObservableOp, b: ObservableOp) -> float:
-    """The three-term localization defect that controls dynamic correlations."""
+         a: ObservableOp, b: ObservableOp, dynamics: Optional[Dynamics] = None) -> float:
+    """The three-term localization defect that controls dynamic correlations.
+
+    ``dynamics`` is the caller's propagation layer for ``interaction`` on
+    ``volume``, so that evolutions are shared; a fresh one is built otherwise.
+    """
     space = interaction.space
     xs, ys = frozenset(xs), frozenset(ys)
     if not a.support <= xs:
         raise CorrelationsError("first observable not supported in its region")
     if not b.support <= ys:
         raise CorrelationsError("second observable not supported in its region")
-    vol = space.ordered(volume)
-    full = generator(interaction, vol, mode="full", dims=a.dims)
-    gen_x = generator(interaction, vol, mode="subvolume",
-                      region=geometry.inflate(space, xs, r), dims=a.dims)
-    gen_y = generator(interaction, vol, mode="subvolume",
-                      region=geometry.inflate(space, ys, r), dims=a.dims)
-    gen_xy = generator(interaction, vol, mode="subvolume",
-                       region=geometry.inflate(space, xs | ys, r), dims=a.dims)
-    ab = a @ b
-    return op_norm(a) * op_norm(evolve(full, t, b) - evolve(gen_y, t, b)) \
-        + op_norm(b) * op_norm(evolve(full, t, a) - evolve(gen_x, t, a)) \
-        + op_norm(evolve(full, t, ab) - evolve(gen_xy, t, ab))
+    layer = dynamics if dynamics is not None else Dynamics(interaction, volume, dims=a.dims)
+
+    def defect(op: ObservableOp, region: frozenset) -> float:
+        return layer.local_error(t, op, geometry.inflate(space, region, r))
+
+    return op_norm(a) * defect(b, ys) + op_norm(b) * defect(a, xs) + defect(a @ b, xs | ys)
 
 
 def check_dynamic_correlation(omega: StateFunctional, interaction: DissipativeInteraction,
                               volume: Iterable[Site], xs: Iterable[Site],
                               ys: Iterable[Site], r: float, t: float,
-                              a: ObservableOp, b: ObservableOp) -> BoundReport:
+                              a: ObservableOp, b: ObservableOp,
+                              dynamics: Optional[Dynamics] = None,
+                              defect: Optional[float] = None) -> BoundReport:
     """Evolved correlations against governance of the inflated regions plus
     the localization defect.
 
     The factorization step behind the bound needs 2r strictly below d(X, Y);
-    the boundary case 2r = d(X, Y) is evaluated but flagged.
+    the boundary case 2r = d(X, Y) is evaluated but flagged.  ``dynamics`` is
+    passed on to ``c_ab``; ``defect`` is ``c_ab`` at (r, t) when the caller
+    already has it.
     """
     if omega.governance is None:
         raise CorrelationsError("state carries no correlation governance")
@@ -186,13 +190,15 @@ def check_dynamic_correlation(omega: StateFunctional, interaction: DissipativeIn
         "radius_window": 2.0 * r >= 2.0,
         "factorization_strict": 2.0 * r < d,
     }
-    vol = space.ordered(volume)
-    full = generator(interaction, vol, mode="full", dims=a.dims)
-    lhs = abs(correlation(omega, full, t, a, b))
+    layer = dynamics if dynamics is not None else Dynamics(interaction, volume, dims=a.dims)
+    lhs = abs(_connected(omega, layer.evolve(t, a @ b), layer.evolve(t, a),
+                         layer.evolve(t, b)))
+    if defect is None:
+        defect = c_ab(interaction, volume, xs, ys, r, t, a, b, dynamics=layer)
     xr = geometry.inflate(space, xs, r)
     yr = geometry.inflate(space, ys, r)
     gov = float(omega.governance(len(xr), len(yr), geometry.set_distance(space, xr, yr)))
-    rhs = op_norm(a) * op_norm(b) * gov + c_ab(interaction, vol, xs, ys, r, t, a, b)
+    rhs = op_norm(a) * op_norm(b) * gov + defect
     return BoundReport(
         theorem="dynamic_correlation",
         params={"t": t, "r": r, "R": None, "d": d},

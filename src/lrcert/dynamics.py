@@ -1,27 +1,97 @@
 """Semigroup propagation and the exact left-hand sides of the approximation bounds.
 
-Propagators are dense matrix exponentials (scaling-and-squaring Pade via
-scipy) of vectorized generators.  The desk-scale ceiling is a 4096-dimensional
-vectorized algebra (six qubits); larger volumes are rejected rather than
-silently degraded.
+A left-hand side needs the semigroup only through its action on a few
+observables, so ``Dynamics`` holds the CSR generators of one interaction on one
+volume (full, range-R truncated, subvolume) and applies exp(t L) to vectorized
+observables with scipy's ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci.
+Comput. 33, 2011), never forming the propagator.  ``evolve`` acts the same way
+with a dense generator.  Dense exponentials (scaling-and-squaring Pade via
+scipy) remain for ``propagator``, whose whole map the fixed-point suite and the
+Choi checks consume; dense generators cap at a 4096-dimensional vectorized
+algebra (six qubits, ``model.MAX_DENSE_DIM``), while the action path has no
+ceiling of its own.
 """
 from __future__ import annotations
 
-from typing import Iterable
+import hashlib
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from . import geometry
+from . import geometry, model
 from .geometry import Site
-from .model import DissipativeInteraction, Superoperator, generator
+from .model import DissipativeInteraction, Superoperator
 from .qalgebra import ObservableOp, ObservationMap, apply_map, devectorize, op_norm, vectorize
-
-MAX_DENSE_DIM = 4096
 
 
 class DynamicsError(ValueError):
     pass
+
+
+def _action(matrix, t: float, vec: np.ndarray) -> np.ndarray:
+    """exp(t * matrix) @ vec without forming the exponential; t = 0 returns a
+    copy of ``vec``, exactly."""
+    if t < 0:
+        raise DynamicsError("propagation time must be nonnegative")
+    if t == 0.0:
+        return vec.copy()
+    return scipy.sparse.linalg.expm_multiply(t * matrix, vec)
+
+
+class Dynamics:
+    """The dynamics of one interaction on one volume, for left-hand sides.
+
+    Generators are assembled in CSR form on first use, one per mode, and
+    evolved observables are kept by (generator, t, content), so every
+    theorem of a run shares each evolution.  A range-R truncation with
+    ``R >= interaction.range_r0`` keeps every term and is the full generator
+    itself.
+    """
+
+    def __init__(self, interaction: DissipativeInteraction,
+                 volume: Optional[Iterable[Site]] = None, dims=None):
+        space = interaction.space
+        self.interaction = interaction
+        self.sites = space.ordered(volume if volume is not None else space.points)
+        self.dims = model.volume_dims(self.sites, dims,
+                                      *interaction.terms_for(frozenset(self.sites)))
+        self._range_r0 = interaction.range_r0
+        self._generators: dict = {}
+        self._evolved: dict = {}
+
+    def generator(self, mode: str = "full", R: Optional[float] = None,
+                  region: Optional[Iterable[Site]] = None):
+        """CSR generator of a mode of ``model.generator``."""
+        if mode == "truncated" and R is not None and R > 0 and R >= self._range_r0:
+            mode, R = "full", None
+        key = (mode, R, None if region is None else frozenset(region))
+        if key not in self._generators:
+            self._generators[key] = model.sparse_generator(
+                self.interaction, self.sites, mode=mode, R=R, region=region, dims=self.dims)
+        return self._generators[key]
+
+    def evolve(self, t: float, a: ObservableOp, mode: str = "full",
+               R: Optional[float] = None,
+               region: Optional[Iterable[Site]] = None) -> ObservableOp:
+        """exp(t L) applied to ``a``, with L the generator of the mode."""
+        if tuple(a.sites) != self.sites or tuple(a.dims) != self.dims:
+            raise DynamicsError("observable volume differs from the generator volume")
+        gen = self.generator(mode, R=R, region=region)
+        vec = vectorize(a)
+        key = (id(gen), float(t), hashlib.blake2b(vec.tobytes(), digest_size=16).digest())
+        if key not in self._evolved:
+            self._evolved[key] = devectorize(_action(gen, t, vec), a.sites, a.dims)
+        return self._evolved[key]
+
+    def truncation_error(self, t: float, a: ObservableOp, R: float) -> float:
+        """opnorm of (full - range-R truncated) evolution of ``a``."""
+        return op_norm(self.evolve(t, a) - self.evolve(t, a, "truncated", R=R))
+
+    def local_error(self, t: float, a: ObservableOp, region: Iterable[Site]) -> float:
+        """opnorm of (full - strictly local on ``region``) evolution of ``a``."""
+        return op_norm(self.evolve(t, a) - self.evolve(t, a, "subvolume", region=region))
 
 
 def propagator(gen: Superoperator, t: float) -> Superoperator:
@@ -29,8 +99,6 @@ def propagator(gen: Superoperator, t: float) -> Superoperator:
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
     d2 = gen.matrix.shape[0]
-    if d2 > MAX_DENSE_DIM:
-        raise DynamicsError("volume exceeds the dense-exponential ceiling")
     if t == 0.0:
         mat = np.eye(d2, dtype=complex)
     else:
@@ -39,12 +107,10 @@ def propagator(gen: Superoperator, t: float) -> Superoperator:
 
 
 def evolve(gen: Superoperator, t: float, a: ObservableOp) -> ObservableOp:
-    """Apply the time-t propagator of ``gen`` to one observable."""
+    """Apply the time-t propagator of ``gen`` to one observable, by its action."""
     if tuple(a.sites) != tuple(gen.sites) or tuple(a.dims) != tuple(gen.dims):
         raise DynamicsError("observable volume differs from the generator volume")
-    prop = propagator(gen, t)
-    out = prop.matrix @ vectorize(a)
-    return devectorize(out, a.sites, a.dims)
+    return devectorize(_action(gen.matrix, t, vectorize(a)), a.sites, a.dims)
 
 
 def apply_superop(sup: Superoperator, a: ObservableOp) -> ObservableOp:
@@ -71,23 +137,18 @@ def lhs_truncation_error(interaction: DissipativeInteraction, volume: Iterable[S
     """Exact opnorm of (full - range-R truncated) evolution of ``a``."""
     if R <= 0:
         raise DynamicsError("truncation range must be positive")
-    full = generator(interaction, volume, mode="full", dims=a.dims)
-    trunc = generator(interaction, volume, mode="truncated", R=R, dims=a.dims)
-    return op_norm(evolve(full, t, a) - evolve(trunc, t, a))
+    return Dynamics(interaction, volume, dims=a.dims).truncation_error(t, a, R)
 
 
 def lhs_local_error(interaction: DissipativeInteraction, volume: Iterable[Site],
                     xs: Iterable[Site], r: float, t: float, a: ObservableOp) -> float:
     """Exact opnorm of (full - strictly local on the r-inflation of xs)
     evolution of ``a``; the local dynamics stays embedded in the volume."""
-    space = interaction.space
     x_set = frozenset(xs)
     if not a.support <= x_set:
         raise DynamicsError("observable must be supported in the localization region")
-    region = geometry.inflate(space, x_set, r)
-    full = generator(interaction, volume, mode="full", dims=a.dims)
-    local = generator(interaction, volume, mode="subvolume", region=region, dims=a.dims)
-    return op_norm(evolve(full, t, a) - evolve(local, t, a))
+    region = geometry.inflate(interaction.space, x_set, r)
+    return Dynamics(interaction, volume, dims=a.dims).local_error(t, a, region)
 
 
 def choi_matrix(sup: Superoperator) -> np.ndarray:

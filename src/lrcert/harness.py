@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import bounds, correlations, decay, dynamics, geometry, model, qalgebra
-from .bounds import BoundReport, BoundsError, ModelConstants
+from .bounds import SLACK_RTOL, BoundReport, BoundsError, ModelConstants
 from .correlations import StateFunctional
 from .decay import FFunction
 from .geometry import FiniteMetricSpace, GeometryError
@@ -387,6 +388,16 @@ class RunManifest:
         }
 
 
+class NumericalFailure(RuntimeError):
+    """A theorem check that failed numerically, naming the grid point."""
+
+    def __init__(self, theorem: str, point: dict, cause: Exception):
+        where = ", ".join(f"{axis}={point.get(axis)}" for axis in ("t", "R", "r"))
+        super().__init__(f"{theorem} at {where}: {cause}")
+        self.theorem = theorem
+        self.point = dict(point)
+
+
 class ExperimentRunner:
     """Executes the selected theorem checks for one config."""
 
@@ -398,31 +409,30 @@ class ExperimentRunner:
         self.a = embed(cfg.a_local, self.volume)
         self.b = embed(cfg.b_local, self.volume) if cfg.b_local is not None else None
         self.k_map = self._build_k_map()
-        self._gens: dict = {}
-        self._props: dict = {}
+        self._dynamics = None
+        self._dense = None
+        self._k_lhs: dict = {}
+        self._defects: dict = {}
+        self._point: dict = {}
         self._analysis = None
         self._state = None
 
-    # generator / propagator caches ------------------------------------------------
+    # dynamics -------------------------------------------------------------------
 
-    def gen(self, key) -> Superoperator:
-        if key not in self._gens:
-            if key == "full":
-                g = model.generator(self.cfg.interaction, self.volume, mode="full")
-            elif key[0] == "trunc":
-                g = model.generator(self.cfg.interaction, self.volume, mode="truncated",
-                                    R=key[1])
-            else:
-                g = model.generator(self.cfg.interaction, self.volume, mode="subvolume",
-                                    region=key[1])
-            self._gens[key] = g
-        return self._gens[key]
+    @property
+    def dynamics(self) -> dynamics.Dynamics:
+        """The propagation layer every left-hand side goes through."""
+        if self._dynamics is None:
+            self._dynamics = dynamics.Dynamics(self.cfg.interaction, self.volume,
+                                               dims=self.a.dims)
+        return self._dynamics
 
-    def prop(self, key, t: float) -> Superoperator:
-        ck = (key, float(t))
-        if ck not in self._props:
-            self._props[ck] = dynamics.propagator(self.gen(key), t)
-        return self._props[ck]
+    def dense_generator(self) -> Superoperator:
+        """The full generator as a dense matrix, for the fixed-point suite and
+        the stationary state, which consume the whole map."""
+        if self._dense is None:
+            self._dense = model.generator(self.cfg.interaction, self.volume)
+        return self._dense
 
     def _build_k_map(self) -> Optional[ObservationMap]:
         desc = self.cfg.k_descriptor
@@ -445,7 +455,7 @@ class ExperimentRunner:
         if self._state is None:
             parsed = parse_state(self.cfg.state_desc, self.volume, None)
             if parsed is None:
-                parsed = correlations.stationary_state(self.gen("full"))
+                parsed = correlations.stationary_state(self.dense_generator())
             self._state = parsed
         return self._state
 
@@ -453,90 +463,111 @@ class ExperimentRunner:
         if self._analysis is None:
             grid = [t for t in self.cfg.t_grid if t > 0] or [1.0]
             self._analysis = correlations.analyze_fixed_point(
-                self.gen("full"), self.cfg.t_grid, eta_grid=grid[-1:],
+                self.dense_generator(), self.cfg.t_grid, eta_grid=grid[-1:],
                 n_starts=8, seed=self.cfg.seed)
         return self._analysis
 
     # per-theorem executors ----------------------------------------------------------
 
     def run(self) -> list:
+        """Every selected check; a numerical failure is re-raised as a
+        ``NumericalFailure`` naming the theorem and its grid point."""
         reports = []
         for theorem in self.cfg.theorems:
-            reports.extend(getattr(self, f"_run_{theorem}")())
+            self._point = {}
+            try:
+                reports.extend(getattr(self, f"_run_{theorem}")())
+            except (ValueError, ArithmeticError) as exc:
+                raise NumericalFailure(theorem, self._point, exc) from exc
         return sort_reports(reports)
 
-    def _lhs_k(self, key, t: float) -> float:
-        evolved = dynamics.apply_superop(self.prop(key, t), self.a)
-        return qalgebra.op_norm(qalgebra.apply_map(self.k_map, evolved))
+    def _grid(self, *axes: str):
+        """The product of the named grids ("t", "R", "r"), recording each
+        point as the one in progress."""
+        grids = {"t": self.cfg.t_grid, "R": self.cfg.big_r_grid, "r": self.cfg.r_grid}
+        for values in itertools.product(*(grids[axis] for axis in axes)):
+            self._point = dict(zip(axes, values))
+            yield values
+
+    def _lhs_k(self, t: float, R: Optional[float] = None) -> float:
+        """opnorm of K on the evolved A; ``R`` selects the range-R dynamics."""
+        key = (t, R)
+        if key not in self._k_lhs:
+            mode = "full" if R is None else "truncated"
+            evolved = self.dynamics.evolve(t, self.a, mode, R=R)
+            self._k_lhs[key] = qalgebra.op_norm(qalgebra.apply_map(self.k_map, evolved))
+        return self._k_lhs[key]
+
+    def _local_error(self, t: float, r: float) -> float:
+        region = geometry.inflate(self.space, self.cfg.x_sites, r)
+        return self.dynamics.local_error(t, self.a, region)
+
+    def _c_ab(self, r: float, t: float) -> float:
+        """The localization defect, computed once per (r, t) and shared by
+        every correlation theorem."""
+        if (r, t) not in self._defects:
+            self._defects[(r, t)] = correlations.c_ab(
+                self.cfg.interaction, self.volume, self.cfg.x_sites, self.cfg.y_sites,
+                r, t, self.a, self.b, dynamics=self.dynamics)
+        return self._defects[(r, t)]
 
     def _run_finite_range_lrb(self) -> list:
         c, cfg = self.consts, self.cfg
         d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
         out = []
-        for t in cfg.t_grid:
-            for R in cfg.big_r_grid:
-                lhs = self._lhs_k(("trunc", R), t)
-                rhs = bounds.rhs_finite_range_lrb(c, self.k_map.cb_upper,
-                                                  self.a.norm(), cfg.x_sites,
-                                                  cfg.y_sites, t, R)
-                out.append(BoundReport("finite_range_lrb",
-                                       {"t": t, "R": R, "r": None, "d": d},
-                                       lhs, rhs))
+        for t, R in self._grid("t", "R"):
+            rhs = bounds.rhs_finite_range_lrb(c, self.k_map.cb_upper, self.a.norm(),
+                                              cfg.x_sites, cfg.y_sites, t, R)
+            out.append(BoundReport("finite_range_lrb", {"t": t, "R": R, "r": None, "d": d},
+                                   self._lhs_k(t, R), rhs))
         return out
 
     def _run_full_lrb(self) -> list:
         c, cfg = self.consts, self.cfg
         d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
         out = []
-        for t in cfg.t_grid:
-            lhs = self._lhs_k("full", t)
+        for t, in self._grid("t"):
             rhs = bounds.rhs_full_lrb(c, self.k_map.cb_upper, self.a.norm(),
                                       cfg.x_sites, cfg.y_sites, t)
             out.append(BoundReport("full_lrb", {"t": t, "R": None, "r": None, "d": d},
-                                   lhs, rhs))
+                                   self._lhs_k(t), rhs))
         return out
 
     def _run_strong_lrb(self) -> list:
         c, cfg = self.consts, self.cfg
         d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
         out = []
-        for t in cfg.t_grid:
+        for t, in self._grid("t"):
             params = {"t": t, "R": None, "r": None, "d": d}
             if c.r0 <= 0:
                 out.append(BoundReport("strong_lrb", params, float("nan"), float("nan"),
                                        flags={"finite_range": False}))
                 continue
-            lhs = self._lhs_k("full", t)
             rhs = bounds.rhs_strong_lrb(c, self.k_map.cb_upper, self.a.norm(),
                                         len(cfg.x_sites), d, t)
-            out.append(BoundReport("strong_lrb", params, lhs, rhs))
+            out.append(BoundReport("strong_lrb", params, self._lhs_k(t), rhs))
         return out
 
     def _run_composite_lrb(self) -> list:
         c, cfg = self.consts, self.cfg
         d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
         out = []
-        for t in cfg.t_grid:
-            lhs = self._lhs_k("full", t)
-            for R in cfg.big_r_grid:
-                head = self._lhs_k(("trunc", R), t)
-                for r in cfg.r_grid:
-                    rhs = bounds.rhs_composite_lrb(
-                        c, self.k_map.cb_upper, self.a.norm(), cfg.x_sites,
-                        cfg.y_sites, self.volume, t, r, R, first_term="exact",
-                        exact_first=head)
-                    out.append(BoundReport("composite_lrb",
-                                           {"t": t, "R": R, "r": r, "d": d}, lhs, rhs))
+        for t, R, r in self._grid("t", "R", "r"):
+            rhs = bounds.rhs_composite_lrb(
+                c, self.k_map.cb_upper, self.a.norm(), cfg.x_sites, cfg.y_sites,
+                self.volume, t, r, R, first_term="exact", exact_first=self._lhs_k(t, R))
+            out.append(BoundReport("composite_lrb", {"t": t, "R": R, "r": r, "d": d},
+                                   self._lhs_k(t), rhs))
         return out
 
     def _run_power_law_lrb(self) -> list:
         c, cfg = self.consts, self.cfg
         d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
         out = []
-        for t in cfg.t_grid:
+        for t, in self._grid("t"):
             wv = bounds.rhs_power_law_lrb(c, self.k_map.cb_upper, self.a.norm(),
                                           len(cfg.x_sites), d, t, cfg.eps, cfg.delta)
-            lhs = self._lhs_k("full", t) if wv.valid else float("nan")
+            lhs = self._lhs_k(t) if wv.valid else float("nan")
             out.append(BoundReport("power_law_lrb",
                                    {"t": t, "R": None, "r": None, "d": d,
                                     "eps": cfg.eps, "delta": cfg.delta},
@@ -546,22 +577,17 @@ class ExperimentRunner:
     def _run_range_truncation(self) -> list:
         c, cfg = self.consts, self.cfg
         out = []
-        for t in cfg.t_grid:
-            for R in cfg.big_r_grid:
-                diff = dynamics.apply_superop(self.prop("full", t), self.a) \
-                    - dynamics.apply_superop(self.prop(("trunc", R), t), self.a)
-                lhs = qalgebra.op_norm(diff)
-                for r in cfg.r_grid:
-                    rhs = bounds.rhs_range_truncation(c, self.a.norm(), cfg.x_sites,
-                                                      self.volume, t, r, R)
-                    out.append(BoundReport("range_truncation",
-                                           {"t": t, "R": R, "r": r, "d": None},
-                                           lhs, rhs))
+        for t, R, r in self._grid("t", "R", "r"):
+            lhs = self.dynamics.truncation_error(t, self.a, R)
+            rhs = bounds.rhs_range_truncation(c, self.a.norm(), cfg.x_sites,
+                                              self.volume, t, r, R)
+            out.append(BoundReport("range_truncation", {"t": t, "R": R, "r": r, "d": None},
+                                   lhs, rhs))
         return out
 
     def _run_surface_sum(self) -> list:
         out = []
-        for r in self.cfg.r_grid:
+        for r, in self._grid("r"):
             for x in sorted(self.cfg.x_sites, key=repr):
                 out.append(bounds.surface_sum_check(self.consts, self.volume,
                                                     self.cfg.x_sites, r, x))
@@ -570,80 +596,57 @@ class ExperimentRunner:
     def _run_local_approx(self) -> list:
         c, cfg = self.consts, self.cfg
         out = []
-        for t in cfg.t_grid:
-            for r in cfg.r_grid:
-                region = geometry.inflate(self.space, cfg.x_sites, r)
-                diff = dynamics.apply_superop(self.prop("full", t), self.a) \
-                    - dynamics.apply_superop(self.prop(("sub", region), t), self.a)
-                lhs = qalgebra.op_norm(diff)
-                wv = bounds.rhs_local_approx(c, self.a.norm(), cfg.x_sites,
-                                             self.volume, t, r)
-                out.append(BoundReport("local_approx",
-                                       {"t": t, "R": None, "r": r, "d": None},
-                                       lhs, wv.value, flags=wv.flags))
+        for t, r in self._grid("t", "r"):
+            wv = bounds.rhs_local_approx(c, self.a.norm(), cfg.x_sites, self.volume, t, r)
+            out.append(BoundReport("local_approx", {"t": t, "R": None, "r": r, "d": None},
+                                   self._local_error(t, r), wv.value, flags=wv.flags))
         return out
 
     def _run_local_approx_power_law(self) -> list:
         c, cfg = self.consts, self.cfg
         out = []
-        for t in cfg.t_grid:
-            for r in cfg.r_grid:
-                wv = bounds.rhs_local_approx_power_law(c, self.a.norm(),
-                                                       len(cfg.x_sites), r, t,
-                                                       cfg.eps, cfg.delta)
-                if wv.valid:
-                    region = geometry.inflate(self.space, cfg.x_sites, r)
-                    diff = dynamics.apply_superop(self.prop("full", t), self.a) \
-                        - dynamics.apply_superop(self.prop(("sub", region), t), self.a)
-                    lhs = qalgebra.op_norm(diff)
-                else:
-                    lhs = float("nan")
-                out.append(BoundReport("local_approx_power_law",
-                                       {"t": t, "R": None, "r": r, "d": None,
-                                        "eps": cfg.eps, "delta": cfg.delta},
-                                       lhs, wv.value, flags=wv.flags))
+        for t, r in self._grid("t", "r"):
+            wv = bounds.rhs_local_approx_power_law(c, self.a.norm(), len(cfg.x_sites),
+                                                   r, t, cfg.eps, cfg.delta)
+            lhs = self._local_error(t, r) if wv.valid else float("nan")
+            out.append(BoundReport("local_approx_power_law",
+                                   {"t": t, "R": None, "r": r, "d": None,
+                                    "eps": cfg.eps, "delta": cfg.delta},
+                                   lhs, wv.value, flags=wv.flags))
         return out
 
-    def _c_ab(self, r: float, t: float) -> float:
-        return correlations.c_ab(self.cfg.interaction, self.volume, self.cfg.x_sites,
-                                 self.cfg.y_sites, r, t, self.a, self.b)
-
     def _run_dynamic_correlation(self) -> list:
+        cfg = self.cfg
         out = []
-        for t in self.cfg.t_grid:
-            for r in self.cfg.r_grid:
-                out.append(correlations.check_dynamic_correlation(
-                    self.state(), self.cfg.interaction, self.volume,
-                    self.cfg.x_sites, self.cfg.y_sites, r, t, self.a, self.b))
+        for t, r in self._grid("t", "r"):
+            out.append(correlations.check_dynamic_correlation(
+                self.state(), cfg.interaction, self.volume, cfg.x_sites, cfg.y_sites,
+                r, t, self.a, self.b, dynamics=self.dynamics, defect=self._c_ab(r, t)))
         return out
 
     def _run_correlation_general(self) -> list:
         c, cfg = self.consts, self.cfg
         out = []
-        for t in cfg.t_grid:
-            for r in cfg.r_grid:
-                lhs = self._c_ab(r, t)
-                wv = bounds.rhs_correlation_general(c, self.a.norm(), self.b.norm(),
-                                                    cfg.x_sites, cfg.y_sites,
-                                                    self.volume, t, r)
-                out.append(BoundReport("correlation_general",
-                                       {"t": t, "R": None, "r": r, "d": None},
-                                       lhs, wv.value, flags=wv.flags))
+        for t, r in self._grid("t", "r"):
+            wv = bounds.rhs_correlation_general(c, self.a.norm(), self.b.norm(),
+                                                cfg.x_sites, cfg.y_sites, self.volume, t, r)
+            out.append(BoundReport("correlation_general",
+                                   {"t": t, "R": None, "r": r, "d": None},
+                                   self._c_ab(r, t), wv.value, flags=wv.flags))
         return out
 
     def _run_correlation_power_law(self) -> list:
         c, cfg = self.consts, self.cfg
         out = []
-        for t in cfg.t_grid:
-            for r in cfg.r_grid:
-                wv = bounds.rhs_correlation_power_law(
-                    c, self.a.norm(), self.b.norm(), len(cfg.x_sites),
-                    len(cfg.y_sites), r, t, cfg.eps, cfg.delta)
-                lhs = self._c_ab(r, t) if wv.valid else float("nan")
-                out.append(BoundReport("correlation_power_law",
-                                       {"t": t, "R": None, "r": r, "d": None,
-                                        "eps": cfg.eps, "delta": cfg.delta},
-                                       lhs, wv.value, flags=wv.flags))
+        for t, r in self._grid("t", "r"):
+            wv = bounds.rhs_correlation_power_law(
+                c, self.a.norm(), self.b.norm(), len(cfg.x_sites),
+                len(cfg.y_sites), r, t, cfg.eps, cfg.delta)
+            lhs = self._c_ab(r, t) if wv.valid else float("nan")
+            out.append(BoundReport("correlation_power_law",
+                                   {"t": t, "R": None, "r": r, "d": None,
+                                    "eps": cfg.eps, "delta": cfg.delta},
+                                   lhs, wv.value, flags=wv.flags))
         return out
 
     def _run_fixed_point_correlation(self) -> list:
@@ -651,10 +654,9 @@ class ExperimentRunner:
         omega = self.state()
         g = analysis.governance()
         out = []
-        for t in self.cfg.t_grid:
-            rep = correlations.check_fixed_point_correlation(
-                analysis.rho_pi, self.gen("full"), self.a, self.b, t, omega, g)
-            out.append(rep)
+        for t, in self._grid("t"):
+            out.append(correlations.check_fixed_point_correlation(
+                analysis.rho_pi, self.dense_generator(), self.a, self.b, t, omega, g))
         return out
 
     def _run_fixed_point_exponential(self) -> list:
@@ -717,7 +719,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def reports_to_csv(reports: Sequence[BoundReport]) -> str:
+def reports_to_csv(reports: Sequence[BoundReport], tolerance: float = SLACK_RTOL) -> str:
     lines = ["theorem,t,R,r,d,lhs,rhs,slack,valid,pass"]
     for rep in reports:
         p = rep.params
@@ -725,7 +727,7 @@ def reports_to_csv(reports: Sequence[BoundReport]) -> str:
         lines.append(",".join([
             rep.theorem, _fmt(p.get("t")), _fmt(p.get("R")), _fmt(p.get("r")),
             _fmt(p.get("d")), _fmt(rep.lhs), _fmt(rep.rhs), _fmt(slack),
-            str(rep.valid).lower(), str(rep.passed).lower()]))
+            str(rep.valid).lower(), str(rep.passes(tolerance)).lower()]))
     return "\n".join(lines) + "\n"
 
 
@@ -735,7 +737,7 @@ def _json_safe(x):
     return x
 
 
-def reports_to_json(reports: Sequence[BoundReport]) -> str:
+def reports_to_json(reports: Sequence[BoundReport], tolerance: float = SLACK_RTOL) -> str:
     payload = []
     for rep in reports:
         payload.append({
@@ -745,14 +747,14 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
             "rhs": _json_safe(rep.rhs),
             "slack": _json_safe(rep.slack),
             "valid": rep.valid,
-            "pass": rep.passed,
+            "pass": rep.passes(tolerance),
             "flags": dict(rep.flags),
         })
     return json.dumps({"reports": payload}, indent=2, sort_keys=True) + "\n"
 
 
 def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
-                   wall_time_s: float) -> RunManifest:
+                   wall_time_s: float, tolerance: float = SLACK_RTOL) -> RunManifest:
     import scipy
 
     from . import __version__
@@ -765,7 +767,7 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
         tally["rows"] += 1
         if not rep.valid:
             tally["invalid"] += 1
-        elif rep.passed:
+        elif rep.passes(tolerance):
             tally["passed"] += 1
         else:
             tally["failed"] += 1
@@ -781,19 +783,21 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json")):
-    """Execute the configured checks; returns (reports, manifest)."""
+def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json"),
+                   tolerance: float = SLACK_RTOL):
+    """Execute the configured checks; returns (reports, manifest).  The pass
+    column and the tallies use ``BoundReport.passes(tolerance)``."""
     started = time.perf_counter()
     runner = ExperimentRunner(cfg)
     reports = runner.run()
-    manifest = build_manifest(cfg, reports, time.perf_counter() - started)
+    manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if "csv" in formats:
-            (out / "reports.csv").write_text(reports_to_csv(reports))
+            (out / "reports.csv").write_text(reports_to_csv(reports, tolerance))
         if "json" in formats:
-            (out / "reports.json").write_text(reports_to_json(reports))
+            (out / "reports.json").write_text(reports_to_json(reports, tolerance))
         (out / "manifest.json").write_text(
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return reports, manifest

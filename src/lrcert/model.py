@@ -14,18 +14,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
+import scipy.sparse
 
 from . import geometry
 from .geometry import FiniteMetricSpace, Site
 from .qalgebra import (
     ObservableOp,
     embed,
+    _basis_permutation,
     from_matrix,
     left_right_superop,
     op_norm,
 )
 
 HERMITICITY_ATOL = 1e-12
+MAX_DENSE_DIM = 4096  # largest vectorized dimension assembled as a dense matrix
 
 
 class ModelError(ValueError):
@@ -93,7 +96,7 @@ class LindbladTerm:
     def _probe_lower(self) -> float:
         sites = self._site_order()
         dims = self._dims()
-        sup = local_superop(self, sites, dims)
+        sup = own_superop(self)
         from .qalgebra import _probe_operators, devectorize, vectorize
 
         lower = 0.0
@@ -116,9 +119,10 @@ class LindbladTerm:
         return tuple(ref.dims) if ref is not None else (2,) * len(self.support)
 
 
-def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> np.ndarray:
-    """Heisenberg-picture matrix of the term on the given volume:
+def own_superop(term: LindbladTerm) -> np.ndarray:
+    """Dense Heisenberg-picture matrix of the term on its own support:
     A -> i[H, A] + sum_j K_j* A K_j - (1/2){K_j* K_j, A}."""
+    sites, dims = term._site_order(), term._dims()
     total = int(np.prod(dims))
     eye = np.eye(total, dtype=complex)
     out = np.zeros((total * total, total * total), dtype=complex)
@@ -132,6 +136,26 @@ def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> np.ndarray:
         out += left_right_superop(kdag, km)
         out -= 0.5 * (left_right_superop(kk, eye) + left_right_superop(eye, kk))
     return out
+
+
+def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> scipy.sparse.csr_matrix:
+    """The term on the volume ``sites`` in CSR form: ``own_superop`` tensored
+    with the identity on the rest of the volume, legs permuted into the
+    volume's column-stacking order.  Only products with 1 are formed: every
+    entry is exactly an entry of ``own_superop``."""
+    own = term._site_order()
+    by_site = dict(zip(sites, dims))
+    if any(by_site.get(s) != d for s, d in zip(own, term._dims())):
+        raise ModelError("term dimensions do not match the volume")
+    rest = tuple(s for s in sites if s not in term.support)
+    rest_dim = int(np.prod([by_site[s] for s in rest], dtype=int))
+    big = scipy.sparse.kron(scipy.sparse.csr_matrix(own_superop(term)),
+                            scipy.sparse.identity(rest_dim * rest_dim), format="csr")
+    # a vec index runs over column sites (slowest), then row sites
+    legs = tuple((leg, s) for part in (own, rest) for leg in ("col", "row") for s in part)
+    target = tuple((leg, s) for leg in ("col", "row") for s in sites)
+    sigma = _basis_permutation(legs, target, tuple(dims) * 2)
+    return big[sigma][:, sigma]
 
 
 @dataclass(frozen=True)
@@ -181,23 +205,53 @@ def lindblad_superop(term: LindbladTerm, space: FiniteMetricSpace,
     vol_sites = space.ordered(volume)
     if not term.support <= frozenset(vol_sites):
         raise ModelError("term support not contained in the volume")
-    dims_t = _volume_dims(vol_sites, dims, term)
-    return Superoperator(local_superop(term, vol_sites, dims_t), vol_sites, dims_t,
+    dims_t = volume_dims(vol_sites, dims, term)
+    _check_dense(dims_t)
+    return Superoperator(local_superop(term, vol_sites, dims_t).toarray(), vol_sites, dims_t,
                          picture="heisenberg")
 
 
 def generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None,
               mode: str = "full", R: Optional[float] = None,
               region: Optional[Iterable[Site]] = None, dims=None) -> Superoperator:
-    """Sum of embedded term superoperators, filtered by mode.
+    """Sum of embedded term superoperators, filtered by mode, as a dense matrix.
 
     ``full``      : all terms supported inside the volume.
     ``truncated`` : additionally diam(support) <= R (requires ``R > 0``);
                     identical to ``full`` once R reaches the interaction range.
     ``subvolume`` : only terms supported inside ``region``, still embedded in
                     the full volume.
-    Terms are summed in their stored order for reproducibility.
+    The matrix is the densified ``sparse_generator``.  A volume whose
+    vectorized dimension exceeds ``MAX_DENSE_DIM`` is refused before any
+    matrix is allocated.
     """
+    vol_sites, dims_t, selected = _generator_terms(interaction, volume, mode, R, region, dims)
+    _check_dense(dims_t)
+    return Superoperator(_assemble(selected, vol_sites, dims_t).toarray(), vol_sites,
+                         dims_t, picture="heisenberg")
+
+
+def _check_dense(dims: tuple) -> None:
+    """Refuse a dense superoperator over ``MAX_DENSE_DIM``, before allocating it."""
+    d2 = int(np.prod(dims)) ** 2
+    if d2 > MAX_DENSE_DIM:
+        raise ModelError(f"vectorized dimension {d2} exceeds the dense ceiling "
+                         f"{MAX_DENSE_DIM}")
+
+
+def sparse_generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None,
+                     mode: str = "full", R: Optional[float] = None,
+                     region: Optional[Iterable[Site]] = None,
+                     dims=None) -> scipy.sparse.csr_matrix:
+    """The Heisenberg-picture generator of ``generator`` in CSR form, for any
+    volume; modes and arguments are those of ``generator``."""
+    vol_sites, dims_t, selected = _generator_terms(interaction, volume, mode, R, region, dims)
+    return _assemble(selected, vol_sites, dims_t)
+
+
+def _generator_terms(interaction: DissipativeInteraction, volume, mode: str,
+                     R: Optional[float], region, dims) -> tuple:
+    """(ordered volume, local dimensions, selected terms) of a generator mode."""
     space = interaction.space
     vol_sites = space.ordered(volume if volume is not None else space.points)
     vol_set = frozenset(vol_sites)
@@ -216,12 +270,16 @@ def generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None
         selected = interaction.terms_for(reg)
     else:
         raise ModelError(f"unknown generator mode {mode!r}")
-    dims_t = _volume_dims(vol_sites, dims, *selected)
-    total = int(np.prod(dims_t))
-    acc = np.zeros((total * total, total * total), dtype=complex)
-    for t in selected:
-        acc += local_superop(t, vol_sites, dims_t)
-    return Superoperator(acc, vol_sites, dims_t, picture="heisenberg")
+    return vol_sites, volume_dims(vol_sites, dims, *selected), selected
+
+
+def _assemble(terms: list, vol_sites: tuple, dims: tuple) -> scipy.sparse.csr_matrix:
+    """Terms summed in their stored order, for reproducibility."""
+    total = int(np.prod(dims))
+    acc = scipy.sparse.csr_matrix((total * total, total * total), dtype=complex)
+    for t in terms:
+        acc = acc + local_superop(t, vol_sites, dims)
+    return acc
 
 
 def interaction_f_norm(interaction: DissipativeInteraction, f: Callable,
@@ -259,7 +317,9 @@ def adjoint_generator(gen: Superoperator) -> Superoperator:
     return Superoperator(gen.matrix.conj().T, gen.sites, gen.dims, picture=flipped)
 
 
-def _volume_dims(vol_sites: tuple, dims, *terms: LindbladTerm) -> tuple:
+def volume_dims(vol_sites: tuple, dims, *terms: LindbladTerm) -> tuple:
+    """Local dimensions of a volume: ``dims`` when given, else read off the
+    terms (2 at sites no term covers)."""
     if dims is not None:
         from .qalgebra import _resolve_dims
 

@@ -36,42 +36,6 @@ def dominated(lhs, rhs):
     return lhs <= rhs + SLACK * max(1.0, rhs)
 
 
-class PropCache:
-    """Per-model generator/propagator cache with truncation saturation."""
-
-    def __init__(self, model):
-        self.model = model
-        self.space = model.space
-        self.volume = model.space.points
-        self.r0 = model.interaction.range_r0
-        self._gens = {}
-        self._props = {}
-
-    def gen(self, key):
-        if key not in self._gens:
-            if key == "full":
-                g = lr.generator(self.model.interaction, self.volume, mode="full")
-            elif key[0] == "trunc":
-                g = lr.generator(self.model.interaction, self.volume,
-                                 mode="truncated", R=key[1])
-            else:
-                g = lr.generator(self.model.interaction, self.volume,
-                                 mode="subvolume", region=key[1])
-            self._gens[key] = g
-        return self._gens[key]
-
-    def prop(self, key, t):
-        if isinstance(key, tuple) and key[0] == "trunc" and key[1] >= self.r0:
-            key = "full"
-        ck = (key, float(t))
-        if ck not in self._props:
-            self._props[ck] = lr.propagator(self.gen(key), t)
-        return self._props[ck]
-
-    def act(self, key, t, a):
-        return dynamics.apply_superop(self.prop(key, t), a)
-
-
 # -- criterion 1 -------------------------------------------------------------------
 
 
@@ -113,7 +77,7 @@ def test_criterion_2_quasi_locality_domination(model_pool, pool_constants):
         if len(sites) < 3:
             continue
         a = lr.embed(m.a_local, sites)
-        cache = PropCache(m)
+        dyn = lr.Dynamics(m.interaction)
         t_grid = np.linspace(0.0, 2.0 / c.v, 8)
         targets = [y for y in sites
                    if m.space.d(sites[0], y) in (2.0, 3.0, 4.0)]
@@ -121,14 +85,14 @@ def test_criterion_2_quasi_locality_domination(model_pool, pool_constants):
             k = lr.commutator_map(lr.embed(lr.site_operator("Z", y), sites))
             xs, ys = {sites[0]}, {y}
             for t in t_grid:
-                lhs_full = lr.op_norm(qalgebra.apply_map(k, cache.act("full", t, a)))
+                lhs_full = lr.op_norm(qalgebra.apply_map(k, dyn.evolve(t, a)))
                 rhs_full = bounds.rhs_full_lrb(c, k.cb_upper, a.norm(), xs, ys, t)
                 rows += 1
                 if not dominated(lhs_full, rhs_full):
                     failures.append((idx, y, t, "static", lhs_full, rhs_full))
                 for R in (1.0, 2.0, 3.0):
                     lhs_r = lr.op_norm(qalgebra.apply_map(
-                        k, cache.act(("trunc", R), t, a)))
+                        k, dyn.evolve(t, a, "truncated", R=R)))
                     rhs_r = bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(),
                                                         xs, ys, t, R)
                     rows += 1
@@ -149,15 +113,15 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
         sites = m.space.points
         a = lr.embed(m.a_local, sites)
         xs = {sites[0]}
-        cache = PropCache(m)
+        dyn = lr.Dynamics(m.interaction)
         t_grid = np.linspace(0.0, 2.0 / c.v, 8)
         k = None
         if len(sites) >= 3:
             k = lr.commutator_map(lr.embed(m.b_local, sites))
         for t in t_grid:
-            evolved_full = cache.act("full", t, a)
+            evolved_full = dyn.evolve(t, a)
             for R in (1.0, 2.0, 3.0):
-                lhs_tr = lr.op_norm(evolved_full - cache.act(("trunc", R), t, a))
+                lhs_tr = lr.op_norm(evolved_full - dyn.evolve(t, a, "truncated", R=R))
                 if R >= c.r0 and lhs_tr > 1e-10:
                     failures.append((idx, t, R, "saturation", lhs_tr))
                 for r in (1.0, 2.0):
@@ -168,7 +132,7 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                         failures.append((idx, t, R, r, "truncation", lhs_tr, rhs_tr))
                     if k is not None:
                         head = lr.op_norm(qalgebra.apply_map(
-                            k, cache.act(("trunc", R), t, a)))
+                            k, dyn.evolve(t, a, "truncated", R=R)))
                         rhs_comp = bounds.rhs_composite_lrb(
                             c, k.cb_upper, a.norm(), xs, {sites[-1]}, sites,
                             t, r, R, first_term="exact", exact_first=head)
@@ -179,7 +143,8 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                                              lhs_comp, rhs_comp))
             for r in (1.0, 2.0):
                 region = geometry.inflate(m.space, xs, r)
-                lhs_loc = lr.op_norm(evolved_full - cache.act(("sub", region), t, a))
+                lhs_loc = lr.op_norm(evolved_full - dyn.evolve(t, a, "subvolume",
+                                                               region=region))
                 wv = bounds.rhs_local_approx(c, a.norm(), xs, sites, t, r)
                 rows += 1
                 if wv.valid and not dominated(lhs_loc, wv.value):
@@ -225,15 +190,12 @@ def test_criterion_4_static_recovery(model_pool, pool_constants):
 def power_law_suite():
     space, f, inter = mixed_field_chain(5, alpha=4.0, j=0.3, h=0.25, gamma=1.0)
     c = ModelConstants.from_model(space, f, inter, nu=1.0)
-    cache = PropCache(lr.harness.RandomModel(space, f, inter,
-                                             lr.site_operator("Z", 0),
-                                             lr.site_operator("Z", 4)))
-    return space, f, inter, c, cache
+    return space, f, inter, c, lr.Dynamics(inter)
 
 
 def test_criterion_5_power_law_theorems(power_law_suite):
     started = time.perf_counter()
-    space, f, inter, c, cache = power_law_suite
+    space, f, inter, c, dyn = power_law_suite
     eps, delta, eta_exp = 0.5, 0.3, 0.02
     failures = []
     rows = 0
@@ -267,7 +229,7 @@ def test_criterion_5_power_law_theorems(power_law_suite):
         rows += 1
         if not wv.valid:
             continue
-        lhs = lr.op_norm(qalgebra.apply_map(k, cache.act("full", t, a)))
+        lhs = lr.op_norm(qalgebra.apply_map(k, dyn.evolve(t, a)))
         if not dominated(lhs, wv.value):
             failures.append(("power-law lrb", t, lhs, wv.value))
 
@@ -278,7 +240,7 @@ def test_criterion_5_power_law_theorems(power_law_suite):
             rows += 1
             if not wv.valid:
                 continue
-            lhs = lr.op_norm(cache.act("full", t, a) - cache.act(("sub", region), t, a))
+            lhs = dyn.local_error(t, a, region)
             if not dominated(lhs, wv.value):
                 failures.append(("local power-law", r, t, lhs, wv.value))
 
@@ -289,12 +251,12 @@ def test_criterion_5_power_law_theorems(power_law_suite):
         rows += 1
         if not wv.valid:
             continue
-        lhs = lr.c_ab(inter, sites, xs, ys, r, t, a, b)
+        lhs = lr.c_ab(inter, sites, xs, ys, r, t, a, b, dynamics=dyn)
         if not dominated(lhs, wv.value):
             failures.append(("correlation power-law", t, lhs, wv.value))
 
     # fixed-point power-law bound against the exact stationary correlation
-    gen = cache.gen("full")
+    gen = lr.generator(inter)
     rho_pi = lr.stationary_state(lr.adjoint_generator(gen))
     t_point = d ** eta_exp / (math.e * c.v * 2.0 ** eta_exp)
     env_c, env_gamma, _ = lr.convergence_envelope(gen, rho_pi,

@@ -6,9 +6,10 @@ import pytest
 import scipy.integrate
 
 import lrcert as lr
+from lrcert import model
 from lrcert.dynamics import DynamicsError, choi_matrix, choi_min_eigenvalue
-from lrcert.model import DissipativeInteraction
-from lrcert.qalgebra import from_matrix
+from lrcert.model import DissipativeInteraction, ModelError
+from lrcert.qalgebra import embed, from_matrix, left_right_superop
 
 from conftest import mixed_field_chain, single_qubit_damping
 
@@ -213,3 +214,101 @@ class TestOdeOracle:
             want = sol.y[:, -1]
             got = lr.propagator(gen, t_end).matrix @ y0
             assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+def dense_term_superop(term, sites, dims):
+    """The dense accumulation generators were once assembled by; the reference
+    for the sparse assembly."""
+    total = int(np.prod(dims))
+    eye = np.eye(total, dtype=complex)
+    out = np.zeros((total * total, total * total), dtype=complex)
+    if term.hamiltonian is not None:
+        h = embed(term.hamiltonian, sites, dims).matrix
+        out += 1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
+    for k in term.kraus:
+        km = embed(k, sites, dims).matrix
+        kdag = km.conj().T
+        kk = kdag @ km
+        out += left_right_superop(kdag, km)
+        out -= 0.5 * (left_right_superop(kk, eye) + left_right_superop(eye, kk))
+    return out
+
+
+def layer_models():
+    for n in (3, 4):
+        space = lr.FiniteMetricSpace.chain(n)
+        yield lr.tfim_dissipative(space, 0.5, 0.4, 1.0)
+        yield lr.long_range_zz(space, 0.4, 3.0, 1.0)
+        yield lr.harness.random_model(30 + n, n_sites=n).interaction
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("inter", list(layer_models()))
+    def test_equals_dense_accumulation(self, inter):
+        gen = lr.generator(inter)
+        want = np.zeros_like(gen.matrix)
+        for term in inter.terms:
+            want += dense_term_superop(term, gen.sites, gen.dims)
+        assert np.array_equal(gen.matrix, want)
+        assert np.array_equal(lr.Dynamics(inter).generator().toarray(), want)
+
+
+class TestDynamicsLayer:
+    def test_action_matches_dense_propagator(self, chain4):
+        inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
+        gen = lr.generator(inter)
+        dyn = lr.Dynamics(inter)
+        rng = np.random.default_rng(47)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a = from_matrix(m, chain4.points)
+        for t in (0.25, 0.5, 1.0, 2.0):
+            want = lr.propagator(gen, t).matrix @ lr.vectorize(a)
+            np.testing.assert_allclose(lr.vectorize(dyn.evolve(t, a)), want,
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(lr.vectorize(lr.evolve(gen, t, a)), want,
+                                       rtol=0, atol=1e-13)
+
+    def test_time_zero_returns_input(self, chain4):
+        inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
+        rng = np.random.default_rng(48)
+        a = from_matrix(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)),
+                        chain4.points)
+        dyn = lr.Dynamics(inter)
+        assert np.array_equal(dyn.evolve(0.0, a).matrix, a.matrix)
+        assert np.array_equal(dyn.evolve(0.0, a, "subvolume", region={0}).matrix, a.matrix)
+        assert np.array_equal(lr.evolve(lr.generator(inter), 0.0, a).matrix, a.matrix)
+
+    def test_truncation_saturates(self, chain4):
+        inter = lr.long_range_zz(chain4, 0.4, 3.0, 1.0)
+        dyn = lr.Dynamics(inter)
+        full = dyn.generator()
+        assert inter.range_r0 == 3.0
+        for R in (3.0, 4.5):
+            assert dyn.generator("truncated", R=R) is full
+        short = dyn.generator("truncated", R=1.0)
+        assert short is not full
+        assert (short != full).nnz > 0
+
+    def test_volume_mismatch_rejected(self, chain4):
+        dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        with pytest.raises(DynamicsError):
+            dyn.evolve(0.1, lr.site_operator("X", 0))
+
+
+class TestDenseCeiling:
+    def test_refused_before_assembly(self, chain4, monkeypatch):
+        inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
+        monkeypatch.setattr(model, "MAX_DENSE_DIM", 64)
+
+        def no_assembly(*args):
+            raise AssertionError("assembled an over-size dense generator")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "local_superop", no_assembly)
+            with pytest.raises(ModelError, match="dense ceiling"):
+                lr.generator(inter)
+            with pytest.raises(ModelError, match="dense ceiling"):
+                lr.lindblad_superop(inter.terms[0], chain4, chain4.points)
+        # the action path has no dense ceiling
+        a = lr.embed(lr.site_operator("Z", 0), chain4.points)
+        assert lr.lhs_local_error(inter, chain4.points, {0}, 1.0, 0.5, a) > 0

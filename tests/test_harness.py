@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrcert as lr
-from lrcert import cli, harness
+from lrcert import cli, correlations, harness
 from lrcert.bounds import BoundReport
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
@@ -194,6 +196,20 @@ class TestRunExperiment:
         assert cells[1] == f"{1 / 3:.17g}"
         assert cells[5] == f"{math.pi:.17g}"
 
+    def test_c_ab_once_per_point(self, monkeypatch):
+        calls = []
+        original = correlations.c_ab
+
+        def counting(*args, **kwargs):
+            calls.append(args[4:6])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(correlations, "c_ab", counting)
+        cfg = load_config(DOCS / "tfim_dissipative.json")
+        assert {"dynamic_correlation", "correlation_general"} <= set(cfg.theorems)
+        harness.run_experiment(cfg)
+        assert len(calls) == len(set(calls)) == len(cfg.t_grid) * len(cfg.r_grid)
+
     def test_manifest_accounts_every_report(self):
         cfg = load_config(DOCS / "tfim_dissipative.json")
         reports, manifest = harness.run_experiment(cfg)
@@ -241,6 +257,44 @@ class TestCli:
         assert cli._violations([bad], 1e-9) == [bad]
         # out-of-window rows never count as violations
         assert cli._violations([flagged], 1e-9) == []
+
+    def test_numerical_failure_names_the_point(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(3)", interaction="tfim_dissipative(0.5, 0.4, 0.0)",
+            observables={"a": "Z0", "b": "Z2"}, state="stationary",
+            theorems=["dynamic_correlation"], grids={"t": [0.5], "R": [1], "r": [1]})))
+        code = cli.main(["certify-correlations", "--config", str(path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dynamic_correlation at t=0.5, R=None, r=1.0" in err
+        assert "non-unique fixed point" in err
+
+    def test_tolerance_zero(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_raw(theorems=["full_lrb", "range_truncation"])))
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--tolerance", "0"])
+        rows = (tmp_path / "out" / "reports.csv").read_text().splitlines()[1:]
+        passes = [line.rsplit(",", 1)[1] == "true" for line in rows]
+        assert rows and code == (0 if all(passes) else 1)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert sum(t["passed"] for t in manifest["tallies"].values()) == sum(passes)
+
+    @given(lhs=st.floats(0.0, 2.0), gap=st.floats(-1e-6, 1e-6),
+           valid=st.booleans(), tol=st.floats(0.0, 1e-3))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_predicate(self, lhs, gap, valid, tol):
+        rep = BoundReport("x", {"t": 0.0, "R": None, "r": None, "d": None},
+                          lhs=lhs, rhs=lhs + gap, flags={"window": valid})
+        violated = cli._violations([rep], tol) == [rep]
+        csv_pass = harness.reports_to_csv([rep], tol).splitlines()[1].endswith(",true")
+        json_pass = json.loads(harness.reports_to_json([rep], tol))["reports"][0]["pass"]
+        assert csv_pass == json_pass == (valid and not violated)
+        cfg = config_from_dict(minimal_raw())
+        tally = harness.build_manifest(cfg, [rep], 0.0, tol).tallies["x"]
+        assert tally["passed"] == int(csv_pass)
+        assert tally["failed"] == int(violated)
 
     def test_random_suite_small(self, tmp_path, capsys):
         code = cli.main(["random-suite", "--models", "2", "--seed", "3",
