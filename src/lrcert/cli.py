@@ -92,6 +92,7 @@ def main(argv=None) -> int:
                                  if t in (cfg.theorems or group)) or tuple(group)
         elif not cfg.theorems:
             cfg.theorems = ALL_THEOREMS
+        harness.check_state(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,16 @@
 """States, exact correlation functionals, dynamical fixed points, and mixing.
 
-The fixed-point analysis certifies brackets, not exact values: trace-norm
-suprema are bounded below by multistart pure-state maximization (the
-objective is convex, so pure states attain the supremum) and above by
-sqrt(dim) times the spectral norm of the vectorized map difference.
+The fixed-point analysis certifies brackets, not exact values.  A trace-norm
+supremum sup_rho |T(rho) - rho_pi|_1 is bounded above by sqrt(dim) times the
+spectral norm of the vectorized map difference, and below by its value at an
+explicit pure state: the objective is convex, so pure states attain the
+supremum, and a linearisation ascent from basis and seeded starts moves each
+start to the top eigenvector of T^dagger(sign(T(psi psi^*) - rho_pi)), a
+step that cannot decrease the objective.  The reported lower value is the
+exact trace norm recomputed at the best state found, so it is attained, not
+estimated.  Each generator's spectrum is decomposed once
+(``Superoperator.spectrum``) and shared by the gap, the growth-bound check
+and the periodic points.
 """
 from __future__ import annotations
 
@@ -13,11 +20,10 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import geometry
 from .bounds import BoundReport
-from .dynamics import Dynamics, apply_superop, evolve, propagator
+from .dynamics import Dynamics, evolve
 from .geometry import Site
 from .model import DissipativeInteraction, Superoperator, adjoint_generator
 from .qalgebra import (
@@ -33,6 +39,8 @@ TRACE_ATOL = 1e-12
 NULL_RTOL = 1e-10
 RANK_GAP_RATIO = 1e3
 PERIODIC_ATOL = 1e-9
+ASCENT_RTOL = 1e-13     # a start stops once a step gains less than this, relatively
+ASCENT_MAX_STEPS = 64   # and after at most this many steps
 
 
 class CorrelationsError(ValueError):
@@ -248,7 +256,7 @@ def periodic_points(gen: Superoperator) -> list:
     Eigenvalues with |Re| <= 1e-9 count; imaginary parts are clustered at the
     same tolerance.
     """
-    eigs = np.linalg.eigvals(gen.matrix)
+    eigs = gen.spectrum[0]
     imags = sorted(float(ev.imag) for ev in eigs if abs(ev.real) <= PERIODIC_ATOL)
     clusters = []
     for im in imags:
@@ -267,7 +275,7 @@ def spectral_gap(gen: Superoperator) -> tuple:
     growth-bound identity rad(exp(L restricted)) = exp(omega0) is verified at
     t = 1 to 1e-8 relative accuracy.
     """
-    w, v = np.linalg.eig(gen.matrix)
+    w, v = gen.spectrum
     zero = np.abs(w) <= PERIODIC_ATOL
     n_zero = int(np.sum(zero))
     if n_zero != 1:
@@ -302,7 +310,7 @@ def _fixed_projector_matrix(rho_pi: np.ndarray) -> np.ndarray:
 
 def trace_norm(m: np.ndarray) -> float:
     h = 0.5 * (m + m.conj().T)
-    if op_norm(m - h) <= 1e-12 * max(1.0, op_norm(m)):
+    if np.linalg.norm(m - h) <= 1e-12 * max(1.0, np.linalg.norm(m)):
         return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
@@ -342,7 +350,7 @@ def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
     for t in t_grid:
         prop = scipy.linalg.expm(t * gen_s.matrix)
         upper = math.sqrt(dim) * op_norm(prop - proj)
-        lower = _multistart_state_distance(prop, rho_pi.density, n_starts, seed)
+        lower, _ = _multistart_state_distance(prop, rho_pi.density, n_starts, seed)
         samples.append((float(t), lower, upper))
         c = max(c, upper * math.exp(gamma * t))
     return c, gamma, tuple(samples)
@@ -352,8 +360,9 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
                n_starts: int = 64, seed: int = 23) -> tuple:
     """Bracket (lower, upper) for the mixing coefficient at time t.
 
-    lower: half the best trace distance from multistart pure initial states
-    (the supremum over density matrices is attained at pure states);
+    lower: half the trace distance at the best pure initial state that the
+    ascent finds (the supremum over density matrices is attained at pure
+    states);
     upper: half of sqrt(dim) times the spectral norm of the map difference.
     """
     _require_mixing(gen)
@@ -362,8 +371,8 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
     proj = _fixed_projector_matrix(rho_pi.density)
     dim = int(np.prod(gen_s.dims))
     upper = 0.5 * math.sqrt(dim) * op_norm(prop - proj)
-    lower = 0.5 * _multistart_state_distance(prop, rho_pi.density, n_starts, seed)
-    return lower, upper
+    lower, _ = _multistart_state_distance(prop, rho_pi.density, n_starts, seed)
+    return 0.5 * lower, upper
 
 
 def _require_mixing(gen: Superoperator):
@@ -377,36 +386,73 @@ def _require_mixing(gen: Superoperator):
 
 
 def _multistart_state_distance(prop: np.ndarray, rho_pi: np.ndarray,
-                               n_starts: int, seed: int) -> float:
-    """max over pure states of |T'(psi) - rho_pi| in trace norm, certified
-    from below by multistart Nelder-Mead over a real chart of the sphere."""
+                               n_starts: int, seed: int) -> tuple:
+    """(value, psi): a lower bound on the max over pure states of
+    |T(psi psi^*) - rho_pi|_1 and the unit vector psi that attains it.
+
+    Every start is evaluated, then ascends by the linearisation step until a
+    step gains less than ``ASCENT_RTOL`` relatively or ``ASCENT_MAX_STEPS``
+    pass; all starts go through each step together.  The value is the exact
+    trace norm recomputed at the best state.
+    """
+    if n_starts < 1:
+        raise CorrelationsError("the ascent needs at least one start")
     dim = rho_pi.shape[0]
-
-    def objective(x: np.ndarray) -> float:
-        psi = x[:dim] + 1j * x[dim:]
-        nrm = np.linalg.norm(psi)
-        if nrm < 1e-12:
-            return 0.0
-        psi = psi / nrm
-        out = prop @ np.outer(psi, psi.conj()).flatten(order="F")
-        return -trace_norm(out.reshape((dim, dim), order="F") - rho_pi)
-
     rng = np.random.default_rng(seed)
-    starts = []
-    for k in range(min(dim, n_starts)):
-        e = np.zeros(2 * dim)
-        e[k] = 1.0
-        starts.append(e)
-    while len(starts) < n_starts:
-        starts.append(rng.normal(size=2 * dim))
-    best = 0.0
-    for x0 in starts:
-        best = max(best, -objective(x0))
-        res = scipy.optimize.minimize(objective, x0, method="Nelder-Mead",
-                                      options={"maxiter": 200, "fatol": 1e-12,
-                                               "xatol": 1e-8})
-        best = max(best, -float(res.fun))
-    return best
+    psi = np.zeros((n_starts, dim), dtype=complex)
+    for k in range(n_starts):
+        if k < dim:
+            psi[k, k] = 1.0
+        else:
+            x = rng.normal(size=2 * dim)
+            psi[k] = x[:dim] + 1j * x[dim:]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    value, sign = _distances_and_signs(prop, rho_pi, psi)
+    prop_conj = prop.conj()
+    active = np.arange(n_starts)
+    for _ in range(ASCENT_MAX_STEPS):
+        if active.size == 0:
+            break
+        # top eigenvectors of T^dagger(S): the states maximizing tr(S T(rho))
+        adjoint = _unvec_rows(_vec_rows(sign[active]) @ prop_conj)
+        step = np.linalg.eigh(_hermitian_part(adjoint))[1][:, :, -1]
+        new_value, new_sign = _distances_and_signs(prop, rho_pi, step)
+        gain = new_value - value[active]
+        rose = gain > 0
+        moved = active[rose]
+        psi[moved], value[moved], sign[moved] = step[rose], new_value[rose], new_sign[rose]
+        active = active[gain > ASCENT_RTOL * value[active]]
+    best = psi[int(np.argmax(value))]
+    return trace_norm(_images(prop, best[None])[0] - rho_pi), best
+
+
+def _images(prop: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """T(psi psi^*) for each row psi, by one product with the column-stacked
+    map ``prop``."""
+    return _unvec_rows(_vec_rows(psi[:, :, None] * psi.conj()[:, None, :]) @ prop.T)
+
+
+def _distances_and_signs(prop: np.ndarray, rho_pi: np.ndarray, psi: np.ndarray) -> tuple:
+    """For each row psi: |T(psi psi^*) - rho_pi|_1 and the sign of that
+    difference, by one batched ``eigh``."""
+    diff = _images(prop, psi) - rho_pi
+    lam, u = np.linalg.eigh(_hermitian_part(diff))
+    sign = (u * np.sign(lam)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    return np.abs(lam).sum(axis=1), sign
+
+
+def _vec_rows(m: np.ndarray) -> np.ndarray:
+    """Column-stacked vectorization of a stack of square matrices, one per row."""
+    return m.transpose(0, 2, 1).reshape(m.shape[0], -1)
+
+
+def _unvec_rows(v: np.ndarray) -> np.ndarray:
+    dim = math.isqrt(v.shape[1])
+    return v.reshape(-1, dim, dim).transpose(0, 2, 1)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().transpose(0, 2, 1))
 
 
 def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
@@ -419,9 +465,8 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
     for t in (eta_grid if eta_grid is not None else t_grid):
         eta_samples.append((float(t), *mixing_eta(gen, t, rho_pi, n_starts=max(n_starts, 16),
                                                   seed=seed)))
-    _, omega0 = spectral_gap(gen)
     return FixedPointAnalysis(
-        rho_pi=rho_pi, gap=gamma, growth_bound=omega0, envelope_c=c,
+        rho_pi=rho_pi, gap=gamma, growth_bound=-gamma, envelope_c=c,
         samples=samples, eta_samples=tuple(eta_samples),
         periodic_spectrum=tuple(periodic_points(gen)))
 
@@ -435,10 +480,10 @@ def check_fixed_point_correlation(pi_state: StateFunctional, gen: Superoperator,
     where B_t recenters B by its evolved omega-expectation."""
     if a.support & b.support:
         raise CorrelationsError("observables must have disjoint supports")
-    prop = propagator(gen if gen.picture == "heisenberg" else adjoint_generator(gen), t)
+    heisenberg = gen if gen.picture == "heisenberg" else adjoint_generator(gen)
     lhs = abs(pi_state.expect(a @ b) - pi_state.expect(a) * pi_state.expect(b))
-    b_centred = b - complex(omega.expect(apply_superop(prop, b))) * identity(b.sites, b.dims)
-    first = abs(omega.expect(apply_superop(prop, a @ b_centred)))
+    b_centred = b - complex(omega.expect(evolve(heisenberg, t, b))) * identity(b.sites, b.dims)
+    first = abs(omega.expect(evolve(heisenberg, t, a @ b_centred)))
     rhs = first + 3.0 * op_norm(a) * op_norm(b) * float(g(t))
     return BoundReport(
         theorem="fixed_point_correlation",

@@ -35,6 +35,7 @@ CORRELATION_GROUP = ("dynamic_correlation", "correlation_general",
                      "correlation_power_law")
 FIXED_POINT_GROUP = ("fixed_point_correlation", "fixed_point_exponential",
                      "fixed_point_power_law")
+STATE_THEOREMS = ("dynamic_correlation", "fixed_point_correlation")  # read cfg.state_desc
 ALL_THEOREMS = LRB_GROUP + TRUNCATION_GROUP + LOCAL_GROUP + CORRELATION_GROUP \
     + FIXED_POINT_GROUP
 
@@ -178,25 +179,38 @@ def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
     raise ValueError(f"unknown interaction descriptor {desc!r}")
 
 
-def parse_state(desc, sites: tuple, dims) -> Optional[StateFunctional]:
-    """None signals the stationary state, resolved against the model at run time."""
+def _state_form(desc) -> tuple:
+    """(form, argument) of a state descriptor, building nothing; ValueError
+    for a descriptor ``parse_state`` cannot read."""
     if isinstance(desc, Mapping):
-        if "product" in desc:
-            mapping = {_site_from_json_key(k): v for k, v in desc["product"].items()}
-            return StateFunctional.product(sites, mapping, dims)
-        if "density" in desc:
-            return StateFunctional(_matrix_from_json(desc["density"]), sites,
-                                   qalgebra._resolve_dims(sites, dims))
+        for form in ("product", "density"):
+            if form in desc:
+                return form, desc[form]
         raise ValueError(f"unknown state object {desc!r}")
     name, args, _ = _parse_call(str(desc))
-    if name == "maximally_mixed":
-        return StateFunctional.maximally_mixed(sites, dims)
-    if name == "stationary":
-        return None
     if name == "product":
         label = args[0] if args else "0"
-        return StateFunctional.product(sites, label, dims)
+        if label not in correlations.SINGLE_SITE_DENSITIES:
+            raise ValueError(f"unknown single-site state {label!r} in {desc!r}")
+        return name, label
+    if name in ("maximally_mixed", "stationary"):
+        return name, None
     raise ValueError(f"unknown state descriptor {desc!r}")
+
+
+def parse_state(desc, sites: tuple, dims) -> Optional[StateFunctional]:
+    """None signals the stationary state, resolved against the model at run time."""
+    form, arg = _state_form(desc)
+    if form == "stationary":
+        return None
+    if form == "maximally_mixed":
+        return StateFunctional.maximally_mixed(sites, dims)
+    if form == "density":
+        return StateFunctional(_matrix_from_json(arg), sites,
+                               qalgebra._resolve_dims(sites, dims))
+    if isinstance(arg, Mapping):
+        arg = {_site_from_json_key(k): v for k, v in arg.items()}
+    return StateFunctional.product(sites, arg, dims)
 
 
 def _site_from_json_key(k):
@@ -304,7 +318,18 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     )
     if len(space) > SINGLE_POINT_CEILING:
         raise ConfigError("space", f"volume exceeds the {SINGLE_POINT_CEILING}-site ceiling")
+    check_state(cfg)
     return cfg
+
+
+def check_state(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the state descriptor is readable, whenever a selected
+    theorem uses the state; the density itself is built on first use."""
+    if set(cfg.theorems) & set(STATE_THEOREMS):
+        try:
+            _state_form(cfg.state_desc)
+        except ValueError as exc:
+            raise ConfigError("state", str(exc)) from exc
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:

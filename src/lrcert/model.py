@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -59,6 +60,15 @@ class Superoperator:
     @property
     def hilbert_dim(self) -> int:
         return int(np.prod(self.dims))
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(eigenvalues, right eigenvectors) of the matrix: one dense ``eig``
+        per map, shared by every spectral question asked of it."""
+        w, v = np.linalg.eig(self.matrix)
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return w, v
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ def test_criterion_7_fixed_point_suite(fixed_point_suite):
     strict=True,
     reason="unattainable at these parameters: the slowest Liouvillian mode is a "
            "single-site coherence decaying at rate gamma/2 = 0.5, so the certified "
-           "lower bound on the mixing coefficient at t = 8 is already ~9.6e-3 > 1e-3; "
+           "lower bound on the mixing coefficient at t = 8 is already ~1.6e-2 > 1e-3; "
            "no valid upper bound can cross below the threshold on this grid")
 def test_criterion_7_eta_upper_reaches_threshold(fixed_point_suite):
     *_, eta = fixed_point_suite

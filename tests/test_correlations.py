@@ -349,12 +349,47 @@ class TestMixingEta:
             assert up <= 0.5 * c * math.exp(-gamma * t) * (1 + 1e-12)
             assert lo <= 0.5 * c * math.exp(-gamma * t) * (1 + 1e-12)
 
+    def test_ascent_not_below_nelder_mead(self, damped4):
+        # the lower brackets that multistart Nelder-Mead reached from these starts
+        gen, rho = damped4
+        for t, nelder_mead in ((2.0, 0.44102684), (4.0, 0.087957524),
+                               (8.0, 0.0096370075)):
+            lo, up = lr.mixing_eta(gen, t, rho, n_starts=64, seed=23)
+            assert lo >= nelder_mead
+            assert lo <= up * (1 + 1e-12)
+
+    def test_lower_attained_at_returned_state(self, damped4):
+        gen, rho = damped4
+        prop = lr.propagator(lr.adjoint_generator(gen), 4.0).matrix
+        value, psi = correlations._multistart_state_distance(prop, rho.density, 64, 23)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        image = (prop @ np.outer(psi, psi.conj()).flatten(order="F")).reshape(
+            (16, 16), order="F")
+        assert trace_norm(image - rho.density) == pytest.approx(value, rel=1e-13)
+
     def test_oscillatory_rejected(self):
         m = np.diag([0.0, -1.0, 1.5j, -1.5j]).astype(complex)
         fake = lr.Superoperator(m, (0,), (2,), "heisenberg")
         rho = StateFunctional(np.diag([1.0, 0.0]).astype(complex), (0,), (2,))
         with pytest.raises(NotMixingError):
             lr.mixing_eta(fake, 1.0, rho)
+
+
+def test_analysis_decomposes_the_generator_once(monkeypatch):
+    space = lr.FiniteMetricSpace.chain(3)
+    gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(m):
+        shapes.append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    analysis = lr.analyze_fixed_point(gen, [0.0, 1.0, 2.0], eta_grid=[1.0, 2.0],
+                                      n_starts=4, seed=3)
+    assert shapes == [gen.matrix.shape]
+    assert analysis.growth_bound == -analysis.gap
 
 
 @pytest.fixture(scope="module")

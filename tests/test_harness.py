@@ -115,6 +115,13 @@ class TestLoadConfig:
         reports, _ = harness.run_experiment(cfg)
         assert reports and all(r.passed for r in reports if r.valid)
 
+    def test_state_checked_only_where_read(self):
+        # full_lrb never reads the state
+        assert config_from_dict(minimal_raw(state="bogus")).state_desc == "bogus"
+        with pytest.raises(ConfigError, match="unknown single-site state 'x'"):
+            config_from_dict(minimal_raw(state="product(x)",
+                                         theorems=["dynamic_correlation"]))
+
 
 class TestRandomModel:
     def test_seed_determinism(self):
@@ -237,6 +244,20 @@ class TestCli:
         code = cli.main(["sweep", "--config", str(bad)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, theorems", [
+        ("certify-correlations", ["dynamic_correlation"]),
+        ("fixed-point", []),
+    ])
+    def test_unknown_state_is_a_config_error(self, tmp_path, capsys, command, theorems):
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(3)", observables={"a": "Z0", "b": "Z2"}, state="bogus",
+            theorems=theorems)))
+        code = cli.main([command, "--config", str(path)])
+        assert code == 2
+        assert "configuration error: state: unknown state descriptor 'bogus'" \
+            in capsys.readouterr().err
 
     def test_pass_exit_code_and_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
