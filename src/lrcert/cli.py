@@ -72,10 +72,10 @@ def _violations(reports, tol: float) -> list:
 def _summarize(manifest, reports, tol):
     bad = _violations(reports, tol)
     for theorem, tally in sorted(manifest.tallies.items()):
-        worst = manifest.worst_slack.get(theorem)
-        worst_s = f"{worst:.3e}" if worst is not None else "n/a"
+        ratio = manifest.tightest.get(theorem)
+        ratio_s = f"{ratio:.3e}" if ratio is not None else "n/a"
         print(f"{theorem}: {tally['passed']}/{tally['rows'] - tally['invalid']} passed "
-              f"({tally['invalid']} out-of-window), worst slack {worst_s}")
+              f"({tally['invalid']} out-of-window), tightest lhs/rhs {ratio_s}")
     print(f"total rows {len(reports)}, violations {len(bad)}")
     return bad
 

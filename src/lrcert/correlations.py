@@ -10,22 +10,27 @@ step that cannot decrease the objective.  The reported lower value is the
 exact trace norm recomputed at the best state found, so it is attained, not
 estimated.  Each generator's spectrum is decomposed once
 (``Superoperator.spectrum``) and shared by the gap, the growth-bound check
-and the periodic points.
+and the periodic points.  Each dense Schroedinger-picture map exp(tL) is
+built once per (generator, t) (``Superoperator.exp``) and shared by the
+envelope, the mixing brackets and the growth-bound check, as is each upper
+bracket per (t, rho_pi); the analysis asks for its times in ascending order,
+so a time that is the sum of two earlier ones is composed from their maps by
+the semigroup law rather than exponentiated.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
 from .bounds import BoundReport
 from .dynamics import Dynamics, evolve
 from .geometry import Site
-from .model import DissipativeInteraction, Superoperator, adjoint_generator
+from .model import DissipativeInteraction, Superoperator
 from .qalgebra import (
     ObservableOp,
     _resolve_dims,
@@ -222,7 +227,7 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
     Null vectors are singular vectors below ``1e-10 * |L|``; the rank decision
     additionally demands a 1e3 gap ratio to the first retained singular value.
     """
-    gen_s = gen if gen.picture == "schrodinger" else adjoint_generator(gen)
+    gen_s = _schrodinger(gen)
     u, s, vh = np.linalg.svd(gen_s.matrix)
     scale = s[0] if s[0] > 0 else 1.0
     tol = NULL_RTOL * scale
@@ -273,7 +278,8 @@ def spectral_gap(gen: Superoperator) -> tuple:
 
     Requires a unique fixed point and no oscillatory periodic points.  The
     growth-bound identity rad(exp(L restricted)) = exp(omega0) is verified at
-    t = 1 to 1e-8 relative accuracy.
+    t = 1 to 1e-8 relative accuracy, on the stored Schroedinger map (its
+    conjugate transpose for a Heisenberg generator).
     """
     w, v = gen.spectrum
     zero = np.abs(w) <= PERIODIC_ATOL
@@ -288,7 +294,9 @@ def spectral_gap(gen: Superoperator) -> tuple:
         raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
     omega0 = -gamma
     proj = np.outer(v[:, zero][:, 0], np.linalg.inv(v)[zero, :][0, :])
-    prop = scipy.linalg.expm(gen.matrix)
+    prop = _schrodinger(gen).exp(1.0)
+    if gen.picture == "heisenberg":
+        prop = prop.conj().T
     restricted = prop @ (np.eye(prop.shape[0]) - proj)
     rad = float(np.max(np.abs(np.linalg.eigvals(restricted))))
     expected = math.exp(omega0)
@@ -299,7 +307,29 @@ def spectral_gap(gen: Superoperator) -> tuple:
 
 
 def _schrodinger(gen: Superoperator) -> Superoperator:
-    return gen if gen.picture == "schrodinger" else adjoint_generator(gen)
+    return gen if gen.picture == "schrodinger" else gen.adjoint
+
+
+@contextmanager
+def _semigroup(gen: Superoperator, times: Iterable[float]):
+    """The Schroedinger generator, keeping exp(tL) for every t in ``times``
+    until the block exits; the maps are built in ascending order, so a time
+    that is the sum of two earlier ones is a product of their maps."""
+    gen_s = _schrodinger(gen)
+    with gen_s.keeping():
+        for t in sorted(set(map(float, times))):
+            gen_s.exp(t)
+        yield gen_s
+
+
+def _upper_bracket(gen_s: Superoperator, t: float, rho_pi: StateFunctional) -> float:
+    """sqrt(dim) |T_t - P|_2, which bounds sup_rho |T_t(rho) - rho_pi|_1 from
+    above; computed once per (t, rho_pi) while ``gen_s`` is kept."""
+    def build() -> float:
+        proj = _fixed_projector_matrix(rho_pi.density)
+        return math.sqrt(gen_s.hilbert_dim) * op_norm(gen_s.exp(t) - proj)
+
+    return gen_s.memo(("upper", float(t), rho_pi.density.tobytes()), build)
 
 
 def _fixed_projector_matrix(rho_pi: np.ndarray) -> np.ndarray:
@@ -341,18 +371,16 @@ def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
     Returns ``(c, gamma, samples)`` where samples are (t, lower, upper) and
     ``upper <= c * exp(-gamma t)`` holds on the grid by construction of c.
     """
-    gamma, _ = spectral_gap(gen)
-    gen_s = _schrodinger(gen)
-    proj = _fixed_projector_matrix(rho_pi.density)
-    dim = int(np.prod(gen_s.dims))
     samples = []
     c = 1.0
-    for t in t_grid:
-        prop = scipy.linalg.expm(t * gen_s.matrix)
-        upper = math.sqrt(dim) * op_norm(prop - proj)
-        lower, _ = _multistart_state_distance(prop, rho_pi.density, n_starts, seed)
-        samples.append((float(t), lower, upper))
-        c = max(c, upper * math.exp(gamma * t))
+    with _semigroup(gen, [*t_grid, 1.0]) as gen_s:
+        gamma, _ = spectral_gap(gen)
+        for t in t_grid:
+            upper = _upper_bracket(gen_s, t, rho_pi)
+            lower, _ = _multistart_state_distance(gen_s.exp(t), rho_pi.density,
+                                                  n_starts, seed)
+            samples.append((float(t), lower, upper))
+            c = max(c, upper * math.exp(gamma * t))
     return c, gamma, tuple(samples)
 
 
@@ -363,16 +391,13 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
     lower: half the trace distance at the best pure initial state that the
     ascent finds (the supremum over density matrices is attained at pure
     states);
-    upper: half of sqrt(dim) times the spectral norm of the map difference.
+    upper: half of sqrt(dim) times the spectral norm of the map difference,
+    the envelope's upper bracket at t.
     """
     _require_mixing(gen)
-    gen_s = _schrodinger(gen)
-    prop = scipy.linalg.expm(t * gen_s.matrix)
-    proj = _fixed_projector_matrix(rho_pi.density)
-    dim = int(np.prod(gen_s.dims))
-    upper = 0.5 * math.sqrt(dim) * op_norm(prop - proj)
-    lower, _ = _multistart_state_distance(prop, rho_pi.density, n_starts, seed)
-    return 0.5 * lower, upper
+    with _semigroup(gen, [t]) as gen_s:
+        lower, _ = _multistart_state_distance(gen_s.exp(t), rho_pi.density, n_starts, seed)
+        return 0.5 * lower, 0.5 * _upper_bracket(gen_s, t, rho_pi)
 
 
 def _require_mixing(gen: Superoperator):
@@ -458,13 +483,19 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
                         eta_grid: Optional[Sequence[float]] = None,
                         n_starts: int = 16, seed: int = 11) -> FixedPointAnalysis:
-    """Bundle stationary state, gap, envelope, and mixing brackets."""
+    """Bundle stationary state, gap, envelope, and mixing brackets.
+
+    The dense maps of every time asked for (``t_grid``, ``eta_grid`` and the
+    growth-bound check's t = 1) are built first, in ascending order, and kept
+    until the analysis returns.
+    """
     rho_pi = stationary_state(gen)
-    c, gamma, samples = convergence_envelope(gen, rho_pi, t_grid, n_starts, seed)
-    eta_samples = []
-    for t in (eta_grid if eta_grid is not None else t_grid):
-        eta_samples.append((float(t), *mixing_eta(gen, t, rho_pi, n_starts=max(n_starts, 16),
-                                                  seed=seed)))
+    eta_grid = t_grid if eta_grid is None else eta_grid
+    with _semigroup(gen, [*t_grid, *eta_grid, 1.0]):
+        c, gamma, samples = convergence_envelope(gen, rho_pi, t_grid, n_starts, seed)
+        eta_samples = [(float(t), *mixing_eta(gen, t, rho_pi, n_starts=max(n_starts, 16),
+                                              seed=seed))
+                       for t in eta_grid]
     return FixedPointAnalysis(
         rho_pi=rho_pi, gap=gamma, growth_bound=-gamma, envelope_c=c,
         samples=samples, eta_samples=tuple(eta_samples),
@@ -480,7 +511,7 @@ def check_fixed_point_correlation(pi_state: StateFunctional, gen: Superoperator,
     where B_t recenters B by its evolved omega-expectation."""
     if a.support & b.support:
         raise CorrelationsError("observables must have disjoint supports")
-    heisenberg = gen if gen.picture == "heisenberg" else adjoint_generator(gen)
+    heisenberg = gen if gen.picture == "heisenberg" else gen.adjoint
     lhs = abs(pi_state.expect(a @ b) - pi_state.expect(a) * pi_state.expect(b))
     b_centred = b - complex(omega.expect(evolve(heisenberg, t, b))) * identity(b.sites, b.dims)
     first = abs(omega.expect(evolve(heisenberg, t, a @ b_centred)))

@@ -5,11 +5,11 @@ observables, so ``Dynamics`` holds the CSR generators of one interaction on one
 volume (full, range-R truncated, subvolume) and applies exp(t L) to vectorized
 observables with scipy's ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci.
 Comput. 33, 2011), never forming the propagator.  ``evolve`` acts the same way
-with a dense generator.  Dense exponentials (scaling-and-squaring Pade via
-scipy) remain for ``propagator``, whose whole map the fixed-point suite and the
-Choi checks consume; dense generators cap at a 4096-dimensional vectorized
-algebra (six qubits, ``model.MAX_DENSE_DIM``), while the action path has no
-ceiling of its own.
+with a dense generator.  Dense exponentials remain for ``propagator``, whose
+whole map the Choi checks consume; it reads the generator's store of dense maps
+(``Superoperator.exp``), which the fixed-point suite shares.  Dense generators
+cap at a 4096-dimensional vectorized algebra (six qubits,
+``model.MAX_DENSE_DIM``), while the action path has no ceiling of its own.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import hashlib
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from . import geometry, model
@@ -95,15 +94,11 @@ class Dynamics:
 
 
 def propagator(gen: Superoperator, t: float) -> Superoperator:
-    """exp(t * gen); defined for t >= 0 only (semigroup, not a group)."""
+    """exp(t * gen); defined for t >= 0 only (semigroup, not a group).  The
+    map comes from the generator's store (``Superoperator.exp``)."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
-    d2 = gen.matrix.shape[0]
-    if t == 0.0:
-        mat = np.eye(d2, dtype=complex)
-    else:
-        mat = scipy.linalg.expm(t * gen.matrix)
-    return Superoperator(mat, gen.sites, gen.dims, picture=gen.picture)
+    return Superoperator(gen.exp(t), gen.sites, gen.dims, picture=gen.picture)
 
 
 def evolve(gen: Superoperator, t: float, a: ObservableOp) -> ObservableOp:

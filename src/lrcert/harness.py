@@ -402,6 +402,7 @@ class RunManifest:
     wall_time_s: float
     tallies: dict
     worst_slack: dict
+    tightest: dict  # per theorem, max lhs/rhs over valid rows with rhs > 0
 
     def to_dict(self) -> dict:
         return {
@@ -410,6 +411,7 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "tallies": self.tallies,
             "worst_slack": self.worst_slack,
+            "tightest": self.tightest,
         }
 
 
@@ -786,6 +788,7 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
 
     tallies: dict = {}
     worst: dict = {}
+    tightest: dict = {}
     for rep in reports:
         tally = tallies.setdefault(rep.theorem,
                                    {"rows": 0, "passed": 0, "failed": 0, "invalid": 0})
@@ -798,6 +801,9 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
             tally["failed"] += 1
         if rep.valid and not math.isnan(rep.slack):
             worst[rep.theorem] = min(worst.get(rep.theorem, math.inf), rep.slack)
+        if rep.valid and rep.rhs > 0 and not math.isnan(rep.lhs):
+            tightest[rep.theorem] = max(tightest.get(rep.theorem, -math.inf),
+                                        rep.lhs / rep.rhs)
     return RunManifest(
         config_hash=cfg.config_hash(),
         versions={"lrcert": __version__, "numpy": np.__version__,
@@ -805,6 +811,7 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
         wall_time_s=wall_time_s,
         tallies=tallies,
         worst_slack={k: v for k, v in worst.items()},
+        tightest=tightest,
     )
 
 

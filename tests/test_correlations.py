@@ -1,8 +1,12 @@
 """States, correlation functionals, fixed points, spectra, and mixing brackets."""
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lrcert as lr
 from lrcert import bounds, correlations
@@ -390,6 +394,117 @@ def test_analysis_decomposes_the_generator_once(monkeypatch):
                                       n_starts=4, seed=3)
     assert shapes == [gen.matrix.shape]
     assert analysis.growth_bound == -analysis.gap
+
+
+def _counting_expm(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+class TestSemigroupStore:
+    def test_stored_maps_match_expm(self, damped4, monkeypatch):
+        # t = 0 is the identity, 0.5 is exponentiated, 1 = 0.5 + 0.5,
+        # 2 = 1 + 1, 3 = 2 + 1 and 4 = 2 + 2 are products of kept maps
+        gen, _ = damped4
+        gen_s = lr.adjoint_generator(gen)
+        times = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
+        calls = _counting_expm(monkeypatch)
+        with gen_s.keeping():
+            maps = {t: gen_s.exp(t) for t in times}
+        assert calls == [gen_s.matrix.shape]
+        monkeypatch.undo()
+        for t in times:
+            want = scipy.linalg.expm(t * gen_s.matrix)
+            np.testing.assert_allclose(maps[t], want, rtol=0, atol=1e-12)
+
+    def test_maps_released_after_the_block(self, damped4):
+        gen, _ = damped4
+        gen_s = lr.adjoint_generator(gen)
+        with gen_s.keeping():
+            with gen_s.keeping():
+                kept = gen_s.exp(0.5)
+            assert gen_s.exp(0.5) is kept
+            assert lr.propagator(gen_s, 0.5).matrix is kept
+        assert gen_s.exp(0.5) is not kept
+        assert not gen_s.exp(0.5).flags.writeable
+
+    def test_store_shared_across_threads(self):
+        space = lr.FiniteMetricSpace.chain(2)
+        gen_s = lr.adjoint_generator(
+            lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)))
+        times = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+        want = {t: scipy.linalg.expm(t * gen_s.matrix) for t in times}
+        errors = []
+
+        def reader(offset):
+            try:
+                for _ in range(50):
+                    with gen_s.keeping():
+                        for t in times[offset:] + times[:offset]:
+                            np.testing.assert_allclose(gen_s.exp(t), want[t], atol=1e-12)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert gen_s.exp(0.5) is not gen_s.exp(0.5)  # every block has exited
+
+    def test_pickled_map_starts_empty(self, damped4):
+        gen, _ = damped4
+        gen_s = lr.adjoint_generator(gen)
+        with gen_s.keeping():
+            kept = gen_s.exp(0.5)
+            copied = pickle.loads(pickle.dumps(gen_s))
+        assert np.array_equal(copied.matrix, gen_s.matrix)
+        with copied.keeping():
+            assert copied.exp(0.5) is not kept
+            np.testing.assert_array_equal(copied.exp(0.5), kept)
+
+    def test_schrodinger_adjoint_built_once(self, damped4):
+        gen, _ = damped4
+        assert lr.adjoint_generator(gen) is lr.adjoint_generator(gen)
+        assert correlations._schrodinger(gen) is lr.adjoint_generator(gen)
+
+    def test_analysis_exponentiates_once(self, monkeypatch):
+        space = lr.FiniteMetricSpace.chain(3)
+        gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
+        calls = _counting_expm(monkeypatch)
+        lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 4.0], eta_grid=[4.0],
+                               n_starts=4, seed=3)
+        assert calls == [gen.matrix.shape]
+
+    def test_upper_brackets_unchanged(self):
+        # sqrt(dim) |T_t - P|_2 from one scipy expm per time (and the eta
+        # bracket from a second one), before the maps were shared
+        space = lr.FiniteMetricSpace.chain(4)
+        gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
+        analysis = lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 3.0, 4.0],
+                                          eta_grid=[4.0], n_starts=4, seed=3)
+        recorded = (13.356670668602515, 10.099284685936254, 4.690051513527809,
+                    2.1876001411728727, 1.3582987147627)
+        for (_, lower, upper), want in zip(analysis.samples, recorded):
+            assert upper == pytest.approx(want, rel=1e-12, abs=0)
+            assert lower <= upper
+        assert analysis.eta_samples[0][2] == pytest.approx(0.67914935738135, rel=1e-12,
+                                                           abs=0)
+        assert analysis.eta_samples[0][2] == 0.5 * analysis.samples[-1][2]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 """Config loading, random models, runner determinism, and the CLI contract."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,12 @@ from lrcert.bounds import BoundReport
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Golden cells must agree both absolutely and relatively.  LHS cells of about
+# 7e-9 drift by about 2e-9 relative across BLAS builds, so the relative
+# tolerance leaves a factor of 50 above that drift.
+GOLDEN_ABS = 1e-9
+GOLDEN_REL = 1e-7
 
 
 def minimal_raw(**overrides):
@@ -192,7 +201,9 @@ class TestRunExperiment:
                 if g == "" or w == "":
                     assert g == w
                 else:
-                    assert float(g) == pytest.approx(float(w), abs=1e-9)
+                    err = abs(float(g) - float(w))
+                    assert err <= GOLDEN_ABS, (line_want, g, w)
+                    assert err <= GOLDEN_REL * abs(float(w)), (line_want, g, w)
             assert cells_got[8:] == cells_want[8:]
 
     def test_csv_float_formatting(self):
@@ -238,6 +249,42 @@ class TestRunExperiment:
 
 
 class TestCli:
+    def test_python_m_lrcert(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_raw(theorems=[])))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrcert", "fixed-point", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "reports.csv").exists()
+        assert "total rows" in proc.stdout
+
+    def test_golden_tightest_ratio(self, capsys):
+        cfg = load_config(DOCS / "tfim_dissipative.json")
+        reports, manifest = harness.run_experiment(cfg)
+        want = {}
+        for rep in reports:
+            if rep.valid and rep.rhs > 0:
+                want[rep.theorem] = max(want.get(rep.theorem, -math.inf), rep.lhs / rep.rhs)
+        assert manifest.tightest == want
+        assert set(want) <= set(manifest.tallies)
+        assert all(0.0 <= ratio <= 1.0 for ratio in want.values())
+        # the t = 0 rows pin the worst slack at 0; the ratio still discriminates
+        assert manifest.worst_slack["full_lrb"] == 0.0
+        assert 0.0 < manifest.tightest["full_lrb"] < 1e-6
+        assert manifest.tightest["dynamic_correlation"] > 0.1
+        record = manifest.to_dict()
+        assert record["tightest"] == want and "worst_slack" in record
+        cli._summarize(manifest, reports, 1e-9)
+        out = capsys.readouterr().out
+        assert f"full_lrb: 4/4 passed (0 out-of-window), tightest lhs/rhs " \
+               f"{want['full_lrb']:.3e}" in out
+        assert "worst slack" not in out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_raw(space="chain(99)")))
