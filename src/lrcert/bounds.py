@@ -229,6 +229,21 @@ def power_law_window(c: ModelConstants, eps: float, delta: float) -> tuple:
     return alpha_eps, flags
 
 
+def _power_law_value(c: ModelConstants, eps: float, delta: float, window: str,
+                     x: float, t: float, prefactor: Callable[[], float]) -> WindowedValue:
+    """``prefactor() * t / (1 + x)**((1 - delta) alpha_eps - nu)`` at the scale x
+    (a distance or a buffer radius), flagged by the power-law windows, by
+    ``window`` (x >= 1) and by the time window e v t <= x**delta.  The value is
+    NaN unless every flag but the time window holds."""
+    alpha_eps, flags = power_law_window(c, eps, delta)
+    flags[window] = x >= 1.0
+    flags["time_window"] = all(flags.values()) and 0.0 <= math.e * c.v * t <= x ** delta
+    if not all(f for k, f in flags.items() if k != "time_window"):
+        return WindowedValue(float("nan"), flags)
+    return WindowedValue(
+        prefactor() * t / (1.0 + x) ** ((1.0 - delta) * alpha_eps - c.nu), flags)
+
+
 def power_law_lrb_constant(c: ModelConstants, eps: float, delta: float) -> float:
     """kappa C_eps |L|_F (e + 2^{2 a_eps} 2^{1-delta} (C_eps + C_F) / C_F)."""
     alpha_eps, flags = power_law_window(c, eps, delta)
@@ -242,17 +257,8 @@ def power_law_lrb_constant(c: ModelConstants, eps: float, delta: float) -> float
 def rhs_power_law_lrb(c: ModelConstants, k_cb: float, a_norm: float, x_size: int,
                       d: float, t: float, eps: float, delta: float) -> WindowedValue:
     """Linear-in-time power-law bound, valid while e v t <= d**delta."""
-    alpha_eps, flags = power_law_window(c, eps, delta)
-    flags["distance_window"] = d >= 1.0
-    if all(flags.values()):
-        flags["time_window"] = 0.0 <= math.e * c.v * t <= d ** delta
-    else:
-        flags["time_window"] = False
-    if not all(f for k, f in flags.items() if k != "time_window"):
-        return WindowedValue(float("nan"), flags)
-    const = power_law_lrb_constant(c, eps, delta)
-    value = const * k_cb * a_norm * x_size * t / (1.0 + d) ** ((1.0 - delta) * alpha_eps - c.nu)
-    return WindowedValue(value, flags)
+    return _power_law_value(c, eps, delta, "distance_window", d, t, lambda: (
+        power_law_lrb_constant(c, eps, delta) * k_cb * a_norm * x_size))
 
 
 def local_approx_constant(c: ModelConstants, eps: float, delta: float) -> float:
@@ -270,35 +276,17 @@ def rhs_local_approx_power_law(c: ModelConstants, a_norm: float, x_size: int,
                                r: float, t: float, eps: float,
                                delta: float) -> WindowedValue:
     """Power-law strictly-local approximation bound in the buffer radius r."""
-    alpha_eps, flags = power_law_window(c, eps, delta)
-    flags["radius_window"] = r >= 1.0
-    if all(flags.values()):
-        flags["time_window"] = 0.0 <= math.e * c.v * t <= r ** delta
-    else:
-        flags["time_window"] = False
-    if not all(f for k, f in flags.items() if k != "time_window"):
-        return WindowedValue(float("nan"), flags)
-    const = local_approx_constant(c, eps, delta)
-    value = const * a_norm * x_size * c.l_fnorm * t / (1.0 + r) ** ((1.0 - delta) * alpha_eps - c.nu)
-    return WindowedValue(value, flags)
+    return _power_law_value(c, eps, delta, "radius_window", r, t, lambda: (
+        local_approx_constant(c, eps, delta) * a_norm * x_size * c.l_fnorm))
 
 
 def rhs_correlation_power_law(c: ModelConstants, a_norm: float, b_norm: float,
                               x_size: int, y_size: int, r: float, t: float,
                               eps: float, delta: float) -> WindowedValue:
     """Power-law bound on the dynamically generated correlation quantity."""
-    alpha_eps, flags = power_law_window(c, eps, delta)
-    flags["radius_window"] = r >= 1.0
-    if all(flags.values()):
-        flags["time_window"] = 0.0 <= math.e * c.v * t <= r ** delta
-    else:
-        flags["time_window"] = False
-    if not all(f for k, f in flags.items() if k != "time_window"):
-        return WindowedValue(float("nan"), flags)
-    const = local_approx_constant(c, eps, delta)
-    value = 3.0 * const * a_norm * b_norm * (x_size + y_size) * c.l_fnorm * t \
-        / (1.0 + r) ** ((1.0 - delta) * alpha_eps - c.nu)
-    return WindowedValue(value, flags)
+    return _power_law_value(c, eps, delta, "radius_window", r, t, lambda: (
+        3.0 * local_approx_constant(c, eps, delta) * a_norm * b_norm * (x_size + y_size)
+        * c.l_fnorm))
 
 
 # -- strictly local approximation ------------------------------------------------

@@ -6,34 +6,12 @@ error, 3 numerical failure (the offending parameter point is printed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import harness
 from .bounds import SLACK_RTOL
-from .harness import (
-    ALL_THEOREMS,
-    CORRELATION_GROUP,
-    DOMINATION_SUITE,
-    FIXED_POINT_GROUP,
-    LOCAL_GROUP,
-    LRB_GROUP,
-    TRUNCATION_GROUP,
-    ConfigError,
-    config_from_dict,
-    load_config,
-    run_experiment,
-)
 
-GROUPS = {
-    "certify-lrb": LRB_GROUP,
-    "certify-truncation": TRUNCATION_GROUP,
-    "certify-local": LOCAL_GROUP,
-    "certify-correlations": CORRELATION_GROUP,
-    "fixed-point": FIXED_POINT_GROUP,
-    "sweep": None,
-}
+GROUPS = {**harness.GROUPS, "sweep": None}
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
@@ -85,21 +63,21 @@ def main(argv=None) -> int:
     try:
         if args.command == "random-suite":
             return _run_random_suite(args)
-        cfg = load_config(args.config)
+        cfg = harness.load_config(args.config)
         group = GROUPS[args.command]
         if group is not None:
             cfg.theorems = tuple(t for t in group
                                  if t in (cfg.theorems or group)) or tuple(group)
         elif not cfg.theorems:
-            cfg.theorems = ALL_THEOREMS
-        harness.check_state(cfg)
-    except ConfigError as exc:
+            cfg.theorems = harness.ALL_THEOREMS
+        harness.check_selection(cfg)
+    except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports, manifest = run_experiment(cfg, out_dir=args.out,
-                                           formats=_formats(args.format),
-                                           tolerance=args.tolerance)
+        reports, manifest = harness.run_experiment(cfg, out_dir=args.out,
+                                                   formats=_formats(args.format),
+                                                   tolerance=args.tolerance)
     except Exception as exc:  # numerical failure; the point is in the message
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -118,18 +96,18 @@ def _run_random_suite(args) -> int:
             "observables": {"a": f"Z{m.space.points[0]}",
                             "b": f"Z{m.space.points[-1]}"},
             "k_map": "commutator",
-            "theorems": list(DOMINATION_SUITE),
+            "theorems": list(harness.DOMINATION_SUITE),
             "grids": {"t": [0.0], "R": [1.0, 2.0, 3.0], "r": [1.0]},
             "state": "product(+)",
             "seed": args.seed + k,
         }
-        cfg = config_from_dict(raw)
+        cfg = harness.config_from_dict(raw)
         consts = harness.ModelConstants.from_model(cfg.space, cfg.f, cfg.interaction,
                                                    cfg.nu)
         horizon = 2.0 / consts.v if consts.v > 0 else 1.0
         cfg.t_grid = tuple(i * horizon / 5.0 for i in range(6))
         try:
-            reports, _ = run_experiment(cfg, out_dir=None)
+            reports, _ = harness.run_experiment(cfg, out_dir=None)
         except Exception as exc:
             print(f"numerical failure in model {k} (seed {args.seed + k}): {exc}",
                   file=sys.stderr)
@@ -139,14 +117,7 @@ def _run_random_suite(args) -> int:
         all_reports.extend(reports)
     all_reports = harness.sort_reports(all_reports)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.format in ("csv", "both"):
-            (out / "reports.csv").write_text(harness.reports_to_csv(all_reports,
-                                                                    args.tolerance))
-        if args.format in ("json", "both"):
-            (out / "reports.json").write_text(harness.reports_to_json(all_reports,
-                                                                      args.tolerance))
+        harness.write_reports(args.out, all_reports, _formats(args.format), args.tolerance)
     bad = _violations(all_reports, args.tolerance)
     print(f"{args.models} models, {len(all_reports)} rows, violations {len(bad)}")
     return 1 if bad else 0

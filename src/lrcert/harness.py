@@ -5,6 +5,13 @@ grids, and theorem selection using small string descriptors (documented in the
 README).  Runs are deterministic in (config, seed): reports are sorted before
 emission and serialized with fixed float formatting, so identical inputs give
 byte-identical outputs.
+
+``THEOREMS`` is the one table of what the runner certifies: for each theorem
+its grid axes, the function that builds its report rows at one grid point, its
+CLI group, and whether it needs the second observable or reads the state.
+``ExperimentRunner.run`` is a single loop over it; the CLI groups, the
+theorem lists and the config checks are derived from it.  Adding a theorem
+means adding an entry.
 """
 from __future__ import annotations
 
@@ -13,31 +20,19 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import bounds, correlations, decay, dynamics, geometry, model, qalgebra
+from . import bounds, correlations, dynamics, geometry, model, qalgebra
 from .bounds import SLACK_RTOL, BoundReport, BoundsError, ModelConstants
 from .correlations import StateFunctional
 from .decay import FFunction
 from .geometry import FiniteMetricSpace, GeometryError
 from .model import DissipativeInteraction, LindbladTerm, Superoperator
 from .qalgebra import ObservableOp, ObservationMap, commutator_map, embed, from_matrix
-
-LRB_GROUP = ("finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb",
-             "power_law_lrb")
-TRUNCATION_GROUP = ("range_truncation",)
-LOCAL_GROUP = ("surface_sum", "local_approx", "local_approx_power_law")
-CORRELATION_GROUP = ("dynamic_correlation", "correlation_general",
-                     "correlation_power_law")
-FIXED_POINT_GROUP = ("fixed_point_correlation", "fixed_point_exponential",
-                     "fixed_point_power_law")
-STATE_THEOREMS = ("dynamic_correlation", "fixed_point_correlation")  # read cfg.state_desc
-ALL_THEOREMS = LRB_GROUP + TRUNCATION_GROUP + LOCAL_GROUP + CORRELATION_GROUP \
-    + FIXED_POINT_GROUP
 
 DOMINATION_SUITE = ("finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb",
                     "range_truncation", "surface_sum", "local_approx",
@@ -269,6 +264,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
             raise ConfigError(where, str(exc)) from exc
 
     space = section("space", parse_space, raw.get("space", "chain(4)"))
+    if len(space) > SINGLE_POINT_CEILING:
+        raise ConfigError("space", f"volume exceeds the {SINGLE_POINT_CEILING}-site ceiling")
     f = section("f_function", parse_f_function, raw.get("f_function", "power(3)"))
     nu = float(raw.get("nu", 1.0))
     interaction = section("interaction", parse_interaction,
@@ -280,31 +277,21 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     b_local = section("observables.b", parse_operator, b_desc, space) \
         if b_desc is not None else None
     theorems = tuple(raw.get("theorems", []))
-    unknown = [t for t in theorems if t not in ALL_THEOREMS]
+    unknown = [t for t in theorems if t not in THEOREMS]
     if unknown:
         raise ConfigError("theorems", f"unknown theorem tags {unknown}")
     grids = raw.get("grids", {})
-    t_grid = tuple(float(t) for t in grids.get("t", [0.0, 0.25, 0.5]))
-    big_r_grid = tuple(float(x) for x in grids.get("R", [1.0, 2.0]))
-    r_grid = tuple(float(x) for x in grids.get("r", [1.0]))
-    for name, g in (("grids.t", t_grid), ("grids.R", big_r_grid), ("grids.r", r_grid)):
-        if not g:
-            raise ConfigError(name, "grid must be nonempty")
+    t_grid = section("grids.t", _grid, grids.get("t", [0.0, 0.25, 0.5]))
+    big_r_grid = section("grids.R", _grid, grids.get("R", [1.0, 2.0]), True)
+    r_grid = section("grids.r", _grid, grids.get("r", [1.0]))
     if "seed" not in raw:
         raise ConfigError("seed", "seed is mandatory")
     poly = raw.get("poly", {})
-    needs_b = set(theorems) & (set(LRB_GROUP) | set(CORRELATION_GROUP)
-                               | set(FIXED_POINT_GROUP))
-    if needs_b and b_local is None:
-        raise ConfigError("observables.b", "selected theorems need a second observable")
-    x_sites = frozenset(a_local.sites)
-    y_sites = frozenset(b_local.sites) if b_local is not None else frozenset()
-    if needs_b and x_sites & y_sites:
-        raise ConfigError("observables", "observable supports must be disjoint")
     cfg = ExperimentConfig(
         space=space, f=f, nu=nu, interaction=interaction,
         a_local=a_local, b_local=b_local,
-        x_sites=x_sites, y_sites=y_sites,
+        x_sites=frozenset(a_local.sites),
+        y_sites=frozenset(b_local.sites) if b_local is not None else frozenset(),
         k_descriptor=raw.get("k_map", "commutator"),
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
         theorems=theorems,
@@ -316,16 +303,34 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         seed=int(raw["seed"]),
         raw=dict(raw),
     )
-    if len(space) > SINGLE_POINT_CEILING:
-        raise ConfigError("space", f"volume exceeds the {SINGLE_POINT_CEILING}-site ceiling")
-    check_state(cfg)
+    check_selection(cfg)
     return cfg
 
 
-def check_state(cfg: ExperimentConfig) -> None:
-    """ConfigError unless the state descriptor is readable, whenever a selected
-    theorem uses the state; the density itself is built on first use."""
-    if set(cfg.theorems) & set(STATE_THEOREMS):
+def _grid(values, positive: bool = False) -> tuple:
+    """A nonempty grid of finite values, each > 0 if ``positive``, else >= 0."""
+    grid = tuple(float(x) for x in values)
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    rule = "> 0" if positive else ">= 0"
+    bad = [x for x in grid if not (math.isfinite(x) and (x > 0 if positive else x >= 0))]
+    if bad:
+        raise ValueError(f"values must be finite and {rule}, got {bad}")
+    return grid
+
+
+def check_selection(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the selected theorems can run on this config: a
+    second observable on a disjoint support wherever one is needed, and a
+    readable state descriptor wherever the state is read (the density itself
+    is built on first use)."""
+    selected = [THEOREMS[name] for name in cfg.theorems]
+    if any(spec.needs_b for spec in selected):
+        if cfg.b_local is None:
+            raise ConfigError("observables.b", "selected theorems need a second observable")
+        if cfg.x_sites & cfg.y_sites:
+            raise ConfigError("observables", "observable supports must be disjoint")
+    if any(spec.reads_state for spec in selected):
         try:
             _state_form(cfg.state_desc)
         except ValueError as exc:
@@ -405,14 +410,7 @@ class RunManifest:
     tightest: dict  # per theorem, max lhs/rhs over valid rows with rhs > 0
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "versions": self.versions,
-            "wall_time_s": self.wall_time_s,
-            "tallies": self.tallies,
-            "worst_slack": self.worst_slack,
-            "tightest": self.tightest,
-        }
+        return asdict(self)
 
 
 class NumericalFailure(RuntimeError):
@@ -440,7 +438,6 @@ class ExperimentRunner:
         self._dense = None
         self._k_lhs: dict = {}
         self._defects: dict = {}
-        self._point: dict = {}
         self._analysis = None
         self._state = None
 
@@ -494,233 +491,196 @@ class ExperimentRunner:
                 n_starts=8, seed=self.cfg.seed)
         return self._analysis
 
-    # per-theorem executors ----------------------------------------------------------
+    # the loop ----------------------------------------------------------------------
 
     def run(self) -> list:
-        """Every selected check; a numerical failure is re-raised as a
-        ``NumericalFailure`` naming the theorem and its grid point."""
+        """Every selected check over its grid; a numerical failure is re-raised
+        as a ``NumericalFailure`` naming the theorem and its grid point."""
+        cfg = self.cfg
+        grids = {"t": cfg.t_grid, "R": cfg.big_r_grid, "r": cfg.r_grid}
         reports = []
-        for theorem in self.cfg.theorems:
-            self._point = {}
+        for name in cfg.theorems:
+            spec = THEOREMS[name]
+            point = {}
             try:
-                reports.extend(getattr(self, f"_run_{theorem}")())
+                d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites) \
+                    if spec.distance else None
+                for values in itertools.product(*(grids[axis] for axis in spec.axes)):
+                    point = dict(zip(spec.axes, values))
+                    params = {"t": None, "R": None, "r": None, **point, "d": d}
+                    reports.extend(spec.rows(self, name, params))
             except (ValueError, ArithmeticError) as exc:
-                raise NumericalFailure(theorem, self._point, exc) from exc
+                raise NumericalFailure(name, point, exc) from exc
         return sort_reports(reports)
 
-    def _grid(self, *axes: str):
-        """The product of the named grids ("t", "R", "r"), recording each
-        point as the one in progress."""
-        grids = {"t": self.cfg.t_grid, "R": self.cfg.big_r_grid, "r": self.cfg.r_grid}
-        for values in itertools.product(*(grids[axis] for axis in axes)):
-            self._point = dict(zip(axes, values))
-            yield values
+    # left-hand sides at a grid point, shared between theorems ---------------------------
 
-    def _lhs_k(self, t: float, R: Optional[float] = None) -> float:
-        """opnorm of K on the evolved A; ``R`` selects the range-R dynamics."""
-        key = (t, R)
+    def _lhs_k(self, p: dict, R: Optional[float] = None) -> float:
+        """opnorm of K on A evolved to p["t"]; ``R`` selects the range-R dynamics."""
+        key = (p["t"], R)
         if key not in self._k_lhs:
             mode = "full" if R is None else "truncated"
-            evolved = self.dynamics.evolve(t, self.a, mode, R=R)
+            evolved = self.dynamics.evolve(p["t"], self.a, mode, R=R)
             self._k_lhs[key] = qalgebra.op_norm(qalgebra.apply_map(self.k_map, evolved))
         return self._k_lhs[key]
 
-    def _local_error(self, t: float, r: float) -> float:
-        region = geometry.inflate(self.space, self.cfg.x_sites, r)
-        return self.dynamics.local_error(t, self.a, region)
+    def _local_error(self, p: dict) -> float:
+        region = geometry.inflate(self.space, self.cfg.x_sites, p["r"])
+        return self.dynamics.local_error(p["t"], self.a, region)
 
-    def _c_ab(self, r: float, t: float) -> float:
+    def _c_ab(self, p: dict) -> float:
         """The localization defect, computed once per (r, t) and shared by
         every correlation theorem."""
+        r, t = p["r"], p["t"]
         if (r, t) not in self._defects:
             self._defects[(r, t)] = correlations.c_ab(
                 self.cfg.interaction, self.volume, self.cfg.x_sites, self.cfg.y_sites,
                 r, t, self.a, self.b, dynamics=self.dynamics)
         return self._defects[(r, t)]
 
-    def _run_finite_range_lrb(self) -> list:
-        c, cfg = self.consts, self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        out = []
-        for t, R in self._grid("t", "R"):
-            rhs = bounds.rhs_finite_range_lrb(c, self.k_map.cb_upper, self.a.norm(),
-                                              cfg.x_sites, cfg.y_sites, t, R)
-            out.append(BoundReport("finite_range_lrb", {"t": t, "R": R, "r": None, "d": d},
-                                   self._lhs_k(t, R), rhs))
-        return out
+    def _covariance(self, p: dict) -> float:
+        """|pi(AB) - pi(A) pi(B)| in the fixed point pi."""
+        rho = self.analysis().rho_pi
+        return abs(rho.expect(self.a @ self.b) - rho.expect(self.a) * rho.expect(self.b))
 
-    def _run_full_lrb(self) -> list:
-        c, cfg = self.consts, self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        out = []
-        for t, in self._grid("t"):
-            rhs = bounds.rhs_full_lrb(c, self.k_map.cb_upper, self.a.norm(),
-                                      cfg.x_sites, cfg.y_sites, t)
-            out.append(BoundReport("full_lrb", {"t": t, "R": None, "r": None, "d": d},
-                                   self._lhs_k(t), rhs))
-        return out
 
-    def _run_strong_lrb(self) -> list:
-        c, cfg = self.consts, self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        out = []
-        for t, in self._grid("t"):
-            params = {"t": t, "R": None, "r": None, "d": d}
-            if c.r0 <= 0:
-                out.append(BoundReport("strong_lrb", params, float("nan"), float("nan"),
-                                       flags={"finite_range": False}))
-                continue
-            rhs = bounds.rhs_strong_lrb(c, self.k_map.cb_upper, self.a.norm(),
-                                        len(cfg.x_sites), d, t)
-            out.append(BoundReport("strong_lrb", params, self._lhs_k(t), rhs))
-        return out
+# -- the theorem table -----------------------------------------------------------------
 
-    def _run_composite_lrb(self) -> list:
-        c, cfg = self.consts, self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        out = []
-        for t, R, r in self._grid("t", "R", "r"):
-            rhs = bounds.rhs_composite_lrb(
-                c, self.k_map.cb_upper, self.a.norm(), cfg.x_sites, cfg.y_sites,
-                self.volume, t, r, R, first_term="exact", exact_first=self._lhs_k(t, R))
-            out.append(BoundReport("composite_lrb", {"t": t, "R": R, "r": r, "d": d},
-                                   self._lhs_k(t), rhs))
-        return out
 
-    def _run_power_law_lrb(self) -> list:
-        c, cfg = self.consts, self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        out = []
-        for t, in self._grid("t"):
-            wv = bounds.rhs_power_law_lrb(c, self.k_map.cb_upper, self.a.norm(),
-                                          len(cfg.x_sites), d, t, cfg.eps, cfg.delta)
-            lhs = self._lhs_k(t) if wv.valid else float("nan")
-            out.append(BoundReport("power_law_lrb",
-                                   {"t": t, "R": None, "r": None, "d": d,
-                                    "eps": cfg.eps, "delta": cfg.delta},
-                                   lhs, wv.value, flags=wv.flags))
-        return out
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem as the runner certifies it: ``rows(runner, name, params)``
+    gives the reports at one point of the product of the ``axes`` grids, where
+    ``params`` holds t, R and r (None off the axes) and d (the distance of the
+    supports if ``distance``, else None).  ``group`` is the CLI subcommand that
+    selects it; ``needs_b`` and ``reads_state`` say what the config must give."""
 
-    def _run_range_truncation(self) -> list:
-        c, cfg = self.consts, self.cfg
-        out = []
-        for t, R, r in self._grid("t", "R", "r"):
-            lhs = self.dynamics.truncation_error(t, self.a, R)
-            rhs = bounds.rhs_range_truncation(c, self.a.norm(), cfg.x_sites,
-                                              self.volume, t, r, R)
-            out.append(BoundReport("range_truncation", {"t": t, "R": R, "r": r, "d": None},
-                                   lhs, rhs))
-        return out
+    group: str
+    axes: tuple
+    rows: Callable
+    distance: bool = False
+    needs_b: bool = False
+    reads_state: bool = False
 
-    def _run_surface_sum(self) -> list:
-        out = []
-        for r, in self._grid("r"):
-            for x in sorted(self.cfg.x_sites, key=repr):
-                out.append(bounds.surface_sum_check(self.consts, self.volume,
-                                                    self.cfg.x_sites, r, x))
-        return out
 
-    def _run_local_approx(self) -> list:
-        c, cfg = self.consts, self.cfg
-        out = []
-        for t, r in self._grid("t", "r"):
-            wv = bounds.rhs_local_approx(c, self.a.norm(), cfg.x_sites, self.volume, t, r)
-            out.append(BoundReport("local_approx", {"t": t, "R": None, "r": r, "d": None},
-                                   self._local_error(t, r), wv.value, flags=wv.flags))
-        return out
-
-    def _run_local_approx_power_law(self) -> list:
-        c, cfg = self.consts, self.cfg
-        out = []
-        for t, r in self._grid("t", "r"):
-            wv = bounds.rhs_local_approx_power_law(c, self.a.norm(), len(cfg.x_sites),
-                                                   r, t, cfg.eps, cfg.delta)
-            lhs = self._local_error(t, r) if wv.valid else float("nan")
-            out.append(BoundReport("local_approx_power_law",
-                                   {"t": t, "R": None, "r": r, "d": None,
-                                    "eps": cfg.eps, "delta": cfg.delta},
-                                   lhs, wv.value, flags=wv.flags))
-        return out
-
-    def _run_dynamic_correlation(self) -> list:
-        cfg = self.cfg
-        out = []
-        for t, r in self._grid("t", "r"):
-            out.append(correlations.check_dynamic_correlation(
-                self.state(), cfg.interaction, self.volume, cfg.x_sites, cfg.y_sites,
-                r, t, self.a, self.b, dynamics=self.dynamics, defect=self._c_ab(r, t)))
-        return out
-
-    def _run_correlation_general(self) -> list:
-        c, cfg = self.consts, self.cfg
-        out = []
-        for t, r in self._grid("t", "r"):
-            wv = bounds.rhs_correlation_general(c, self.a.norm(), self.b.norm(),
-                                                cfg.x_sites, cfg.y_sites, self.volume, t, r)
-            out.append(BoundReport("correlation_general",
-                                   {"t": t, "R": None, "r": r, "d": None},
-                                   self._c_ab(r, t), wv.value, flags=wv.flags))
-        return out
-
-    def _run_correlation_power_law(self) -> list:
-        c, cfg = self.consts, self.cfg
-        out = []
-        for t, r in self._grid("t", "r"):
-            wv = bounds.rhs_correlation_power_law(
-                c, self.a.norm(), self.b.norm(), len(cfg.x_sites),
-                len(cfg.y_sites), r, t, cfg.eps, cfg.delta)
-            lhs = self._c_ab(r, t) if wv.valid else float("nan")
-            out.append(BoundReport("correlation_power_law",
-                                   {"t": t, "R": None, "r": r, "d": None,
-                                    "eps": cfg.eps, "delta": cfg.delta},
-                                   lhs, wv.value, flags=wv.flags))
-        return out
-
-    def _run_fixed_point_correlation(self) -> list:
-        analysis = self.analysis()
-        omega = self.state()
-        g = analysis.governance()
-        out = []
-        for t, in self._grid("t"):
-            out.append(correlations.check_fixed_point_correlation(
-                analysis.rho_pi, self.dense_generator(), self.a, self.b, t, omega, g))
-        return out
-
-    def _run_fixed_point_exponential(self) -> list:
-        cfg = self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        analysis = self.analysis()
-        lhs = abs(analysis.rho_pi.expect(self.a @ self.b)
-                  - analysis.rho_pi.expect(self.a) * analysis.rho_pi.expect(self.b))
-        params = {"t": None, "R": None, "r": None, "d": d, "a": cfg.a_weight}
+def _bound(rhs: Callable, lhs: Callable, nan_outside: bool = False,
+           hypothesis: bool = False, **extra) -> Callable:
+    """Rows of one report per point.  ``rhs(runner, params)`` is a float or a
+    ``WindowedValue``, whose flags the report carries; with ``hypothesis`` a
+    ``BoundsError`` from it flags the row instead.  ``lhs(runner, params)`` is
+    evaluated after it, except that with ``nan_outside`` an out-of-window row
+    records NaN.  ``extra`` maps further param keys to config fields."""
+    def rows(run: ExperimentRunner, name: str, params: dict) -> list:
+        params.update((key, getattr(run.cfg, attr)) for key, attr in extra.items())
         try:
-            weighted = FFunction.weighted(cfg.a_weight, cfg.f)
-            c_a = ModelConstants.from_model(self.space, weighted, cfg.interaction, cfg.nu)
-            rhs = bounds.rhs_fixed_point_exponential(
-                c_a, self.consts.fnorm, self.a.norm(), self.b.norm(),
-                len(cfg.x_sites), len(cfg.y_sites), d, analysis.governance())
-        except BoundsError as exc:
-            return [BoundReport("fixed_point_exponential", params, lhs, float("nan"),
-                                flags={"hypothesis": False})]
-        return [BoundReport("fixed_point_exponential", params, lhs, rhs)]
-
-    def _run_fixed_point_power_law(self) -> list:
-        cfg = self.cfg
-        d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites)
-        analysis = self.analysis()
-        lhs = abs(analysis.rho_pi.expect(self.a @ self.b)
-                  - analysis.rho_pi.expect(self.a) * analysis.rho_pi.expect(self.b))
-        params = {"t": None, "R": None, "r": None, "d": d,
-                  "eps": cfg.eps, "delta": cfg.delta, "eta_exp": cfg.eta_exp}
-        try:
-            rhs = bounds.rhs_fixed_point_power_law(
-                self.consts, self.a.norm(), self.b.norm(), len(cfg.x_sites),
-                len(cfg.y_sites), d, cfg.eps, cfg.delta, cfg.eta_exp,
-                analysis.governance())
+            value = rhs(run, params)
         except BoundsError:
-            return [BoundReport("fixed_point_power_law", params, lhs, float("nan"),
-                                flags={"hypothesis": False})]
-        return [BoundReport("fixed_point_power_law", params, lhs, rhs)]
+            if not hypothesis:
+                raise
+            value = _flagged("hypothesis")
+        flags = {}
+        if isinstance(value, bounds.WindowedValue):
+            value, flags = value.value, value.flags
+        out = nan_outside and not all(flags.values())
+        return [BoundReport(name, params, float("nan") if out else lhs(run, params), value,
+                            flags=flags)]
+    return rows
+
+
+def _flagged(flag: str) -> bounds.WindowedValue:
+    return bounds.WindowedValue(float("nan"), {flag: False})
+
+
+def _fixed_point_exponential(run: ExperimentRunner, p: dict) -> float:
+    cfg = run.cfg
+    weighted = FFunction.weighted(cfg.a_weight, cfg.f)
+    c_a = ModelConstants.from_model(run.space, weighted, cfg.interaction, cfg.nu)
+    return bounds.rhs_fixed_point_exponential(
+        c_a, run.consts.fnorm, run.a.norm(), run.b.norm(), len(cfg.x_sites),
+        len(cfg.y_sites), p["d"], run.analysis().governance())
+
+
+_EPS_DELTA = {"eps": "eps", "delta": "delta"}
+
+# theorem -> how it is certified; ALL_THEOREMS and the CLI groups keep this order
+THEOREMS = {
+    "finite_range_lrb": Theorem("certify-lrb", ("t", "R"), _bound(
+        lambda run, p: bounds.rhs_finite_range_lrb(
+            run.consts, run.k_map.cb_upper, run.a.norm(), run.cfg.x_sites,
+            run.cfg.y_sites, p["t"], p["R"]),
+        lambda run, p: run._lhs_k(p, p["R"])), distance=True, needs_b=True),
+    "full_lrb": Theorem("certify-lrb", ("t",), _bound(
+        lambda run, p: bounds.rhs_full_lrb(
+            run.consts, run.k_map.cb_upper, run.a.norm(), run.cfg.x_sites,
+            run.cfg.y_sites, p["t"]),
+        ExperimentRunner._lhs_k), distance=True, needs_b=True),
+    "strong_lrb": Theorem("certify-lrb", ("t",), _bound(
+        lambda run, p: bounds.rhs_strong_lrb(
+            run.consts, run.k_map.cb_upper, run.a.norm(), len(run.cfg.x_sites), p["d"],
+            p["t"]) if run.consts.r0 > 0 else _flagged("finite_range"),
+        ExperimentRunner._lhs_k, nan_outside=True), distance=True, needs_b=True),
+    "composite_lrb": Theorem("certify-lrb", ("t", "R", "r"), _bound(
+        lambda run, p: bounds.rhs_composite_lrb(
+            run.consts, run.k_map.cb_upper, run.a.norm(), run.cfg.x_sites,
+            run.cfg.y_sites, run.volume, p["t"], p["r"], p["R"], first_term="exact",
+            exact_first=run._lhs_k(p, p["R"])),
+        ExperimentRunner._lhs_k), distance=True, needs_b=True),
+    "power_law_lrb": Theorem("certify-lrb", ("t",), _bound(
+        lambda run, p: bounds.rhs_power_law_lrb(
+            run.consts, run.k_map.cb_upper, run.a.norm(), len(run.cfg.x_sites), p["d"],
+            p["t"], run.cfg.eps, run.cfg.delta),
+        ExperimentRunner._lhs_k, nan_outside=True, **_EPS_DELTA), distance=True, needs_b=True),
+    "range_truncation": Theorem("certify-truncation", ("t", "R", "r"), _bound(
+        lambda run, p: bounds.rhs_range_truncation(
+            run.consts, run.a.norm(), run.cfg.x_sites, run.volume, p["t"], p["r"], p["R"]),
+        lambda run, p: run.dynamics.truncation_error(p["t"], run.a, p["R"]))),
+    "surface_sum": Theorem("certify-local", ("r",), lambda run, name, p: [
+        bounds.surface_sum_check(run.consts, run.volume, run.cfg.x_sites, p["r"], x)
+        for x in sorted(run.cfg.x_sites, key=repr)]),
+    "local_approx": Theorem("certify-local", ("t", "r"), _bound(
+        lambda run, p: bounds.rhs_local_approx(
+            run.consts, run.a.norm(), run.cfg.x_sites, run.volume, p["t"], p["r"]),
+        ExperimentRunner._local_error)),
+    "local_approx_power_law": Theorem("certify-local", ("t", "r"), _bound(
+        lambda run, p: bounds.rhs_local_approx_power_law(
+            run.consts, run.a.norm(), len(run.cfg.x_sites), p["r"], p["t"], run.cfg.eps,
+            run.cfg.delta),
+        ExperimentRunner._local_error, nan_outside=True, **_EPS_DELTA)),
+    "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), lambda run, name, p: [
+        correlations.check_dynamic_correlation(
+            run.state(), run.cfg.interaction, run.volume, run.cfg.x_sites,
+            run.cfg.y_sites, p["r"], p["t"], run.a, run.b, dynamics=run.dynamics,
+            defect=run._c_ab(p))], needs_b=True, reads_state=True),
+    "correlation_general": Theorem("certify-correlations", ("t", "r"), _bound(
+        lambda run, p: bounds.rhs_correlation_general(
+            run.consts, run.a.norm(), run.b.norm(), run.cfg.x_sites, run.cfg.y_sites,
+            run.volume, p["t"], p["r"]),
+        ExperimentRunner._c_ab), needs_b=True),
+    "correlation_power_law": Theorem("certify-correlations", ("t", "r"), _bound(
+        lambda run, p: bounds.rhs_correlation_power_law(
+            run.consts, run.a.norm(), run.b.norm(), len(run.cfg.x_sites),
+            len(run.cfg.y_sites), p["r"], p["t"], run.cfg.eps, run.cfg.delta),
+        ExperimentRunner._c_ab, nan_outside=True, **_EPS_DELTA), needs_b=True),
+    "fixed_point_correlation": Theorem("fixed-point", ("t",), lambda run, name, p: [
+        correlations.check_fixed_point_correlation(
+            run.analysis().rho_pi, run.dense_generator(), run.a, run.b, p["t"],
+            run.state(), run.analysis().governance())], needs_b=True, reads_state=True),
+    "fixed_point_exponential": Theorem("fixed-point", (), _bound(
+        _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),
+        distance=True, needs_b=True),
+    "fixed_point_power_law": Theorem("fixed-point", (), _bound(
+        lambda run, p: bounds.rhs_fixed_point_power_law(
+            run.consts, run.a.norm(), run.b.norm(), len(run.cfg.x_sites),
+            len(run.cfg.y_sites), p["d"], run.cfg.eps, run.cfg.delta, run.cfg.eta_exp,
+            run.analysis().governance()),
+        ExperimentRunner._covariance, hypothesis=True, **_EPS_DELTA, eta_exp="eta_exp"),
+        distance=True, needs_b=True),
+}
+
+ALL_THEOREMS = tuple(THEOREMS)
+# CLI subcommand -> its theorems
+GROUPS = {spec.group: tuple(name for name, other in THEOREMS.items()
+                            if other.group == spec.group) for spec in THEOREMS.values()}
 
 
 # -- emission ----------------------------------------------------------------------
@@ -824,12 +784,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json"),
     reports = runner.run()
     manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if "csv" in formats:
-            (out / "reports.csv").write_text(reports_to_csv(reports, tolerance))
-        if "json" in formats:
-            (out / "reports.json").write_text(reports_to_json(reports, tolerance))
+        out = write_reports(out_dir, reports, formats, tolerance)
         (out / "manifest.json").write_text(
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return reports, manifest
+
+
+def write_reports(out_dir, reports: Sequence[BoundReport], formats=("csv", "json"),
+                  tolerance: float = SLACK_RTOL) -> Path:
+    """reports.csv and/or reports.json in ``out_dir``, which is created."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if "csv" in formats:
+        (out / "reports.csv").write_text(reports_to_csv(reports, tolerance))
+    if "json" in formats:
+        (out / "reports.json").write_text(reports_to_json(reports, tolerance))
+    return out

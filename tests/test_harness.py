@@ -17,12 +17,22 @@ from lrcert.bounds import BoundReport
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Golden cells must agree both absolutely and relatively.  LHS cells of about
 # 7e-9 drift by about 2e-9 relative across BLAS builds, so the relative
 # tolerance leaves a factor of 50 above that drift.
 GOLDEN_ABS = 1e-9
 GOLDEN_REL = 1e-7
+# (config, reference CSV): the shipped example, and every theorem through the
+# runner, with valid and out-of-window rows of each windowed theorem.  The
+# second model couples every pair and has a transverse field, so the full and
+# the range-R dynamics differ and no LHS past t = 0 is zero.
+GOLDEN_CASES = {
+    "tfim_dissipative": (DOCS / "tfim_dissipative.json",
+                         DOCS / "tfim_dissipative.golden.csv"),
+    "all_theorems": (DATA / "all_theorems.json", DATA / "all_theorems.golden.csv"),
+}
 
 
 def minimal_raw(**overrides):
@@ -67,6 +77,15 @@ class TestLoadConfig:
     def test_empty_grid(self):
         with pytest.raises(ConfigError, match="grids.t"):
             config_from_dict(minimal_raw(grids={"t": [], "R": [1], "r": [1]}))
+        bad = [("t", -0.5), ("t", math.inf), ("R", 0), ("R", -1.0), ("R", math.nan),
+               ("r", -0.1), ("r", math.inf)]
+        for axis, value in bad:
+            grids = {"t": [0.0], "R": [1], "r": [1], axis: [1.0, value]}
+            with pytest.raises(ConfigError, match=f"grids\\.{axis}: values must be finite"):
+                config_from_dict(minimal_raw(grids=grids))
+        # r = 0 is allowed: its rows are recorded and flagged out of window
+        cfg = config_from_dict(minimal_raw(grids={"t": [0.0], "R": [1], "r": [0]}))
+        assert cfg.r_grid == (0.0,)
 
     def test_overlapping_observables(self):
         with pytest.raises(ConfigError, match="disjoint"):
@@ -186,11 +205,13 @@ class TestRunExperiment:
         cb = (tmp_path / "b" / "reports.csv").read_bytes()
         assert ca == cb
 
-    def test_golden_file_regression(self):
-        cfg = load_config(DOCS / "tfim_dissipative.json")
+    @pytest.mark.parametrize("config, reference", GOLDEN_CASES.values(),
+                             ids=GOLDEN_CASES.keys())
+    def test_golden_file_regression(self, config, reference):
+        cfg = load_config(config)
         reports, _ = harness.run_experiment(cfg)
         got = harness.reports_to_csv(reports).splitlines()
-        want = (DOCS / "tfim_dissipative.golden.csv").read_text().splitlines()
+        want = reference.read_text().splitlines()
         assert got[0] == want[0]
         assert len(got) == len(want)
         for line_got, line_want in zip(got[1:], want[1:]):
@@ -198,8 +219,8 @@ class TestRunExperiment:
             cells_want = line_want.split(",")
             assert cells_got[0] == cells_want[0]
             for g, w in zip(cells_got[1:8], cells_want[1:8]):
-                if g == "" or w == "":
-                    assert g == w
+                if g in ("", "nan") or w in ("", "nan"):
+                    assert g == w, (line_want, g, w)
                 else:
                     err = abs(float(g) - float(w))
                     assert err <= GOLDEN_ABS, (line_want, g, w)
@@ -305,6 +326,17 @@ class TestCli:
         assert code == 2
         assert "configuration error: state: unknown state descriptor 'bogus'" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify-lrb", "certify-correlations",
+                                         "fixed-point", "sweep"])
+    def test_missing_b_is_a_config_error(self, tmp_path, capsys, command):
+        # the subcommand's selection, not the config's empty list, needs b
+        path = tmp_path / "no_b.json"
+        path.write_text(json.dumps(minimal_raw(observables={"a": "Z0"}, theorems=[])))
+        code = cli.main([command, "--config", str(path)])
+        assert code == 2
+        assert "configuration error: observables.b: selected theorems need a second " \
+            "observable" in capsys.readouterr().err
 
     def test_pass_exit_code_and_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
