@@ -8,8 +8,8 @@ Comput. 33, 2011), never forming the propagator.  ``evolve`` acts the same way
 with a dense generator.  Dense exponentials remain for ``propagator``, whose
 whole map the Choi checks consume; it reads the generator's store of dense maps
 (``Superoperator.exp``), which the fixed-point suite shares.  Dense generators
-cap at a 4096-dimensional vectorized algebra (six qubits,
-``model.MAX_DENSE_DIM``), while the action path has no ceiling of its own.
+cap at ``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of
+its own, and an observation map acts on its own sites (``qalgebra.apply_map``).
 """
 from __future__ import annotations
 
@@ -121,7 +121,7 @@ def lhs_quasi_locality(k: ObservationMap, gen: Superoperator, t: float,
     The supports of K and the observable must be disjoint; the quasi-locality
     statements are vacuous otherwise.
     """
-    if k.support & a.support:
+    if frozenset(k.sites) & a.support:
         raise DynamicsError("observation map and observable supports overlap")
     evolved = evolve(gen, t, a)
     return op_norm(apply_map(k, evolved))

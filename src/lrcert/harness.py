@@ -8,10 +8,10 @@ byte-identical outputs.
 
 ``THEOREMS`` is the one table of what the runner certifies: for each theorem
 its grid axes, the function that builds its report rows at one grid point, its
-CLI group, and whether it needs the second observable or reads the state.
-``ExperimentRunner.run`` is a single loop over it; the CLI groups, the
-theorem lists and the config checks are derived from it.  Adding a theorem
-means adding an entry.
+CLI group, and whether it needs the second observable, reads the state or uses
+the dense generator.  ``ExperimentRunner.run`` is a single loop over it; the
+CLI groups, the theorem lists and the config checks are derived from it.
+Adding a theorem means adding an entry.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ DOMINATION_SUITE = ("finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb
                     "dynamic_correlation", "correlation_general")
 
 DEFAULT_SWEEP_CEILING = 5
-SINGLE_POINT_CEILING = 6
+SINGLE_POINT_CEILING = 8
 
 
 class ConfigError(ValueError):
@@ -149,6 +149,24 @@ def parse_operator(desc, space: FiniteMetricSpace) -> ObservableOp:
     return from_matrix(m, sites)
 
 
+def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[ObservableOp],
+                          seed: int) -> Optional[ObservationMap]:
+    """The map K on its own sites: 'commutator' against the second observable
+    (None without one), 'commutator(<operator>)', or an explicit matrix
+    {'matrix': ..., 'support': [...]} on its support, like an operator
+    literal, with an optional cb bracket 'cb_upper' / 'cb_lower'."""
+    if isinstance(desc, Mapping):
+        return qalgebra.general_map(
+            _matrix_from_json(desc["matrix"]),
+            space.ordered([_site_from_json(s) for s in desc["support"]]),
+            cb_upper=desc.get("cb_upper"), cb_lower=desc.get("cb_lower"), probe_seed=seed)
+    name, args, _ = _parse_call(str(desc))
+    if name != "commutator" or len(args) > 1:
+        raise ValueError(f"unknown observation-map descriptor {desc!r}")
+    target = parse_operator(args[0], space) if args else b_local
+    return commutator_map(target, probe_seed=seed) if target is not None else None
+
+
 def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
     if isinstance(desc, Mapping):
         terms = []
@@ -230,7 +248,7 @@ class ExperimentConfig:
     b_local: ObservableOp
     x_sites: frozenset
     y_sites: frozenset
-    k_descriptor: object
+    k_map: Optional[ObservationMap]
     t_grid: tuple
     big_r_grid: tuple
     r_grid: tuple
@@ -260,7 +278,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     def section(where, fn, *args):
         try:
             return fn(*args)
-        except (KeyError, ValueError, IndexError, GeometryError) as exc:
+        except (KeyError, ValueError, TypeError, IndexError, GeometryError) as exc:
             raise ConfigError(where, str(exc)) from exc
 
     space = section("space", parse_space, raw.get("space", "chain(4)"))
@@ -286,13 +304,15 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     r_grid = section("grids.r", _grid, grids.get("r", [1.0]))
     if "seed" not in raw:
         raise ConfigError("seed", "seed is mandatory")
+    k_map = section("k_map", parse_observation_map, raw.get("k_map", "commutator"), space,
+                    b_local, int(raw["seed"]))
     poly = raw.get("poly", {})
     cfg = ExperimentConfig(
         space=space, f=f, nu=nu, interaction=interaction,
         a_local=a_local, b_local=b_local,
         x_sites=frozenset(a_local.sites),
         y_sites=frozenset(b_local.sites) if b_local is not None else frozenset(),
-        k_descriptor=raw.get("k_map", "commutator"),
+        k_map=k_map,
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
         theorems=theorems,
         eps=float(poly.get("epsilon", 0.5)),
@@ -321,20 +341,27 @@ def _grid(values, positive: bool = False) -> tuple:
 
 def check_selection(cfg: ExperimentConfig) -> None:
     """ConfigError unless the selected theorems can run on this config: a
-    second observable on a disjoint support wherever one is needed, and a
-    readable state descriptor wherever the state is read (the density itself
-    is built on first use)."""
+    second observable on a disjoint support wherever one is needed, a
+    readable state descriptor wherever the state is read, and at most
+    ``model.MAX_DENSE_DIM`` wherever the dense generator is used (by a
+    ``dense`` theorem or for the stationary state)."""
     selected = [THEOREMS[name] for name in cfg.theorems]
     if any(spec.needs_b for spec in selected):
         if cfg.b_local is None:
             raise ConfigError("observables.b", "selected theorems need a second observable")
         if cfg.x_sites & cfg.y_sites:
             raise ConfigError("observables", "observable supports must be disjoint")
+    dense = any(spec.dense for spec in selected)
     if any(spec.reads_state for spec in selected):
         try:
-            _state_form(cfg.state_desc)
+            dense = _state_form(cfg.state_desc)[0] == "stationary" or dense
         except ValueError as exc:
             raise ConfigError("state", str(exc)) from exc
+    if dense:
+        try:
+            model._check_dense(model.volume_dims(cfg.space.points, None, *cfg.interaction.terms))
+        except model.ModelError as exc:
+            raise ConfigError("space", str(exc)) from exc
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
@@ -433,7 +460,8 @@ class ExperimentRunner:
         self.consts = ModelConstants.from_model(cfg.space, cfg.f, cfg.interaction, cfg.nu)
         self.a = embed(cfg.a_local, self.volume)
         self.b = embed(cfg.b_local, self.volume) if cfg.b_local is not None else None
-        self.k_map = self._build_k_map()
+        self.a_norm = cfg.a_local.norm()
+        self.b_norm = cfg.b_local.norm() if cfg.b_local is not None else None
         self._dynamics = None
         self._dense = None
         self._k_lhs: dict = {}
@@ -457,23 +485,6 @@ class ExperimentRunner:
         if self._dense is None:
             self._dense = model.generator(self.cfg.interaction, self.volume)
         return self._dense
-
-    def _build_k_map(self) -> Optional[ObservationMap]:
-        desc = self.cfg.k_descriptor
-        if self.b is None:
-            return None
-        if isinstance(desc, str) and _parse_call(desc)[0] == "commutator":
-            _, args, _ = _parse_call(desc)
-            target = self.b if not args else embed(
-                parse_operator(args[0], self.space), self.volume)
-            return commutator_map(target, probe_seed=self.cfg.seed)
-        if isinstance(desc, Mapping):
-            return qalgebra.general_map(
-                _matrix_from_json(desc["matrix"]), self.volume,
-                frozenset(_site_from_json(s) for s in desc["support"]),
-                cb_upper=desc.get("cb_upper"), cb_lower=desc.get("cb_lower"),
-                probe_seed=self.cfg.seed)
-        raise ConfigError("k_map", f"unknown observation-map descriptor {desc!r}")
 
     def state(self) -> StateFunctional:
         if self._state is None:
@@ -521,7 +532,7 @@ class ExperimentRunner:
         if key not in self._k_lhs:
             mode = "full" if R is None else "truncated"
             evolved = self.dynamics.evolve(p["t"], self.a, mode, R=R)
-            self._k_lhs[key] = qalgebra.op_norm(qalgebra.apply_map(self.k_map, evolved))
+            self._k_lhs[key] = qalgebra.op_norm(qalgebra.apply_map(self.cfg.k_map, evolved))
         return self._k_lhs[key]
 
     def _local_error(self, p: dict) -> float:
@@ -553,7 +564,8 @@ class Theorem:
     gives the reports at one point of the product of the ``axes`` grids, where
     ``params`` holds t, R and r (None off the axes) and d (the distance of the
     supports if ``distance``, else None).  ``group`` is the CLI subcommand that
-    selects it; ``needs_b`` and ``reads_state`` say what the config must give."""
+    selects it; ``needs_b`` and ``reads_state`` say what the config must give,
+    and ``dense`` that it uses the whole dense generator."""
 
     group: str
     axes: tuple
@@ -561,6 +573,7 @@ class Theorem:
     distance: bool = False
     needs_b: bool = False
     reads_state: bool = False
+    dense: bool = False
 
 
 def _bound(rhs: Callable, lhs: Callable, nan_outside: bool = False,
@@ -596,7 +609,7 @@ def _fixed_point_exponential(run: ExperimentRunner, p: dict) -> float:
     weighted = FFunction.weighted(cfg.a_weight, cfg.f)
     c_a = ModelConstants.from_model(run.space, weighted, cfg.interaction, cfg.nu)
     return bounds.rhs_fixed_point_exponential(
-        c_a, run.consts.fnorm, run.a.norm(), run.b.norm(), len(cfg.x_sites),
+        c_a, run.consts.fnorm, run.a_norm, run.b_norm, len(cfg.x_sites),
         len(cfg.y_sites), p["d"], run.analysis().governance())
 
 
@@ -606,44 +619,44 @@ _EPS_DELTA = {"eps": "eps", "delta": "delta"}
 THEOREMS = {
     "finite_range_lrb": Theorem("certify-lrb", ("t", "R"), _bound(
         lambda run, p: bounds.rhs_finite_range_lrb(
-            run.consts, run.k_map.cb_upper, run.a.norm(), run.cfg.x_sites,
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
             run.cfg.y_sites, p["t"], p["R"]),
         lambda run, p: run._lhs_k(p, p["R"])), distance=True, needs_b=True),
     "full_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_full_lrb(
-            run.consts, run.k_map.cb_upper, run.a.norm(), run.cfg.x_sites,
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
             run.cfg.y_sites, p["t"]),
         ExperimentRunner._lhs_k), distance=True, needs_b=True),
     "strong_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_strong_lrb(
-            run.consts, run.k_map.cb_upper, run.a.norm(), len(run.cfg.x_sites), p["d"],
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, len(run.cfg.x_sites), p["d"],
             p["t"]) if run.consts.r0 > 0 else _flagged("finite_range"),
         ExperimentRunner._lhs_k, nan_outside=True), distance=True, needs_b=True),
     "composite_lrb": Theorem("certify-lrb", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_composite_lrb(
-            run.consts, run.k_map.cb_upper, run.a.norm(), run.cfg.x_sites,
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
             run.cfg.y_sites, run.volume, p["t"], p["r"], p["R"], first_term="exact",
             exact_first=run._lhs_k(p, p["R"])),
         ExperimentRunner._lhs_k), distance=True, needs_b=True),
     "power_law_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_power_law_lrb(
-            run.consts, run.k_map.cb_upper, run.a.norm(), len(run.cfg.x_sites), p["d"],
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, len(run.cfg.x_sites), p["d"],
             p["t"], run.cfg.eps, run.cfg.delta),
         ExperimentRunner._lhs_k, nan_outside=True, **_EPS_DELTA), distance=True, needs_b=True),
     "range_truncation": Theorem("certify-truncation", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_range_truncation(
-            run.consts, run.a.norm(), run.cfg.x_sites, run.volume, p["t"], p["r"], p["R"]),
+            run.consts, run.a_norm, run.cfg.x_sites, run.volume, p["t"], p["r"], p["R"]),
         lambda run, p: run.dynamics.truncation_error(p["t"], run.a, p["R"]))),
     "surface_sum": Theorem("certify-local", ("r",), lambda run, name, p: [
         bounds.surface_sum_check(run.consts, run.volume, run.cfg.x_sites, p["r"], x)
         for x in sorted(run.cfg.x_sites, key=repr)]),
     "local_approx": Theorem("certify-local", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_local_approx(
-            run.consts, run.a.norm(), run.cfg.x_sites, run.volume, p["t"], p["r"]),
+            run.consts, run.a_norm, run.cfg.x_sites, run.volume, p["t"], p["r"]),
         ExperimentRunner._local_error)),
     "local_approx_power_law": Theorem("certify-local", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_local_approx_power_law(
-            run.consts, run.a.norm(), len(run.cfg.x_sites), p["r"], p["t"], run.cfg.eps,
+            run.consts, run.a_norm, len(run.cfg.x_sites), p["r"], p["t"], run.cfg.eps,
             run.cfg.delta),
         ExperimentRunner._local_error, nan_outside=True, **_EPS_DELTA)),
     "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), lambda run, name, p: [
@@ -653,28 +666,29 @@ THEOREMS = {
             defect=run._c_ab(p))], needs_b=True, reads_state=True),
     "correlation_general": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_correlation_general(
-            run.consts, run.a.norm(), run.b.norm(), run.cfg.x_sites, run.cfg.y_sites,
+            run.consts, run.a_norm, run.b_norm, run.cfg.x_sites, run.cfg.y_sites,
             run.volume, p["t"], p["r"]),
         ExperimentRunner._c_ab), needs_b=True),
     "correlation_power_law": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_correlation_power_law(
-            run.consts, run.a.norm(), run.b.norm(), len(run.cfg.x_sites),
+            run.consts, run.a_norm, run.b_norm, len(run.cfg.x_sites),
             len(run.cfg.y_sites), p["r"], p["t"], run.cfg.eps, run.cfg.delta),
         ExperimentRunner._c_ab, nan_outside=True, **_EPS_DELTA), needs_b=True),
     "fixed_point_correlation": Theorem("fixed-point", ("t",), lambda run, name, p: [
         correlations.check_fixed_point_correlation(
             run.analysis().rho_pi, run.dense_generator(), run.a, run.b, p["t"],
-            run.state(), run.analysis().governance())], needs_b=True, reads_state=True),
+            run.state(), run.analysis().governance())], needs_b=True, reads_state=True,
+        dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
         _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),
-        distance=True, needs_b=True),
+        distance=True, needs_b=True, dense=True),
     "fixed_point_power_law": Theorem("fixed-point", (), _bound(
         lambda run, p: bounds.rhs_fixed_point_power_law(
-            run.consts, run.a.norm(), run.b.norm(), len(run.cfg.x_sites),
+            run.consts, run.a_norm, run.b_norm, len(run.cfg.x_sites),
             len(run.cfg.y_sites), p["d"], run.cfg.eps, run.cfg.delta, run.cfg.eta_exp,
             run.analysis().governance()),
         ExperimentRunner._covariance, hypothesis=True, **_EPS_DELTA, eta_exp="eta_exp"),
-        distance=True, needs_b=True),
+        distance=True, needs_b=True, dense=True),
 }
 
 ALL_THEOREMS = tuple(THEOREMS)

@@ -29,6 +29,7 @@ from .qalgebra import (
     from_matrix,
     left_right_superop,
     op_norm,
+    probed_cb_lower,
 )
 
 HERMITICITY_ATOL = 1e-12
@@ -187,22 +188,8 @@ class LindbladTerm:
         h_norm = op_norm(h) if h is not None else 0.0
         k_norms = [op_norm(k) for k in kraus]
         object.__setattr__(self, "cb_upper", 2.0 * h_norm + 2.0 * sum(x * x for x in k_norms))
-        object.__setattr__(self, "cb_lower", self._probe_lower())
-
-    def _probe_lower(self) -> float:
-        sites = self._site_order()
-        dims = self._dims()
-        sup = own_superop(self)
-        from .qalgebra import _probe_operators, devectorize, vectorize
-
-        lower = 0.0
-        for probe in _probe_operators(sites, self.support, dims, seed=99):
-            img = sup @ vectorize(probe)
-            num = op_norm(devectorize(img, sites, dims).matrix)
-            den = op_norm(probe)
-            if den > 0:
-                lower = max(lower, num / den)
-        return min(lower, self.cb_upper)
+        object.__setattr__(self, "cb_lower", probed_cb_lower(
+            own_superop(self), self._site_order(), self._dims(), 99, self.cb_upper))
 
     def _site_order(self) -> tuple:
         ref = self.hamiltonian if self.hamiltonian is not None else self.kraus[0] if self.kraus else None
@@ -332,7 +319,7 @@ def _check_dense(dims: tuple) -> None:
     d2 = int(np.prod(dims)) ** 2
     if d2 > MAX_DENSE_DIM:
         raise ModelError(f"vectorized dimension {d2} exceeds the dense ceiling "
-                         f"{MAX_DENSE_DIM}")
+                         f"model.MAX_DENSE_DIM = {MAX_DENSE_DIM}")
 
 
 def sparse_generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None,

@@ -7,6 +7,8 @@ Conventions fixed here and asserted by the test suite:
 * Vectorization is column stacking, ``vec(A) = A.flatten(order="F")``, so
   ``vec(X A Y) = (Y.T kron X) vec(A)``.
 
+An observation map is stored as its matrix on its own sites, never embedded:
+``apply_map`` contracts it into the legs of an operator on any larger volume.
 Completely-bounded norms of observation maps are never computed exactly;
 each map carries a certified bracket ``[cb_lower, cb_upper]`` and every
 analytic bound consumes ``cb_upper``, which only loosens the right-hand side.
@@ -14,7 +16,7 @@ analytic bound consumes ``cb_upper``, which only loosens the right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -207,25 +209,25 @@ def left_right_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationMap:
-    """A linear map on the observable algebra of a volume that kills the identity.
+    """A linear map on observables that kills the identity, stored as its
+    matrix on its own ordered ``sites``, which are its support.
 
-    ``matrix`` acts on column-stacked operators of the full volume; the map is
-    supported on ``support`` (it is an embedded map of that region).
+    ``matrix`` acts on column-stacked operators of ``sites``, in the leg
+    order of ``model.local_superop`` (column legs, then row legs); on a larger
+    volume the map acts as the identity off ``sites`` (``apply_map``).
     """
 
     matrix: np.ndarray
     sites: tuple
     dims: tuple
-    support: frozenset
     cb_upper: float
     cb_lower: float
-    kind: str = "general"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         total = int(np.prod(self.dims))
-        if m.shape != (total * total, total * total):
-            raise AlgebraError("observation map has wrong dimension")
+        if m.shape != (total * total,) * 2:
+            raise AlgebraError(f"observation map shape {m.shape} != {(total * total,) * 2}")
         if self.cb_lower > self.cb_upper + 1e-12:
             raise AlgebraError("cb_lower exceeds cb_upper")
         ident = np.eye(total, dtype=complex).flatten(order="F")
@@ -236,79 +238,74 @@ class ObservationMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "sites", tuple(self.sites))
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "support", frozenset(self.support))
 
 
 def commutator_map(b: ObservableOp, probe_seed: int = 2024) -> ObservationMap:
-    """The map A -> [B, A] on B's volume, with certified cb bracket.
+    """The map A -> [B, A] on B's sites, with certified cb bracket.
 
-    ``cb_upper`` is 2 * opnorm(B); ``cb_lower`` is the best ratio
-    ``norm([B, U]) / norm(U)`` over a fixed probe family (single-site Pauli
-    letters on B's support plus a few seeded Haar unitaries).
+    ``cb_upper`` is 2 * opnorm(B); ``cb_lower`` is ``probed_cb_lower``.
     """
     m = left_right_superop(b.matrix, np.eye(b.dim)) - left_right_superop(np.eye(b.dim), b.matrix)
     upper = 2.0 * op_norm(b)
-    lower = 0.0
-    for probe in _probe_operators(b.sites, b.support, b.dims, probe_seed):
-        num = op_norm(b.matrix @ probe.matrix - probe.matrix @ b.matrix)
-        den = op_norm(probe)
-        if den > 0:
-            lower = max(lower, num / den)
-    lower = min(lower, upper)
-    return ObservationMap(m, b.sites, b.dims, b.support, upper, lower, kind="commutator")
+    return ObservationMap(m, b.sites, b.dims, upper,
+                          probed_cb_lower(m, b.sites, b.dims, probe_seed, upper))
 
 
-def general_map(matrix, sites: Sequence[Site], support, dims=None,
+def general_map(matrix, sites: Sequence[Site], dims=None,
                 cb_upper: Optional[float] = None, cb_lower: Optional[float] = None,
                 probe_seed: int = 2024) -> ObservationMap:
-    """Wrap an explicit super-matrix as an observation map.
+    """Wrap an explicit super-matrix on the ordered ``sites`` as an observation map.
 
     When no cb bracket is supplied, the upper bound comes from a Choi-type
     factorization (sum of sigma_k * |U_k| * |V_k| over the singular pieces),
     which is valid for every linear map; the lower bound from probes.
     """
     sites = tuple(sites)
-    dims_t = _resolve_dims(sites, dims)
-    m = np.asarray(matrix, dtype=complex)
-    if cb_upper is None:
-        cb_upper = _factorization_cb_upper(m)
-    if cb_lower is None:
-        cb_lower = 0.0
-        for probe in _probe_operators(sites, frozenset(support), dims_t, probe_seed):
-            img = m @ vectorize(probe)
-            num = op_norm(devectorize(img, sites, dims_t).matrix)
-            den = op_norm(probe)
-            if den > 0:
-                cb_lower = max(cb_lower, num / den)
-        cb_lower = min(cb_lower, cb_upper)
-    return ObservationMap(m, sites, dims_t, frozenset(support), float(cb_upper),
-                          float(cb_lower), kind="general")
+    k = ObservationMap(matrix, sites, _resolve_dims(sites, dims), math.inf, 0.0)
+    upper = _factorization_cb_upper(k.matrix) if cb_upper is None else float(cb_upper)
+    lower = probed_cb_lower(k.matrix, sites, k.dims, probe_seed, upper) \
+        if cb_lower is None else float(cb_lower)
+    return replace(k, cb_upper=upper, cb_lower=lower)
 
 
 def apply_map(k: ObservationMap, a: ObservableOp) -> ObservableOp:
-    if tuple(a.sites) != tuple(k.sites) or tuple(a.dims) != tuple(k.dims):
-        raise AlgebraError("map and operator volumes differ")
-    out = k.matrix @ vectorize(a)
-    return devectorize(out, a.sites, a.dims, support=frozenset(a.sites))
+    """K(A) for ``a`` on any volume that contains k's sites with the same local
+    dimensions: k's column and row legs of vec(A) are contracted with its
+    matrix and the other legs are left alone, so no superoperator on a's
+    volume is formed."""
+    by_site = dict(zip(a.sites, a.dims))
+    if any(by_site.get(s) != d for s, d in zip(k.sites, k.dims)):
+        raise AlgebraError("map sites are not in the operator's volume")
+    n, m = len(a.sites), len(k.sites)
+    pos = [a.sites.index(s) for s in k.sites]
+    legs = pos + [n + p for p in pos]
+    out = np.tensordot(k.matrix.reshape(k.dims * 4), vectorize(a).reshape(a.dims * 2),
+                       axes=(range(2 * m, 4 * m), legs))
+    return devectorize(np.moveaxis(out, range(2 * m), legs).reshape(-1), a.sites, a.dims,
+                       support=frozenset(a.sites))
 
 
-def _probe_operators(sites: tuple, support: frozenset, dims: tuple, seed: int):
-    """Identity-excluded probes on ``support``, embedded into the volume."""
-    probes = []
-    for s, d in zip(sites, dims):
-        if s not in support or d != 2:
-            continue
-        for letter in ("X", "Y", "Z"):
-            probes.append(embed(site_operator(letter, s), sites, dims))
-    sup_sites = tuple(s for s in sites if s in support)
-    sup_dims = tuple(d for s, d in zip(sites, dims) if s in support)
-    dim_sup = int(np.prod(sup_dims)) if sup_dims else 1
+def probed_cb_lower(matrix: np.ndarray, sites: tuple, dims: tuple, seed: int,
+                    upper: float) -> float:
+    """A lower bound on the cb norm of the map with ``matrix`` on its own
+    ``sites``: the best ratio |K(P)| / |P| over ``_probe_operators``, capped
+    at ``upper``."""
+    ratios = [op_norm(devectorize(matrix @ vectorize(p), sites, dims)) / op_norm(p)
+              for p in _probe_operators(sites, dims, seed)]
+    return min(max(ratios, default=0.0), upper)
+
+
+def _probe_operators(sites: tuple, dims: tuple, seed: int):
+    """Identity-excluded probes on ``sites``: the single-site Pauli letters
+    and four seeded Haar unitaries."""
+    probes = [embed(site_operator(letter, s), sites, dims)
+              for s, d in zip(sites, dims) if d == 2 for letter in ("X", "Y", "Z")]
+    dim = int(np.prod(dims))
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        g = rng.normal(size=(dim_sup, dim_sup)) + 1j * rng.normal(size=(dim_sup, dim_sup))
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         q, r = np.linalg.qr(g)
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
-        probes.append(embed(from_matrix(u, sup_sites, support, sup_dims), sites, dims))
+        probes.append(from_matrix(q * (np.diag(r) / np.abs(np.diag(r))), sites, dims=dims))
     return probes
 
 

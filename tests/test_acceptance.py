@@ -315,10 +315,12 @@ def fixed_point_suite():
     rho_pi = lr.stationary_state(lr.adjoint_generator(gen))
     gap, omega0 = lr.spectral_gap(gen)
     t_grid = np.linspace(0.0, 8.0, 16)
-    env_c, env_gamma, samples = lr.convergence_envelope(gen, rho_pi, t_grid,
-                                                        n_starts=8, seed=11)
-    eta = [(t, *lr.mixing_eta(gen, t, rho_pi, n_starts=64, seed=23))
-           for t in t_grid]
+    # one block keeps the envelope's maps exp(tL) for the eta brackets
+    with lr.adjoint_generator(gen).keeping():
+        env_c, env_gamma, samples = lr.convergence_envelope(gen, rho_pi, t_grid,
+                                                            n_starts=8, seed=11)
+        eta = [(t, *lr.mixing_eta(gen, t, rho_pi, n_starts=64, seed=23))
+               for t in t_grid]
     return space, inter, gen, rho_pi, gap, env_c, env_gamma, samples, eta
 
 

@@ -20,7 +20,7 @@ def chain4_model():
     space, f, inter = mixed_field_chain(4, alpha=3.0)
     consts = ModelConstants.from_model(space, f, inter, nu=1.0)
     a = lr.embed(lr.site_operator("Z", 0), space.points)
-    k = lr.commutator_map(lr.embed(lr.site_operator("Z", 3), space.points))
+    k = lr.commutator_map(lr.site_operator("Z", 3))
     return space, f, inter, consts, a, k
 
 
@@ -132,7 +132,7 @@ class TestStrongLrb:
         c = ModelConstants.from_model(space, f, inter, nu=1.0)
         assert c.r0 == 1.0
         a = lr.embed(lr.site_operator("Z", 0), space.points)
-        k = lr.commutator_map(lr.embed(lr.site_operator("Z", 3), space.points))
+        k = lr.commutator_map(lr.site_operator("Z", 3))
         gen = lr.generator(inter)
         t = 0.3
         got = bounds.rhs_strong_lrb(c, k.cb_upper, a.norm(), 1, 3.0, t)
@@ -266,7 +266,7 @@ class TestPowerLawLrb:
         space, _, inter, c = power4_model
         gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
-        k = lr.commutator_map(lr.embed(lr.site_operator("Z", 4), space.points))
+        k = lr.commutator_map(lr.site_operator("Z", 4))
         d = 4.0
         t_max = d ** 0.3 / (math.e * c.v)
         for t in np.linspace(0.0, t_max, 4):

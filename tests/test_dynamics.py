@@ -116,21 +116,21 @@ class TestLhsQuasiLocality:
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        k = lr.commutator_map(lr.embed(lr.site_operator("Z", 3), chain4.points))
+        k = lr.commutator_map(lr.site_operator("Z", 3))
         assert lr.lhs_quasi_locality(k, gen, 0.0, a) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_map(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        k = lr.commutator_map(lr.embed(lr.identity((3,)), chain4.points))
+        k = lr.commutator_map(lr.identity((3,)))
         assert lr.lhs_quasi_locality(k, gen, 0.8, a) <= 1e-12
 
     def test_overlapping_supports_rejected(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        k = lr.commutator_map(lr.embed(lr.site_operator("Z", 0), chain4.points))
+        k = lr.commutator_map(lr.site_operator("Z", 0))
         with pytest.raises(DynamicsError, match="overlap"):
             lr.lhs_quasi_locality(k, gen, 0.5, a)
 

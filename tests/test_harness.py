@@ -151,6 +151,75 @@ class TestLoadConfig:
                                          theorems=["dynamic_correlation"]))
 
 
+K_READERS = ["finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb", "power_law_lrb"]
+ACTION_PATH = ["finite_range_lrb", "full_lrb", "composite_lrb", "range_truncation",
+               "local_approx", "dynamic_correlation", "correlation_general"]
+
+
+class TestObservationMapConfig:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_commutator_map_lives_on_its_support(self, n):
+        cfg = config_from_dict(minimal_raw(space=f"chain({n})",
+                                           observables={"a": "Z0", "b": "Z3"}))
+        assert cfg.k_map.sites == (3,) and cfg.k_map.matrix.shape == (4, 4)
+
+    def test_explicit_matrix_reproduces_the_commutator(self):
+        raw = json.loads((DATA / "all_theorems.json").read_text())
+        raw["theorems"] = K_READERS
+        ref, _ = harness.run_experiment(config_from_dict(raw))
+        z3 = lr.commutator_map(lr.site_operator("Z", 3)).matrix
+        raw["k_map"] = {"matrix": cli._matrix_json(z3), "support": [3]}
+        got, _ = harness.run_experiment(config_from_dict(raw))
+        assert [(r.theorem, r.params) for r in got] == [(r.theorem, r.params) for r in ref]
+        np.testing.assert_array_equal([r.lhs for r in got], [r.lhs for r in ref])
+
+    @pytest.mark.parametrize("k_map, message", [
+        ("bogus", "unknown observation-map descriptor 'bogus'"),
+        ("commutator(Q9)", "unknown operator letter"),
+        ({"matrix": [[1, 0], [0, 1]], "support": [3]}, "shape (2, 2) != (4, 4)"),
+        ({"matrix": cli._matrix_json(np.eye(4)), "support": [3]}, "annihilate the identity"),
+    ])
+    @pytest.mark.parametrize("command", ["sweep", "fixed-point"])
+    def test_bad_map_is_a_config_error(self, tmp_path, capsys, k_map, message, command):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(minimal_raw(space="chain(4)", k_map=k_map,
+                                               observables={"a": "Z0", "b": "Z3"})))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: k_map:" in err and message in err
+
+
+class TestVolumeCeiling:
+    def test_action_path_runs_at_seven_sites(self, tmp_path, capsys):
+        path = tmp_path / "c7.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(7)", interaction="tfim_dissipative(0.5, 0.4, 1.0)",
+            observables={"a": "Z0", "b": "Z6"}, theorems=ACTION_PATH, state="product(+)",
+            grids={"t": [0.0, 0.5], "R": [1], "r": [1]})))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        assert "violations 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fixed-point", {}),
+        ("certify-correlations", {"state": "stationary"}),
+    ])
+    def test_dense_work_over_the_ceiling_is_a_config_error(self, tmp_path, capsys,
+                                                          command, extra):
+        path = tmp_path / "c7.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(7)", observables={"a": "Z0", "b": "Z6"}, theorems=[], **extra)))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: space:" in err and "model.MAX_DENSE_DIM" in err
+
+    def test_nine_sites_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c9.json"
+        path.write_text(json.dumps(minimal_raw(space="chain(9)",
+                                               observables={"a": "Z0", "b": "Z8"})))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "configuration error: space:" in capsys.readouterr().err
+
+
 class TestRandomModel:
     def test_seed_determinism(self):
         m1 = harness.random_model(42, n_sites=3)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import lrcert as lr
+from lrcert import model
 from lrcert.qalgebra import AlgebraError, PAULI
 
 
@@ -162,7 +163,7 @@ class TestGeneralMap:
     def test_explicit_matrix(self):
         b = lr.site_operator("Z", 0)
         kc = lr.commutator_map(b)
-        kg = lr.general_map(kc.matrix, (0,), {0})
+        kg = lr.general_map(kc.matrix, (0,))
         assert kg.cb_lower <= kg.cb_upper
         out = lr.apply_map(kg, lr.site_operator("X", 0))
         np.testing.assert_allclose(out.matrix, 2j * PAULI["Y"], atol=1e-14)
@@ -174,9 +175,62 @@ class TestGeneralMap:
             m = rand_matrix(rng, 4)
             ident = np.eye(2).flatten(order="F")
             m = m - np.outer(m @ ident, ident) / 2.0  # make it kill the identity
-            k = lr.general_map(m, (0,), {0})
+            k = lr.general_map(m, (0,))
             assert k.cb_lower <= k.cb_upper + 1e-10
 
     def test_identity_annihilation_enforced(self):
         with pytest.raises(AlgebraError, match="identity"):
-            lr.general_map(np.eye(4), (0,), {0})
+            lr.general_map(np.eye(4), (0,))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(AlgebraError, match="shape"):
+            lr.general_map(np.zeros((4, 4)), (0, 1))
+
+
+def random_term(rng, sites):
+    """A Lindblad term on the ordered ``sites``: its Heisenberg superoperator
+    kills the identity, so it is an observation map on those sites."""
+    d = 2 ** len(sites)
+    h = rand_matrix(rng, d) / d
+    return lr.LindbladTerm(frozenset(sites), lr.from_matrix(h + h.conj().T, sites),
+                           (lr.from_matrix(rand_matrix(rng, d) / d, sites),))
+
+
+class TestApplyMap:
+    @pytest.mark.parametrize("own, volume", [
+        ((1, 3), (0, 1, 2, 3)),      # interleaved, non-adjacent
+        ((3, 1), (0, 1, 2, 3)),      # the map's own order reversed
+        ((1, 3), (2, 3, 0, 1)),      # a volume in permuted order
+        ((2,), (3, 0, 2, 1)),
+        ((0, 1, 2, 3), (0, 1, 2, 3)),
+    ])
+    def test_matches_csr_embedding(self, own, volume):
+        rng = np.random.default_rng(41)
+        dims = (2,) * len(volume)
+        for _ in range(3):
+            term = random_term(rng, own)
+            k = lr.general_map(model.own_superop(term), own)
+            assert k.matrix.shape == (4 ** len(own),) * 2
+            a = lr.from_matrix(rand_matrix(rng, 16), volume)
+            want = model.local_superop(term, volume, dims) @ lr.vectorize(a)
+            got = lr.vectorize(lr.apply_map(k, a))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_commutator_on_a_larger_volume(self):
+        rng = np.random.default_rng(42)
+        b = lr.from_matrix(rand_matrix(rng, 4), (3, 1))
+        a = lr.from_matrix(rand_matrix(rng, 16), (0, 1, 2, 3))
+        big_b = lr.embed(b, a.sites)
+        want = big_b.matrix @ a.matrix - a.matrix @ big_b.matrix
+        got = lr.apply_map(lr.commutator_map(b), a).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_sites_outside_the_volume_rejected(self):
+        k = lr.commutator_map(lr.site_operator("Z", 5))
+        with pytest.raises(AlgebraError, match="volume"):
+            lr.apply_map(k, lr.identity((0, 1)))
+
+    def test_dimension_mismatch_rejected(self):
+        k = lr.commutator_map(lr.site_operator("Z", 0))
+        with pytest.raises(AlgebraError, match="volume"):
+            lr.apply_map(k, lr.identity((0, 1), dims={0: 3, 1: 2}))
