@@ -288,11 +288,17 @@ def apply_map(k: ObservationMap, a: ObservableOp) -> ObservableOp:
 def probed_cb_lower(matrix: np.ndarray, sites: tuple, dims: tuple, seed: int,
                     upper: float) -> float:
     """A lower bound on the cb norm of the map with ``matrix`` on its own
-    ``sites``: the best ratio |K(P)| / |P| over ``_probe_operators``, capped
-    at ``upper``."""
+    ``sites``: the best ratio |K(P)| / |P| over ``_probe_operators``.
+
+    A ratio above ``upper`` by more than roundoff (1e-12, relative once
+    ``upper`` exceeds 1) refutes ``upper`` as a cb bound and raises
+    ``AlgebraError``; within roundoff the ratio is capped at ``upper``."""
     ratios = [op_norm(devectorize(matrix @ vectorize(p), sites, dims)) / op_norm(p)
               for p in _probe_operators(sites, dims, seed)]
-    return min(max(ratios, default=0.0), upper)
+    best = max(ratios, default=0.0)
+    if best > upper + 1e-12 * max(1.0, upper):
+        raise AlgebraError(f"a probe reaches {best:.6g}, above cb_upper {upper:.6g}")
+    return min(best, upper)
 
 
 def _probe_operators(sites: tuple, dims: tuple, seed: int):

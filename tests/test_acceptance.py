@@ -82,7 +82,7 @@ def test_criterion_2_quasi_locality_domination(model_pool, pool_constants):
         targets = [y for y in sites
                    if m.space.d(sites[0], y) in (2.0, 3.0, 4.0)]
         for y in targets:
-            k = lr.commutator_map(lr.embed(lr.site_operator("Z", y), sites))
+            k = lr.commutator_map(lr.site_operator("Z", y))
             xs, ys = {sites[0]}, {y}
             for t in t_grid:
                 lhs_full = lr.op_norm(qalgebra.apply_map(k, dyn.evolve(t, a)))
@@ -117,7 +117,7 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
         t_grid = np.linspace(0.0, 2.0 / c.v, 8)
         k = None
         if len(sites) >= 3:
-            k = lr.commutator_map(lr.embed(m.b_local, sites))
+            k = lr.commutator_map(m.b_local)
         for t in t_grid:
             evolved_full = dyn.evolve(t, a)
             for R in (1.0, 2.0, 3.0):
@@ -220,7 +220,7 @@ def test_criterion_5_power_law_theorems(power_law_suite):
     sites = space.points
     a = lr.embed(lr.site_operator("Z", 0), sites)
     b = lr.embed(lr.site_operator("Z", 4), sites)
-    k = lr.commutator_map(lr.embed(lr.site_operator("Z", 4), sites))
+    k = lr.commutator_map(lr.site_operator("Z", 4))
     xs, ys = {0}, {4}
     d = 4.0
 

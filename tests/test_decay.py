@@ -1,6 +1,7 @@
 """Decay-function calculus: frozen values from direct-summation oracles and
 high-precision series oracles (mpmath)."""
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -231,11 +232,24 @@ class TestCEpsilon:
             lr.c_epsilon(-1.0)
 
     def test_bracket_contains_truth(self):
-        for eps in (0.5, 1.0, 2.0):
+        for eps in (0.01, 0.02, 0.1, 0.3, 0.5, 1.0, 2.0, 3.5, 10.0, 50.0):
             mid, half = c_epsilon_bracket(eps)
             with mpmath.workdps(50):
-                truth = float(mpmath.zeta(1 + eps))
-            assert abs(mid - truth) <= half
+                truth = mpmath.zeta(1 + mpmath.mpf(eps))
+                assert abs(mpmath.mpf(mid) - truth) <= half, eps
+            assert half <= 1e-12 * mid, eps
+
+    def test_frozen_value(self):
+        assert lr.c_epsilon(0.5) == 2.612375348685488
+
+    def test_bracket_allocates_no_array(self):
+        tracemalloc.start()
+        try:
+            c_epsilon_bracket(0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWeightedProfile:

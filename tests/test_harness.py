@@ -178,6 +178,8 @@ class TestObservationMapConfig:
         ("commutator(Q9)", "unknown operator letter"),
         ({"matrix": [[1, 0], [0, 1]], "support": [3]}, "shape (2, 2) != (4, 4)"),
         ({"matrix": cli._matrix_json(np.eye(4)), "support": [3]}, "annihilate the identity"),
+        ({"matrix": cli._matrix_json(lr.commutator_map(lr.site_operator("Z", 3)).matrix),
+          "support": [3], "cb_upper": 0.5}, "a probe reaches 2, above cb_upper 0.5"),
     ])
     @pytest.mark.parametrize("command", ["sweep", "fixed-point"])
     def test_bad_map_is_a_config_error(self, tmp_path, capsys, k_map, message, command):

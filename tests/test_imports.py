@@ -1,10 +1,15 @@
-"""Every module-level import in the library is referenced by its module."""
+"""Every module-level import in the library is referenced by its module, and
+importing the library loads no heavy optional module."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lrcert"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "lrcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -29,3 +34,15 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_loads_no_special_function_library():
+    # Either would add its import time to every command; C_eps needs neither.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lrcert; "
+         "print(sorted({'mpmath', 'scipy.special'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

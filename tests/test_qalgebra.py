@@ -178,6 +178,13 @@ class TestGeneralMap:
             k = lr.general_map(m, (0,))
             assert k.cb_lower <= k.cb_upper + 1e-10
 
+    def test_supplied_upper_below_a_probe_rejected(self):
+        m = lr.commutator_map(lr.site_operator("Z", 3)).matrix
+        with pytest.raises(AlgebraError, match="a probe reaches 2, above cb_upper 0.5"):
+            lr.general_map(m, (3,), cb_upper=0.5)
+        k = lr.general_map(m, (3,), cb_upper=2.0)
+        assert (k.cb_upper, k.cb_lower) == (2.0, 2.0)
+
     def test_identity_annihilation_enforced(self):
         with pytest.raises(AlgebraError, match="identity"):
             lr.general_map(np.eye(4), (0,))
