@@ -2,14 +2,15 @@
 
 A left-hand side needs the semigroup only through its action on a few
 observables, so ``Dynamics`` holds the CSR generators of one interaction on one
-volume (full, range-R truncated, subvolume) and applies exp(t L) to vectorized
-observables with scipy's ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci.
-Comput. 33, 2011), never forming the propagator.  ``evolve`` acts the same way
-with a dense generator.  Dense exponentials remain for ``propagator``, whose
-whole map the Choi checks consume; it reads the generator's store of dense maps
-(``Superoperator.exp``), which the fixed-point suite shares.  Dense generators
-cap at ``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of
-its own, and an observation map acts on its own sites (``qalgebra.apply_map``).
+volume, one per selected term set (full, range-R truncated, subvolume), and
+applies exp(t L) to vectorized observables with scipy's ``expm_multiply``
+(Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), never forming the
+propagator.  ``evolve`` acts the same way with a dense generator.  Dense
+exponentials remain for ``propagator``, whose whole map the Choi checks
+consume; it reads the generator's store of dense maps (``Superoperator.exp``),
+which the fixed-point suite shares.  Dense generators cap at
+``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of its
+own, and an observation map acts on its own sites (``qalgebra.apply_map``).
 """
 from __future__ import annotations
 
@@ -31,22 +32,30 @@ class DynamicsError(ValueError):
 
 def _action(matrix, t: float, vec: np.ndarray) -> np.ndarray:
     """exp(t * matrix) @ vec without forming the exponential; t = 0 returns a
-    copy of ``vec``, exactly."""
+    copy of ``vec``, exactly.  A CSR matrix is scaled with its index arrays
+    shared, not copied, which lowers the peak memory of a call."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
     if t == 0.0:
         return vec.copy()
-    return scipy.sparse.linalg.expm_multiply(t * matrix, vec)
+    if getattr(matrix, "format", None) == "csr":
+        scaled = scipy.sparse.csr_matrix((t * matrix.data, matrix.indices, matrix.indptr),
+                                         shape=matrix.shape)
+    else:
+        scaled = t * matrix
+    return scipy.sparse.linalg.expm_multiply(scaled, vec)
 
 
 class Dynamics:
     """The dynamics of one interaction on one volume, for left-hand sides.
 
-    Generators are assembled in CSR form on first use, one per mode, and
-    evolved observables are kept by (generator, t, content), so every
-    theorem of a run shares each evolution.  A range-R truncation with
-    ``R >= interaction.range_r0`` keeps every term and is the full generator
-    itself.
+    Generators are assembled in CSR form on first use, one per selected term
+    set (``model.select_terms``): a range-R truncation or a subvolume that
+    keeps every term is the full generator itself, and two ranges or regions
+    that keep the same terms share one matrix.  Evolved observables are kept
+    by (generator, t, content), so every theorem of a run shares each
+    evolution.  ``counters`` counts this work: generators assembled,
+    evolutions computed, evolutions found kept, and ``expm_multiply`` calls.
     """
 
     def __init__(self, interaction: DissipativeInteraction,
@@ -54,21 +63,22 @@ class Dynamics:
         space = interaction.space
         self.interaction = interaction
         self.sites = space.ordered(volume if volume is not None else space.points)
-        self.dims = model.volume_dims(self.sites, dims,
-                                      *interaction.terms_for(frozenset(self.sites)))
-        self._range_r0 = interaction.range_r0
+        self._site_set = frozenset(self.sites)
+        self.dims = model.volume_dims(self.sites, dims, *interaction.terms_for(self._site_set))
         self._generators: dict = {}
         self._evolved: dict = {}
+        self.counters = {"generators": 0, "evolutions": 0, "evolution_hits": 0,
+                         "expm_multiply": 0}
 
     def generator(self, mode: str = "full", R: Optional[float] = None,
                   region: Optional[Iterable[Site]] = None):
-        """CSR generator of a mode of ``model.generator``."""
-        if mode == "truncated" and R is not None and R > 0 and R >= self._range_r0:
-            mode, R = "full", None
-        key = (mode, R, None if region is None else frozenset(region))
+        """CSR generator of a mode of ``model.generator``, keyed by the terms
+        the mode selects (by identity: the interaction holds them)."""
+        terms = model.select_terms(self.interaction, self._site_set, mode, R, region)
+        key = tuple(map(id, terms))
         if key not in self._generators:
-            self._generators[key] = model.sparse_generator(
-                self.interaction, self.sites, mode=mode, R=R, region=region, dims=self.dims)
+            self._generators[key] = model.assemble(terms, self.sites, self.dims)
+            self.counters["generators"] += 1
         return self._generators[key]
 
     def evolve(self, t: float, a: ObservableOp, mode: str = "full",
@@ -80,8 +90,12 @@ class Dynamics:
         gen = self.generator(mode, R=R, region=region)
         vec = vectorize(a)
         key = (id(gen), float(t), hashlib.blake2b(vec.tobytes(), digest_size=16).digest())
-        if key not in self._evolved:
+        if key in self._evolved:
+            self.counters["evolution_hits"] += 1
+        else:
             self._evolved[key] = devectorize(_action(gen, t, vec), a.sites, a.dims)
+            self.counters["evolutions"] += 1
+            self.counters["expm_multiply"] += int(t > 0)
         return self._evolved[key]
 
     def truncation_error(self, t: float, a: ObservableOp, R: float) -> float:

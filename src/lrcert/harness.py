@@ -435,6 +435,7 @@ class RunManifest:
     tallies: dict
     worst_slack: dict
     tightest: dict  # per theorem, max lhs/rhs over valid rows with rhs > 0
+    counters: dict = field(default_factory=dict)  # the propagation layer's work
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -755,7 +756,8 @@ def reports_to_json(reports: Sequence[BoundReport], tolerance: float = SLACK_RTO
 
 
 def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
-                   wall_time_s: float, tolerance: float = SLACK_RTOL) -> RunManifest:
+                   wall_time_s: float, tolerance: float = SLACK_RTOL,
+                   counters: Optional[dict] = None) -> RunManifest:
     import scipy
 
     from . import __version__
@@ -786,17 +788,20 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
         tallies=tallies,
         worst_slack={k: v for k, v in worst.items()},
         tightest=tightest,
+        counters=dict(counters or {}),
     )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json"),
                    tolerance: float = SLACK_RTOL):
     """Execute the configured checks; returns (reports, manifest).  The pass
-    column and the tallies use ``BoundReport.passes(tolerance)``."""
+    column and the tallies use ``BoundReport.passes(tolerance)``; the
+    manifest's ``counters`` are those of the runner's ``Dynamics``."""
     started = time.perf_counter()
     runner = ExperimentRunner(cfg)
     reports = runner.run()
-    manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance)
+    manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance,
+                              counters=runner.dynamics.counters)
     if out_dir is not None:
         out = write_reports(out_dir, reports, formats, tolerance)
         (out / "manifest.json").write_text(

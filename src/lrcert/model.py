@@ -6,6 +6,15 @@ completely-bounded norms are out of scope; every term carries the certified
 surrogate ``cb_upper = 2 |H| + 2 sum_j |K_j|^2`` (triangle inequality over
 the three Lindblad pieces) together with a probed lower bound, and all
 analytic bounds consume ``cb_upper``.
+
+A generator on a volume is the sum of its selected terms, L = sum_Z L_Z.  Each
+term builds its superoperator on its own support once (``LindbladTerm.superop``);
+``local_superop`` embeds it into a volume by index arithmetic alone, every
+entry an entry of that matrix, and ``assemble`` sums the embedded terms in
+their stored order.  The full, range-R truncated and subvolume generators
+differ only in which terms ``select_terms`` keeps, so a caller that keys its
+generators by the selected terms (``dynamics.Dynamics``) builds one per
+distinct set.
 """
 from __future__ import annotations
 
@@ -168,6 +177,7 @@ class LindbladTerm:
     label: str = ""
     cb_upper: float = field(init=False)
     cb_lower: float = field(init=False)
+    superop: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         support = frozenset(self.support)
@@ -188,8 +198,11 @@ class LindbladTerm:
         h_norm = op_norm(h) if h is not None else 0.0
         k_norms = [op_norm(k) for k in kraus]
         object.__setattr__(self, "cb_upper", 2.0 * h_norm + 2.0 * sum(x * x for x in k_norms))
-        object.__setattr__(self, "cb_lower", probed_cb_lower(
-            own_superop(self), self._site_order(), self._dims(), 99, self.cb_upper))
+        own = own_superop(self)
+        own.flags.writeable = False
+        object.__setattr__(self, "superop", own)
+        object.__setattr__(self, "cb_lower", probed_cb_lower(own, self._dims(), 99,
+                                                             self.cb_upper))
 
     def _site_order(self) -> tuple:
         ref = self.hamiltonian if self.hamiltonian is not None else self.kraus[0] if self.kraus else None
@@ -204,7 +217,8 @@ class LindbladTerm:
 
 def own_superop(term: LindbladTerm) -> np.ndarray:
     """Dense Heisenberg-picture matrix of the term on its own support:
-    A -> i[H, A] + sum_j K_j* A K_j - (1/2){K_j* K_j, A}."""
+    A -> i[H, A] + sum_j K_j* A K_j - (1/2){K_j* K_j, A}.  Built once per
+    term, as ``term.superop``."""
     sites, dims = term._site_order(), term._dims()
     total = int(np.prod(dims))
     eye = np.eye(total, dtype=complex)
@@ -222,23 +236,45 @@ def own_superop(term: LindbladTerm) -> np.ndarray:
 
 
 def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> scipy.sparse.csr_matrix:
-    """The term on the volume ``sites`` in CSR form: ``own_superop`` tensored
-    with the identity on the rest of the volume, legs permuted into the
-    volume's column-stacking order.  Only products with 1 are formed: every
-    entry is exactly an entry of ``own_superop``."""
+    """The term on the volume ``sites`` in CSR form: ``term.superop``
+    tensored with the identity on the rest of the volume, legs permuted into
+    the volume's column-stacking order.  Every stored entry is an entry of
+    ``term.superop``, and the column indices of each row are sorted.
+
+    A vec index of the volume is a sum of per-leg offsets, so with sigma the
+    leg permutation the entry (p, q) of the term meets the rest-of-volume
+    index k at row inv(p rest^2 + k) = f(p) + g(k) and column f(q) + g(k),
+    where f(p) = inv(p rest^2) and g(k) = inv(k).  Row i of the result is
+    therefore row p = sigma(i) // rest^2 of the term, shifted by i - f(p);
+    sorting each term row by f once sorts every row of the result."""
     own = term._site_order()
     by_site = dict(zip(sites, dims))
     if any(by_site.get(s) != d for s, d in zip(own, term._dims())):
         raise ModelError("term dimensions do not match the volume")
     rest = tuple(s for s in sites if s not in term.support)
-    rest_dim = int(np.prod([by_site[s] for s in rest], dtype=int))
-    big = scipy.sparse.kron(scipy.sparse.csr_matrix(own_superop(term)),
-                            scipy.sparse.identity(rest_dim * rest_dim), format="csr")
+    rest2 = int(np.prod([by_site[s] for s in rest], dtype=int)) ** 2
     # a vec index runs over column sites (slowest), then row sites
     legs = tuple((leg, s) for part in (own, rest) for leg in ("col", "row") for s in part)
     target = tuple((leg, s) for leg in ("col", "row") for s in sites)
     sigma = _basis_permutation(legs, target, tuple(dims) * 2)
-    return big[sigma][:, sigma]
+    n, m = sigma.size, term.superop.shape[0]
+    inv = np.empty_like(sigma)
+    inv[sigma] = np.arange(n)
+    offset = inv[np.arange(m) * rest2]
+    p, q = np.nonzero(term.superop)
+    order = np.lexsort((offset[q], p))
+    p, q = p[order], q[order]
+    values, shift = term.superop[p, q], offset[q]
+    counts = np.bincount(p, minlength=m)
+    row_term = sigma // rest2
+    per_row = counts[row_term]
+    indptr = np.concatenate(([0], np.cumsum(per_row)))
+    src = np.repeat(np.cumsum(counts)[row_term] - per_row - indptr[:-1], per_row) \
+        + np.arange(indptr[-1])
+    indices = np.repeat(np.arange(n) - offset[row_term], per_row) + shift[src]
+    out = scipy.sparse.csr_matrix((values[src], indices, indptr), shape=(n, n))
+    out.has_sorted_indices = True
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,21 +301,19 @@ class DissipativeInteraction:
             by_support[t.support] = by_support.get(t.support, 0.0) + t.cb_upper
         return max(by_support.values(), default=0.0)
 
+    @cached_property
+    def diameters(self) -> tuple:
+        """Support diameter of each term, in stored order."""
+        return tuple(geometry.diameter(self.space, t.support) for t in self.terms)
+
     @property
     def range_r0(self) -> float:
         """Largest support diameter; zero for purely on-site interactions."""
-        return max((geometry.diameter(self.space, t.support) for t in self.terms),
-                   default=0.0)
+        return max(self.diameters, default=0.0)
 
     def terms_for(self, volume: frozenset, max_diam: Optional[float] = None) -> list:
-        out = []
-        for t in self.terms:
-            if not t.support <= volume:
-                continue
-            if max_diam is not None and geometry.diameter(self.space, t.support) > max_diam + 1e-12:
-                continue
-            out.append(t)
-        return out
+        return [t for t, diam in zip(self.terms, self.diameters)
+                if t.support <= volume and (max_diam is None or diam <= max_diam + 1e-12)]
 
 
 def lindblad_superop(term: LindbladTerm, space: FiniteMetricSpace,
@@ -304,13 +338,16 @@ def generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None
                     identical to ``full`` once R reaches the interaction range.
     ``subvolume`` : only terms supported inside ``region``, still embedded in
                     the full volume.
-    The matrix is the densified ``sparse_generator``.  A volume whose
-    vectorized dimension exceeds ``MAX_DENSE_DIM`` is refused before any
-    matrix is allocated.
+    The matrix is the densified ``assemble`` of the selected terms.  A volume
+    whose vectorized dimension exceeds ``MAX_DENSE_DIM`` is refused before
+    any matrix is allocated.
     """
-    vol_sites, dims_t, selected = _generator_terms(interaction, volume, mode, R, region, dims)
+    space = interaction.space
+    vol_sites = space.ordered(volume if volume is not None else space.points)
+    selected = select_terms(interaction, frozenset(vol_sites), mode, R, region)
+    dims_t = volume_dims(vol_sites, dims, *selected)
     _check_dense(dims_t)
-    return Superoperator(_assemble(selected, vol_sites, dims_t).toarray(), vol_sites,
+    return Superoperator(assemble(selected, vol_sites, dims_t).toarray(), vol_sites,
                          dims_t, picture="heisenberg")
 
 
@@ -322,42 +359,29 @@ def _check_dense(dims: tuple) -> None:
                          f"model.MAX_DENSE_DIM = {MAX_DENSE_DIM}")
 
 
-def sparse_generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None,
-                     mode: str = "full", R: Optional[float] = None,
-                     region: Optional[Iterable[Site]] = None,
-                     dims=None) -> scipy.sparse.csr_matrix:
-    """The Heisenberg-picture generator of ``generator`` in CSR form, for any
-    volume; modes and arguments are those of ``generator``."""
-    vol_sites, dims_t, selected = _generator_terms(interaction, volume, mode, R, region, dims)
-    return _assemble(selected, vol_sites, dims_t)
-
-
-def _generator_terms(interaction: DissipativeInteraction, volume, mode: str,
-                     R: Optional[float], region, dims) -> tuple:
-    """(ordered volume, local dimensions, selected terms) of a generator mode."""
-    space = interaction.space
-    vol_sites = space.ordered(volume if volume is not None else space.points)
-    vol_set = frozenset(vol_sites)
+def select_terms(interaction: DissipativeInteraction, volume: frozenset, mode: str,
+                 R: Optional[float] = None, region: Optional[Iterable[Site]] = None) -> list:
+    """The terms a generator mode keeps on ``volume``, in stored order; modes
+    and arguments are those of ``generator``."""
     if mode == "full":
-        selected = interaction.terms_for(vol_set)
-    elif mode == "truncated":
+        return interaction.terms_for(volume)
+    if mode == "truncated":
         if R is None or R <= 0:
             raise ModelError("truncated mode needs R > 0")
-        selected = interaction.terms_for(vol_set, max_diam=R)
-    elif mode == "subvolume":
+        return interaction.terms_for(volume, max_diam=R)
+    if mode == "subvolume":
         if region is None:
             raise ModelError("subvolume mode needs a region")
         reg = frozenset(region)
-        if not reg <= vol_set:
+        if not reg <= volume:
             raise ModelError("region must lie inside the volume")
-        selected = interaction.terms_for(reg)
-    else:
-        raise ModelError(f"unknown generator mode {mode!r}")
-    return vol_sites, volume_dims(vol_sites, dims, *selected), selected
+        return interaction.terms_for(reg)
+    raise ModelError(f"unknown generator mode {mode!r}")
 
 
-def _assemble(terms: list, vol_sites: tuple, dims: tuple) -> scipy.sparse.csr_matrix:
-    """Terms summed in their stored order, for reproducibility."""
+def assemble(terms: Iterable[LindbladTerm], vol_sites: tuple,
+             dims: tuple) -> scipy.sparse.csr_matrix:
+    """The embedded terms summed in their stored order, for reproducibility."""
     total = int(np.prod(dims))
     acc = scipy.sparse.csr_matrix((total * total, total * total), dtype=complex)
     for t in terms:

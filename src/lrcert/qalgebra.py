@@ -15,6 +15,7 @@ analytic bound consumes ``cb_upper``, which only loosens the right-hand side.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
@@ -248,7 +249,7 @@ def commutator_map(b: ObservableOp, probe_seed: int = 2024) -> ObservationMap:
     m = left_right_superop(b.matrix, np.eye(b.dim)) - left_right_superop(np.eye(b.dim), b.matrix)
     upper = 2.0 * op_norm(b)
     return ObservationMap(m, b.sites, b.dims, upper,
-                          probed_cb_lower(m, b.sites, b.dims, probe_seed, upper))
+                          probed_cb_lower(m, b.dims, probe_seed, upper))
 
 
 def general_map(matrix, sites: Sequence[Site], dims=None,
@@ -263,7 +264,7 @@ def general_map(matrix, sites: Sequence[Site], dims=None,
     sites = tuple(sites)
     k = ObservationMap(matrix, sites, _resolve_dims(sites, dims), math.inf, 0.0)
     upper = _factorization_cb_upper(k.matrix) if cb_upper is None else float(cb_upper)
-    lower = probed_cb_lower(k.matrix, sites, k.dims, probe_seed, upper) \
+    lower = probed_cb_lower(k.matrix, k.dims, probe_seed, upper) \
         if cb_lower is None else float(cb_lower)
     return replace(k, cb_upper=upper, cb_lower=lower)
 
@@ -285,34 +286,45 @@ def apply_map(k: ObservationMap, a: ObservableOp) -> ObservableOp:
                        support=frozenset(a.sites))
 
 
-def probed_cb_lower(matrix: np.ndarray, sites: tuple, dims: tuple, seed: int,
-                    upper: float) -> float:
+def probed_cb_lower(matrix: np.ndarray, dims: tuple, seed: int, upper: float) -> float:
     """A lower bound on the cb norm of the map with ``matrix`` on its own
-    ``sites``: the best ratio |K(P)| / |P| over ``_probe_operators``.
+    sites, of local dimensions ``dims``: the best ratio |K(P)| / |P| over the
+    probes of ``_probe_stack``, all taken in one batched product and one
+    batched norm.
 
     A ratio above ``upper`` by more than roundoff (1e-12, relative once
     ``upper`` exceeds 1) refutes ``upper`` as a cb bound and raises
     ``AlgebraError``; within roundoff the ratio is capped at ``upper``."""
-    ratios = [op_norm(devectorize(matrix @ vectorize(p), sites, dims)) / op_norm(p)
-              for p in _probe_operators(sites, dims, seed)]
-    best = max(ratios, default=0.0)
+    probes, norms = _probe_stack(tuple(dims), seed)
+    count, n = probes.shape[:2]
+    images = (matrix @ probes.reshape(count, n * n, 1)).reshape(probes.shape)
+    best = float(np.max(np.linalg.norm(images, 2, axis=(2, 1)) / norms))
     if best > upper + 1e-12 * max(1.0, upper):
         raise AlgebraError(f"a probe reaches {best:.6g}, above cb_upper {upper:.6g}")
     return min(best, upper)
 
 
-def _probe_operators(sites: tuple, dims: tuple, seed: int):
-    """Identity-excluded probes on ``sites``: the single-site Pauli letters
-    and four seeded Haar unitaries."""
-    probes = [embed(site_operator(letter, s), sites, dims)
+@functools.cache
+def _probe_stack(dims: tuple, seed: int) -> tuple:
+    """Identity-excluded probes P_k on sites of local dimensions ``dims`` and
+    their operator norms, read-only: the single-site Pauli letters, then four
+    seeded Haar unitaries.  The stack holds the transposes P_k.T, so entry k
+    read in rows is vec(P_k) and axes (2, 1) are P_k's row and column axes.
+    Built once per (dims, seed)."""
+    sites = tuple(range(len(dims)))
+    probes = [embed(site_operator(letter, s), sites, dims).matrix
               for s, d in zip(sites, dims) if d == 2 for letter in ("X", "Y", "Z")]
     dim = int(np.prod(dims))
     rng = np.random.default_rng(seed)
     for _ in range(4):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         q, r = np.linalg.qr(g)
-        probes.append(from_matrix(q * (np.diag(r) / np.abs(np.diag(r))), sites, dims=dims))
-    return probes
+        probes.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    stack = np.array([p.T for p in probes])
+    norms = np.linalg.norm(stack, 2, axis=(2, 1))
+    stack.flags.writeable = False
+    norms.flags.writeable = False
+    return stack, norms
 
 
 def _factorization_cb_upper(superop: np.ndarray) -> float:

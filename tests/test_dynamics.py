@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 
 import lrcert as lr
 from lrcert import model
 from lrcert.dynamics import DynamicsError, choi_matrix, choi_min_eigenvalue
 from lrcert.model import DissipativeInteraction, ModelError
-from lrcert.qalgebra import embed, from_matrix, left_right_superop
+from lrcert.qalgebra import _basis_permutation, embed, from_matrix, left_right_superop
 
 from conftest import mixed_field_chain, single_qubit_damping
 
@@ -234,12 +235,39 @@ def dense_term_superop(term, sites, dims):
     return out
 
 
-def layer_models():
-    for n in (3, 4):
+def kron_term_superop(term, sites, dims):
+    """The Kronecker embedding terms were once placed in a volume by: the own
+    superoperator tensored with the identity on the rest of the volume, then
+    the legs permuted by fancy indexing; the reference for the index
+    arithmetic of ``local_superop``."""
+    own = term._site_order()
+    rest = tuple(s for s in sites if s not in term.support)
+    by_site = dict(zip(sites, dims))
+    rest_dim = int(np.prod([by_site[s] for s in rest], dtype=int))
+    big = scipy.sparse.kron(scipy.sparse.csr_matrix(model.own_superop(term)),
+                            scipy.sparse.identity(rest_dim * rest_dim), format="csr")
+    legs = tuple((leg, s) for part in (own, rest) for leg in ("col", "row") for s in part)
+    target = tuple((leg, s) for leg in ("col", "row") for s in sites)
+    sigma = _basis_permutation(legs, target, tuple(dims) * 2)
+    return big[sigma][:, sigma]
+
+
+def layer_models(sizes=(3, 4)):
+    for n in sizes:
         space = lr.FiniteMetricSpace.chain(n)
         yield lr.tfim_dissipative(space, 0.5, 0.4, 1.0)
         yield lr.long_range_zz(space, 0.4, 3.0, 1.0)
         yield lr.harness.random_model(30 + n, n_sites=n).interaction
+
+
+def interleaved(points):
+    """The volume's sites with every other one moved to the back, so a
+    two-site term such as (0, 1) runs against the volume's order."""
+    return tuple(points[1::2]) + tuple(points[0::2])
+
+
+def csr_arrays(m):
+    return m.indptr, m.indices, m.data
 
 
 class TestSparseAssembly:
@@ -251,6 +279,30 @@ class TestSparseAssembly:
             want += dense_term_superop(term, gen.sites, gen.dims)
         assert np.array_equal(gen.matrix, want)
         assert np.array_equal(lr.Dynamics(inter).generator().toarray(), want)
+
+    @pytest.mark.parametrize("inter", list(layer_models((3, 4, 5))))
+    def test_embedding_equals_kronecker_formula(self, inter):
+        """Bit for bit: in the volume's own order the Kronecker formula's rows
+        are already sorted; in an interleaved order they hold the same entries
+        in another order, which ``local_superop`` sorts."""
+        points = inter.space.points
+        dims = (2,) * len(points)
+        for term in inter.terms:
+            want = kron_term_superop(term, points, dims)
+            assert want.has_sorted_indices
+            got = model.local_superop(term, points, dims)
+            assert all(map(np.array_equal, csr_arrays(got), csr_arrays(want)))
+            want = kron_term_superop(term, interleaved(points), dims)
+            want.sort_indices()
+            got = model.local_superop(term, interleaved(points), dims)
+            assert all(map(np.array_equal, csr_arrays(got), csr_arrays(want)))
+
+    @pytest.mark.parametrize("inter", list(layer_models((3,))))
+    def test_term_superop_is_stored_read_only(self, inter):
+        for term in inter.terms:
+            assert np.array_equal(term.superop, model.own_superop(term))
+            with pytest.raises(ValueError):
+                term.superop[0, 0] = 1.0
 
 
 class TestDynamicsLayer:
@@ -288,6 +340,24 @@ class TestDynamicsLayer:
         short = dyn.generator("truncated", R=1.0)
         assert short is not full
         assert (short != full).nnz > 0
+
+    def test_one_generator_per_term_set(self, chain4):
+        dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        assert dyn.generator("subvolume", region=chain4.points) is dyn.generator()
+        dyn = lr.Dynamics(lr.long_range_zz(chain4, 0.4, 3.0, 1.0))
+        assert dyn.generator("truncated", R=1.0) is dyn.generator("truncated", R=1.5)
+        assert dyn.generator("truncated", R=2.0) is not dyn.generator("truncated", R=1.0)
+        assert dyn.counters["generators"] == 2
+
+    def test_shared_generator_shares_evolutions(self, chain4):
+        dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        a = lr.embed(lr.site_operator("Z", 0), chain4.points)
+        full = dyn.evolve(0.5, a)
+        assert dyn.evolve(0.5, a, "subvolume", region=chain4.points) is full
+        assert dyn.evolve(0.5, a, "truncated", R=1.0) is full
+        dyn.evolve(0.0, a, "subvolume", region={0})
+        assert dyn.counters == {"generators": 2, "evolutions": 2, "evolution_hits": 2,
+                                "expm_multiply": 1}
 
     def test_volume_mismatch_rejected(self, chain4):
         dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))

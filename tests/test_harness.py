@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrcert as lr
-from lrcert import cli, correlations, harness
+from lrcert import cli, correlations, harness, model
 from lrcert.bounds import BoundReport
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
@@ -326,6 +326,44 @@ class TestRunExperiment:
         assert sum(t["rows"] for t in manifest.tallies.values()) == len(reports)
         for theorem, tally in manifest.tallies.items():
             assert tally["rows"] == tally["passed"] + tally["failed"] + tally["invalid"]
+
+    def test_term_superops_built_once_at_parse(self, monkeypatch):
+        calls = []
+        original = model.own_superop
+
+        def counting(term):
+            calls.append(term)
+            return original(term)
+
+        monkeypatch.setattr(model, "own_superop", counting)
+        cfg = load_config(DOCS / "tfim_dissipative.json")
+        assert len(calls) == len(cfg.interaction.terms)
+        calls.clear()
+        harness.run_experiment(cfg)
+        assert calls == []
+
+    def test_golden_counters(self, tmp_path, monkeypatch):
+        """The propagation layer's work on the shipped example, pinned: one
+        generator per distinct selected term set, which is five (the full
+        one, which R = 1, 2, 3 and the regions around {0, 3} also select on
+        this nearest-neighbour chain, and four strictly local regions), 28
+        evolutions of which 7 are at t = 0, and 124 evolutions found kept."""
+        requests, term_sets = set(), set()
+        original = model.select_terms
+
+        def recording(interaction, volume, mode, R=None, region=None):
+            terms = original(interaction, volume, mode, R, region)
+            requests.add((mode, R, None if region is None else frozenset(region)))
+            term_sets.add(tuple(map(id, terms)))
+            return terms
+
+        monkeypatch.setattr(model, "select_terms", recording)
+        cfg = load_config(DOCS / "tfim_dissipative.json")
+        harness.run_experiment(cfg, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["counters"] == {"generators": 5, "evolutions": 28,
+                                        "evolution_hits": 124, "expm_multiply": 21}
+        assert len(term_sets) == 5 < len(requests)
 
     def test_sorting_key(self):
         reps = [

@@ -1,10 +1,17 @@
 """Operator algebra conventions: embedding order, vectorization, observation maps."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import lrcert as lr
-from lrcert import model
+from lrcert import model, qalgebra
+from lrcert.harness import load_config
 from lrcert.qalgebra import AlgebraError, PAULI
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED_CONFIGS = (ROOT / "docs" / "tfim_dissipative.json",
+                  ROOT / "tests" / "data" / "all_theorems.json")
 
 
 def rand_matrix(rng, d):
@@ -192,6 +199,49 @@ class TestGeneralMap:
     def test_wrong_shape_rejected(self):
         with pytest.raises(AlgebraError, match="shape"):
             lr.general_map(np.zeros((4, 4)), (0, 1))
+
+
+def per_probe_cb_lower(matrix, sites, dims, seed, upper):
+    """The probe loop the batched ``probed_cb_lower`` replaced: one embedded
+    probe, one product and two norms at a time."""
+    probes = [lr.embed(lr.site_operator(letter, s), sites, dims)
+              for s, d in zip(sites, dims) if d == 2 for letter in ("X", "Y", "Z")]
+    dim = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, r = np.linalg.qr(g)
+        probes.append(lr.from_matrix(q * (np.diag(r) / np.abs(np.diag(r))), sites, dims=dims))
+    ratios = [lr.op_norm(lr.devectorize(matrix @ lr.vectorize(p), sites, dims)) / lr.op_norm(p)
+              for p in probes]
+    return min(max(ratios), upper)
+
+
+def probed_terms():
+    for path in PINNED_CONFIGS:
+        yield from load_config(path).interaction.terms
+    for n in (3, 4):
+        yield from lr.harness.random_model(50 + n, n_sites=n).interaction.terms
+
+
+class TestProbedCbLower:
+    def test_batched_equals_probe_loop(self):
+        terms = list(probed_terms())
+        assert len(terms) > 20
+        for term in terms:
+            assert term.cb_lower == per_probe_cb_lower(
+                term.superop, term._site_order(), term._dims(), 99, term.cb_upper)
+        b = lr.from_matrix(rand_matrix(np.random.default_rng(13), 4), (2, 5))
+        k = lr.commutator_map(b)
+        assert k.cb_lower == per_probe_cb_lower(k.matrix, (2, 5), (2, 2), 2024, k.cb_upper)
+
+    def test_probe_stack_built_once_read_only(self):
+        stack, norms = qalgebra._probe_stack((2, 2), 99)
+        assert qalgebra._probe_stack((2, 2), 99)[0] is stack
+        assert stack.shape == (10, 4, 4) and norms.shape == (10,)
+        for array in (stack, norms):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 def random_term(rng, sites):
