@@ -15,13 +15,16 @@ built once per (generator, t) (``Superoperator.exp``) and shared by the
 envelope, the mixing brackets and the growth-bound check, as is each upper
 bracket per (t, rho_pi); the analysis asks for its times in ascending order,
 so a time that is the sum of two earlier ones is composed from their maps by
-the semigroup law rather than exponentiated.
+the semigroup law rather than exponentiated.  ``analyze_fixed_point``
+computes the upper brackets only; the lower brackets, which need the ascent
+and which no report reads, are built when first read, from the same maps.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -347,20 +350,70 @@ def trace_norm(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FixedPointAnalysis:
-    """Certified convergence data for a mixing model."""
+    """Certified convergence data for a mixing model.
+
+    ``gap``, ``envelope_c`` and the upper brackets are computed when the
+    analysis is built.  ``samples`` and ``eta_samples`` carry the lower
+    brackets too, which need the pure-state ascent; they are built on first
+    read, by reopening the store of dense maps over the analysis' own times,
+    so they equal what an eager computation gives bit for bit, and every
+    thread that fills them stores the same values.
+    """
 
     rho_pi: StateFunctional
     gap: float
     growth_bound: float
     envelope_c: float
-    samples: tuple      # (t, lower, upper) brackets of |T_t' - P'| in 1->1 norm
-    eta_samples: tuple  # (t, lower, upper) brackets of the mixing coefficient
     periodic_spectrum: tuple
+    # what the lower brackets are built from: the generator, the (t, upper)
+    # pairs of the two grids, and the ascent's (n_starts, seed)
+    _gen: Superoperator = field(repr=False, compare=False)
+    _uppers: tuple = field(repr=False, compare=False)
+    _eta_uppers: tuple = field(repr=False, compare=False)
+    _ascent: tuple = field(repr=False, compare=False)
+
+    @property
+    def samples(self) -> tuple:
+        """(t, lower, upper) brackets of |T_t' - P'| in 1->1 norm."""
+        return self._brackets[0]
+
+    @property
+    def eta_samples(self) -> tuple:
+        """(t, lower, upper) brackets of the mixing coefficient."""
+        return self._brackets[1]
+
+    @cached_property
+    def _brackets(self) -> tuple:
+        """(samples, eta_samples), with the maps rebuilt over the same times."""
+        n_starts, seed = self._ascent
+        times = [t for t, _ in self._uppers + self._eta_uppers] + [1.0]
+        with _semigroup(self._gen, times) as gen_s:
+            samples = tuple((t, _lower_bracket(gen_s, t, self.rho_pi, n_starts, seed), upper)
+                            for t, upper in self._uppers)
+            eta_samples = tuple(
+                (t, 0.5 * _lower_bracket(gen_s, t, self.rho_pi, max(n_starts, 16), seed),
+                 upper) for t, upper in self._eta_uppers)
+        return samples, eta_samples
 
     def governance(self) -> Callable[[float], float]:
         """g(t) = min(2, c e^{-gamma t}), valid whenever the envelope holds."""
         c, gamma = self.envelope_c, self.gap
         return lambda t: min(2.0, c * math.exp(-gamma * t))
+
+
+def _envelope(gen_s: Superoperator, rho_pi: StateFunctional, t_grid: Sequence[float],
+              gamma: float) -> tuple:
+    """(c, uppers): the upper bracket at each grid time, and the least c >= 1
+    with ``upper <= c * exp(-gamma t)`` on the grid."""
+    uppers = tuple(_upper_bracket(gen_s, t, rho_pi) for t in t_grid)
+    c = max([1.0, *(upper * math.exp(gamma * t) for t, upper in zip(t_grid, uppers))])
+    return c, uppers
+
+
+def _lower_bracket(gen_s: Superoperator, t: float, rho_pi: StateFunctional,
+                   n_starts: int, seed: int) -> float:
+    """|T_t(psi psi^*) - rho_pi|_1 at the best pure state the ascent finds."""
+    return _multistart_state_distance(gen_s.exp(t), rho_pi.density, n_starts, seed)[0]
 
 
 def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
@@ -371,17 +424,12 @@ def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
     Returns ``(c, gamma, samples)`` where samples are (t, lower, upper) and
     ``upper <= c * exp(-gamma t)`` holds on the grid by construction of c.
     """
-    samples = []
-    c = 1.0
     with _semigroup(gen, [*t_grid, 1.0]) as gen_s:
         gamma, _ = spectral_gap(gen)
-        for t in t_grid:
-            upper = _upper_bracket(gen_s, t, rho_pi)
-            lower, _ = _multistart_state_distance(gen_s.exp(t), rho_pi.density,
-                                                  n_starts, seed)
-            samples.append((float(t), lower, upper))
-            c = max(c, upper * math.exp(gamma * t))
-    return c, gamma, tuple(samples)
+        c, uppers = _envelope(gen_s, rho_pi, t_grid, gamma)
+        samples = tuple((float(t), _lower_bracket(gen_s, t, rho_pi, n_starts, seed), upper)
+                        for t, upper in zip(t_grid, uppers))
+    return c, gamma, samples
 
 
 def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
@@ -396,8 +444,8 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
     """
     _require_mixing(gen)
     with _semigroup(gen, [t]) as gen_s:
-        lower, _ = _multistart_state_distance(gen_s.exp(t), rho_pi.density, n_starts, seed)
-        return 0.5 * lower, 0.5 * _upper_bracket(gen_s, t, rho_pi)
+        return (0.5 * _lower_bracket(gen_s, t, rho_pi, n_starts, seed),
+                0.5 * _upper_bracket(gen_s, t, rho_pi))
 
 
 def _require_mixing(gen: Superoperator):
@@ -483,38 +531,53 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
                         eta_grid: Optional[Sequence[float]] = None,
                         n_starts: int = 16, seed: int = 11) -> FixedPointAnalysis:
-    """Bundle stationary state, gap, envelope, and mixing brackets.
+    """Stationary state, gap, periodic spectrum, envelope, and mixing brackets.
 
     The dense maps of every time asked for (``t_grid``, ``eta_grid`` and the
     growth-bound check's t = 1) are built first, in ascending order, and kept
-    until the analysis returns.
+    while the upper brackets and the envelope are computed.  The lower
+    brackets of ``samples`` and ``eta_samples`` are built on first read
+    (``FixedPointAnalysis``), with ``n_starts`` ascent starts on ``t_grid``
+    and at least 16 on ``eta_grid``.
     """
+    if n_starts < 1:
+        raise CorrelationsError("the ascent needs at least one start")
     rho_pi = stationary_state(gen)
-    eta_grid = t_grid if eta_grid is None else eta_grid
-    with _semigroup(gen, [*t_grid, *eta_grid, 1.0]):
-        c, gamma, samples = convergence_envelope(gen, rho_pi, t_grid, n_starts, seed)
-        eta_samples = [(float(t), *mixing_eta(gen, t, rho_pi, n_starts=max(n_starts, 16),
-                                              seed=seed))
-                       for t in eta_grid]
+    t_grid = tuple(map(float, t_grid))
+    eta_grid = t_grid if eta_grid is None else tuple(map(float, eta_grid))
+    with _semigroup(gen, [*t_grid, *eta_grid, 1.0]) as gen_s:
+        gamma, _ = spectral_gap(gen)
+        c, uppers = _envelope(gen_s, rho_pi, t_grid, gamma)
+        eta_uppers = tuple(0.5 * _upper_bracket(gen_s, t, rho_pi) for t in eta_grid)
     return FixedPointAnalysis(
         rho_pi=rho_pi, gap=gamma, growth_bound=-gamma, envelope_c=c,
-        samples=samples, eta_samples=tuple(eta_samples),
-        periodic_spectrum=tuple(periodic_points(gen)))
+        periodic_spectrum=tuple(periodic_points(gen)), _gen=gen,
+        _uppers=tuple(zip(t_grid, uppers)), _eta_uppers=tuple(zip(eta_grid, eta_uppers)),
+        _ascent=(n_starts, seed))
 
 
 def check_fixed_point_correlation(pi_state: StateFunctional, gen: Superoperator,
                                   a: ObservableOp, b: ObservableOp, t: float,
                                   omega: StateFunctional,
-                                  g: Callable[[float], float]) -> BoundReport:
+                                  g: Callable[[float], float],
+                                  dynamics: Optional[Dynamics] = None) -> BoundReport:
     """Fixed-point clustering through an auxiliary state omega:
     |pi(AB) - pi(A) pi(B)| against |omega(T_t(A B_t))| + 3 |A| |B| g(t),
-    where B_t recenters B by its evolved omega-expectation."""
+    where B_t recenters B by its evolved omega-expectation.
+
+    ``dynamics``, when given, is the caller's propagation layer for the
+    interaction whose generator ``gen`` is, and evolves B and A B_t by its
+    CSR action, sharing its evolutions; otherwise ``gen`` evolves them.
+    """
     if a.support & b.support:
         raise CorrelationsError("observables must have disjoint supports")
-    heisenberg = gen if gen.picture == "heisenberg" else gen.adjoint
+    if dynamics is None:
+        evolved = partial(evolve, gen if gen.picture == "heisenberg" else gen.adjoint, t)
+    else:
+        evolved = partial(dynamics.evolve, t)
     lhs = abs(pi_state.expect(a @ b) - pi_state.expect(a) * pi_state.expect(b))
-    b_centred = b - complex(omega.expect(evolve(heisenberg, t, b))) * identity(b.sites, b.dims)
-    first = abs(omega.expect(evolve(heisenberg, t, a @ b_centred)))
+    b_centred = b - complex(omega.expect(evolved(b))) * identity(b.sites, b.dims)
+    first = abs(omega.expect(evolved(a @ b_centred)))
     rhs = first + 3.0 * op_norm(a) * op_norm(b) * float(g(t))
     return BoundReport(
         theorem="fixed_point_correlation",

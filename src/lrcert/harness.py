@@ -436,6 +436,7 @@ class RunManifest:
     worst_slack: dict
     tightest: dict  # per theorem, max lhs/rhs over valid rows with rhs > 0
     counters: dict = field(default_factory=dict)  # the propagation layer's work
+    theorem_wall_s: dict = field(default_factory=dict)  # per selected theorem
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -469,6 +470,7 @@ class ExperimentRunner:
         self._defects: dict = {}
         self._analysis = None
         self._state = None
+        self.theorem_wall_s: dict = {}
 
     # dynamics -------------------------------------------------------------------
 
@@ -482,9 +484,14 @@ class ExperimentRunner:
 
     def dense_generator(self) -> Superoperator:
         """The full generator as a dense matrix, for the fixed-point suite and
-        the stationary state, which consume the whole map."""
+        the stationary state, which consume the whole map; it is the
+        propagation layer's CSR generator densified, so a run assembles the
+        generator once."""
         if self._dense is None:
-            self._dense = model.generator(self.cfg.interaction, self.volume)
+            layer = self.dynamics
+            model._check_dense(layer.dims)
+            self._dense = Superoperator(layer.generator().toarray(), layer.sites, layer.dims,
+                                        picture="heisenberg")
         return self._dense
 
     def state(self) -> StateFunctional:
@@ -507,11 +514,14 @@ class ExperimentRunner:
 
     def run(self) -> list:
         """Every selected check over its grid; a numerical failure is re-raised
-        as a ``NumericalFailure`` naming the theorem and its grid point."""
+        as a ``NumericalFailure`` naming the theorem and its grid point.  Each
+        theorem's wall time goes to ``theorem_wall_s``; work shared between
+        theorems counts for the first that asks for it."""
         cfg = self.cfg
         grids = {"t": cfg.t_grid, "R": cfg.big_r_grid, "r": cfg.r_grid}
         reports = []
         for name in cfg.theorems:
+            started = time.perf_counter()
             spec = THEOREMS[name]
             point = {}
             try:
@@ -523,6 +533,8 @@ class ExperimentRunner:
                     reports.extend(spec.rows(self, name, params))
             except (ValueError, ArithmeticError) as exc:
                 raise NumericalFailure(name, point, exc) from exc
+            self.theorem_wall_s[name] = (self.theorem_wall_s.get(name, 0.0)
+                                         + time.perf_counter() - started)
         return sort_reports(reports)
 
     # left-hand sides at a grid point, shared between theorems ---------------------------
@@ -678,8 +690,8 @@ THEOREMS = {
     "fixed_point_correlation": Theorem("fixed-point", ("t",), lambda run, name, p: [
         correlations.check_fixed_point_correlation(
             run.analysis().rho_pi, run.dense_generator(), run.a, run.b, p["t"],
-            run.state(), run.analysis().governance())], needs_b=True, reads_state=True,
-        dense=True),
+            run.state(), run.analysis().governance(), dynamics=run.dynamics)],
+        needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
         _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),
         distance=True, needs_b=True, dense=True),
@@ -757,7 +769,8 @@ def reports_to_json(reports: Sequence[BoundReport], tolerance: float = SLACK_RTO
 
 def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
                    wall_time_s: float, tolerance: float = SLACK_RTOL,
-                   counters: Optional[dict] = None) -> RunManifest:
+                   counters: Optional[dict] = None,
+                   theorem_wall_s: Optional[dict] = None) -> RunManifest:
     import scipy
 
     from . import __version__
@@ -789,6 +802,7 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
         worst_slack={k: v for k, v in worst.items()},
         tightest=tightest,
         counters=dict(counters or {}),
+        theorem_wall_s=dict(theorem_wall_s or {}),
     )
 
 
@@ -796,12 +810,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json"),
                    tolerance: float = SLACK_RTOL):
     """Execute the configured checks; returns (reports, manifest).  The pass
     column and the tallies use ``BoundReport.passes(tolerance)``; the
-    manifest's ``counters`` are those of the runner's ``Dynamics``."""
+    manifest's ``counters`` are those of the runner's ``Dynamics``, and its
+    ``theorem_wall_s`` the runner's time per theorem."""
     started = time.perf_counter()
     runner = ExperimentRunner(cfg)
     reports = runner.run()
     manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance,
-                              counters=runner.dynamics.counters)
+                              counters=runner.dynamics.counters,
+                              theorem_wall_s=runner.theorem_wall_s)
     if out_dir is not None:
         out = write_reports(out_dir, reports, formats, tolerance)
         (out / "manifest.json").write_text(

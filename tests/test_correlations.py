@@ -507,6 +507,94 @@ class TestSemigroupStore:
         assert analysis.eta_samples[0][2] == 0.5 * analysis.samples[-1][2]
 
 
+def _counting_ascent(monkeypatch):
+    calls = []
+    ascent = correlations._multistart_state_distance
+
+    def counted(*args):
+        calls.append(args[2:])
+        return ascent(*args)
+
+    monkeypatch.setattr(correlations, "_multistart_state_distance", counted)
+    return calls
+
+
+class TestDeferredLowerBrackets:
+    """``analyze_fixed_point`` runs no ascent; ``samples`` and ``eta_samples``
+    build the lower brackets on first read, from the same maps."""
+
+    GRID = (0.5, 1.0, 2.0, 3.0, 4.0)
+    # the lower brackets the eager analysis recorded on this model and grid
+    # (OpenBLAS, one thread); the ascent has not settled at t = 2, where four
+    # BLAS threads gave 0.8821192466476342, 1.3e-7 lower
+    RECORDED_LOWER = (1.9520626983579734, 1.680677399697628, 0.8821193640436484,
+                      0.44846517171185585, 0.25099486663991855)
+    RECORDED_ETA_LOWER = 0.12549743331995927
+
+    @staticmethod
+    def _generator():
+        space = lr.FiniteMetricSpace.chain(4)
+        return lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
+
+    def test_built_on_first_read(self, monkeypatch):
+        gen = self._generator()
+        calls = _counting_ascent(monkeypatch)
+        analysis = lr.analyze_fixed_point(gen, self.GRID, eta_grid=[4.0], n_starts=4,
+                                          seed=3)
+        assert calls == []
+        samples, eta_samples = analysis.samples, analysis.eta_samples
+        assert calls == [(4, 3)] * len(self.GRID) + [(16, 3)]
+        assert analysis.samples is samples and analysis.eta_samples is eta_samples
+        assert [t for t, _, _ in samples] == list(self.GRID)
+        for (_, lower, _), want in zip(samples, self.RECORDED_LOWER):
+            assert lower == pytest.approx(want, rel=1e-6, abs=0)
+        assert eta_samples[0][1] == pytest.approx(self.RECORDED_ETA_LOWER, rel=1e-6, abs=0)
+
+    def test_equal_to_the_eager_brackets(self):
+        # the eager analysis kept the maps of the union of its times while the
+        # envelope and the eta bracket ran inside that block
+        gen = self._generator()
+        analysis = lr.analyze_fixed_point(gen, self.GRID, eta_grid=[4.0], n_starts=4,
+                                          seed=3)
+        rho = analysis.rho_pi
+        with correlations._semigroup(gen, [*self.GRID, 4.0, 1.0]):
+            c, gamma, samples = lr.convergence_envelope(gen, rho, self.GRID, n_starts=4,
+                                                        seed=3)
+            eta = lr.mixing_eta(gen, 4.0, rho, n_starts=16, seed=3)
+        assert (c, gamma) == (analysis.envelope_c, analysis.gap)
+        assert analysis.samples == samples
+        assert analysis.eta_samples == ((4.0, *eta),)
+
+    def test_threads_fill_the_same_values(self):
+        space = lr.FiniteMetricSpace.chain(2)
+        gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.3, gamma=1.0))
+        grid = (0.25, 0.5, 1.0, 2.0)
+        want = lr.analyze_fixed_point(gen, grid, n_starts=4, seed=5)
+        want = (want.samples, want.eta_samples)
+        analyses = [lr.analyze_fixed_point(gen, grid, n_starts=4, seed=5)
+                    for _ in range(4)]
+        seen, errors = [], []
+
+        def reader(analysis):
+            try:
+                seen.append((analysis.samples, analysis.eta_samples))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(analyses[k % 2],))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and seen == [want] * 4
+
+    def test_no_start_rejected_eagerly(self):
+        with pytest.raises(CorrelationsError, match="at least one start"):
+            lr.analyze_fixed_point(self._generator(), self.GRID, n_starts=0)
+
+
 @pytest.fixture(scope="module")
 def analyzed():
     space = lr.FiniteMetricSpace.chain(4)

@@ -49,6 +49,22 @@ def minimal_raw(**overrides):
     return raw
 
 
+def fixed_point_raw(**overrides):
+    """The fixed-point group on chain(4): its dense analysis reads one
+    generator and its rows evolve two observables at each of four times."""
+    raw = minimal_raw(
+        space="chain(4)",
+        f_function="power(4)",
+        interaction="tfim_dissipative(0.2, 0.0, 1.0)",
+        observables={"a": "Z0", "b": "Z3"},
+        theorems=[],
+        grids={"t": [0.5, 1.0, 2.0, 4.0], "R": [1], "r": [1]},
+        poly={"epsilon": 0.5, "delta": 0.3, "eta_exp": 0.02, "a_weight": 1.0},
+        state="product(+)")
+    raw.update(overrides)
+    return raw
+
+
 class TestLoadConfig:
     def test_minimal_chain_config(self):
         cfg = config_from_dict(minimal_raw())
@@ -365,6 +381,37 @@ class TestRunExperiment:
                                         "evolution_hits": 124, "expm_multiply": 21}
         assert len(term_sets) == 5 < len(requests)
 
+    def test_fixed_point_counters_and_no_ascent(self, tmp_path, monkeypatch):
+        """The fixed-point rows evolve B and A B_t at each of four times
+        through the one generator the run assembles; no report cell reads a
+        lower bracket, so the pure-state ascent never runs."""
+        ascents = []
+        original = correlations._multistart_state_distance
+
+        def counted(*args):
+            ascents.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(correlations, "_multistart_state_distance", counted)
+        cfg = config_from_dict(fixed_point_raw())
+        cfg.theorems = harness.GROUPS["fixed-point"]
+        harness.run_experiment(cfg, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["counters"] == {"generators": 1, "evolutions": 8,
+                                        "evolution_hits": 0, "expm_multiply": 8}
+        assert ascents == []
+
+    def test_theorem_wall_times(self, tmp_path):
+        cfg = load_config(DATA / "all_theorems.json")
+        _, manifest = harness.run_experiment(cfg, out_dir=tmp_path)
+        record = json.loads((tmp_path / "manifest.json").read_text())
+        assert record["theorem_wall_s"] == manifest.theorem_wall_s
+        assert set(manifest.theorem_wall_s) == set(cfg.theorems)
+        assert all(s >= 0.0 for s in manifest.theorem_wall_s.values())
+        assert sum(manifest.theorem_wall_s.values()) <= manifest.wall_time_s
+        assert set(record) == {"config_hash", "versions", "wall_time_s", "tallies",
+                               "worst_slack", "tightest", "counters", "theorem_wall_s"}
+
     def test_sorting_key(self):
         reps = [
             BoundReport("b", {"t": 1.0, "R": None, "r": None, "d": None}, 0, 1),
@@ -514,21 +561,28 @@ class TestCli:
         assert "violations 0" in out
 
     def test_fixed_point_group(self, tmp_path, capsys):
-        raw = minimal_raw(
-            space="chain(4)",
-            f_function="power(4)",
-            interaction="tfim_dissipative(0.2, 0.0, 1.0)",
-            observables={"a": "Z0", "b": "Z3"},
-            theorems=[],
-            grids={"t": [0.5, 1.0, 2.0, 4.0], "R": [1], "r": [1]},
-            poly={"epsilon": 0.5, "delta": 0.3, "eta_exp": 0.02, "a_weight": 1.0},
-            state="product(+)")
         path = tmp_path / "fp.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(fixed_point_raw()))
         code = cli.main(["fixed-point", "--config", str(path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "fixed_point_correlation" in out
+
+    @pytest.mark.parametrize("interaction, cause", [
+        # no dissipation: every function of the Hamiltonian is stationary
+        ("tfim_dissipative(0.2, 0.4, 0.0)", "non-unique fixed point (null-space dimension 4)"),
+        # a unique fixed point, but coherences decay at 7.5e-10, within the
+        # periodic tolerance, so they count as oscillating
+        ("long_range_zz(0.5, 2.0, 1.5e-9)", "not mixing: oscillatory periodic points present"),
+    ])
+    def test_fixed_point_failures(self, tmp_path, capsys, interaction, cause):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(fixed_point_raw(
+            space="chain(2)", interaction=interaction, observables={"a": "Z0", "b": "Z1"})))
+        code = cli.main(["fixed-point", "--config", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: fixed_point_correlation at " \
+            f"t=0.5, R=None, r=None: {cause}\n"
 
     def test_stationary_state_descriptor(self):
         cfg = config_from_dict(minimal_raw(
