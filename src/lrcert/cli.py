@@ -86,6 +86,9 @@ def main(argv=None) -> int:
 
 
 def _run_random_suite(args) -> int:
+    ceiling = harness.DEFAULT_SWEEP_CEILING
+    if not 2 <= args.sites <= ceiling:
+        raise harness.ConfigError("--sites", f"{args.sites} is outside [2, {ceiling}]")
     all_reports = []
     for k in range(args.models):
         m = harness.random_model(args.seed + k, n_sites=args.sites)

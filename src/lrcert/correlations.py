@@ -10,19 +10,18 @@ step that cannot decrease the objective.  The reported lower value is the
 exact trace norm recomputed at the best state found, so it is attained, not
 estimated.  Each generator's spectrum is decomposed once
 (``Superoperator.spectrum``) and shared by the gap, the growth-bound check
-and the periodic points.  Each dense Schroedinger-picture map exp(tL) is
-built once per (generator, t) (``Superoperator.exp``) and shared by the
-envelope, the mixing brackets and the growth-bound check, as is each upper
-bracket per (t, rho_pi); the analysis asks for its times in ascending order,
-so a time that is the sum of two earlier ones is composed from their maps by
-the semigroup law rather than exponentiated.  ``analyze_fixed_point``
-computes the upper brackets only; the lower brackets, which need the ascent
-and which no report reads, are built when first read, from the same maps.
+and the periodic points.  An analysis builds the dense Schroedinger-picture
+maps exp(tL) of all its times as one dict (``_semigroup``), in ascending
+order, so a time that is the sum of two earlier ones is composed from their
+maps by the semigroup law rather than exponentiated; the envelope, the
+mixing brackets and the growth-bound check read that dict, and each
+distinct time gets one upper bracket.  ``analyze_fixed_point`` computes the
+upper brackets only; the lower brackets, which need the ascent and which no
+report reads, are built when first read, from the same maps.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -281,9 +280,14 @@ def spectral_gap(gen: Superoperator) -> tuple:
 
     Requires a unique fixed point and no oscillatory periodic points.  The
     growth-bound identity rad(exp(L restricted)) = exp(omega0) is verified at
-    t = 1 to 1e-8 relative accuracy, on the stored Schroedinger map (its
-    conjugate transpose for a Heisenberg generator).
+    t = 1 to 1e-8 relative accuracy.
     """
+    return _spectral_gap(gen, _schrodinger(gen).exp(1.0))
+
+
+def _spectral_gap(gen: Superoperator, prop: np.ndarray) -> tuple:
+    """``spectral_gap`` with ``prop`` the Schroedinger map exp(L_s) at t = 1
+    (its conjugate transpose is used for a Heisenberg generator)."""
     w, v = gen.spectrum
     zero = np.abs(w) <= PERIODIC_ATOL
     n_zero = int(np.sum(zero))
@@ -297,7 +301,6 @@ def spectral_gap(gen: Superoperator) -> tuple:
         raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
     omega0 = -gamma
     proj = np.outer(v[:, zero][:, 0], np.linalg.inv(v)[zero, :][0, :])
-    prop = _schrodinger(gen).exp(1.0)
     if gen.picture == "heisenberg":
         prop = prop.conj().T
     restricted = prop @ (np.eye(prop.shape[0]) - proj)
@@ -313,26 +316,33 @@ def _schrodinger(gen: Superoperator) -> Superoperator:
     return gen if gen.picture == "schrodinger" else gen.adjoint
 
 
-@contextmanager
-def _semigroup(gen: Superoperator, times: Iterable[float]):
-    """The Schroedinger generator, keeping exp(tL) for every t in ``times``
-    until the block exits; the maps are built in ascending order, so a time
-    that is the sum of two earlier ones is a product of their maps."""
+def _semigroup(gen: Superoperator, times: Iterable[float]) -> dict:
+    """{t: exp(t L_s)} over ``times``, with L_s the Schroedinger generator of
+    ``gen``, each map read-only.  The maps are built in ascending order, and a
+    time that equals the sum of two earlier ones exactly (in floating point)
+    is the product of their maps, the semigroup law exp((s + u) L) =
+    exp(s L) exp(u L) that is also the squaring step of scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); any other time is
+    ``Superoperator.exp``."""
     gen_s = _schrodinger(gen)
-    with gen_s.keeping():
-        for t in sorted(set(map(float, times))):
-            gen_s.exp(t)
-        yield gen_s
+    maps: dict = {}
+    for t in sorted(set(map(float, times))):
+        s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
+                 None)
+        if s is None:
+            maps[t] = gen_s.exp(t)
+        else:
+            maps[t] = maps[s] @ maps[t - s]
+            maps[t].flags.writeable = False
+    return maps
 
 
-def _upper_bracket(gen_s: Superoperator, t: float, rho_pi: StateFunctional) -> float:
-    """sqrt(dim) |T_t - P|_2, which bounds sup_rho |T_t(rho) - rho_pi|_1 from
-    above; computed once per (t, rho_pi) while ``gen_s`` is kept."""
-    def build() -> float:
-        proj = _fixed_projector_matrix(rho_pi.density)
-        return math.sqrt(gen_s.hilbert_dim) * op_norm(gen_s.exp(t) - proj)
-
-    return gen_s.memo(("upper", float(t), rho_pi.density.tobytes()), build)
+def _upper_brackets(maps: dict, rho_pi: StateFunctional, times: Iterable[float]) -> dict:
+    """{t: sqrt(dim) |T_t - P|_2} over ``times``, each bounding
+    sup_rho |T_t(rho) - rho_pi|_1 from above."""
+    proj = _fixed_projector_matrix(rho_pi.density)
+    scale = math.sqrt(rho_pi.density.shape[0])
+    return {t: scale * op_norm(maps[t] - proj) for t in set(times)}
 
 
 def _fixed_projector_matrix(rho_pi: np.ndarray) -> np.ndarray:
@@ -355,9 +365,9 @@ class FixedPointAnalysis:
     ``gap``, ``envelope_c`` and the upper brackets are computed when the
     analysis is built.  ``samples`` and ``eta_samples`` carry the lower
     brackets too, which need the pure-state ascent; they are built on first
-    read, by reopening the store of dense maps over the analysis' own times,
-    so they equal what an eager computation gives bit for bit, and every
-    thread that fills them stores the same values.
+    read, from the dense maps rebuilt over the analysis' own times, so they
+    equal what an eager computation gives bit for bit, and every thread that
+    fills them stores the same values.
     """
 
     rho_pi: StateFunctional
@@ -386,13 +396,12 @@ class FixedPointAnalysis:
     def _brackets(self) -> tuple:
         """(samples, eta_samples), with the maps rebuilt over the same times."""
         n_starts, seed = self._ascent
-        times = [t for t, _ in self._uppers + self._eta_uppers] + [1.0]
-        with _semigroup(self._gen, times) as gen_s:
-            samples = tuple((t, _lower_bracket(gen_s, t, self.rho_pi, n_starts, seed), upper)
-                            for t, upper in self._uppers)
-            eta_samples = tuple(
-                (t, 0.5 * _lower_bracket(gen_s, t, self.rho_pi, max(n_starts, 16), seed),
-                 upper) for t, upper in self._eta_uppers)
+        maps = _semigroup(self._gen, [t for t, _ in self._uppers + self._eta_uppers] + [1.0])
+        samples = tuple((t, _lower_bracket(maps[t], self.rho_pi, n_starts, seed), upper)
+                        for t, upper in self._uppers)
+        eta_samples = tuple(
+            (t, 0.5 * _lower_bracket(maps[t], self.rho_pi, max(n_starts, 16), seed), upper)
+            for t, upper in self._eta_uppers)
         return samples, eta_samples
 
     def governance(self) -> Callable[[float], float]:
@@ -401,19 +410,16 @@ class FixedPointAnalysis:
         return lambda t: min(2.0, c * math.exp(-gamma * t))
 
 
-def _envelope(gen_s: Superoperator, rho_pi: StateFunctional, t_grid: Sequence[float],
-              gamma: float) -> tuple:
-    """(c, uppers): the upper bracket at each grid time, and the least c >= 1
-    with ``upper <= c * exp(-gamma t)`` on the grid."""
-    uppers = tuple(_upper_bracket(gen_s, t, rho_pi) for t in t_grid)
-    c = max([1.0, *(upper * math.exp(gamma * t) for t, upper in zip(t_grid, uppers))])
-    return c, uppers
+def _envelope_c(uppers: dict, t_grid: Sequence[float], gamma: float) -> float:
+    """The least c >= 1 with ``upper <= c * exp(-gamma t)`` on the grid."""
+    return max([1.0, *(uppers[t] * math.exp(gamma * t) for t in t_grid)])
 
 
-def _lower_bracket(gen_s: Superoperator, t: float, rho_pi: StateFunctional,
-                   n_starts: int, seed: int) -> float:
-    """|T_t(psi psi^*) - rho_pi|_1 at the best pure state the ascent finds."""
-    return _multistart_state_distance(gen_s.exp(t), rho_pi.density, n_starts, seed)[0]
+def _lower_bracket(prop: np.ndarray, rho_pi: StateFunctional, n_starts: int,
+                   seed: int) -> float:
+    """|T(psi psi^*) - rho_pi|_1 at the best pure state the ascent finds,
+    with ``prop`` the Schroedinger map T."""
+    return _multistart_state_distance(prop, rho_pi.density, n_starts, seed)[0]
 
 
 def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
@@ -424,12 +430,13 @@ def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
     Returns ``(c, gamma, samples)`` where samples are (t, lower, upper) and
     ``upper <= c * exp(-gamma t)`` holds on the grid by construction of c.
     """
-    with _semigroup(gen, [*t_grid, 1.0]) as gen_s:
-        gamma, _ = spectral_gap(gen)
-        c, uppers = _envelope(gen_s, rho_pi, t_grid, gamma)
-        samples = tuple((float(t), _lower_bracket(gen_s, t, rho_pi, n_starts, seed), upper)
-                        for t, upper in zip(t_grid, uppers))
-    return c, gamma, samples
+    t_grid = tuple(map(float, t_grid))
+    maps = _semigroup(gen, [*t_grid, 1.0])
+    gamma, _ = _spectral_gap(gen, maps[1.0])
+    uppers = _upper_brackets(maps, rho_pi, t_grid)
+    samples = tuple((t, _lower_bracket(maps[t], rho_pi, n_starts, seed), uppers[t])
+                    for t in t_grid)
+    return _envelope_c(uppers, t_grid, gamma), gamma, samples
 
 
 def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
@@ -443,9 +450,10 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
     the envelope's upper bracket at t.
     """
     _require_mixing(gen)
-    with _semigroup(gen, [t]) as gen_s:
-        return (0.5 * _lower_bracket(gen_s, t, rho_pi, n_starts, seed),
-                0.5 * _upper_bracket(gen_s, t, rho_pi))
+    t = float(t)
+    maps = _semigroup(gen, [t])
+    return (0.5 * _lower_bracket(maps[t], rho_pi, n_starts, seed),
+            0.5 * _upper_brackets(maps, rho_pi, [t])[t])
 
 
 def _require_mixing(gen: Superoperator):
@@ -534,8 +542,8 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
     """Stationary state, gap, periodic spectrum, envelope, and mixing brackets.
 
     The dense maps of every time asked for (``t_grid``, ``eta_grid`` and the
-    growth-bound check's t = 1) are built first, in ascending order, and kept
-    while the upper brackets and the envelope are computed.  The lower
+    growth-bound check's t = 1) are built first, as one ``_semigroup`` dict,
+    and each distinct grid time gets one upper bracket.  The lower
     brackets of ``samples`` and ``eta_samples`` are built on first read
     (``FixedPointAnalysis``), with ``n_starts`` ascent starts on ``t_grid``
     and at least 16 on ``eta_grid``.
@@ -545,14 +553,15 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
     rho_pi = stationary_state(gen)
     t_grid = tuple(map(float, t_grid))
     eta_grid = t_grid if eta_grid is None else tuple(map(float, eta_grid))
-    with _semigroup(gen, [*t_grid, *eta_grid, 1.0]) as gen_s:
-        gamma, _ = spectral_gap(gen)
-        c, uppers = _envelope(gen_s, rho_pi, t_grid, gamma)
-        eta_uppers = tuple(0.5 * _upper_bracket(gen_s, t, rho_pi) for t in eta_grid)
+    maps = _semigroup(gen, [*t_grid, *eta_grid, 1.0])
+    gamma, _ = _spectral_gap(gen, maps[1.0])
+    uppers = _upper_brackets(maps, rho_pi, [*t_grid, *eta_grid])
     return FixedPointAnalysis(
-        rho_pi=rho_pi, gap=gamma, growth_bound=-gamma, envelope_c=c,
+        rho_pi=rho_pi, gap=gamma, growth_bound=-gamma,
+        envelope_c=_envelope_c(uppers, t_grid, gamma),
         periodic_spectrum=tuple(periodic_points(gen)), _gen=gen,
-        _uppers=tuple(zip(t_grid, uppers)), _eta_uppers=tuple(zip(eta_grid, eta_uppers)),
+        _uppers=tuple((t, uppers[t]) for t in t_grid),
+        _eta_uppers=tuple((t, 0.5 * uppers[t]) for t in eta_grid),
         _ascent=(n_starts, seed))
 
 

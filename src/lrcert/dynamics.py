@@ -7,8 +7,8 @@ applies exp(t L) to vectorized observables with scipy's ``expm_multiply``
 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), never forming the
 propagator.  ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
-consume; it reads the generator's store of dense maps (``Superoperator.exp``),
-which the fixed-point suite shares.  Dense generators cap at
+consume, and the fixed-point suite; both go through ``Superoperator.exp``,
+the one dense ``expm``.  Dense generators cap at
 ``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of its
 own, and an observation map acts on its own sites (``qalgebra.apply_map``).
 """
@@ -33,7 +33,7 @@ class DynamicsError(ValueError):
 def _action(matrix, t: float, vec: np.ndarray) -> np.ndarray:
     """exp(t * matrix) @ vec without forming the exponential; t = 0 returns a
     copy of ``vec``, exactly.  A CSR matrix is scaled with its index arrays
-    shared, not copied, which lowers the peak memory of a call."""
+    shared, not copied, which lowers the peak allocation of a call."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
     if t == 0.0:
@@ -108,8 +108,8 @@ class Dynamics:
 
 
 def propagator(gen: Superoperator, t: float) -> Superoperator:
-    """exp(t * gen); defined for t >= 0 only (semigroup, not a group).  The
-    map comes from the generator's store (``Superoperator.exp``)."""
+    """exp(t * gen); defined for t >= 0 only (semigroup, not a group), by
+    ``Superoperator.exp``."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
     return Superoperator(gen.exp(t), gen.sites, gen.dims, picture=gen.picture)

@@ -341,16 +341,18 @@ def _grid(values, positive: bool = False) -> tuple:
 
 def check_selection(cfg: ExperimentConfig) -> None:
     """ConfigError unless the selected theorems can run on this config: a
-    second observable on a disjoint support wherever one is needed, a
-    readable state descriptor wherever the state is read, and at most
-    ``model.MAX_DENSE_DIM`` wherever the dense generator is used (by a
-    ``dense`` theorem or for the stationary state)."""
+    second observable, and an observation map, on supports disjoint from the
+    first wherever one is needed, a readable state descriptor wherever the
+    state is read, and at most ``model.MAX_DENSE_DIM`` wherever the dense
+    generator is used (by a ``dense`` theorem or for the stationary state)."""
     selected = [THEOREMS[name] for name in cfg.theorems]
     if any(spec.needs_b for spec in selected):
         if cfg.b_local is None:
             raise ConfigError("observables.b", "selected theorems need a second observable")
         if cfg.x_sites & cfg.y_sites:
             raise ConfigError("observables", "observable supports must be disjoint")
+        if cfg.x_sites & frozenset(cfg.k_map.sites):
+            raise ConfigError("k_map", "observation map sites overlap the support of a")
     dense = any(spec.dense for spec in selected)
     if any(spec.reads_state for spec in selected):
         try:
@@ -525,7 +527,7 @@ class ExperimentRunner:
             spec = THEOREMS[name]
             point = {}
             try:
-                d = geometry.set_distance(self.space, cfg.x_sites, cfg.y_sites) \
+                d = geometry.set_distance(self.space, cfg.x_sites, spec.distance(self)) \
                     if spec.distance else None
                 for values in itertools.product(*(grids[axis] for axis in spec.axes)):
                     point = dict(zip(spec.axes, values))
@@ -575,15 +577,16 @@ class ExperimentRunner:
 class Theorem:
     """One theorem as the runner certifies it: ``rows(runner, name, params)``
     gives the reports at one point of the product of the ``axes`` grids, where
-    ``params`` holds t, R and r (None off the axes) and d (the distance of the
-    supports if ``distance``, else None).  ``group`` is the CLI subcommand that
-    selects it; ``needs_b`` and ``reads_state`` say what the config must give,
-    and ``dense`` that it uses the whole dense generator."""
+    ``params`` holds t, R and r (None off the axes) and d (the distance from
+    a's support to the region ``distance(runner)``, or None without one).
+    ``group`` is the CLI subcommand that selects it; ``needs_b`` and
+    ``reads_state`` say what the config must give, and ``dense`` that it uses
+    the whole dense generator."""
 
     group: str
     axes: tuple
     rows: Callable
-    distance: bool = False
+    distance: Optional[Callable] = None
     needs_b: bool = False
     reads_state: bool = False
     dense: bool = False
@@ -617,6 +620,15 @@ def _flagged(flag: str) -> bounds.WindowedValue:
     return bounds.WindowedValue(float("nan"), {flag: False})
 
 
+def _k_sites(run: ExperimentRunner) -> frozenset:
+    """The sites the observation map acts on: Y of the Lieb-Robinson bounds."""
+    return frozenset(run.cfg.k_map.sites)
+
+
+def _b_sites(run: ExperimentRunner) -> frozenset:
+    return run.cfg.y_sites
+
+
 def _fixed_point_exponential(run: ExperimentRunner, p: dict) -> float:
     cfg = run.cfg
     weighted = FFunction.weighted(cfg.a_weight, cfg.f)
@@ -633,29 +645,30 @@ THEOREMS = {
     "finite_range_lrb": Theorem("certify-lrb", ("t", "R"), _bound(
         lambda run, p: bounds.rhs_finite_range_lrb(
             run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
-            run.cfg.y_sites, p["t"], p["R"]),
-        lambda run, p: run._lhs_k(p, p["R"])), distance=True, needs_b=True),
+            _k_sites(run), p["t"], p["R"]),
+        lambda run, p: run._lhs_k(p, p["R"])), distance=_k_sites, needs_b=True),
     "full_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_full_lrb(
             run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
-            run.cfg.y_sites, p["t"]),
-        ExperimentRunner._lhs_k), distance=True, needs_b=True),
+            _k_sites(run), p["t"]),
+        ExperimentRunner._lhs_k), distance=_k_sites, needs_b=True),
     "strong_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_strong_lrb(
             run.consts, run.cfg.k_map.cb_upper, run.a_norm, len(run.cfg.x_sites), p["d"],
             p["t"]) if run.consts.r0 > 0 else _flagged("finite_range"),
-        ExperimentRunner._lhs_k, nan_outside=True), distance=True, needs_b=True),
+        ExperimentRunner._lhs_k, nan_outside=True), distance=_k_sites, needs_b=True),
     "composite_lrb": Theorem("certify-lrb", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_composite_lrb(
             run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
-            run.cfg.y_sites, run.volume, p["t"], p["r"], p["R"], first_term="exact",
+            _k_sites(run), run.volume, p["t"], p["r"], p["R"], first_term="exact",
             exact_first=run._lhs_k(p, p["R"])),
-        ExperimentRunner._lhs_k), distance=True, needs_b=True),
+        ExperimentRunner._lhs_k), distance=_k_sites, needs_b=True),
     "power_law_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_power_law_lrb(
             run.consts, run.cfg.k_map.cb_upper, run.a_norm, len(run.cfg.x_sites), p["d"],
             p["t"], run.cfg.eps, run.cfg.delta),
-        ExperimentRunner._lhs_k, nan_outside=True, **_EPS_DELTA), distance=True, needs_b=True),
+        ExperimentRunner._lhs_k, nan_outside=True, **_EPS_DELTA), distance=_k_sites,
+        needs_b=True),
     "range_truncation": Theorem("certify-truncation", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_range_truncation(
             run.consts, run.a_norm, run.cfg.x_sites, run.volume, p["t"], p["r"], p["R"]),
@@ -694,14 +707,14 @@ THEOREMS = {
         needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
         _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),
-        distance=True, needs_b=True, dense=True),
+        distance=_b_sites, needs_b=True, dense=True),
     "fixed_point_power_law": Theorem("fixed-point", (), _bound(
         lambda run, p: bounds.rhs_fixed_point_power_law(
             run.consts, run.a_norm, run.b_norm, len(run.cfg.x_sites),
             len(run.cfg.y_sites), p["d"], run.cfg.eps, run.cfg.delta, run.cfg.eta_exp,
             run.analysis().governance()),
         ExperimentRunner._covariance, hypothesis=True, **_EPS_DELTA, eta_exp="eta_exp"),
-        distance=True, needs_b=True, dense=True),
+        distance=_b_sites, needs_b=True, dense=True),
 }
 
 ALL_THEOREMS = tuple(THEOREMS)

@@ -19,11 +19,9 @@ distinct set.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -69,11 +67,6 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "sites", tuple(self.sites))
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "_kept", _Kept())
-
-    @property
-    def hilbert_dim(self) -> int:
-        return int(np.prod(self.dims))
 
     @cached_property
     def spectrum(self) -> tuple:
@@ -90,81 +83,18 @@ class Superoperator:
         flipped = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
         return Superoperator(self.matrix.conj().T, self.sites, self.dims, picture=flipped)
 
-    @contextmanager
-    def keeping(self):
-        """Keep what ``exp`` and ``memo`` build until the outermost
-        ``keeping`` block of this map exits; outside every block nothing is
-        kept."""
-        kept = self._kept
-        with kept.lock:
-            kept.depth += 1
-        try:
-            yield self
-        finally:
-            with kept.lock:
-                kept.depth -= 1
-                if kept.depth == 0:
-                    kept.maps.clear()
-                    kept.values.clear()
-
-    def memo(self, key: Hashable, build: Callable[[], object]):
-        """``build()``, computed once per key while this map is kept."""
-        kept = self._kept
-        with kept.lock:
-            if key in kept.values:
-                return kept.values[key]
-        value = build()
-        with kept.lock:
-            if kept.depth:
-                kept.values[key] = value
-        return value
-
     def exp(self, t: float) -> np.ndarray:
-        """exp(t M) for t >= 0, read-only.
-
-        A time that equals the sum of two kept times exactly (in floating
-        point) is built as the product of their maps, the semigroup law
-        exp((s + u) M) = exp(s M) exp(u M) that is also the squaring step of
-        scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005);
-        any other positive time calls scipy's ``expm``, the package's one
-        dense exponential.
-        """
+        """exp(t M) for t >= 0, read-only: the identity at t = 0, else scipy's
+        ``expm``, the package's one dense exponential."""
         t = float(t)
         if t < 0:
             raise ModelError("propagation time must be nonnegative")
-        kept = self._kept
-        with kept.lock:
-            if t in kept.maps:
-                return kept.maps[t]
-            factors = next(((kept.maps[s], kept.maps[t - s])
-                            for s in sorted(kept.maps, reverse=True)
-                            if t - s in kept.maps and s + (t - s) == t), None)
         if t == 0.0:
             m = np.eye(self.matrix.shape[0], dtype=complex)
-        elif factors is not None:
-            m = factors[0] @ factors[1]
         else:
             m = scipy.linalg.expm(t * self.matrix)
         m.flags.writeable = False
-        with kept.lock:
-            if kept.depth:
-                kept.maps[t] = m
         return m
-
-
-class _Kept:
-    """A map's exponentials by time and its readers' derived values by key,
-    held while a ``Superoperator.keeping`` block is open; the lock makes the
-    store safe to share across threads, as the map itself is."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.depth = 0
-        self.maps: dict = {}
-        self.values: dict = {}
-
-    def __reduce__(self):
-        return _Kept, ()  # a copied or pickled map starts with an empty store
 
 
 @dataclass(frozen=True)

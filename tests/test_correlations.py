@@ -1,7 +1,5 @@
 """States, correlation functionals, fixed points, spectra, and mixing brackets."""
 import math
-import pickle
-import sys
 import threading
 
 import numpy as np
@@ -409,73 +407,21 @@ def _counting_expm(monkeypatch):
 
 
 class TestSemigroupStore:
-    def test_stored_maps_match_expm(self, damped4, monkeypatch):
+    def test_semigroup_maps_match_expm(self, damped4, monkeypatch):
         # t = 0 is the identity, 0.5 is exponentiated, 1 = 0.5 + 0.5,
-        # 2 = 1 + 1, 3 = 2 + 1 and 4 = 2 + 2 are products of kept maps
+        # 2 = 1 + 1, 3 = 2 + 1 and 4 = 2 + 2 are products of earlier maps
         gen, _ = damped4
-        gen_s = lr.adjoint_generator(gen)
         times = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
         calls = _counting_expm(monkeypatch)
-        with gen_s.keeping():
-            maps = {t: gen_s.exp(t) for t in times}
+        maps = correlations._semigroup(gen, times)
+        gen_s = lr.adjoint_generator(gen)
         assert calls == [gen_s.matrix.shape]
         monkeypatch.undo()
+        assert sorted(maps) == list(times)
         for t in times:
+            assert not maps[t].flags.writeable
             want = scipy.linalg.expm(t * gen_s.matrix)
             np.testing.assert_allclose(maps[t], want, rtol=0, atol=1e-12)
-
-    def test_maps_released_after_the_block(self, damped4):
-        gen, _ = damped4
-        gen_s = lr.adjoint_generator(gen)
-        with gen_s.keeping():
-            with gen_s.keeping():
-                kept = gen_s.exp(0.5)
-            assert gen_s.exp(0.5) is kept
-            assert lr.propagator(gen_s, 0.5).matrix is kept
-        assert gen_s.exp(0.5) is not kept
-        assert not gen_s.exp(0.5).flags.writeable
-
-    def test_store_shared_across_threads(self):
-        space = lr.FiniteMetricSpace.chain(2)
-        gen_s = lr.adjoint_generator(
-            lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)))
-        times = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
-        want = {t: scipy.linalg.expm(t * gen_s.matrix) for t in times}
-        errors = []
-
-        def reader(offset):
-            try:
-                for _ in range(50):
-                    with gen_s.keeping():
-                        for t in times[offset:] + times[:offset]:
-                            np.testing.assert_allclose(gen_s.exp(t), want[t], atol=1e-12)
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert gen_s.exp(0.5) is not gen_s.exp(0.5)  # every block has exited
-
-    def test_pickled_map_starts_empty(self, damped4):
-        gen, _ = damped4
-        gen_s = lr.adjoint_generator(gen)
-        with gen_s.keeping():
-            kept = gen_s.exp(0.5)
-            copied = pickle.loads(pickle.dumps(gen_s))
-        assert np.array_equal(copied.matrix, gen_s.matrix)
-        with copied.keeping():
-            assert copied.exp(0.5) is not kept
-            np.testing.assert_array_equal(copied.exp(0.5), kept)
 
     def test_schrodinger_adjoint_built_once(self, damped4):
         gen, _ = damped4
@@ -551,17 +497,19 @@ class TestDeferredLowerBrackets:
         assert eta_samples[0][1] == pytest.approx(self.RECORDED_ETA_LOWER, rel=1e-6, abs=0)
 
     def test_equal_to_the_eager_brackets(self):
-        # the eager analysis kept the maps of the union of its times while the
-        # envelope and the eta bracket ran inside that block
+        # the eager analysis read the brackets of the envelope and of the eta
+        # grid from the maps of the union of its times
         gen = self._generator()
         analysis = lr.analyze_fixed_point(gen, self.GRID, eta_grid=[4.0], n_starts=4,
                                           seed=3)
         rho = analysis.rho_pi
-        with correlations._semigroup(gen, [*self.GRID, 4.0, 1.0]):
-            c, gamma, samples = lr.convergence_envelope(gen, rho, self.GRID, n_starts=4,
-                                                        seed=3)
-            eta = lr.mixing_eta(gen, 4.0, rho, n_starts=16, seed=3)
-        assert (c, gamma) == (analysis.envelope_c, analysis.gap)
+        maps = correlations._semigroup(gen, [*self.GRID, 4.0, 1.0])
+        uppers = correlations._upper_brackets(maps, rho, self.GRID)
+        samples = tuple((t, correlations._lower_bracket(maps[t], rho, 4, 3), uppers[t])
+                        for t in self.GRID)
+        eta = (0.5 * correlations._lower_bracket(maps[4.0], rho, 16, 3), 0.5 * uppers[4.0])
+        assert lr.convergence_envelope(gen, rho, self.GRID, n_starts=4, seed=3) == (
+            analysis.envelope_c, analysis.gap, samples)
         assert analysis.samples == samples
         assert analysis.eta_samples == ((4.0, *eta),)
 

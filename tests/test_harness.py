@@ -196,6 +196,7 @@ class TestObservationMapConfig:
         ({"matrix": cli._matrix_json(np.eye(4)), "support": [3]}, "annihilate the identity"),
         ({"matrix": cli._matrix_json(lr.commutator_map(lr.site_operator("Z", 3)).matrix),
           "support": [3], "cb_upper": 0.5}, "a probe reaches 2, above cb_upper 0.5"),
+        ("commutator(X0)", "observation map sites overlap the support of a"),
     ])
     @pytest.mark.parametrize("command", ["sweep", "fixed-point"])
     def test_bad_map_is_a_config_error(self, tmp_path, capsys, k_map, message, command):
@@ -205,6 +206,14 @@ class TestObservationMapConfig:
         assert cli.main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: k_map:" in err and message in err
+
+    def test_lrb_rows_measure_the_distance_to_the_map(self):
+        # Y of the Lieb-Robinson bounds is where K acts, not b's support
+        cfg = config_from_dict(minimal_raw(space="chain(4)", k_map="commutator(Z2)",
+                                           observables={"a": "Z0", "b": "Z3"}))
+        reports, _ = harness.run_experiment(cfg)
+        assert [r.params["d"] for r in reports] == [2.0, 2.0]
+        assert all(r.passed for r in reports)
 
 
 class TestVolumeCeiling:
@@ -559,6 +568,13 @@ class TestCli:
         assert (tmp_path / "reports.csv").exists()
         out = capsys.readouterr().out
         assert "violations 0" in out
+
+    @pytest.mark.parametrize("sites", [0, harness.DEFAULT_SWEEP_CEILING + 1])
+    def test_random_suite_sites_out_of_range(self, capsys, sites):
+        assert cli.main(["random-suite", "--models", "1", "--sites", str(sites)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: --sites: {sites} is outside "
+                       f"[2, {harness.DEFAULT_SWEEP_CEILING}]\n")
 
     def test_fixed_point_group(self, tmp_path, capsys):
         path = tmp_path / "fp.json"

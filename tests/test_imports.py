@@ -1,6 +1,8 @@
-"""Every module-level import in the library is referenced by its module, and
-importing the library loads no heavy optional module."""
+"""Every module-level import in the library is referenced by its module,
+importing the library loads no heavy optional module, and every function the
+benchmark's tracer binds by name exists."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SPANS = SRC.parent / "perfbench" / "spans.py"
 PACKAGE = SRC / "lrcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -46,3 +49,15 @@ def test_import_loads_no_special_function_library():
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/spans.py wraps these functions by name for ``--trace 1``; a
+    # rename or removal in the library would silently drop a layer
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.originals()
+    assert set(targets) == set(spans.TARGETS)
+    for name, fns in targets.items():
+        assert fns and all(callable(fn) for fn in fns), name
