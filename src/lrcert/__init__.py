@@ -41,11 +41,9 @@ from .model import (
     DissipativeInteraction,
     LindbladTerm,
     Superoperator,
-    adjoint_generator,
     finite_range_fnorm_bound,
     generator,
     interaction_f_norm,
-    lindblad_superop,
     long_range_zz,
     tfim_dissipative,
 )
@@ -54,9 +52,6 @@ from .dynamics import (
     choi_matrix,
     choi_min_eigenvalue,
     evolve,
-    lhs_local_error,
-    lhs_quasi_locality,
-    lhs_truncation_error,
     propagator,
 )
 from .bounds import BoundReport, ModelConstants, WindowedValue

@@ -6,6 +6,7 @@ error, 3 numerical failure (the offending parameter point is printed).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness
@@ -61,6 +62,9 @@ def _summarize(manifest, reports, tol):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise harness.ConfigError("--tolerance",
+                                      f"{args.tolerance} is not a finite value >= 0")
         if args.command == "random-suite":
             return _run_random_suite(args)
         cfg = harness.load_config(args.config)

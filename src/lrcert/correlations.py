@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import geometry
 from .bounds import BoundReport
-from .dynamics import Dynamics, evolve
+from .dynamics import Dynamics
 from .geometry import Site
-from .model import DissipativeInteraction, Superoperator
+from .model import Superoperator
 from .qalgebra import (
     ObservableOp,
     _resolve_dims,
@@ -148,56 +148,40 @@ class StateFunctional:
 # -- exact correlation quantities -------------------------------------------------
 
 
-def correlation(omega: StateFunctional, gen: Superoperator, t: float,
+def correlation(omega: StateFunctional, dynamics: Dynamics, t: float,
                 a: ObservableOp, b: ObservableOp) -> complex:
     """w(T_t(AB)) - w(T_t(A)) w(T_t(B)), all three evolutions exact."""
-    return _connected(omega, evolve(gen, t, a @ b), evolve(gen, t, a), evolve(gen, t, b))
+    return (omega.expect(dynamics.evolve(t, a @ b))
+            - omega.expect(dynamics.evolve(t, a)) * omega.expect(dynamics.evolve(t, b)))
 
 
-def _connected(omega: StateFunctional, ab_t: ObservableOp, a_t: ObservableOp,
-               b_t: ObservableOp) -> complex:
-    return omega.expect(ab_t) - omega.expect(a_t) * omega.expect(b_t)
-
-
-def c_ab(interaction: DissipativeInteraction, volume: Iterable[Site],
-         xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
-         a: ObservableOp, b: ObservableOp, dynamics: Optional[Dynamics] = None) -> float:
-    """The three-term localization defect that controls dynamic correlations.
-
-    ``dynamics`` is the caller's propagation layer for ``interaction`` on
-    ``volume``, so that evolutions are shared; a fresh one is built otherwise.
-    """
-    space = interaction.space
+def c_ab(dynamics: Dynamics, xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
+         a: ObservableOp, b: ObservableOp) -> float:
+    """The three-term localization defect that controls dynamic correlations."""
     xs, ys = frozenset(xs), frozenset(ys)
     if not a.support <= xs:
         raise CorrelationsError("first observable not supported in its region")
     if not b.support <= ys:
         raise CorrelationsError("second observable not supported in its region")
-    layer = dynamics if dynamics is not None else Dynamics(interaction, volume, dims=a.dims)
-
-    def defect(op: ObservableOp, region: frozenset) -> float:
-        return layer.local_error(t, op, geometry.inflate(space, region, r))
-
-    return op_norm(a) * defect(b, ys) + op_norm(b) * defect(a, xs) + defect(a @ b, xs | ys)
+    return (op_norm(a) * dynamics.local_error(t, b, ys, r)
+            + op_norm(b) * dynamics.local_error(t, a, xs, r)
+            + dynamics.local_error(t, a @ b, xs | ys, r))
 
 
-def check_dynamic_correlation(omega: StateFunctional, interaction: DissipativeInteraction,
-                              volume: Iterable[Site], xs: Iterable[Site],
-                              ys: Iterable[Site], r: float, t: float,
+def check_dynamic_correlation(omega: StateFunctional, dynamics: Dynamics,
+                              xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
                               a: ObservableOp, b: ObservableOp,
-                              dynamics: Optional[Dynamics] = None,
                               defect: Optional[float] = None) -> BoundReport:
     """Evolved correlations against governance of the inflated regions plus
     the localization defect.
 
     The factorization step behind the bound needs 2r strictly below d(X, Y);
-    the boundary case 2r = d(X, Y) is evaluated but flagged.  ``dynamics`` is
-    passed on to ``c_ab``; ``defect`` is ``c_ab`` at (r, t) when the caller
-    already has it.
+    the boundary case 2r = d(X, Y) is evaluated but flagged.  ``defect`` is
+    ``c_ab`` at (r, t) when the caller already has it.
     """
     if omega.governance is None:
         raise CorrelationsError("state carries no correlation governance")
-    space = interaction.space
+    space = dynamics.interaction.space
     xs, ys = frozenset(xs), frozenset(ys)
     d = geometry.set_distance(space, xs, ys)
     flags = {
@@ -205,11 +189,9 @@ def check_dynamic_correlation(omega: StateFunctional, interaction: DissipativeIn
         "radius_window": 2.0 * r >= 2.0,
         "factorization_strict": 2.0 * r < d,
     }
-    layer = dynamics if dynamics is not None else Dynamics(interaction, volume, dims=a.dims)
-    lhs = abs(_connected(omega, layer.evolve(t, a @ b), layer.evolve(t, a),
-                         layer.evolve(t, b)))
+    lhs = abs(correlation(omega, dynamics, t, a, b))
     if defect is None:
-        defect = c_ab(interaction, volume, xs, ys, r, t, a, b, dynamics=layer)
+        defect = c_ab(dynamics, xs, ys, r, t, a, b)
     xr = geometry.inflate(space, xs, r)
     yr = geometry.inflate(space, ys, r)
     gov = float(omega.governance(len(xr), len(yr), geometry.set_distance(space, xr, yr)))
@@ -565,28 +547,20 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
         _ascent=(n_starts, seed))
 
 
-def check_fixed_point_correlation(pi_state: StateFunctional, gen: Superoperator,
+def check_fixed_point_correlation(pi_state: StateFunctional, dynamics: Dynamics,
                                   a: ObservableOp, b: ObservableOp, t: float,
                                   omega: StateFunctional,
-                                  g: Callable[[float], float],
-                                  dynamics: Optional[Dynamics] = None) -> BoundReport:
+                                  g: Callable[[float], float]) -> BoundReport:
     """Fixed-point clustering through an auxiliary state omega:
     |pi(AB) - pi(A) pi(B)| against |omega(T_t(A B_t))| + 3 |A| |B| g(t),
-    where B_t recenters B by its evolved omega-expectation.
-
-    ``dynamics``, when given, is the caller's propagation layer for the
-    interaction whose generator ``gen`` is, and evolves B and A B_t by its
-    CSR action, sharing its evolutions; otherwise ``gen`` evolves them.
+    where B_t recenters B by its evolved omega-expectation, both evolutions
+    by ``dynamics``.
     """
     if a.support & b.support:
         raise CorrelationsError("observables must have disjoint supports")
-    if dynamics is None:
-        evolved = partial(evolve, gen if gen.picture == "heisenberg" else gen.adjoint, t)
-    else:
-        evolved = partial(dynamics.evolve, t)
     lhs = abs(pi_state.expect(a @ b) - pi_state.expect(a) * pi_state.expect(b))
-    b_centred = b - complex(omega.expect(evolved(b))) * identity(b.sites, b.dims)
-    first = abs(omega.expect(evolved(a @ b_centred)))
+    b_centred = b - complex(omega.expect(dynamics.evolve(t, b))) * identity(b.sites, b.dims)
+    first = abs(omega.expect(dynamics.evolve(t, a @ b_centred)))
     rhs = first + 3.0 * op_norm(a) * op_norm(b) * float(g(t))
     return BoundReport(
         theorem="fixed_point_correlation",

@@ -1,11 +1,14 @@
 """Semigroup propagation and the exact left-hand sides of the approximation bounds.
 
 A left-hand side needs the semigroup only through its action on a few
-observables, so ``Dynamics`` holds the CSR generators of one interaction on one
-volume, one per selected term set (full, range-R truncated, subvolume), and
+observables, so ``Dynamics`` holds the CSR generators of one interaction on its
+space, one per selected term set (full, range-R truncated, subvolume), and
 applies exp(t L) to vectorized observables with scipy's ``expm_multiply``
 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), never forming the
-propagator.  ``evolve`` acts the same way with a dense generator.  Dense
+propagator.  Every exact left-hand side is a ``Dynamics`` method or built from
+its evolutions: the quasi-locality norm, the truncation error and the local
+approximation error here, the correlation quantities in ``correlations``.
+The module-level ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
 consume, and the fixed-point suite; both go through ``Superoperator.exp``,
 the one dense ``expm``.  Dense generators cap at
@@ -47,7 +50,7 @@ def _action(matrix, t: float, vec: np.ndarray) -> np.ndarray:
 
 
 class Dynamics:
-    """The dynamics of one interaction on one volume, for left-hand sides.
+    """The dynamics of one interaction on its whole space, for left-hand sides.
 
     Generators are assembled in CSR form on first use, one per selected term
     set (``model.select_terms``): a range-R truncation or a subvolume that
@@ -58,13 +61,11 @@ class Dynamics:
     evolutions computed, evolutions found kept, and ``expm_multiply`` calls.
     """
 
-    def __init__(self, interaction: DissipativeInteraction,
-                 volume: Optional[Iterable[Site]] = None, dims=None):
-        space = interaction.space
+    def __init__(self, interaction: DissipativeInteraction):
         self.interaction = interaction
-        self.sites = space.ordered(volume if volume is not None else space.points)
+        self.sites = tuple(interaction.space.points)
         self._site_set = frozenset(self.sites)
-        self.dims = model.volume_dims(self.sites, dims, *interaction.terms_for(self._site_set))
+        self.dims = model.volume_dims(self.sites, None, *interaction.terms)
         self._generators: dict = {}
         self._evolved: dict = {}
         self.counters = {"generators": 0, "evolutions": 0, "evolution_hits": 0,
@@ -98,12 +99,29 @@ class Dynamics:
             self.counters["expm_multiply"] += int(t > 0)
         return self._evolved[key]
 
+    def quasi_locality(self, t: float, a: ObservableOp, k: ObservationMap,
+                       R: Optional[float] = None) -> float:
+        """opnorm of K applied to ``a`` evolved by the full dynamics, or by the
+        range-R truncated one when ``R`` is given.  The supports of K and
+        ``a`` must be disjoint; the quasi-locality statements are vacuous
+        otherwise."""
+        if frozenset(k.sites) & a.support:
+            raise DynamicsError("observation map and observable supports overlap")
+        evolved = self.evolve(t, a, "full" if R is None else "truncated", R=R)
+        return op_norm(apply_map(k, evolved))
+
     def truncation_error(self, t: float, a: ObservableOp, R: float) -> float:
         """opnorm of (full - range-R truncated) evolution of ``a``."""
         return op_norm(self.evolve(t, a) - self.evolve(t, a, "truncated", R=R))
 
-    def local_error(self, t: float, a: ObservableOp, region: Iterable[Site]) -> float:
-        """opnorm of (full - strictly local on ``region``) evolution of ``a``."""
+    def local_error(self, t: float, a: ObservableOp, xs: Iterable[Site], r: float) -> float:
+        """opnorm of (full - strictly local on the r-inflation of ``xs``)
+        evolution of ``a``, which must be supported in ``xs``; the local
+        dynamics stays embedded in the volume."""
+        xs = frozenset(xs)
+        if not a.support <= xs:
+            raise DynamicsError("observable must be supported in the localization region")
+        region = geometry.inflate(self.interaction.space, xs, r)
         return op_norm(self.evolve(t, a) - self.evolve(t, a, "subvolume", region=region))
 
 
@@ -126,38 +144,6 @@ def apply_superop(sup: Superoperator, a: ObservableOp) -> ObservableOp:
     if tuple(a.sites) != tuple(sup.sites):
         raise DynamicsError("observable volume differs from the map volume")
     return devectorize(sup.matrix @ vectorize(a), a.sites, a.dims)
-
-
-def lhs_quasi_locality(k: ObservationMap, gen: Superoperator, t: float,
-                       a: ObservableOp) -> float:
-    """Exact opnorm of K applied to the evolved observable.
-
-    The supports of K and the observable must be disjoint; the quasi-locality
-    statements are vacuous otherwise.
-    """
-    if frozenset(k.sites) & a.support:
-        raise DynamicsError("observation map and observable supports overlap")
-    evolved = evolve(gen, t, a)
-    return op_norm(apply_map(k, evolved))
-
-
-def lhs_truncation_error(interaction: DissipativeInteraction, volume: Iterable[Site],
-                         R: float, t: float, a: ObservableOp) -> float:
-    """Exact opnorm of (full - range-R truncated) evolution of ``a``."""
-    if R <= 0:
-        raise DynamicsError("truncation range must be positive")
-    return Dynamics(interaction, volume, dims=a.dims).truncation_error(t, a, R)
-
-
-def lhs_local_error(interaction: DissipativeInteraction, volume: Iterable[Site],
-                    xs: Iterable[Site], r: float, t: float, a: ObservableOp) -> float:
-    """Exact opnorm of (full - strictly local on the r-inflation of xs)
-    evolution of ``a``; the local dynamics stays embedded in the volume."""
-    x_set = frozenset(xs)
-    if not a.support <= x_set:
-        raise DynamicsError("observable must be supported in the localization region")
-    region = geometry.inflate(interaction.space, x_set, r)
-    return Dynamics(interaction, volume, dims=a.dims).local_error(t, a, region)
 
 
 def choi_matrix(sup: Superoperator) -> np.ndarray:

@@ -281,32 +281,40 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         except (KeyError, ValueError, TypeError, IndexError, GeometryError) as exc:
             raise ConfigError(where, str(exc)) from exc
 
+    if not isinstance(raw, Mapping):
+        raise ConfigError("file", f"the top level must be a JSON object, "
+                                  f"not {type(raw).__name__}")
     space = section("space", parse_space, raw.get("space", "chain(4)"))
     if len(space) > SINGLE_POINT_CEILING:
         raise ConfigError("space", f"volume exceeds the {SINGLE_POINT_CEILING}-site ceiling")
     f = section("f_function", parse_f_function, raw.get("f_function", "power(3)"))
-    nu = float(raw.get("nu", 1.0))
+    nu = section("nu", _positive, raw.get("nu", 1.0))
     interaction = section("interaction", parse_interaction,
                           raw.get("interaction", "tfim_dissipative(0.5,0.5,1.0)"),
                           space)
-    obs = raw.get("observables", {})
+    obs = section("observables", _object, raw.get("observables", {}))
     a_local = section("observables.a", parse_operator, obs.get("a", "Z0"), space)
     b_desc = obs.get("b")
     b_local = section("observables.b", parse_operator, b_desc, space) \
         if b_desc is not None else None
-    theorems = tuple(raw.get("theorems", []))
-    unknown = [t for t in theorems if t not in THEOREMS]
+    theorems = section("theorems", tuple, raw.get("theorems", []))
+    unknown = [t for t in theorems if not isinstance(t, str) or t not in THEOREMS]
     if unknown:
         raise ConfigError("theorems", f"unknown theorem tags {unknown}")
-    grids = raw.get("grids", {})
+    grids = section("grids", _object, raw.get("grids", {}))
     t_grid = section("grids.t", _grid, grids.get("t", [0.0, 0.25, 0.5]))
     big_r_grid = section("grids.R", _grid, grids.get("R", [1.0, 2.0]), True)
     r_grid = section("grids.r", _grid, grids.get("r", [1.0]))
     if "seed" not in raw:
         raise ConfigError("seed", "seed is mandatory")
+    seed = section("seed", _seed, raw["seed"])
     k_map = section("k_map", parse_observation_map, raw.get("k_map", "commutator"), space,
-                    b_local, int(raw["seed"]))
-    poly = raw.get("poly", {})
+                    b_local, seed)
+    poly = section("poly", _object, raw.get("poly", {}))
+    eps, delta, eta_exp, a_weight = (
+        section(f"poly.{key}", float, poly.get(key, default))
+        for key, default in (("epsilon", 0.5), ("delta", 0.3), ("eta_exp", 0.02),
+                             ("a_weight", 1.0)))
     cfg = ExperimentConfig(
         space=space, f=f, nu=nu, interaction=interaction,
         a_local=a_local, b_local=b_local,
@@ -315,16 +323,33 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         k_map=k_map,
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
         theorems=theorems,
-        eps=float(poly.get("epsilon", 0.5)),
-        delta=float(poly.get("delta", 0.3)),
-        eta_exp=float(poly.get("eta_exp", 0.02)),
-        a_weight=float(poly.get("a_weight", 1.0)),
+        eps=eps, delta=delta, eta_exp=eta_exp, a_weight=a_weight,
         state_desc=raw.get("state", "product(+)"),
-        seed=int(raw["seed"]),
+        seed=seed,
         raw=dict(raw),
     )
     check_selection(cfg)
     return cfg
+
+
+def _object(value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _positive(value) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"must be finite and > 0, got {x}")
+    return x
+
+
+def _seed(value) -> int:
+    """A nonnegative integer, the seeds numpy's generators accept."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def _grid(values, positive: bool = False) -> tuple:
@@ -480,8 +505,7 @@ class ExperimentRunner:
     def dynamics(self) -> dynamics.Dynamics:
         """The propagation layer every left-hand side goes through."""
         if self._dynamics is None:
-            self._dynamics = dynamics.Dynamics(self.cfg.interaction, self.volume,
-                                               dims=self.a.dims)
+            self._dynamics = dynamics.Dynamics(self.cfg.interaction)
         return self._dynamics
 
     def dense_generator(self) -> Superoperator:
@@ -545,14 +569,11 @@ class ExperimentRunner:
         """opnorm of K on A evolved to p["t"]; ``R`` selects the range-R dynamics."""
         key = (p["t"], R)
         if key not in self._k_lhs:
-            mode = "full" if R is None else "truncated"
-            evolved = self.dynamics.evolve(p["t"], self.a, mode, R=R)
-            self._k_lhs[key] = qalgebra.op_norm(qalgebra.apply_map(self.cfg.k_map, evolved))
+            self._k_lhs[key] = self.dynamics.quasi_locality(p["t"], self.a, self.cfg.k_map, R)
         return self._k_lhs[key]
 
     def _local_error(self, p: dict) -> float:
-        region = geometry.inflate(self.space, self.cfg.x_sites, p["r"])
-        return self.dynamics.local_error(p["t"], self.a, region)
+        return self.dynamics.local_error(p["t"], self.a, self.cfg.x_sites, p["r"])
 
     def _c_ab(self, p: dict) -> float:
         """The localization defect, computed once per (r, t) and shared by
@@ -560,8 +581,7 @@ class ExperimentRunner:
         r, t = p["r"], p["t"]
         if (r, t) not in self._defects:
             self._defects[(r, t)] = correlations.c_ab(
-                self.cfg.interaction, self.volume, self.cfg.x_sites, self.cfg.y_sites,
-                r, t, self.a, self.b, dynamics=self.dynamics)
+                self.dynamics, self.cfg.x_sites, self.cfg.y_sites, r, t, self.a, self.b)
         return self._defects[(r, t)]
 
     def _covariance(self, p: dict) -> float:
@@ -687,9 +707,8 @@ THEOREMS = {
         ExperimentRunner._local_error, nan_outside=True, **_EPS_DELTA)),
     "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), lambda run, name, p: [
         correlations.check_dynamic_correlation(
-            run.state(), run.cfg.interaction, run.volume, run.cfg.x_sites,
-            run.cfg.y_sites, p["r"], p["t"], run.a, run.b, dynamics=run.dynamics,
-            defect=run._c_ab(p))], needs_b=True, reads_state=True),
+            run.state(), run.dynamics, run.cfg.x_sites, run.cfg.y_sites, p["r"], p["t"],
+            run.a, run.b, defect=run._c_ab(p))], needs_b=True, reads_state=True),
     "correlation_general": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_correlation_general(
             run.consts, run.a_norm, run.b_norm, run.cfg.x_sites, run.cfg.y_sites,
@@ -702,8 +721,8 @@ THEOREMS = {
         ExperimentRunner._c_ab, nan_outside=True, **_EPS_DELTA), needs_b=True),
     "fixed_point_correlation": Theorem("fixed-point", ("t",), lambda run, name, p: [
         correlations.check_fixed_point_correlation(
-            run.analysis().rho_pi, run.dense_generator(), run.a, run.b, p["t"],
-            run.state(), run.analysis().governance(), dynamics=run.dynamics)],
+            run.analysis().rho_pi, run.dynamics, run.a, run.b, p["t"],
+            run.state(), run.analysis().governance())],
         needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
         _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),

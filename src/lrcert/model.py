@@ -246,18 +246,6 @@ class DissipativeInteraction:
                 if t.support <= volume and (max_diam is None or diam <= max_diam + 1e-12)]
 
 
-def lindblad_superop(term: LindbladTerm, space: FiniteMetricSpace,
-                     volume: Iterable[Site], dims=None) -> Superoperator:
-    """The term embedded as a Heisenberg-picture superoperator on ``volume``."""
-    vol_sites = space.ordered(volume)
-    if not term.support <= frozenset(vol_sites):
-        raise ModelError("term support not contained in the volume")
-    dims_t = volume_dims(vol_sites, dims, term)
-    _check_dense(dims_t)
-    return Superoperator(local_superop(term, vol_sites, dims_t).toarray(), vol_sites, dims_t,
-                         picture="heisenberg")
-
-
 def generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None,
               mode: str = "full", R: Optional[float] = None,
               region: Optional[Iterable[Site]] = None, dims=None) -> Superoperator:
@@ -346,12 +334,6 @@ def finite_range_fnorm_bound(interaction: DissipativeInteraction, f: Callable,
     if sup == 0.0:
         return 0.0
     return sup * 2.0 ** (kappa * r0 ** nu - 2.0) / float(f(r0))
-
-
-def adjoint_generator(gen: Superoperator) -> Superoperator:
-    """Trace-pairing adjoint; swaps Heisenberg and Schroedinger pictures.
-    The same object on every call (``Superoperator.adjoint``)."""
-    return gen.adjoint
 
 
 def volume_dims(vol_sites: tuple, dims, *terms: LindbladTerm) -> tuple:

@@ -15,7 +15,7 @@ import scipy.integrate
 import scipy.linalg
 
 import lrcert as lr
-from lrcert import bounds, correlations, dynamics, geometry, qalgebra
+from lrcert import bounds, correlations, dynamics, qalgebra
 from lrcert.bounds import ModelConstants
 from lrcert.decay import FFunction
 
@@ -85,14 +85,13 @@ def test_criterion_2_quasi_locality_domination(model_pool, pool_constants):
             k = lr.commutator_map(lr.site_operator("Z", y))
             xs, ys = {sites[0]}, {y}
             for t in t_grid:
-                lhs_full = lr.op_norm(qalgebra.apply_map(k, dyn.evolve(t, a)))
+                lhs_full = dyn.quasi_locality(t, a, k)
                 rhs_full = bounds.rhs_full_lrb(c, k.cb_upper, a.norm(), xs, ys, t)
                 rows += 1
                 if not dominated(lhs_full, rhs_full):
                     failures.append((idx, y, t, "static", lhs_full, rhs_full))
                 for R in (1.0, 2.0, 3.0):
-                    lhs_r = lr.op_norm(qalgebra.apply_map(
-                        k, dyn.evolve(t, a, "truncated", R=R)))
+                    lhs_r = dyn.quasi_locality(t, a, k, R)
                     rhs_r = bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(),
                                                         xs, ys, t, R)
                     rows += 1
@@ -119,9 +118,8 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
         if len(sites) >= 3:
             k = lr.commutator_map(m.b_local)
         for t in t_grid:
-            evolved_full = dyn.evolve(t, a)
             for R in (1.0, 2.0, 3.0):
-                lhs_tr = lr.op_norm(evolved_full - dyn.evolve(t, a, "truncated", R=R))
+                lhs_tr = dyn.truncation_error(t, a, R)
                 if R >= c.r0 and lhs_tr > 1e-10:
                     failures.append((idx, t, R, "saturation", lhs_tr))
                 for r in (1.0, 2.0):
@@ -131,20 +129,17 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                     if not dominated(lhs_tr, rhs_tr):
                         failures.append((idx, t, R, r, "truncation", lhs_tr, rhs_tr))
                     if k is not None:
-                        head = lr.op_norm(qalgebra.apply_map(
-                            k, dyn.evolve(t, a, "truncated", R=R)))
+                        head = dyn.quasi_locality(t, a, k, R)
                         rhs_comp = bounds.rhs_composite_lrb(
                             c, k.cb_upper, a.norm(), xs, {sites[-1]}, sites,
                             t, r, R, first_term="exact", exact_first=head)
-                        lhs_comp = lr.op_norm(qalgebra.apply_map(k, evolved_full))
+                        lhs_comp = dyn.quasi_locality(t, a, k)
                         rows += 1
                         if not dominated(lhs_comp, rhs_comp):
                             failures.append((idx, t, R, r, "composite",
                                              lhs_comp, rhs_comp))
             for r in (1.0, 2.0):
-                region = geometry.inflate(m.space, xs, r)
-                lhs_loc = lr.op_norm(evolved_full - dyn.evolve(t, a, "subvolume",
-                                                               region=region))
+                lhs_loc = dyn.local_error(t, a, xs, r)
                 wv = bounds.rhs_local_approx(c, a.norm(), xs, sites, t, r)
                 rows += 1
                 if wv.valid and not dominated(lhs_loc, wv.value):
@@ -229,18 +224,17 @@ def test_criterion_5_power_law_theorems(power_law_suite):
         rows += 1
         if not wv.valid:
             continue
-        lhs = lr.op_norm(qalgebra.apply_map(k, dyn.evolve(t, a)))
+        lhs = dyn.quasi_locality(t, a, k)
         if not dominated(lhs, wv.value):
             failures.append(("power-law lrb", t, lhs, wv.value))
 
     for r in (1.0, 2.0):
-        region = geometry.inflate(space, xs, r)
         for t in np.linspace(0.0, r ** delta / (math.e * c.v), 4):
             wv = bounds.rhs_local_approx_power_law(c, a.norm(), 1, r, t, eps, delta)
             rows += 1
             if not wv.valid:
                 continue
-            lhs = dyn.local_error(t, a, region)
+            lhs = dyn.local_error(t, a, xs, r)
             if not dominated(lhs, wv.value):
                 failures.append(("local power-law", r, t, lhs, wv.value))
 
@@ -251,13 +245,13 @@ def test_criterion_5_power_law_theorems(power_law_suite):
         rows += 1
         if not wv.valid:
             continue
-        lhs = lr.c_ab(inter, sites, xs, ys, r, t, a, b, dynamics=dyn)
+        lhs = lr.c_ab(dyn, xs, ys, r, t, a, b)
         if not dominated(lhs, wv.value):
             failures.append(("correlation power-law", t, lhs, wv.value))
 
     # fixed-point power-law bound against the exact stationary correlation
     gen = lr.generator(inter)
-    rho_pi = lr.stationary_state(lr.adjoint_generator(gen))
+    rho_pi = lr.stationary_state(gen)
     t_point = d ** eta_exp / (math.e * c.v * 2.0 ** eta_exp)
     env_c, env_gamma, _ = lr.convergence_envelope(gen, rho_pi,
                                                   [t_point, 1.0, 2.0, 4.0],
@@ -289,10 +283,10 @@ def test_criterion_6_correlation_decay(model_pool, pool_constants):
         a = lr.embed(m.a_local, sites)
         b = lr.embed(m.b_local, sites)
         omega = correlations.StateFunctional.product(sites, "+")
-        gen = lr.generator(m.interaction)
+        dyn = lr.Dynamics(m.interaction)
         for t in np.linspace(0.0, 2.0 / c.v, 8):
-            corr = abs(lr.correlation(omega, gen, t, a, b))
-            defect = lr.c_ab(m.interaction, sites, xs, ys, 1.0, t, a, b)
+            corr = abs(lr.correlation(omega, dyn, t, a, b))
+            defect = lr.c_ab(dyn, xs, ys, 1.0, t, a, b)
             wv = bounds.rhs_correlation_general(c, a.norm(), b.norm(), xs, ys,
                                                 sites, t, 1.0)
             rows += 1
@@ -312,7 +306,7 @@ def fixed_point_suite():
     space = lr.FiniteMetricSpace.chain(4)
     inter = lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)
     gen = lr.generator(inter)
-    rho_pi = lr.stationary_state(lr.adjoint_generator(gen))
+    rho_pi = lr.stationary_state(gen)
     gap, omega0 = lr.spectral_gap(gen)
     t_grid = np.linspace(0.0, 8.0, 16)
     env_c, env_gamma, samples = lr.convergence_envelope(gen, rho_pi, t_grid,
@@ -348,8 +342,9 @@ def test_criterion_7_fixed_point_suite(fixed_point_suite):
     b = lr.embed(lr.site_operator("Z", 3), sites)
     omega = correlations.StateFunctional.product(sites, "+")
     g = lambda t: min(2.0, env_c * math.exp(-env_gamma * t))
+    dyn = lr.Dynamics(inter)
     for t in (0.5, 2.0, 6.0):
-        rep = lr.check_fixed_point_correlation(rho_pi, gen, a, b, t, omega, g)
+        rep = lr.check_fixed_point_correlation(rho_pi, dyn, a, b, t, omega, g)
         if not rep.passed:
             failures.append(("fixed-point correlation", t, rep.lhs, rep.rhs))
 

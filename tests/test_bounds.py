@@ -118,9 +118,9 @@ class TestStrongLrb:
 
     def test_dominates_exact_dynamics(self, chain4_model):
         space, _, inter, c, a, k = chain4_model
-        gen = lr.generator(inter)
+        dyn = lr.Dynamics(inter)
         for t in (0.05, 0.2, 0.5):
-            lhs = lr.lhs_quasi_locality(k, gen, t, a)
+            lhs = dyn.quasi_locality(t, a, k)
             rhs = bounds.rhs_strong_lrb(c, k.cb_upper, a.norm(), 1, 3.0, t)
             assert lhs <= rhs * (1 + 1e-9)
 
@@ -133,7 +133,6 @@ class TestStrongLrb:
         assert c.r0 == 1.0
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         k = lr.commutator_map(lr.site_operator("Z", 3))
-        gen = lr.generator(inter)
         t = 0.3
         got = bounds.rhs_strong_lrb(c, k.cb_upper, a.norm(), 1, 3.0, t)
         with mpmath.workdps(60):
@@ -141,7 +140,7 @@ class TestStrongLrb:
             want = mpmath.mpf(k.cb_upper) * a.norm() * c.fnorm / c.conv \
                 * evt ** 3 * mpmath.e ** (-3 * mpmath.log(3) + mpmath.mpf(c.v) * t)
         assert got == pytest.approx(float(want), rel=1e-12)
-        assert lr.lhs_quasi_locality(k, gen, t, a) <= got * (1 + 1e-9)
+        assert lr.Dynamics(inter).quasi_locality(t, a, k) <= got * (1 + 1e-9)
 
 
 class TestRangeTruncation:
@@ -171,9 +170,10 @@ class TestRangeTruncation:
 
     def test_dominates_exact_truncation(self, chain4_model):
         space, _, inter, c, a, _ = chain4_model
+        dyn = lr.Dynamics(inter)
         for t in (0.2, 0.6):
             for R in (1.0, 2.0):
-                lhs = lr.lhs_truncation_error(inter, space.points, R, t, a)
+                lhs = dyn.truncation_error(t, a, R)
                 for r in (0.0, 1.0, 2.0):
                     rhs = bounds.rhs_range_truncation(c, a.norm(), {0}, space.points,
                                                       t, r, R)
@@ -190,10 +190,10 @@ class TestCompositeLrb:
 
     def test_analytic_dominates_exact_mode(self, chain4_model):
         space, _, inter, c, a, k = chain4_model
+        dyn = lr.Dynamics(inter)
         for t in (0.2, 0.5):
             for R in (1.0, 2.0):
-                gen_r = lr.generator(inter, mode="truncated", R=R)
-                head = lr.lhs_quasi_locality(k, gen_r, t, a)
+                head = dyn.quasi_locality(t, a, k, R)
                 exact = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, {3},
                                                  space.points, t, 1.0, R,
                                                  first_term="exact", exact_first=head)
@@ -264,7 +264,7 @@ class TestPowerLawLrb:
 
     def test_dominates_exact_dynamics_in_window(self, power4_model):
         space, _, inter, c = power4_model
-        gen = lr.generator(inter)
+        dyn = lr.Dynamics(inter)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         k = lr.commutator_map(lr.site_operator("Z", 4))
         d = 4.0
@@ -272,7 +272,7 @@ class TestPowerLawLrb:
         for t in np.linspace(0.0, t_max, 4):
             wv = bounds.rhs_power_law_lrb(c, k.cb_upper, a.norm(), 1, d, t, 0.5, 0.3)
             assert wv.valid
-            lhs = lr.lhs_quasi_locality(k, gen, t, a)
+            lhs = dyn.quasi_locality(t, a, k)
             assert lhs <= wv.value * (1 + 1e-9) + 1e-300
 
 
@@ -346,9 +346,10 @@ class TestLocalApprox:
 
     def test_dominates_exact_local_error(self, chain4_model):
         space, _, inter, c, a, _ = chain4_model
+        dyn = lr.Dynamics(inter)
         for t in (0.2, 0.5):
             for r in (1.0, 2.0):
-                lhs = lr.lhs_local_error(inter, space.points, {0}, r, t, a)
+                lhs = dyn.local_error(t, a, {0}, r)
                 wv = bounds.rhs_local_approx(c, a.norm(), {0}, space.points, t, r)
                 assert lhs <= wv.value * (1 + 1e-9)
 
@@ -389,11 +390,12 @@ class TestLocalApproxPowerLaw:
     def test_domination_in_window(self, power4_model):
         space, _, inter, c = power4_model
         a = lr.embed(lr.site_operator("Z", 0), space.points)
+        dyn = lr.Dynamics(inter)
         for r in (1.0, 2.0):
             t = r ** 0.3 / (math.e * c.v) * 0.9
             wv = bounds.rhs_local_approx_power_law(c, a.norm(), 1, r, t, 0.5, 0.3)
             assert wv.valid
-            lhs = lr.lhs_local_error(inter, space.points, {0}, r, t, a)
+            lhs = dyn.local_error(t, a, {0}, r)
             assert lhs <= wv.value * (1 + 1e-9)
 
 

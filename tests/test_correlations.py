@@ -59,29 +59,29 @@ class TestCorrelation:
     def test_identity_second_factor(self, tfim4):
         space, inter = tfim4
         omega = StateFunctional.product(space.points, "+")
-        gen = lr.generator(inter)
+        dyn = lr.Dynamics(inter)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.identity(space.points)
-        assert abs(lr.correlation(omega, gen, 0.7, a, b)) <= 1e-13
+        assert abs(lr.correlation(omega, dyn, 0.7, a, b)) <= 1e-13
 
     def test_product_state_time_zero(self, tfim4):
         space, inter = tfim4
         omega = StateFunctional.product(space.points, "0")
-        gen = lr.generator(inter)
+        dyn = lr.Dynamics(inter)
         a = lr.embed(lr.site_operator("X", 0), space.points)
         b = lr.embed(lr.site_operator("X", 3), space.points)
-        assert abs(lr.correlation(omega, gen, 0.0, a, b)) <= 1e-14
+        assert abs(lr.correlation(omega, dyn, 0.0, a, b)) <= 1e-14
 
     def test_bounded_by_localization_defect(self, tfim4):
         # product state, strict 2r < d: the correlation is controlled by c_ab
         space, inter = tfim4
         omega = StateFunctional.product(space.points, "+")
-        gen = lr.generator(inter)
+        dyn = lr.Dynamics(inter)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         for t in (0.2, 0.6):
-            corr = abs(lr.correlation(omega, gen, t, a, b))
-            defect = lr.c_ab(inter, space.points, {0}, {3}, 1.0, t, a, b)
+            corr = abs(lr.correlation(omega, dyn, t, a, b))
+            defect = lr.c_ab(dyn, {0}, {3}, 1.0, t, a, b)
             assert corr <= defect * (1 + 1e-9) + 1e-12
 
 
@@ -90,21 +90,21 @@ class TestCAb:
         space, inter = tfim4
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        assert lr.c_ab(inter, space.points, {0}, {3}, 1.0, 0.0, a, b) == \
+        assert lr.c_ab(lr.Dynamics(inter), {0}, {3}, 1.0, 0.0, a, b) == \
             pytest.approx(0.0, abs=1e-13)
 
     def test_zero_when_regions_cover_volume(self, tfim4):
         space, inter = tfim4
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        assert lr.c_ab(inter, space.points, {0}, {3}, 4.0, 0.8, a, b) <= 1e-11
+        assert lr.c_ab(lr.Dynamics(inter), {0}, {3}, 4.0, 0.8, a, b) <= 1e-11
 
     def test_support_violation_rejected(self, tfim4):
         space, inter = tfim4
         a = lr.embed(lr.site_operator("Z", 1), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         with pytest.raises(CorrelationsError):
-            lr.c_ab(inter, space.points, {0}, {3}, 1.0, 0.5, a, b)
+            lr.c_ab(lr.Dynamics(inter), {0}, {3}, 1.0, 0.5, a, b)
 
 
 class TestCheckDynamicCorrelation:
@@ -113,9 +113,9 @@ class TestCheckDynamicCorrelation:
         omega = StateFunctional.product(space.points, "+")
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
+        dyn = lr.Dynamics(inter)
         for t in np.linspace(0.0, 1.0, 5):
-            rep = lr.check_dynamic_correlation(omega, inter, space.points, {0}, {3},
-                                               1.0, t, a, b)
+            rep = lr.check_dynamic_correlation(omega, dyn, {0}, {3}, 1.0, t, a, b)
             assert rep.valid and rep.passed
 
     def test_trivial_governance_always_passes(self, tfim4):
@@ -125,8 +125,8 @@ class TestCheckDynamicCorrelation:
                                 governance=correlations.trivial_governance)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        rep = lr.check_dynamic_correlation(omega, inter, space.points, {0}, {3},
-                                           1.0, 0.5, a, b)
+        rep = lr.check_dynamic_correlation(omega, lr.Dynamics(inter), {0}, {3}, 1.0, 0.5,
+                                           a, b)
         assert rep.valid and rep.passed
 
     def test_boundary_radius_flagged(self, tfim4):
@@ -134,8 +134,8 @@ class TestCheckDynamicCorrelation:
         omega = StateFunctional.product(space.points, "+")
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 2), space.points)
-        rep = lr.check_dynamic_correlation(omega, inter, space.points, {0}, {2},
-                                           1.0, 0.3, a, b)
+        rep = lr.check_dynamic_correlation(omega, lr.Dynamics(inter), {0}, {2}, 1.0, 0.3,
+                                           a, b)
         assert not rep.flags["factorization_strict"]
         assert not rep.valid
 
@@ -146,14 +146,13 @@ class TestCheckDynamicCorrelation:
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         with pytest.raises(CorrelationsError, match="governance"):
-            lr.check_dynamic_correlation(bare, inter, space.points, {0}, {3},
-                                         1.0, 0.3, a, b)
+            lr.check_dynamic_correlation(bare, lr.Dynamics(inter), {0}, {3}, 1.0, 0.3, a, b)
 
 
 class TestStationaryState:
     def test_amplitude_damping_ground_state(self):
         space, inter = single_qubit_damping(gamma=1.3)
-        rho = lr.stationary_state(lr.adjoint_generator(lr.generator(inter)))
+        rho = lr.stationary_state(lr.generator(inter).adjoint)
         np.testing.assert_allclose(rho.density, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_zero_generator_fully_degenerate(self):
@@ -174,7 +173,7 @@ class TestStationaryState:
     def test_invariance_under_dynamics(self):
         space, f, inter = mixed_field_chain(3, alpha=3.0)
         gen = lr.generator(inter)
-        rho = lr.stationary_state(lr.adjoint_generator(gen))
+        rho = lr.stationary_state(gen.adjoint)
         rng = np.random.default_rng(77)
         for t in (0.3, 1.1):
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -263,7 +262,7 @@ class TestSpectralGap:
 def damped():
     space, inter = single_qubit_damping(gamma=1.0)
     gen = lr.generator(inter)
-    rho = lr.stationary_state(lr.adjoint_generator(gen))
+    rho = lr.stationary_state(gen.adjoint)
     return gen, rho
 
 
@@ -319,7 +318,7 @@ def damped4():
     space = lr.FiniteMetricSpace.chain(4)
     inter = lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)
     gen = lr.generator(inter)
-    rho = lr.stationary_state(lr.adjoint_generator(gen))
+    rho = lr.stationary_state(gen.adjoint)
     return gen, rho
 
 
@@ -333,7 +332,7 @@ class TestMixingEta:
     def test_non_increasing_along_grid(self):
         space, inter = single_qubit_damping(1.0)
         gen = lr.generator(inter)
-        rho = lr.stationary_state(lr.adjoint_generator(gen))
+        rho = lr.stationary_state(gen.adjoint)
         uppers, lowers = [], []
         for t in (0.0, 0.5, 1.0, 2.0, 4.0):
             lo, up = lr.mixing_eta(gen, t, rho, n_starts=12, seed=9)
@@ -362,7 +361,7 @@ class TestMixingEta:
 
     def test_lower_attained_at_returned_state(self, damped4):
         gen, rho = damped4
-        prop = lr.propagator(lr.adjoint_generator(gen), 4.0).matrix
+        prop = lr.propagator(gen.adjoint, 4.0).matrix
         value, psi = correlations._multistart_state_distance(prop, rho.density, 64, 23)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         image = (prop @ np.outer(psi, psi.conj()).flatten(order="F")).reshape(
@@ -414,7 +413,7 @@ class TestSemigroupStore:
         times = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
         calls = _counting_expm(monkeypatch)
         maps = correlations._semigroup(gen, times)
-        gen_s = lr.adjoint_generator(gen)
+        gen_s = gen.adjoint
         assert calls == [gen_s.matrix.shape]
         monkeypatch.undo()
         assert sorted(maps) == list(times)
@@ -425,8 +424,8 @@ class TestSemigroupStore:
 
     def test_schrodinger_adjoint_built_once(self, damped4):
         gen, _ = damped4
-        assert lr.adjoint_generator(gen) is lr.adjoint_generator(gen)
-        assert correlations._schrodinger(gen) is lr.adjoint_generator(gen)
+        assert gen.adjoint is gen.adjoint
+        assert correlations._schrodinger(gen) is gen.adjoint
 
     def test_analysis_exponentiates_once(self, monkeypatch):
         space = lr.FiniteMetricSpace.chain(3)
@@ -547,51 +546,50 @@ class TestDeferredLowerBrackets:
 def analyzed():
     space = lr.FiniteMetricSpace.chain(4)
     inter = lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)
-    gen = lr.generator(inter)
-    analysis = lr.analyze_fixed_point(gen, np.linspace(0, 6, 7), eta_grid=[],
-                                      n_starts=4, seed=13)
-    return space, gen, analysis
+    analysis = lr.analyze_fixed_point(lr.generator(inter), np.linspace(0, 6, 7),
+                                      eta_grid=[], n_starts=4, seed=13)
+    return space, lr.Dynamics(inter), analysis
 
 
 class TestCheckFixedPointCorrelation:
     def test_identity_observable_trivial(self, analyzed):
-        space, gen, analysis = analyzed
+        space, dyn, analysis = analyzed
         omega = StateFunctional.product(space.points, "0")
         a = lr.identity(space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        rep = lr.check_fixed_point_correlation(analysis.rho_pi, gen, a, b, 1.0,
+        rep = lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, b, 1.0,
                                                omega, analysis.governance())
         assert rep.lhs == pytest.approx(0.0, abs=1e-11)
         assert rep.passed
 
     def test_self_state_time_zero_identity(self, analyzed):
         # with omega = pi at t = 0 the first term reproduces the lhs exactly
-        space, gen, analysis = analyzed
+        space, dyn, analysis = analyzed
         pi = analysis.rho_pi
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        rep = lr.check_fixed_point_correlation(pi, gen, a, b, 0.0, pi,
+        rep = lr.check_fixed_point_correlation(pi, dyn, a, b, 0.0, pi,
                                                analysis.governance())
         first = rep.rhs - 3.0 * analysis.governance()(0.0)
         assert first == pytest.approx(rep.lhs, abs=1e-11)
         assert rep.passed
 
     def test_grid_passes(self, analyzed):
-        space, gen, analysis = analyzed
+        space, dyn, analysis = analyzed
         omega = StateFunctional.product(space.points, "+")
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         for t in (0.0, 0.5, 1.5, 3.0):
-            rep = lr.check_fixed_point_correlation(analysis.rho_pi, gen, a, b, t,
+            rep = lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, b, t,
                                                    omega, analysis.governance())
             assert rep.passed
 
     def test_overlapping_supports_rejected(self, analyzed):
-        space, gen, analysis = analyzed
+        space, dyn, analysis = analyzed
         omega = StateFunctional.product(space.points, "+")
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         with pytest.raises(CorrelationsError):
-            lr.check_fixed_point_correlation(analysis.rho_pi, gen, a, a, 1.0,
+            lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, a, 1.0,
                                              omega, analysis.governance())
 
 

@@ -115,56 +115,54 @@ class TestEvolve:
 class TestLhsQuasiLocality:
     def test_zero_at_time_zero(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
-        gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
         k = lr.commutator_map(lr.site_operator("Z", 3))
-        assert lr.lhs_quasi_locality(k, gen, 0.0, a) == pytest.approx(0.0, abs=1e-14)
+        assert lr.Dynamics(inter).quasi_locality(0.0, a, k) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_map(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
-        gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
         k = lr.commutator_map(lr.identity((3,)))
-        assert lr.lhs_quasi_locality(k, gen, 0.8, a) <= 1e-12
+        assert lr.Dynamics(inter).quasi_locality(0.8, a, k) <= 1e-12
 
     def test_overlapping_supports_rejected(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
-        gen = lr.generator(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
         k = lr.commutator_map(lr.site_operator("Z", 0))
         with pytest.raises(DynamicsError, match="overlap"):
-            lr.lhs_quasi_locality(k, gen, 0.5, a)
+            lr.Dynamics(inter).quasi_locality(0.5, a, k)
 
 
 class TestLhsErrors:
     def test_truncation_saturation(self, chain4):
         inter = lr.long_range_zz(chain4, 0.4, 3.0, 1.0)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.lhs_truncation_error(inter, chain4.points, 3.0, 0.8, a) <= 1e-10
-        assert lr.lhs_truncation_error(inter, chain4.points, 5.0, 0.8, a) <= 1e-10
+        dyn = lr.Dynamics(inter)
+        assert dyn.truncation_error(0.8, a, 3.0) <= 1e-10
+        assert dyn.truncation_error(0.8, a, 5.0) <= 1e-10
 
     def test_truncation_zero_time(self, chain4):
         inter = lr.long_range_zz(chain4, 0.4, 3.0, 1.0)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.lhs_truncation_error(inter, chain4.points, 1.0, 0.0, a) == \
+        assert lr.Dynamics(inter).truncation_error(0.0, a, 1.0) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_local_error_full_region(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.lhs_local_error(inter, chain4.points, {0}, 5.0, 0.9, a) <= 1e-12
+        assert lr.Dynamics(inter).local_error(0.9, a, {0}, 5.0) <= 1e-12
 
     def test_local_error_zero_time(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.lhs_local_error(inter, chain4.points, {0}, 1.0, 0.0, a) == \
+        assert lr.Dynamics(inter).local_error(0.0, a, {0}, 1.0) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_unsupported_observable_rejected(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         a = lr.embed(lr.site_operator("Z", 2), chain4.points)
         with pytest.raises(DynamicsError):
-            lr.lhs_local_error(inter, chain4.points, {0}, 1.0, 0.5, a)
+            lr.Dynamics(inter).local_error(0.5, a, {0}, 1.0)
 
 
 class TestChoi:
@@ -177,12 +175,12 @@ class TestChoi:
         assert choi_min_eigenvalue(sup) >= -1e-14
 
     def test_time_zero_psd(self, chain4):
-        gen = lr.adjoint_generator(lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)))
+        gen = lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)).adjoint
         assert choi_min_eigenvalue(lr.propagator(gen, 0.0)) >= -1e-12
 
     def test_damping_choi_psd(self):
         space, inter = single_qubit_damping()
-        gen = lr.adjoint_generator(lr.generator(inter))
+        gen = lr.generator(inter).adjoint
         assert choi_min_eigenvalue(lr.propagator(gen, 1.0)) >= -1e-12
 
     def test_kraus_consistency(self):
@@ -377,8 +375,6 @@ class TestDenseCeiling:
             patch.setattr(model, "local_superop", no_assembly)
             with pytest.raises(ModelError, match="dense ceiling"):
                 lr.generator(inter)
-            with pytest.raises(ModelError, match="dense ceiling"):
-                lr.lindblad_superop(inter.terms[0], chain4, chain4.points)
         # the action path has no dense ceiling
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.lhs_local_error(inter, chain4.points, {0}, 1.0, 0.5, a) > 0
+        assert lr.Dynamics(inter).local_error(0.5, a, {0}, 1.0) > 0

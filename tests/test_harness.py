@@ -336,7 +336,7 @@ class TestRunExperiment:
         original = correlations.c_ab
 
         def counting(*args, **kwargs):
-            calls.append(args[4:6])
+            calls.append(args[3:5])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(correlations, "c_ab", counting)
@@ -477,6 +477,40 @@ class TestCli:
         code = cli.main(["sweep", "--config", str(bad)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"seed": 1, "nu": "abc"}, "nu"),
+        ({"seed": 1, "nu": 0}, "nu"),
+        ({"seed": 1, "nu": -1}, "nu"),
+        ({"seed": 1, "nu": "nan"}, "nu"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": 1, "poly": {"epsilon": "e"}}, "poly.epsilon"),
+        ({"seed": 1, "poly": {"a_weight": None}}, "poly.a_weight"),
+        ({"seed": 1, "poly": 3}, "poly"),
+        ({"seed": 1, "observables": [1]}, "observables"),
+        ({"seed": 1, "grids": 3}, "grids"),
+        ({"seed": 1, "theorems": 3}, "theorems"),
+        ({"seed": 1, "theorems": [["full_lrb"]]}, "theorems"),
+        ([1, 2], "file"),
+    ])
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, raw, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["sweep", "random-suite"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tolerance,
+                                                     command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_raw()))
+        argv = ["--models", "1", "--sites", "2"] if command == "random-suite" \
+            else ["--config", str(path)]
+        assert cli.main([command, *argv, f"--tolerance={tolerance}"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --tolerance:")
 
     @pytest.mark.parametrize("command, theorems", [
         ("certify-correlations", ["dynamic_correlation"]),
