@@ -93,6 +93,10 @@ def _run_random_suite(args) -> int:
     ceiling = harness.DEFAULT_SWEEP_CEILING
     if not 2 <= args.sites <= ceiling:
         raise harness.ConfigError("--sites", f"{args.sites} is outside [2, {ceiling}]")
+    if args.models < 1:
+        raise harness.ConfigError("--models", f"{args.models} is not a count >= 1")
+    if args.seed < 0:
+        raise harness.ConfigError("--seed", f"{args.seed} is negative")
     all_reports = []
     for k in range(args.models):
         m = harness.random_model(args.seed + k, n_sites=args.sites)

@@ -9,21 +9,19 @@ start to the top eigenvector of T^dagger(sign(T(psi psi^*) - rho_pi)), a
 step that cannot decrease the objective.  The reported lower value is the
 exact trace norm recomputed at the best state found, so it is attained, not
 estimated.  Each generator's spectrum is decomposed once
-(``Superoperator.spectrum``) and shared by the gap, the growth-bound check
-and the periodic points.  An analysis builds the dense Schroedinger-picture
-maps exp(tL) of all its times as one dict (``_semigroup``), in ascending
-order, so a time that is the sum of two earlier ones is composed from their
-maps by the semigroup law rather than exponentiated; the envelope, the
-mixing brackets and the growth-bound check read that dict, and each
-distinct time gets one upper bracket.  ``analyze_fixed_point`` computes the
-upper brackets only; the lower brackets, which need the ascent and which no
-report reads, are built when first read, from the same maps.
+(``Superoperator.spectrum``), and one check on it decides whether the
+generator mixes.  The dense Schroedinger-picture maps exp(tL) of a time grid
+are one dict (``_semigroup``), built in ascending order, so a time that is
+the sum of two earlier ones is composed from their maps by the semigroup
+law rather than exponentiated.  ``analyze_fixed_point`` keeps the
+certificate the fixed-point bounds read, the stationary state and the
+envelope c e^{-gamma t} above the upper brackets; only
+``convergence_envelope`` and ``mixing_eta`` run the ascent.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -270,17 +268,8 @@ def spectral_gap(gen: Superoperator) -> tuple:
 def _spectral_gap(gen: Superoperator, prop: np.ndarray) -> tuple:
     """``spectral_gap`` with ``prop`` the Schroedinger map exp(L_s) at t = 1
     (its conjugate transpose is used for a Heisenberg generator)."""
-    w, v = gen.spectrum
-    zero = np.abs(w) <= PERIODIC_ATOL
-    n_zero = int(np.sum(zero))
-    if n_zero != 1:
-        raise DegenerateFixedPointError(n_zero)
-    periodic = (np.abs(w.real) <= PERIODIC_ATOL) & ~zero
-    if np.any(periodic):
-        raise NotMixingError("not mixing: oscillatory periodic points present")
-    gamma = float(np.min(-w.real[~zero]))
-    if gamma <= 0:
-        raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
+    gamma, zero = _mixing_spectrum(gen)
+    v = gen.spectrum[1]
     omega0 = -gamma
     proj = np.outer(v[:, zero][:, 0], np.linalg.inv(v)[zero, :][0, :])
     if gen.picture == "heisenberg":
@@ -292,6 +281,24 @@ def _spectral_gap(gen: Superoperator, prop: np.ndarray) -> tuple:
         raise CorrelationsError(
             f"growth-bound identity violated: rad {rad:.12e} vs exp(omega0) {expected:.12e}")
     return gamma, omega0
+
+
+def _mixing_spectrum(gen: Superoperator) -> tuple:
+    """(gamma, zero): the least decay rate off the fixed subspace and the
+    mask of the one zero eigenvalue in ``gen.spectrum``.  Raises unless the
+    zero eigenvalue is simple and every other eigenvalue decays."""
+    w = gen.spectrum[0]
+    zero = np.abs(w) <= PERIODIC_ATOL
+    n_zero = int(np.sum(zero))
+    if n_zero != 1:
+        raise DegenerateFixedPointError(n_zero)
+    periodic = (np.abs(w.real) <= PERIODIC_ATOL) & ~zero
+    if np.any(periodic):
+        raise NotMixingError("not mixing: oscillatory periodic points present")
+    gamma = float(np.min(-w.real[~zero]))
+    if gamma <= 0:
+        raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
+    return gamma, zero
 
 
 def _schrodinger(gen: Superoperator) -> Superoperator:
@@ -342,49 +349,13 @@ def trace_norm(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FixedPointAnalysis:
-    """Certified convergence data for a mixing model.
-
-    ``gap``, ``envelope_c`` and the upper brackets are computed when the
-    analysis is built.  ``samples`` and ``eta_samples`` carry the lower
-    brackets too, which need the pure-state ascent; they are built on first
-    read, from the dense maps rebuilt over the analysis' own times, so they
-    equal what an eager computation gives bit for bit, and every thread that
-    fills them stores the same values.
-    """
+    """The certificate the fixed-point bounds read: the stationary state, the
+    gap gamma, and the least c >= 1 with c e^{-gamma t} above every upper
+    bracket of the analysis' time grid."""
 
     rho_pi: StateFunctional
     gap: float
-    growth_bound: float
     envelope_c: float
-    periodic_spectrum: tuple
-    # what the lower brackets are built from: the generator, the (t, upper)
-    # pairs of the two grids, and the ascent's (n_starts, seed)
-    _gen: Superoperator = field(repr=False, compare=False)
-    _uppers: tuple = field(repr=False, compare=False)
-    _eta_uppers: tuple = field(repr=False, compare=False)
-    _ascent: tuple = field(repr=False, compare=False)
-
-    @property
-    def samples(self) -> tuple:
-        """(t, lower, upper) brackets of |T_t' - P'| in 1->1 norm."""
-        return self._brackets[0]
-
-    @property
-    def eta_samples(self) -> tuple:
-        """(t, lower, upper) brackets of the mixing coefficient."""
-        return self._brackets[1]
-
-    @cached_property
-    def _brackets(self) -> tuple:
-        """(samples, eta_samples), with the maps rebuilt over the same times."""
-        n_starts, seed = self._ascent
-        maps = _semigroup(self._gen, [t for t, _ in self._uppers + self._eta_uppers] + [1.0])
-        samples = tuple((t, _lower_bracket(maps[t], self.rho_pi, n_starts, seed), upper)
-                        for t, upper in self._uppers)
-        eta_samples = tuple(
-            (t, 0.5 * _lower_bracket(maps[t], self.rho_pi, max(n_starts, 16), seed), upper)
-            for t, upper in self._eta_uppers)
-        return samples, eta_samples
 
     def governance(self) -> Callable[[float], float]:
         """g(t) = min(2, c e^{-gamma t}), valid whenever the envelope holds."""
@@ -392,9 +363,15 @@ class FixedPointAnalysis:
         return lambda t: min(2.0, c * math.exp(-gamma * t))
 
 
-def _envelope_c(uppers: dict, t_grid: Sequence[float], gamma: float) -> float:
-    """The least c >= 1 with ``upper <= c * exp(-gamma t)`` on the grid."""
-    return max([1.0, *(uppers[t] * math.exp(gamma * t) for t in t_grid)])
+def _envelope(gen: Superoperator, rho_pi: StateFunctional, t_grid: tuple) -> tuple:
+    """(maps, gamma, uppers, c): the maps of ``t_grid`` and of the gap's t = 1
+    as one ``_semigroup`` dict, the gap, the upper bracket of each grid time,
+    and the least c >= 1 with ``upper <= c * exp(-gamma t)`` on the grid."""
+    maps = _semigroup(gen, [*t_grid, 1.0])
+    gamma, _ = _spectral_gap(gen, maps[1.0])
+    uppers = _upper_brackets(maps, rho_pi, t_grid)
+    c = max([1.0, *(uppers[t] * math.exp(gamma * t) for t in t_grid)])
+    return maps, gamma, uppers, c
 
 
 def _lower_bracket(prop: np.ndarray, rho_pi: StateFunctional, n_starts: int,
@@ -413,12 +390,10 @@ def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
     ``upper <= c * exp(-gamma t)`` holds on the grid by construction of c.
     """
     t_grid = tuple(map(float, t_grid))
-    maps = _semigroup(gen, [*t_grid, 1.0])
-    gamma, _ = _spectral_gap(gen, maps[1.0])
-    uppers = _upper_brackets(maps, rho_pi, t_grid)
+    maps, gamma, uppers, c = _envelope(gen, rho_pi, t_grid)
     samples = tuple((t, _lower_bracket(maps[t], rho_pi, n_starts, seed), uppers[t])
                     for t in t_grid)
-    return _envelope_c(uppers, t_grid, gamma), gamma, samples
+    return c, gamma, samples
 
 
 def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
@@ -431,21 +406,11 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
     upper: half of sqrt(dim) times the spectral norm of the map difference,
     the envelope's upper bracket at t.
     """
-    _require_mixing(gen)
+    _mixing_spectrum(gen)
     t = float(t)
     maps = _semigroup(gen, [t])
     return (0.5 * _lower_bracket(maps[t], rho_pi, n_starts, seed),
             0.5 * _upper_brackets(maps, rho_pi, [t])[t])
-
-
-def _require_mixing(gen: Superoperator):
-    pts = periodic_points(gen)
-    nonzero = [(lam, m) for lam, m in pts if abs(lam) > PERIODIC_ATOL]
-    if nonzero:
-        raise NotMixingError(f"oscillatory periodic points present: {nonzero}")
-    zero_mult = sum(m for lam, m in pts if abs(lam) <= PERIODIC_ATOL)
-    if zero_mult != 1:
-        raise DegenerateFixedPointError(zero_mult)
 
 
 def _multistart_state_distance(prop: np.ndarray, rho_pi: np.ndarray,
@@ -518,33 +483,16 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().transpose(0, 2, 1))
 
 
-def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float],
-                        eta_grid: Optional[Sequence[float]] = None,
-                        n_starts: int = 16, seed: int = 11) -> FixedPointAnalysis:
-    """Stationary state, gap, periodic spectrum, envelope, and mixing brackets.
+def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPointAnalysis:
+    """The stationary state and the envelope c e^{-gamma t} over ``t_grid``.
 
-    The dense maps of every time asked for (``t_grid``, ``eta_grid`` and the
-    growth-bound check's t = 1) are built first, as one ``_semigroup`` dict,
-    and each distinct grid time gets one upper bracket.  The lower
-    brackets of ``samples`` and ``eta_samples`` are built on first read
-    (``FixedPointAnalysis``), with ``n_starts`` ascent starts on ``t_grid``
-    and at least 16 on ``eta_grid``.
+    One ``_semigroup`` dict holds the maps of ``t_grid`` and of the gap's
+    t = 1; each grid time gets an upper bracket and no ascent runs.  The lower
+    brackets come from ``convergence_envelope`` and ``mixing_eta``.
     """
-    if n_starts < 1:
-        raise CorrelationsError("the ascent needs at least one start")
     rho_pi = stationary_state(gen)
-    t_grid = tuple(map(float, t_grid))
-    eta_grid = t_grid if eta_grid is None else tuple(map(float, eta_grid))
-    maps = _semigroup(gen, [*t_grid, *eta_grid, 1.0])
-    gamma, _ = _spectral_gap(gen, maps[1.0])
-    uppers = _upper_brackets(maps, rho_pi, [*t_grid, *eta_grid])
-    return FixedPointAnalysis(
-        rho_pi=rho_pi, gap=gamma, growth_bound=-gamma,
-        envelope_c=_envelope_c(uppers, t_grid, gamma),
-        periodic_spectrum=tuple(periodic_points(gen)), _gen=gen,
-        _uppers=tuple((t, uppers[t]) for t in t_grid),
-        _eta_uppers=tuple((t, 0.5 * uppers[t]) for t in eta_grid),
-        _ascent=(n_starts, seed))
+    _, gamma, _, c = _envelope(gen, rho_pi, tuple(map(float, t_grid)))
+    return FixedPointAnalysis(rho_pi=rho_pi, gap=gamma, envelope_c=c)
 
 
 def check_fixed_point_correlation(pi_state: StateFunctional, dynamics: Dynamics,

@@ -268,7 +268,11 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("file", f"cannot read {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("file", f"parse error: {exc}") from exc
     return config_from_dict(raw)
@@ -530,10 +534,8 @@ class ExperimentRunner:
 
     def analysis(self) -> correlations.FixedPointAnalysis:
         if self._analysis is None:
-            grid = [t for t in self.cfg.t_grid if t > 0] or [1.0]
-            self._analysis = correlations.analyze_fixed_point(
-                self.dense_generator(), self.cfg.t_grid, eta_grid=grid[-1:],
-                n_starts=8, seed=self.cfg.seed)
+            self._analysis = correlations.analyze_fixed_point(self.dense_generator(),
+                                                              self.cfg.t_grid)
         return self._analysis
 
     # the loop ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """States, correlation functionals, fixed points, spectra, and mixing brackets."""
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -295,8 +294,7 @@ class TestConvergenceEnvelope:
         # the envelope bounds |pi(T_t(A)) - psi(T_t(A))| for sampled states
         space, f, inter = mixed_field_chain(2, alpha=3.0)
         gen = lr.generator(inter)
-        analysis = lr.analyze_fixed_point(gen, [0.0, 1.0, 2.0, 4.0], eta_grid=[],
-                                          n_starts=4, seed=3)
+        analysis = lr.analyze_fixed_point(gen, [0.0, 1.0, 2.0, 4.0])
         g = analysis.governance()
         rng = np.random.default_rng(8)
         for t in (0.5, 1.5, 3.0):
@@ -375,6 +373,14 @@ class TestMixingEta:
         with pytest.raises(NotMixingError):
             lr.mixing_eta(fake, 1.0, rho)
 
+    def test_degenerate_rejected(self):
+        # no terms: every state is fixed
+        space = lr.FiniteMetricSpace.chain(1)
+        gen = lr.generator(DissipativeInteraction(space, ()))
+        rho = StateFunctional(np.diag([1.0, 0.0]).astype(complex), (0,), (2,))
+        with pytest.raises(DegenerateFixedPointError):
+            lr.mixing_eta(gen, 1.0, rho)
+
 
 def test_analysis_decomposes_the_generator_once(monkeypatch):
     space = lr.FiniteMetricSpace.chain(3)
@@ -387,10 +393,8 @@ def test_analysis_decomposes_the_generator_once(monkeypatch):
         return eig(m)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    analysis = lr.analyze_fixed_point(gen, [0.0, 1.0, 2.0], eta_grid=[1.0, 2.0],
-                                      n_starts=4, seed=3)
+    lr.analyze_fixed_point(gen, [0.0, 1.0, 2.0])
     assert shapes == [gen.matrix.shape]
-    assert analysis.growth_bound == -analysis.gap
 
 
 def _counting_expm(monkeypatch):
@@ -431,25 +435,31 @@ class TestSemigroupStore:
         space = lr.FiniteMetricSpace.chain(3)
         gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
         calls = _counting_expm(monkeypatch)
-        lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 4.0], eta_grid=[4.0],
-                               n_starts=4, seed=3)
+        lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 4.0])
         assert calls == [gen.matrix.shape]
 
-    def test_upper_brackets_unchanged(self):
+    def test_upper_brackets_unchanged(self, recorded_brackets):
         # sqrt(dim) |T_t - P|_2 from one scipy expm per time (and the eta
         # bracket from a second one), before the maps were shared
-        space = lr.FiniteMetricSpace.chain(4)
-        gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
-        analysis = lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 3.0, 4.0],
-                                          eta_grid=[4.0], n_starts=4, seed=3)
+        (_, _, samples), (_, eta_upper) = recorded_brackets
         recorded = (13.356670668602515, 10.099284685936254, 4.690051513527809,
                     2.1876001411728727, 1.3582987147627)
-        for (_, lower, upper), want in zip(analysis.samples, recorded):
+        for (_, lower, upper), want in zip(samples, recorded):
             assert upper == pytest.approx(want, rel=1e-12, abs=0)
             assert lower <= upper
-        assert analysis.eta_samples[0][2] == pytest.approx(0.67914935738135, rel=1e-12,
-                                                           abs=0)
-        assert analysis.eta_samples[0][2] == 0.5 * analysis.samples[-1][2]
+        assert eta_upper == pytest.approx(0.67914935738135, rel=1e-12, abs=0)
+
+
+RECORDED_GRID = (0.5, 1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.fixture(scope="module")
+def recorded_brackets(damped4):
+    """The brackets whose values are recorded: ``convergence_envelope`` on
+    ``RECORDED_GRID`` and ``mixing_eta`` at t = 4, on the damped chain(4)."""
+    gen, rho = damped4
+    return (lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=4, seed=3),
+            lr.mixing_eta(gen, 4.0, rho, n_starts=16, seed=3))
 
 
 def _counting_ascent(monkeypatch):
@@ -464,90 +474,55 @@ def _counting_ascent(monkeypatch):
     return calls
 
 
-class TestDeferredLowerBrackets:
-    """``analyze_fixed_point`` runs no ascent; ``samples`` and ``eta_samples``
-    build the lower brackets on first read, from the same maps."""
+class TestLowerBrackets:
+    """Only ``convergence_envelope`` and ``mixing_eta`` run the ascent;
+    ``analyze_fixed_point`` computes the envelope by the same steps."""
 
-    GRID = (0.5, 1.0, 2.0, 3.0, 4.0)
-    # the lower brackets the eager analysis recorded on this model and grid
-    # (OpenBLAS, one thread); the ascent has not settled at t = 2, where four
-    # BLAS threads gave 0.8821192466476342, 1.3e-7 lower
+    # the lower brackets recorded on this model and grid (OpenBLAS, one
+    # thread); the ascent has not settled at t = 2, where four BLAS threads
+    # gave 0.8821192466476342, 1.3e-7 lower
     RECORDED_LOWER = (1.9520626983579734, 1.680677399697628, 0.8821193640436484,
                       0.44846517171185585, 0.25099486663991855)
     RECORDED_ETA_LOWER = 0.12549743331995927
 
-    @staticmethod
-    def _generator():
-        space = lr.FiniteMetricSpace.chain(4)
-        return lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
-
-    def test_built_on_first_read(self, monkeypatch):
-        gen = self._generator()
+    def test_analysis_runs_no_ascent(self, damped4, monkeypatch):
         calls = _counting_ascent(monkeypatch)
-        analysis = lr.analyze_fixed_point(gen, self.GRID, eta_grid=[4.0], n_starts=4,
-                                          seed=3)
+        lr.analyze_fixed_point(damped4[0], RECORDED_GRID)
         assert calls == []
-        samples, eta_samples = analysis.samples, analysis.eta_samples
-        assert calls == [(4, 3)] * len(self.GRID) + [(16, 3)]
-        assert analysis.samples is samples and analysis.eta_samples is eta_samples
-        assert [t for t, _, _ in samples] == list(self.GRID)
+
+    def test_recorded_lower_brackets(self, recorded_brackets):
+        (_, _, samples), (eta_lower, _) = recorded_brackets
+        assert [t for t, _, _ in samples] == list(RECORDED_GRID)
         for (_, lower, _), want in zip(samples, self.RECORDED_LOWER):
             assert lower == pytest.approx(want, rel=1e-6, abs=0)
-        assert eta_samples[0][1] == pytest.approx(self.RECORDED_ETA_LOWER, rel=1e-6, abs=0)
+        assert eta_lower == pytest.approx(self.RECORDED_ETA_LOWER, rel=1e-6, abs=0)
 
-    def test_equal_to_the_eager_brackets(self):
-        # the eager analysis read the brackets of the envelope and of the eta
-        # grid from the maps of the union of its times
-        gen = self._generator()
-        analysis = lr.analyze_fixed_point(gen, self.GRID, eta_grid=[4.0], n_starts=4,
-                                          seed=3)
+    def test_envelope_equals_the_analysis(self, damped4):
+        # the envelope reads its brackets from the maps of its grid and t = 1,
+        # with the analysis' gap and c
+        gen, _ = damped4
+        analysis = lr.analyze_fixed_point(gen, RECORDED_GRID)
         rho = analysis.rho_pi
-        maps = correlations._semigroup(gen, [*self.GRID, 4.0, 1.0])
-        uppers = correlations._upper_brackets(maps, rho, self.GRID)
+        maps = correlations._semigroup(gen, [*RECORDED_GRID, 1.0])
+        uppers = correlations._upper_brackets(maps, rho, RECORDED_GRID)
         samples = tuple((t, correlations._lower_bracket(maps[t], rho, 4, 3), uppers[t])
-                        for t in self.GRID)
-        eta = (0.5 * correlations._lower_bracket(maps[4.0], rho, 16, 3), 0.5 * uppers[4.0])
-        assert lr.convergence_envelope(gen, rho, self.GRID, n_starts=4, seed=3) == (
+                        for t in RECORDED_GRID)
+        assert lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=4, seed=3) == (
             analysis.envelope_c, analysis.gap, samples)
-        assert analysis.samples == samples
-        assert analysis.eta_samples == ((4.0, *eta),)
 
-    def test_threads_fill_the_same_values(self):
-        space = lr.FiniteMetricSpace.chain(2)
-        gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.3, gamma=1.0))
-        grid = (0.25, 0.5, 1.0, 2.0)
-        want = lr.analyze_fixed_point(gen, grid, n_starts=4, seed=5)
-        want = (want.samples, want.eta_samples)
-        analyses = [lr.analyze_fixed_point(gen, grid, n_starts=4, seed=5)
-                    for _ in range(4)]
-        seen, errors = [], []
-
-        def reader(analysis):
-            try:
-                seen.append((analysis.samples, analysis.eta_samples))
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader, args=(analyses[k % 2],))
-                   for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and seen == [want] * 4
-
-    def test_no_start_rejected_eagerly(self):
+    def test_no_start_rejected(self, damped4):
+        gen, rho = damped4
         with pytest.raises(CorrelationsError, match="at least one start"):
-            lr.analyze_fixed_point(self._generator(), self.GRID, n_starts=0)
+            lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=0)
+        with pytest.raises(CorrelationsError, match="at least one start"):
+            lr.mixing_eta(gen, 4.0, rho, n_starts=0)
 
 
 @pytest.fixture(scope="module")
 def analyzed():
     space = lr.FiniteMetricSpace.chain(4)
     inter = lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)
-    analysis = lr.analyze_fixed_point(lr.generator(inter), np.linspace(0, 6, 7),
-                                      eta_grid=[], n_starts=4, seed=13)
+    analysis = lr.analyze_fixed_point(lr.generator(inter), np.linspace(0, 6, 7))
     return space, lr.Dynamics(inter), analysis
 
 

@@ -501,6 +501,17 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
 
+    @pytest.mark.parametrize("make", [
+        lambda path: None,                            # missing
+        lambda path: path.mkdir(),                    # a directory
+        lambda path: path.write_bytes(b"\xff\xfe{}"),  # not UTF-8
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: file: ")
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["sweep", "random-suite"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tolerance,
@@ -609,6 +620,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (f"configuration error: --sites: {sites} is outside "
                        f"[2, {harness.DEFAULT_SWEEP_CEILING}]\n")
+
+    @pytest.mark.parametrize("flag, value, cause", [
+        ("--models", "0", "0 is not a count >= 1"),
+        ("--models", "-3", "-3 is not a count >= 1"),
+        ("--seed", "-1", "-1 is negative"),
+    ])
+    def test_random_suite_count_and_seed_checked(self, tmp_path, capsys, flag, value,
+                                                 cause):
+        argv = ["random-suite", "--models", "1", "--sites", "2", "--out", str(tmp_path)]
+        assert cli.main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"configuration error: {flag}: {cause}\n"
+        assert not (tmp_path / "reports.csv").exists()
 
     def test_fixed_point_group(self, tmp_path, capsys):
         path = tmp_path / "fp.json"
