@@ -4,19 +4,24 @@ The fixed-point analysis certifies brackets, not exact values.  A trace-norm
 supremum sup_rho |T(rho) - rho_pi|_1 is bounded above by sqrt(dim) times the
 spectral norm of the vectorized map difference, and below by its value at an
 explicit pure state: the objective is convex, so pure states attain the
-supremum, and a linearisation ascent from basis and seeded starts moves each
-start to the top eigenvector of T^dagger(sign(T(psi psi^*) - rho_pi)), a
-step that cannot decrease the objective.  The reported lower value is the
-exact trace norm recomputed at the best state found, so it is attained, not
-estimated.  Each generator's spectrum is decomposed once
-(``Superoperator.spectrum``), and one check on it decides whether the
-generator mixes.  The dense Schroedinger-picture maps exp(tL) of a time grid
-are one dict (``_semigroup``), built in ascending order, so a time that is
-the sum of two earlier ones is composed from their maps by the semigroup
-law rather than exponentiated.  ``analyze_fixed_point`` keeps the
-certificate the fixed-point bounds read, the stationary state and the
-envelope c e^{-gamma t} above the upper brackets; only
-``convergence_envelope`` and ``mixing_eta`` run the ascent.
+supremum, and a linearisation ascent from tilted basis starts and seeded
+starts moves each start to the top eigenvector of
+T^dagger(sign(T(psi psi^*) - rho_pi)), a step that cannot decrease the
+objective.  The reported lower value is the exact trace norm recomputed at
+the best state found, so it is attained, not estimated.  Each generator's
+spectrum is decomposed once (``Superoperator.spectrum``), and one check on it
+decides whether the generator mixes.  The Schroedinger-picture maps exp(tL)
+of a time grid are one dict (``_semigroup``), built in ascending order, so a
+time that is the sum of two earlier ones is composed from their maps by the
+semigroup law rather than exponentiated.  Every O(n^3) step of the analysis
+runs on the generator's invariant blocks (``Superoperator._blocks``), one
+batched LAPACK call per block size: the spectrum, the stationary state's
+SVD, the exponentials and their products, the gap's inverse and
+growth-bound eigenvalues, and the upper brackets' norms; only the ascent
+reads a dense map.  ``analyze_fixed_point`` keeps the certificate the
+fixed-point bounds read, the stationary state and the envelope
+c e^{-gamma t} above the upper brackets; only ``convergence_envelope`` and
+``mixing_eta`` run the ascent.
 """
 from __future__ import annotations
 
@@ -46,6 +51,7 @@ RANK_GAP_RATIO = 1e3
 PERIODIC_ATOL = 1e-9
 ASCENT_RTOL = 1e-13     # a start stops once a step gains less than this, relatively
 ASCENT_MAX_STEPS = 64   # and after at most this many steps
+ASCENT_TILT = 1e-6      # weight of the seeded component added to each basis start
 
 
 class CorrelationsError(ValueError):
@@ -208,9 +214,14 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
 
     Null vectors are singular vectors below ``1e-10 * |L|``; the rank decision
     additionally demands a 1e3 gap ratio to the first retained singular value.
+    Both read the union of the singular values of the generator's invariant
+    blocks (one batched SVD per block size), and the null vector is its
+    block's singular vector, zero off the block.
     """
     gen_s = _schrodinger(gen)
-    u, s, vh = np.linalg.svd(gen_s.matrix)
+    svds = [np.linalg.svd(m) for m in gen_s._gather(gen_s.matrix)]
+    flat = np.concatenate([sv[1].ravel() for sv in svds])
+    s = np.sort(flat)[::-1]
     scale = s[0] if s[0] > 0 else 1.0
     tol = NULL_RTOL * scale
     null_count = int(np.sum(s <= tol))
@@ -223,7 +234,10 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
             f"ambiguous rank: singular values {smallest_kept:.3e} vs {largest_null:.3e}")
     if null_count != 1:
         raise DegenerateFixedPointError(null_count)
-    rho = devectorize(vh[-1].conj(), gen_s.sites, gen_s.dims).matrix
+    g, b, j = _locate(gen_s._blocks, int(np.argmin(flat)))
+    vec = np.zeros(flat.size, dtype=complex)
+    vec[gen_s._blocks[g][b]] = svds[g][2][b, j].conj()
+    rho = devectorize(vec, gen_s.sites, gen_s.dims).matrix
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
@@ -262,20 +276,26 @@ def spectral_gap(gen: Superoperator) -> tuple:
     growth-bound identity rad(exp(L restricted)) = exp(omega0) is verified at
     t = 1 to 1e-8 relative accuracy.
     """
-    return _spectral_gap(gen, _schrodinger(gen).exp(1.0))
+    return _spectral_gap(gen, _schrodinger(gen)._exp_blocks(1.0))
 
 
-def _spectral_gap(gen: Superoperator, prop: np.ndarray) -> tuple:
+def _spectral_gap(gen: Superoperator, prop: list) -> tuple:
     """``spectral_gap`` with ``prop`` the Schroedinger map exp(L_s) at t = 1
-    (its conjugate transpose is used for a Heisenberg generator)."""
+    on the invariant blocks (its conjugate transpose is used for a
+    Heisenberg generator).  The spectral projection of the zero eigenvalue
+    lies in that eigenvalue's block, so only that block's eigenvectors are
+    inverted, and the restricted map's eigenvalues are those of its blocks."""
     gamma, zero = _mixing_spectrum(gen)
-    v = gen.spectrum[1]
+    g, b, j = _locate(gen._blocks, zero)
+    v = gen.spectrum[1][g][b]
     omega0 = -gamma
-    proj = np.outer(v[:, zero][:, 0], np.linalg.inv(v)[zero, :][0, :])
+    proj = np.outer(v[:, j], np.linalg.inv(v)[j, :])
     if gen.picture == "heisenberg":
-        prop = prop.conj().T
-    restricted = prop @ (np.eye(prop.shape[0]) - proj)
-    rad = float(np.max(np.abs(np.linalg.eigvals(restricted))))
+        prop = [m.conj().transpose(0, 2, 1) for m in prop]
+    restricted = list(prop)
+    restricted[g] = prop[g].copy()
+    restricted[g][b] = prop[g][b] @ (np.eye(v.shape[0]) - proj)
+    rad = max(float(np.max(np.abs(np.linalg.eigvals(m)))) for m in restricted)
     expected = math.exp(omega0)
     if abs(rad - expected) > 1e-8 * expected:
         raise CorrelationsError(
@@ -285,8 +305,8 @@ def _spectral_gap(gen: Superoperator, prop: np.ndarray) -> tuple:
 
 def _mixing_spectrum(gen: Superoperator) -> tuple:
     """(gamma, zero): the least decay rate off the fixed subspace and the
-    mask of the one zero eigenvalue in ``gen.spectrum``.  Raises unless the
-    zero eigenvalue is simple and every other eigenvalue decays."""
+    index of the one zero eigenvalue in ``gen.spectrum[0]``.  Raises unless
+    the zero eigenvalue is simple and every other eigenvalue decays."""
     w = gen.spectrum[0]
     zero = np.abs(w) <= PERIODIC_ATOL
     n_zero = int(np.sum(zero))
@@ -298,7 +318,17 @@ def _mixing_spectrum(gen: Superoperator) -> tuple:
     gamma = float(np.min(-w.real[~zero]))
     if gamma <= 0:
         raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
-    return gamma, zero
+    return gamma, int(np.flatnonzero(zero)[0])
+
+
+def _locate(blocks: tuple, flat: int) -> tuple:
+    """(group, block, position) of entry ``flat`` of values listed block by
+    block in the order of ``blocks`` (``Superoperator._blocks``)."""
+    for g, idx in enumerate(blocks):
+        if flat < idx.size:
+            return (g, *divmod(flat, idx.shape[1]))
+        flat -= idx.size
+    raise IndexError(flat)
 
 
 def _schrodinger(gen: Superoperator) -> Superoperator:
@@ -307,37 +337,63 @@ def _schrodinger(gen: Superoperator) -> Superoperator:
 
 def _semigroup(gen: Superoperator, times: Iterable[float]) -> dict:
     """{t: exp(t L_s)} over ``times``, with L_s the Schroedinger generator of
-    ``gen``, each map read-only.  The maps are built in ascending order, and a
-    time that equals the sum of two earlier ones exactly (in floating point)
-    is the product of their maps, the semigroup law exp((s + u) L) =
-    exp(s L) exp(u L) that is also the squaring step of scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); any other time is
-    ``Superoperator.exp``."""
+    ``gen``, each map on the invariant blocks (one read-only (k, n, n) stack
+    per block size, as ``Superoperator._exp_blocks``).  The maps are built in
+    ascending order, and a time that equals the sum of two earlier ones
+    exactly (in floating point) is the product of their maps, the semigroup
+    law exp((s + u) L) = exp(s L) exp(u L) that is also the squaring step of
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); any
+    other time is exponentiated.  No dense map is formed; the ascent
+    scatters the one it reads (``_lower_bracket``)."""
     gen_s = _schrodinger(gen)
     maps: dict = {}
     for t in sorted(set(map(float, times))):
         s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
                  None)
         if s is None:
-            maps[t] = gen_s.exp(t)
+            maps[t] = gen_s._exp_blocks(t)
         else:
-            maps[t] = maps[s] @ maps[t - s]
-            maps[t].flags.writeable = False
+            maps[t] = [x @ y for x, y in zip(maps[s], maps[t - s])]
+        for m in maps[t]:
+            m.flags.writeable = False
     return maps
 
 
-def _upper_brackets(maps: dict, rho_pi: StateFunctional, times: Iterable[float]) -> dict:
+def _upper_brackets(gen: Superoperator, maps: dict, rho_pi: StateFunctional,
+                    times: Iterable[float]) -> dict:
     """{t: sqrt(dim) |T_t - P|_2} over ``times``, each bounding
-    sup_rho |T_t(rho) - rho_pi|_1 from above."""
-    proj = _fixed_projector_matrix(rho_pi.density)
+    sup_rho |T_t(rho) - rho_pi|_1 from above, with ``maps`` the
+    ``_semigroup`` dict of ``gen``.  T_t - P is block-diagonal on the
+    generator's invariant blocks (``_fixed_projection``), so its norm is the
+    largest of its blocks' norms, one batched SVD per block size."""
+    proj = _fixed_projection(_schrodinger(gen), rho_pi.density)
     scale = math.sqrt(rho_pi.density.shape[0])
-    return {t: scale * op_norm(maps[t] - proj) for t in set(times)}
+    return {t: scale * max(float(np.max(np.linalg.norm(m - p, 2, axis=(1, 2))))
+                           for m, p in zip(maps[t], proj))
+            for t in set(times)}
 
 
-def _fixed_projector_matrix(rho_pi: np.ndarray) -> np.ndarray:
-    dim = rho_pi.shape[0]
-    return np.outer(rho_pi.flatten(order="F"),
-                    np.eye(dim, dtype=complex).flatten(order="F"))
+def _fixed_projection(gen_s: Superoperator, rho_pi: np.ndarray) -> list:
+    """The fixed projection P = vec(rho_pi) vec(1)^T of the Schroedinger maps
+    on the invariant blocks of ``gen_s``, one (k, n, n) stack per block size.
+
+    P lies in one block when the zero eigenvalue is simple.  L_s is
+    block-diagonal, so its spectrum is the union of its blocks' spectra, and
+    the simple zero eigenvalue belongs to one block B.  A right null vector
+    such as vec(rho_pi) is then supported in B, since its part on any other
+    block would be a null vector of that block, and so is the left null
+    vector vec(1) of a trace-preserving L_s.  So P, and with it T_t - P, is
+    block-diagonal on the same blocks as T_t.  Raises unless vec(rho_pi) and
+    vec(1) do lie in one block, since P off its block would be dropped.
+    """
+    r = rho_pi.flatten(order="F")
+    one = np.eye(rho_pi.shape[0], dtype=complex).flatten(order="F")
+    support = (r != 0) | (one != 0)
+    touched = sum(int(np.count_nonzero(support[idx].any(axis=1))) for idx in gen_s._blocks)
+    if touched != 1:
+        raise CorrelationsError(
+            f"the fixed projection spans {touched} invariant blocks of the generator, not one")
+    return [r[idx][:, :, None] * one[idx][:, None, :] for idx in gen_s._blocks]
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -369,16 +425,18 @@ def _envelope(gen: Superoperator, rho_pi: StateFunctional, t_grid: tuple) -> tup
     and the least c >= 1 with ``upper <= c * exp(-gamma t)`` on the grid."""
     maps = _semigroup(gen, [*t_grid, 1.0])
     gamma, _ = _spectral_gap(gen, maps[1.0])
-    uppers = _upper_brackets(maps, rho_pi, t_grid)
+    uppers = _upper_brackets(gen, maps, rho_pi, t_grid)
     c = max([1.0, *(uppers[t] * math.exp(gamma * t) for t in t_grid)])
     return maps, gamma, uppers, c
 
 
-def _lower_bracket(prop: np.ndarray, rho_pi: StateFunctional, n_starts: int,
-                   seed: int) -> float:
+def _lower_bracket(gen: Superoperator, prop: list, rho_pi: StateFunctional,
+                   n_starts: int, seed: int) -> float:
     """|T(psi psi^*) - rho_pi|_1 at the best pure state the ascent finds,
-    with ``prop`` the Schroedinger map T."""
-    return _multistart_state_distance(prop, rho_pi.density, n_starts, seed)[0]
+    with ``prop`` a ``_semigroup`` map T of ``gen``, scattered into the dense
+    map the ascent reads."""
+    dense = _schrodinger(gen)._scatter(prop)
+    return _multistart_state_distance(dense, rho_pi.density, n_starts, seed)[0]
 
 
 def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
@@ -388,10 +446,12 @@ def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
 
     Returns ``(c, gamma, samples)`` where samples are (t, lower, upper) and
     ``upper <= c * exp(-gamma t)`` holds on the grid by construction of c.
+    ``n_starts`` below 1 is refused before any work.
     """
+    _check_starts(n_starts)
     t_grid = tuple(map(float, t_grid))
     maps, gamma, uppers, c = _envelope(gen, rho_pi, t_grid)
-    samples = tuple((t, _lower_bracket(maps[t], rho_pi, n_starts, seed), uppers[t])
+    samples = tuple((t, _lower_bracket(gen, maps[t], rho_pi, n_starts, seed), uppers[t])
                     for t in t_grid)
     return c, gamma, samples
 
@@ -405,12 +465,19 @@ def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
     states);
     upper: half of sqrt(dim) times the spectral norm of the map difference,
     the envelope's upper bracket at t.
+    ``n_starts`` below 1 is refused before any work.
     """
+    _check_starts(n_starts)
     _mixing_spectrum(gen)
     t = float(t)
     maps = _semigroup(gen, [t])
-    return (0.5 * _lower_bracket(maps[t], rho_pi, n_starts, seed),
-            0.5 * _upper_brackets(maps, rho_pi, [t])[t])
+    return (0.5 * _lower_bracket(gen, maps[t], rho_pi, n_starts, seed),
+            0.5 * _upper_brackets(gen, maps, rho_pi, [t])[t])
+
+
+def _check_starts(n_starts: int) -> None:
+    if n_starts < 1:
+        raise CorrelationsError("the ascent needs at least one start")
 
 
 def _multistart_state_distance(prop: np.ndarray, rho_pi: np.ndarray,
@@ -421,10 +488,13 @@ def _multistart_state_distance(prop: np.ndarray, rho_pi: np.ndarray,
     Every start is evaluated, then ascends by the linearisation step until a
     step gains less than ``ASCENT_RTOL`` relatively or ``ASCENT_MAX_STEPS``
     pass; all starts go through each step together.  The value is the exact
-    trace norm recomputed at the best state.
+    trace norm recomputed at the best state.  A map that splits into
+    invariant blocks can hold the step at a basis state: on the damped
+    chains' blocks, T(|k><k|) - rho_pi and its sign stay diagonal, and so
+    does the step's eigenvector.  So the basis starts are tilted off their
+    axes by a seeded component of weight ``ASCENT_TILT``.
     """
-    if n_starts < 1:
-        raise CorrelationsError("the ascent needs at least one start")
+    _check_starts(n_starts)
     dim = rho_pi.shape[0]
     rng = np.random.default_rng(seed)
     psi = np.zeros((n_starts, dim), dtype=complex)
@@ -434,6 +504,9 @@ def _multistart_state_distance(prop: np.ndarray, rho_pi: np.ndarray,
         else:
             x = rng.normal(size=2 * dim)
             psi[k] = x[:dim] + 1j * x[dim:]
+    basis = min(n_starts, dim)
+    x = rng.normal(size=(basis, 2 * dim))
+    psi[:basis] += ASCENT_TILT * (x[:, :dim] + 1j * x[:, dim:])
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     value, sign = _distances_and_signs(prop, rho_pi, psi)
     prop_conj = prop.conj()

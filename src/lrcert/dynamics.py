@@ -10,8 +10,9 @@ its evolutions: the quasi-locality norm, the truncation error and the local
 approximation error here, the correlation quantities in ``correlations``.
 The module-level ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
-consume, and the fixed-point suite; both go through ``Superoperator.exp``,
-the one dense ``expm``.  Dense generators cap at
+consume, and the fixed-point suite; both go through the generator's
+invariant blocks, with one dense ``expm`` per block size
+(``Superoperator.exp``).  Dense generators cap at
 ``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of its
 own, and an observation map acts on its own sites (``qalgebra.apply_map``).
 """

@@ -466,7 +466,7 @@ class RunManifest:
     tallies: dict
     worst_slack: dict
     tightest: dict  # per theorem, max lhs/rhs over valid rows with rhs > 0
-    counters: dict = field(default_factory=dict)  # the propagation layer's work
+    counters: dict = field(default_factory=dict)  # propagation work, dense blocks
     theorem_wall_s: dict = field(default_factory=dict)  # per selected theorem
 
     def to_dict(self) -> dict:
@@ -523,6 +523,17 @@ class ExperimentRunner:
             self._dense = Superoperator(layer.generator().toarray(), layer.sites, layer.dims,
                                         picture="heisenberg")
         return self._dense
+
+    def counters(self) -> dict:
+        """The propagation layer's counters, and, when the run built the dense
+        generator, its number of invariant blocks (``dense_blocks``) and the
+        size of the largest (``dense_block_max``)."""
+        out = dict(self.dynamics.counters)
+        if self._dense is not None:
+            blocks = self._dense._blocks
+            out["dense_blocks"] = sum(idx.shape[0] for idx in blocks)
+            out["dense_block_max"] = int(blocks[-1].shape[1])
+        return out
 
     def state(self) -> StateFunctional:
         if self._state is None:
@@ -844,13 +855,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json"),
                    tolerance: float = SLACK_RTOL):
     """Execute the configured checks; returns (reports, manifest).  The pass
     column and the tallies use ``BoundReport.passes(tolerance)``; the
-    manifest's ``counters`` are those of the runner's ``Dynamics``, and its
-    ``theorem_wall_s`` the runner's time per theorem."""
+    manifest's ``counters`` are the runner's (``ExperimentRunner.counters``),
+    and its ``theorem_wall_s`` the runner's time per theorem."""
     started = time.perf_counter()
     runner = ExperimentRunner(cfg)
     reports = runner.run()
     manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance,
-                              counters=runner.dynamics.counters,
+                              counters=runner.counters(),
                               theorem_wall_s=runner.theorem_wall_s)
     if out_dir is not None:
         out = write_reports(out_dir, reports, formats, tolerance)

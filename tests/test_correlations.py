@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrcert as lr
 from lrcert import bounds, correlations
@@ -382,6 +385,16 @@ class TestMixingEta:
             lr.mixing_eta(gen, 1.0, rho)
 
 
+def _one_call_per_block_size(gen, shapes):
+    """The shapes of one step's batched calls: one (k, n, n) stack per block
+    size of the generator's invariant blocks, whose rows partition its
+    coordinates, so the step covers every block exactly once."""
+    blocks = gen._blocks
+    covered = np.sort(np.concatenate([idx.ravel() for idx in blocks]))
+    assert np.array_equal(covered, np.arange(gen.matrix.shape[0]))
+    return shapes == [(*idx.shape, idx.shape[1]) for idx in blocks]
+
+
 def test_analysis_decomposes_the_generator_once(monkeypatch):
     space = lr.FiniteMetricSpace.chain(3)
     gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
@@ -394,7 +407,7 @@ def test_analysis_decomposes_the_generator_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted)
     lr.analyze_fixed_point(gen, [0.0, 1.0, 2.0])
-    assert shapes == [gen.matrix.shape]
+    assert _one_call_per_block_size(gen, shapes)
 
 
 def _counting_expm(monkeypatch):
@@ -418,13 +431,13 @@ class TestSemigroupStore:
         calls = _counting_expm(monkeypatch)
         maps = correlations._semigroup(gen, times)
         gen_s = gen.adjoint
-        assert calls == [gen_s.matrix.shape]
+        assert _one_call_per_block_size(gen_s, calls)
         monkeypatch.undo()
         assert sorted(maps) == list(times)
         for t in times:
-            assert not maps[t].flags.writeable
+            assert not any(m.flags.writeable for m in maps[t])
             want = scipy.linalg.expm(t * gen_s.matrix)
-            np.testing.assert_allclose(maps[t], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gen_s._scatter(maps[t]), want, rtol=0, atol=1e-12)
 
     def test_schrodinger_adjoint_built_once(self, damped4):
         gen, _ = damped4
@@ -436,7 +449,7 @@ class TestSemigroupStore:
         gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
         calls = _counting_expm(monkeypatch)
         lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 4.0])
-        assert calls == [gen.matrix.shape]
+        assert _one_call_per_block_size(gen.adjoint, calls)
 
     def test_upper_brackets_unchanged(self, recorded_brackets):
         # sqrt(dim) |T_t - P|_2 from one scipy expm per time (and the eta
@@ -504,18 +517,27 @@ class TestLowerBrackets:
         analysis = lr.analyze_fixed_point(gen, RECORDED_GRID)
         rho = analysis.rho_pi
         maps = correlations._semigroup(gen, [*RECORDED_GRID, 1.0])
-        uppers = correlations._upper_brackets(maps, rho, RECORDED_GRID)
-        samples = tuple((t, correlations._lower_bracket(maps[t], rho, 4, 3), uppers[t])
+        uppers = correlations._upper_brackets(gen, maps, rho, RECORDED_GRID)
+        samples = tuple((t, correlations._lower_bracket(gen, maps[t], rho, 4, 3), uppers[t])
                         for t in RECORDED_GRID)
         assert lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=4, seed=3) == (
             analysis.envelope_c, analysis.gap, samples)
 
-    def test_no_start_rejected(self, damped4):
+    def test_no_start_rejected(self, damped4, monkeypatch):
+        # refused on entry, on an empty grid too: no map, no spectrum
         gen, rho = damped4
+        fresh = lr.Superoperator(gen.matrix, gen.sites, gen.dims, gen.picture)
+
+        def no_maps(*args):
+            raise AssertionError("maps built before the start count was checked")
+
+        monkeypatch.setattr(correlations, "_semigroup", no_maps)
+        for grid in (RECORDED_GRID, []):
+            with pytest.raises(CorrelationsError, match="at least one start"):
+                lr.convergence_envelope(fresh, rho, grid, n_starts=0)
         with pytest.raises(CorrelationsError, match="at least one start"):
-            lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=0)
-        with pytest.raises(CorrelationsError, match="at least one start"):
-            lr.mixing_eta(gen, 4.0, rho, n_starts=0)
+            lr.mixing_eta(fresh, 4.0, rho, n_starts=0)
+        assert "spectrum" not in vars(fresh)
 
 
 @pytest.fixture(scope="module")
@@ -581,3 +603,120 @@ class TestTraceNorm:
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         assert trace_norm(m) == pytest.approx(
             np.sum(np.linalg.svd(m, compute_uv=False)), rel=1e-13)
+
+
+# -- invariant blocks against the full matrix ----------------------------------------
+
+
+def _oracle(gen, times):
+    """The fixed-point steps on the full matrix, one dense LAPACK call each:
+    (maps, eigenvalues, stationary density, gap, upper brackets).  The maps
+    follow ``_semigroup``'s rule: a time that is the sum of two earlier ones
+    is their product."""
+    m_s = gen.adjoint.matrix
+    maps = {}
+    for t in times:
+        s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
+                 None)
+        maps[t] = scipy.linalg.expm(t * m_s) if s is None else maps[s] @ maps[t - s]
+    w, v = np.linalg.eig(gen.matrix)
+    _, s, vh = np.linalg.svd(m_s)
+    dim = math.isqrt(m_s.shape[0])
+    rho = vh[-1].conj().reshape((dim, dim), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho)
+    vals, vecs = np.linalg.eigh(rho)
+    rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    rho = rho / np.trace(rho).real
+    zero = np.abs(w) <= correlations.PERIODIC_ATOL
+    gap = float(np.min(-w.real[~zero]))
+    proj = np.outer(rho.flatten(order="F"), np.eye(dim, dtype=complex).flatten(order="F"))
+    uppers = {t: math.sqrt(dim) * lr.op_norm(maps[t] - proj) for t in times}
+    return maps, w, rho, gap, uppers
+
+
+def _blockwise(gen, times):
+    """The same quantities as ``_oracle``, through the package."""
+    rho = lr.stationary_state(gen)
+    blocks = correlations._semigroup(gen, times)
+    maps = {t: gen.adjoint._scatter(blocks[t]) for t in times}
+    uppers = correlations._upper_brackets(gen, blocks, rho, times)
+    return maps, gen.spectrum[0], rho.density, lr.spectral_gap(gen)[0], uppers
+
+
+@st.composite
+def _damped_models(draw, field: bool):
+    """2-3 sites, amplitude damping at each, ZZ couplings and Z fields (both
+    diagonal), and a transverse X field at each site when ``field``."""
+    n = draw(st.integers(2, 3))
+    space = lr.FiniteMetricSpace.chain(n)
+    rate = st.floats(0.5, 1.5)
+    strength = st.floats(0.1, 1.0)
+    terms = []
+    for s in space.points:
+        ham = draw(strength) * lr.model.PAULI_Z
+        if field:
+            ham = ham + draw(strength) * lr.model.PAULI_X
+        kraus = (from_matrix(math.sqrt(draw(rate)) * lr.model.LOWERING, (s,)),)
+        terms.append(LindbladTerm(frozenset([s]), from_matrix(ham, (s,)), kraus))
+    for x, y in zip(space.points, space.points[1:]):
+        zz = draw(strength) * np.kron(lr.model.PAULI_Z, lr.model.PAULI_Z)
+        terms.append(LindbladTerm(frozenset([x, y]), from_matrix(zz, (x, y)), ()))
+    return lr.generator(DissipativeInteraction(space, tuple(terms)))
+
+
+BLOCK_TIMES = (0.0, 0.5, 1.0, 1.5)
+
+
+class TestInvariantBlocks:
+    @given(gen=_damped_models(field=False))
+    @settings(max_examples=25, deadline=None)
+    def test_split_generator_matches_the_full_matrix(self, gen):
+        n_sites = len(gen.sites)
+        assert sum(idx.shape[0] for idx in gen._blocks) == 3 ** n_sites
+        assert gen._blocks[-1].shape[1] == 2 ** n_sites
+        (maps, w, rho, gap, uppers), want = _blockwise(gen, BLOCK_TIMES), \
+            _oracle(gen, BLOCK_TIMES)
+        for t in BLOCK_TIMES:
+            np.testing.assert_allclose(maps[t], want[0][t], rtol=0, atol=1e-12)
+            assert uppers[t] == pytest.approx(want[4][t], rel=1e-12, abs=0)
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(w[:, None] - want[1][None, :]))
+        assert np.max(np.abs(w[rows] - want[1][cols])) <= 1e-12
+        np.testing.assert_allclose(rho, want[2], rtol=0, atol=1e-12)
+        assert gap == pytest.approx(want[3], rel=1e-12, abs=0)
+
+    @given(gen=_damped_models(field=True))
+    @settings(max_examples=10, deadline=None)
+    def test_one_block_generator_is_the_full_matrix(self, gen):
+        assert [idx.shape for idx in gen._blocks] == [(1, gen.matrix.shape[0])]
+        got, want = _blockwise(gen, BLOCK_TIMES), _oracle(gen, BLOCK_TIMES)
+        for t in BLOCK_TIMES:
+            assert np.array_equal(got[0][t], want[0][t])
+            assert got[4][t] == want[4][t]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3]
+
+    def test_projection_off_its_block_refused(self, damped4):
+        # vec(rho) of a state with coherences leaves the block of vec(1), so
+        # T_t - P is not block-diagonal and the blockwise norm would drop P
+        gen, _ = damped4
+        coherent = StateFunctional.product(gen.sites, "+")
+        maps = correlations._semigroup(gen, [1.0])
+        with pytest.raises(CorrelationsError, match="spans 81 invariant blocks"):
+            correlations._upper_brackets(gen, maps, coherent, [1.0])
+
+    def test_five_sites(self):
+        # the slowest mode is a single-site coherence, decaying at gamma / 2
+        space = lr.FiniteMetricSpace.chain(5)
+        gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
+        assert sum(idx.shape[0] for idx in gen._blocks) == 243
+        assert gen._blocks[-1].shape[1] == 32
+        grid = (0.5, 1.0, 2.0, 4.0)
+        analysis = lr.analyze_fixed_point(gen, grid)
+        assert analysis.gap == pytest.approx(0.5, rel=1e-10)
+        c, gamma, samples = lr.convergence_envelope(gen, analysis.rho_pi, grid,
+                                                    n_starts=4, seed=3)
+        assert (c, gamma) == (analysis.envelope_c, analysis.gap)
+        for _, lower, upper in samples:
+            assert lower <= upper

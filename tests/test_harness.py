@@ -392,8 +392,9 @@ class TestRunExperiment:
 
     def test_fixed_point_counters_and_no_ascent(self, tmp_path, monkeypatch):
         """The fixed-point rows evolve B and A B_t at each of four times
-        through the one generator the run assembles; no report cell reads a
-        lower bracket, so the pure-state ascent never runs."""
+        through the one generator the run assembles, whose dense form splits
+        into 3^4 invariant blocks of at most 2^4 coordinates; no report cell
+        reads a lower bracket, so the pure-state ascent never runs."""
         ascents = []
         original = correlations._multistart_state_distance
 
@@ -407,7 +408,8 @@ class TestRunExperiment:
         harness.run_experiment(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["counters"] == {"generators": 1, "evolutions": 8,
-                                        "evolution_hits": 0, "expm_multiply": 8}
+                                        "evolution_hits": 0, "expm_multiply": 8,
+                                        "dense_blocks": 81, "dense_block_max": 16}
         assert ascents == []
 
     def test_theorem_wall_times(self, tmp_path):
