@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import harness
 from .bounds import SLACK_RTOL
@@ -67,21 +68,29 @@ def main(argv=None) -> int:
                                       f"{args.tolerance} is not a finite value >= 0")
         if args.command == "random-suite":
             return _run_random_suite(args)
-        cfg = harness.load_config(args.config)
-        group = GROUPS[args.command]
-        if group is not None:
-            cfg.theorems = tuple(t for t in group
-                                 if t in (cfg.theorems or group)) or tuple(group)
-        elif not cfg.theorems:
-            cfg.theorems = harness.ALL_THEOREMS
-        harness.check_selection(cfg)
+        return _run_config(args)
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run_config(args) -> int:
+    """Run the file's theorems within the subcommand's group: the whole group
+    when the file lists none of them, and every theorem for ``sweep`` when
+    the file lists none."""
+    cfg = harness.load_config(args.config)
+    group = GROUPS[args.command]
+    if group is not None:
+        theorems = tuple(t for t in group if t in (cfg.theorems or group)) or group
+    else:
+        theorems = cfg.theorems or harness.ALL_THEOREMS
     try:
-        reports, manifest = harness.run_experiment(cfg, out_dir=args.out,
+        reports, manifest = harness.run_experiment(replace(cfg, theorems=theorems),
+                                                   out_dir=args.out,
                                                    formats=_formats(args.format),
                                                    tolerance=args.tolerance)
+    except harness.ConfigError:  # the runner's selection check: exit 2, in main
+        raise
     except Exception as exc:  # numerical failure; the point is in the message
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -99,24 +108,11 @@ def _run_random_suite(args) -> int:
         raise harness.ConfigError("--seed", f"{args.seed} is negative")
     all_reports = []
     for k in range(args.models):
-        m = harness.random_model(args.seed + k, n_sites=args.sites)
-        raw = {
-            "space": m.space.descriptor,
-            "f_function": m.f.describe(),
-            "interaction": {"terms": _terms_to_json(m.interaction)},
-            "observables": {"a": f"Z{m.space.points[0]}",
-                            "b": f"Z{m.space.points[-1]}"},
-            "k_map": "commutator",
-            "theorems": list(harness.DOMINATION_SUITE),
-            "grids": {"t": [0.0], "R": [1.0, 2.0, 3.0], "r": [1.0]},
-            "state": "product(+)",
-            "seed": args.seed + k,
-        }
-        cfg = harness.config_from_dict(raw)
+        cfg = harness.random_model(args.seed + k, n_sites=args.sites)
         consts = harness.ModelConstants.from_model(cfg.space, cfg.f, cfg.interaction,
                                                    cfg.nu)
         horizon = 2.0 / consts.v if consts.v > 0 else 1.0
-        cfg.t_grid = tuple(i * horizon / 5.0 for i in range(6))
+        cfg = replace(cfg, t_grid=tuple(i * horizon / 5.0 for i in range(6)))
         try:
             reports, _ = harness.run_experiment(cfg, out_dir=None)
         except Exception as exc:
@@ -132,24 +128,6 @@ def _run_random_suite(args) -> int:
     bad = _violations(all_reports, args.tolerance)
     print(f"{args.models} models, {len(all_reports)} rows, violations {len(bad)}")
     return 1 if bad else 0
-
-
-def _terms_to_json(interaction) -> list:
-    out = []
-    for t in interaction.terms:
-        entry = {"support": sorted(t.support, key=repr), "label": t.label}
-        if t.hamiltonian is not None:
-            entry["h"] = {"matrix": _matrix_json(t.hamiltonian.matrix),
-                          "sites": list(t.hamiltonian.sites)}
-        if t.kraus:
-            entry["kraus"] = [{"matrix": _matrix_json(k.matrix),
-                               "sites": list(k.sites)} for k in t.kraus]
-        out.append(entry)
-    return out
-
-
-def _matrix_json(m) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 if __name__ == "__main__":

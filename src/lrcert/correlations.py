@@ -101,7 +101,6 @@ class StateFunctional:
     density: np.ndarray
     sites: tuple
     dims: tuple
-    kind: str = "explicit"
     governance: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self):
@@ -133,7 +132,7 @@ class StateFunctional:
             if local.shape != (d, d):
                 raise CorrelationsError(f"site density at {s!r} has wrong dimension")
             rho = np.kron(rho, local)
-        return cls(rho, sites, dims_t, kind="product", governance=product_governance)
+        return cls(rho, sites, dims_t, governance=product_governance)
 
     @classmethod
     def maximally_mixed(cls, sites: Sequence[Site], dims=None) -> "StateFunctional":
@@ -141,7 +140,7 @@ class StateFunctional:
         dims_t = _resolve_dims(sites, dims)
         total = int(np.prod(dims_t))
         return cls(np.eye(total, dtype=complex) / total, sites, dims_t,
-                   kind="product", governance=product_governance)
+                   governance=product_governance)
 
     def expect(self, a: ObservableOp) -> complex:
         if tuple(a.sites) != self.sites:
@@ -248,7 +247,7 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
         raise CorrelationsError(f"fixed point not PSD (min eigenvalue {np.min(vals):.3e})")
     rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     rho = rho / np.trace(rho).real
-    return StateFunctional(rho, gen_s.sites, gen_s.dims, kind="stationary")
+    return StateFunctional(rho, gen_s.sites, gen_s.dims)
 
 
 def periodic_points(gen: Superoperator) -> list:

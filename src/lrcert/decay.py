@@ -38,14 +38,14 @@ class FFunction:
 
     @classmethod
     def power(cls, alpha: float) -> "FFunction":
-        if alpha <= 0:
-            raise DecayError("power-law exponent must be positive")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise DecayError(f"power-law exponent must be finite and positive, got {alpha}")
         return cls(kind="power", alpha=float(alpha))
 
     @classmethod
     def weighted(cls, a: float, base: "FFunction") -> "FFunction":
-        if a < 0:
-            raise DecayError("exponential weight must be nonnegative")
+        if not (math.isfinite(a) and a >= 0):
+            raise DecayError(f"exponential weight must be finite and nonnegative, got {a}")
         return cls(kind="weighted", a=float(a), base=base)
 
     @classmethod
@@ -54,6 +54,8 @@ class FFunction:
         v = tuple(float(x) for x in values)
         if len(g) != len(v) or not g:
             raise DecayError("table needs matching nonempty grids")
+        if not all(map(math.isfinite, g + v)):
+            raise DecayError("table grid and values must be finite")
         if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
             raise DecayError("table grid must be strictly increasing")
         if any(x <= 0 for x in v):

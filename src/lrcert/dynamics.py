@@ -27,7 +27,8 @@ import scipy.sparse.linalg
 from . import geometry, model
 from .geometry import Site
 from .model import DissipativeInteraction, Superoperator
-from .qalgebra import ObservableOp, ObservationMap, apply_map, devectorize, op_norm, vectorize
+from .qalgebra import (ObservableOp, ObservationMap, _choi, apply_map, devectorize, op_norm,
+                       vectorize)
 
 
 class DynamicsError(ValueError):
@@ -66,7 +67,7 @@ class Dynamics:
         self.interaction = interaction
         self.sites = tuple(interaction.space.points)
         self._site_set = frozenset(self.sites)
-        self.dims = model.volume_dims(self.sites, None, *interaction.terms)
+        self.dims = model.volume_dims(self.sites, *interaction.terms)
         self._generators: dict = {}
         self._evolved: dict = {}
         self.counters = {"generators": 0, "evolutions": 0, "evolution_hits": 0,
@@ -148,16 +149,13 @@ def apply_superop(sup: Superoperator, a: ObservableOp) -> ObservableOp:
 
 
 def choi_matrix(sup: Superoperator) -> np.ndarray:
-    """Choi representative in the column-stacking convention.
+    """Choi representative in the column-stacking convention (``qalgebra._choi``).
 
     For the Schroedinger-picture propagator of a Lindblad semigroup this is
-    positive semidefinite up to roundoff.
+    positive semidefinite up to roundoff, and its partial trace
+    ``einsum('iaja->ij')`` is the identity.
     """
-    d2 = sup.matrix.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise DynamicsError("superoperator is not square over a Hilbert space")
-    return sup.matrix.reshape(d, d, d, d).swapaxes(0, 3).reshape(d2, d2)
+    return _choi(sup.matrix)
 
 
 def choi_min_eigenvalue(sup: Superoperator) -> float:

@@ -12,6 +12,12 @@ CLI group, and whether it needs the second observable, reads the state or uses
 the dense generator.  ``ExperimentRunner.run`` is a single loop over it; the
 CLI groups, the theorem lists and the config checks are derived from it.
 Adding a theorem means adding an entry.
+
+``load_config`` and ``config_from_dict`` check each field and return a frozen
+``ExperimentConfig``; whether its theorem selection can run on it
+(``check_selection``) is checked once, by the ``ExperimentRunner`` that runs
+it, so a caller that narrows the selection (``dataclasses.replace``) is
+checked on what it runs.
 """
 from __future__ import annotations
 
@@ -107,13 +113,22 @@ def parse_f_function(desc) -> FFunction:
         base = parse_f_function(",".join(args[1:]) if len(args) > 2 else args[1])
         return FFunction.weighted(float(args[0]), base)
     if name == "table":
-        data = json.loads(Path(args[0]).read_text())
+        try:
+            text = Path(args[0]).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read the table {args[0]}: {exc}") from exc
+        data = json.loads(text)
         return FFunction.table(data["grid"], data["values"])
     raise ValueError(f"unknown profile descriptor {desc!r}")
 
 
 def _site_from_json(p):
     return tuple(p) if isinstance(p, list) else p
+
+
+def _matrix_json(m) -> list:
+    """A complex matrix as JSON entries [re, im], which ``_matrix_from_json`` reads."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def _matrix_from_json(entries) -> np.ndarray:
@@ -236,9 +251,11 @@ def _site_from_json_key(k):
 # -- configuration ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment description plus the raw JSON it came from."""
+    """An experiment description with every field checked, plus the raw JSON
+    it came from; immutable (narrow it with ``dataclasses.replace``).  Whether
+    its theorem selection can run is checked by ``ExperimentRunner``."""
 
     space: FiniteMetricSpace
     f: FFunction
@@ -319,7 +336,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         section(f"poly.{key}", float, poly.get(key, default))
         for key, default in (("epsilon", 0.5), ("delta", 0.3), ("eta_exp", 0.02),
                              ("a_weight", 1.0)))
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         space=space, f=f, nu=nu, interaction=interaction,
         a_local=a_local, b_local=b_local,
         x_sites=frozenset(a_local.sites),
@@ -332,8 +349,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         seed=seed,
         raw=dict(raw),
     )
-    check_selection(cfg)
-    return cfg
 
 
 def _object(value) -> Mapping:
@@ -373,7 +388,8 @@ def check_selection(cfg: ExperimentConfig) -> None:
     second observable, and an observation map, on supports disjoint from the
     first wherever one is needed, a readable state descriptor wherever the
     state is read, and at most ``model.MAX_DENSE_DIM`` wherever the dense
-    generator is used (by a ``dense`` theorem or for the stationary state)."""
+    generator is used (by a ``dense`` theorem or for the stationary state).
+    ``ExperimentRunner`` calls it on the theorems it runs."""
     selected = [THEOREMS[name] for name in cfg.theorems]
     if any(spec.needs_b for spec in selected):
         if cfg.b_local is None:
@@ -390,69 +406,52 @@ def check_selection(cfg: ExperimentConfig) -> None:
             raise ConfigError("state", str(exc)) from exc
     if dense:
         try:
-            model._check_dense(model.volume_dims(cfg.space.points, None, *cfg.interaction.terms))
+            model._check_dense(model.volume_dims(cfg.space.points, *cfg.interaction.terms))
         except model.ModelError as exc:
             raise ConfigError("space", str(exc)) from exc
-
-
-def serialize_config(cfg: ExperimentConfig) -> dict:
-    return dict(cfg.raw)
 
 
 # -- random models ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomModel:
-    space: FiniteMetricSpace
-    f: FFunction
-    interaction: DissipativeInteraction
-    a_local: ObservableOp
-    b_local: ObservableOp
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.space.descriptor.encode())
-        h.update(self.f.describe().encode())
-        for t in self.interaction.terms:
-            h.update(repr(sorted(map(repr, t.support))).encode())
-            if t.hamiltonian is not None:
-                h.update(np.ascontiguousarray(t.hamiltonian.matrix).tobytes())
-            for k in t.kraus:
-                h.update(np.ascontiguousarray(k.matrix).tobytes())
-        return h.hexdigest()
-
-
-def random_model(seed: int, n_sites: int = 4, alpha: float = 3.0,
-                 ceiling: int = DEFAULT_SWEEP_CEILING) -> RandomModel:
-    """Seed-deterministic chain model: on-site fields and amplitude damping,
-    plus two-site couplings with amplitudes tapered by the decay profile."""
-    if n_sites > ceiling:
-        raise ValueError(f"n_sites {n_sites} over the ceiling {ceiling}")
+def random_model(seed: int, n_sites: int = 4) -> ExperimentConfig:
+    """The random suite's seed-deterministic config on ``chain(n_sites)``: on-site
+    fields and amplitude damping, plus two-site couplings with amplitudes
+    tapered by the decay profile power(3), written as explicit terms; Z on the
+    first and last sites, the domination suite on the R grid 1, 2, 3 and the r
+    grid 1, and t = 0, which the suite replaces by a grid scaled to the
+    model's velocity."""
     rng = np.random.default_rng(seed)
     space = FiniteMetricSpace.chain(n_sites)
-    f = FFunction.power(alpha)
+    f = FFunction.power(3.0)
     paulis = [qalgebra.PAULI[l] for l in ("X", "Y", "Z")]
     terms = []
     for s in space.points:
         coeffs = rng.uniform(0.1, 0.4, size=3)
-        ham = from_matrix(sum(c * p for c, p in zip(coeffs, paulis)), (s,),
-                          frozenset([s]))
+        ham = sum(c * p for c, p in zip(coeffs, paulis))
         gamma = rng.uniform(0.5, 1.5)
-        kraus = (from_matrix(math.sqrt(gamma) * model.LOWERING, (s,), frozenset([s])),)
-        terms.append(LindbladTerm(frozenset([s]), ham, kraus, label=f"site{s}"))
+        terms.append({"support": [s], "label": f"site{s}",
+                      "h": {"matrix": _matrix_json(ham), "sites": [s]},
+                      "kraus": [{"matrix": _matrix_json(math.sqrt(gamma) * model.LOWERING),
+                                 "sites": [s]}]})
+    basis = [np.kron(p, p) for p in paulis]
     for i, x in enumerate(space.points):
         for y in space.points[i + 1:]:
             amp = rng.uniform(0.3, 0.8) * float(f(space.d(x, y)))
             kind = rng.integers(0, 3)
-            basis = [np.kron(p, p) for p in paulis]
-            ham = from_matrix(amp * basis[kind], space.ordered([x, y]),
-                              frozenset([x, y]))
-            terms.append(LindbladTerm(frozenset([x, y]), ham, (), label=f"pair{x}{y}"))
-    interaction = DissipativeInteraction(space, tuple(terms))
-    a_local = qalgebra.site_operator("Z", space.points[0])
-    b_local = qalgebra.site_operator("Z", space.points[-1])
-    return RandomModel(space, f, interaction, a_local, b_local)
+            terms.append({"support": [x, y], "label": f"pair{x}{y}",
+                          "h": {"matrix": _matrix_json(amp * basis[kind]), "sites": [x, y]}})
+    return config_from_dict({
+        "space": space.descriptor,
+        "f_function": f.describe(),
+        "interaction": {"terms": terms},
+        "observables": {"a": f"Z{space.points[0]}", "b": f"Z{space.points[-1]}"},
+        "k_map": "commutator",
+        "theorems": list(DOMINATION_SUITE),
+        "grids": {"t": [0.0], "R": [1.0, 2.0, 3.0], "r": [1.0]},
+        "state": "product(+)",
+        "seed": seed,
+    })
 
 
 # -- the runner -------------------------------------------------------------------
@@ -484,9 +483,12 @@ class NumericalFailure(RuntimeError):
 
 
 class ExperimentRunner:
-    """Executes the selected theorem checks for one config."""
+    """Executes the selected theorem checks for one config.  Construction
+    raises ``ConfigError`` when the selection cannot run on the config
+    (``check_selection``), before any model work."""
 
     def __init__(self, cfg: ExperimentConfig):
+        check_selection(cfg)
         self.cfg = cfg
         self.space = cfg.space
         self.volume = self.space.points

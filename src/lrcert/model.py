@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from . import geometry
 from .geometry import FiniteMetricSpace, Site
@@ -83,19 +84,13 @@ class Superoperator:
     def _blocks(self) -> tuple:
         """The invariant coordinate blocks as (k, n) index stacks, one per
         block size n, ascending; a row holds one block's indices in ascending
-        order, and rows follow their least index.  Each coordinate takes the
-        least index of its component, by propagating labels along the
-        pattern's edges with pointer jumping until none changes."""
-        rows, cols = np.nonzero(self.matrix)
-        src, dst = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-        label = np.arange(self.matrix.shape[0])
-        while True:
-            new = label.copy()
-            np.minimum.at(new, src, label[dst])
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
+        order, and rows follow their least index.  The blocks are the weakly
+        connected components of the pattern of M, each coordinate labelled
+        by the least index of its component."""
+        _, component = scipy.sparse.csgraph.connected_components(
+            scipy.sparse.csr_matrix(self.matrix != 0), connection="weak")
+        _, least = np.unique(component, return_index=True)
+        label = least[component]
         order = np.argsort(label, kind="stable")
         _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
         return tuple(order[starts[sizes == n][:, None] + np.arange(n)]
@@ -308,12 +303,13 @@ class DissipativeInteraction:
                 if t.support <= volume and (max_diam is None or diam <= max_diam + 1e-12)]
 
 
-def generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None,
-              mode: str = "full", R: Optional[float] = None,
-              region: Optional[Iterable[Site]] = None, dims=None) -> Superoperator:
-    """Sum of embedded term superoperators, filtered by mode, as a dense matrix.
+def generator(interaction: DissipativeInteraction, mode: str = "full",
+              R: Optional[float] = None,
+              region: Optional[Iterable[Site]] = None) -> Superoperator:
+    """Sum of embedded term superoperators on the interaction's whole space,
+    filtered by mode, as a dense matrix.
 
-    ``full``      : all terms supported inside the volume.
+    ``full``      : all terms.
     ``truncated`` : additionally diam(support) <= R (requires ``R > 0``);
                     identical to ``full`` once R reaches the interaction range.
     ``subvolume`` : only terms supported inside ``region``, still embedded in
@@ -322,10 +318,9 @@ def generator(interaction: DissipativeInteraction, volume: Iterable[Site] = None
     whose vectorized dimension exceeds ``MAX_DENSE_DIM`` is refused before
     any matrix is allocated.
     """
-    space = interaction.space
-    vol_sites = space.ordered(volume if volume is not None else space.points)
+    vol_sites = interaction.space.points
     selected = select_terms(interaction, frozenset(vol_sites), mode, R, region)
-    dims_t = volume_dims(vol_sites, dims, *selected)
+    dims_t = volume_dims(vol_sites, *selected)
     _check_dense(dims_t)
     return Superoperator(assemble(selected, vol_sites, dims_t).toarray(), vol_sites,
                          dims_t, picture="heisenberg")
@@ -398,13 +393,9 @@ def finite_range_fnorm_bound(interaction: DissipativeInteraction, f: Callable,
     return sup * 2.0 ** (kappa * r0 ** nu - 2.0) / float(f(r0))
 
 
-def volume_dims(vol_sites: tuple, dims, *terms: LindbladTerm) -> tuple:
-    """Local dimensions of a volume: ``dims`` when given, else read off the
-    terms (2 at sites no term covers)."""
-    if dims is not None:
-        from .qalgebra import _resolve_dims
-
-        return _resolve_dims(vol_sites, dims)
+def volume_dims(vol_sites: tuple, *terms: LindbladTerm) -> tuple:
+    """Local dimensions of a volume, read off the terms (2 at sites no term
+    covers)."""
     by_site = {}
     for t in terms:
         for s, d in zip(t._site_order(), t._dims()):

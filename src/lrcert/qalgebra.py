@@ -190,8 +190,7 @@ def vectorize(op: Union[ObservableOp, np.ndarray]) -> np.ndarray:
     return m.flatten(order="F")
 
 
-def devectorize(vec: np.ndarray, sites: Sequence[Site], dims=None,
-                support=None) -> ObservableOp:
+def devectorize(vec: np.ndarray, sites: Sequence[Site], dims=None) -> ObservableOp:
     sites = tuple(sites)
     dims_t = _resolve_dims(sites, dims)
     total = int(np.prod(dims_t)) if dims_t else 1
@@ -199,8 +198,7 @@ def devectorize(vec: np.ndarray, sites: Sequence[Site], dims=None,
     if v.size != total * total:
         raise AlgebraError(f"vector length {v.size} != {total * total}")
     m = v.reshape((total, total), order="F")
-    return ObservableOp(m, sites, frozenset(sites) if support is None else frozenset(support),
-                        dims_t)
+    return ObservableOp(m, sites, frozenset(sites), dims_t)
 
 
 def left_right_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -282,8 +280,7 @@ def apply_map(k: ObservationMap, a: ObservableOp) -> ObservableOp:
     legs = pos + [n + p for p in pos]
     out = np.tensordot(k.matrix.reshape(k.dims * 4), vectorize(a).reshape(a.dims * 2),
                        axes=(range(2 * m, 4 * m), legs))
-    return devectorize(np.moveaxis(out, range(2 * m), legs).reshape(-1), a.sites, a.dims,
-                       support=frozenset(a.sites))
+    return devectorize(np.moveaxis(out, range(2 * m), legs).reshape(-1), a.sites, a.dims)
 
 
 def probed_cb_lower(matrix: np.ndarray, dims: tuple, seed: int, upper: float) -> float:
@@ -327,11 +324,19 @@ def _probe_stack(dims: tuple, seed: int) -> tuple:
     return stack, norms
 
 
+def _choi(superop: np.ndarray) -> np.ndarray:
+    """The Choi matrix J = sum_ij E_ij kron Phi(E_ij), input factor first, of
+    the map Phi whose matrix ``superop`` acts on column-stacked operators of
+    a d-dimensional space."""
+    d2 = superop.shape[0]
+    d = int(round(math.sqrt(d2)))
+    return superop.reshape(d, d, d, d).swapaxes(0, 3).reshape(d2, d2)
+
+
 def _factorization_cb_upper(superop: np.ndarray) -> float:
     d2 = superop.shape[0]
     d = int(round(math.sqrt(d2)))
-    choi = superop.reshape(d, d, d, d).swapaxes(0, 3).reshape(d2, d2)
-    u, s, vh = np.linalg.svd(choi)
+    u, s, vh = np.linalg.svd(_choi(superop))
     total = 0.0
     for k, sigma in enumerate(s):
         if sigma < 1e-14 * s[0]:

@@ -193,6 +193,19 @@ class TestChoi:
                    for k in ks)
         np.testing.assert_allclose(choi_matrix(sup), want, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_output_partial_trace_is_the_identity(self, n):
+        # the convention a diamond-norm bracket needs: the output factor is
+        # the second, so tracing it out of a trace-preserving map's Choi
+        # matrix leaves the identity; amplitude damping is not unital, so
+        # tracing out the input does not
+        inter = lr.tfim_dissipative(lr.FiniteMetricSpace.chain(n), 0.4, 0.3, 1.0)
+        dim = 2 ** n
+        c = choi_matrix(lr.propagator(lr.generator(inter).adjoint, 0.7))
+        c = c.reshape(dim, dim, dim, dim)
+        np.testing.assert_allclose(np.einsum("iaja->ij", c), np.eye(dim), rtol=0, atol=1e-13)
+        assert np.abs(np.einsum("aiaj->ij", c) - np.eye(dim)).max() > 0.1
+
 
 class TestOdeOracle:
     def test_propagator_matches_adaptive_integration(self):

@@ -1,4 +1,5 @@
 """Config loading, random models, runner determinism, and the CLI contract."""
+import dataclasses
 import json
 import math
 import os
@@ -104,8 +105,9 @@ class TestLoadConfig:
         assert cfg.r_grid == (0.0,)
 
     def test_overlapping_observables(self):
+        cfg = config_from_dict(minimal_raw(observables={"a": "Z0", "b": "X0"}))
         with pytest.raises(ConfigError, match="disjoint"):
-            config_from_dict(minimal_raw(observables={"a": "Z0", "b": "X0"}))
+            harness.ExperimentRunner(cfg)
 
     def test_parse_error_location(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -116,8 +118,7 @@ class TestLoadConfig:
     def test_docs_example_round_trip(self, tmp_path):
         cfg = load_config(DOCS / "tfim_dissipative.json")
         rewritten = tmp_path / "copy.json"
-        rewritten.write_text(json.dumps(harness.serialize_config(cfg), indent=2,
-                                        sort_keys=True))
+        rewritten.write_text(json.dumps(cfg.raw, indent=2, sort_keys=True))
         cfg2 = load_config(rewritten)
         assert cfg.config_hash() == cfg2.config_hash()
         assert cfg.theorems == cfg2.theorems
@@ -161,10 +162,16 @@ class TestLoadConfig:
 
     def test_state_checked_only_where_read(self):
         # full_lrb never reads the state
-        assert config_from_dict(minimal_raw(state="bogus")).state_desc == "bogus"
+        harness.ExperimentRunner(config_from_dict(minimal_raw(state="bogus")))
+        cfg = config_from_dict(minimal_raw(state="product(x)",
+                                           theorems=["dynamic_correlation"]))
         with pytest.raises(ConfigError, match="unknown single-site state 'x'"):
-            config_from_dict(minimal_raw(state="product(x)",
-                                         theorems=["dynamic_correlation"]))
+            harness.ExperimentRunner(cfg)
+
+    def test_config_is_frozen(self):
+        cfg = config_from_dict(minimal_raw())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.theorems = ("local_approx",)
 
 
 K_READERS = ["finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb", "power_law_lrb"]
@@ -184,7 +191,7 @@ class TestObservationMapConfig:
         raw["theorems"] = K_READERS
         ref, _ = harness.run_experiment(config_from_dict(raw))
         z3 = lr.commutator_map(lr.site_operator("Z", 3)).matrix
-        raw["k_map"] = {"matrix": cli._matrix_json(z3), "support": [3]}
+        raw["k_map"] = {"matrix": harness._matrix_json(z3), "support": [3]}
         got, _ = harness.run_experiment(config_from_dict(raw))
         assert [(r.theorem, r.params) for r in got] == [(r.theorem, r.params) for r in ref]
         np.testing.assert_array_equal([r.lhs for r in got], [r.lhs for r in ref])
@@ -193,8 +200,9 @@ class TestObservationMapConfig:
         ("bogus", "unknown observation-map descriptor 'bogus'"),
         ("commutator(Q9)", "unknown operator letter"),
         ({"matrix": [[1, 0], [0, 1]], "support": [3]}, "shape (2, 2) != (4, 4)"),
-        ({"matrix": cli._matrix_json(np.eye(4)), "support": [3]}, "annihilate the identity"),
-        ({"matrix": cli._matrix_json(lr.commutator_map(lr.site_operator("Z", 3)).matrix),
+        ({"matrix": harness._matrix_json(np.eye(4)), "support": [3]},
+         "annihilate the identity"),
+        ({"matrix": harness._matrix_json(lr.commutator_map(lr.site_operator("Z", 3)).matrix),
           "support": [3], "cb_upper": 0.5}, "a probe reaches 2, above cb_upper 0.5"),
         ("commutator(X0)", "observation map sites overlap the support of a"),
     ])
@@ -239,6 +247,19 @@ class TestVolumeCeiling:
         err = capsys.readouterr().err
         assert "configuration error: space:" in err and "model.MAX_DENSE_DIM" in err
 
+    def test_narrowed_selection_needs_no_dense_work(self, tmp_path, capsys):
+        # the file also lists a fixed-point theorem; certify-lrb does not run it
+        path = tmp_path / "c7.json"
+        path.write_text(json.dumps({
+            "seed": 1, "space": "chain(7)",
+            "theorems": ["full_lrb", "fixed_point_correlation"],
+            "observables": {"a": "Z0", "b": "Z6"}, "grids": {"t": [0.0, 0.5]}}))
+        assert cli.main(["certify-lrb", "--config", str(path)]) == 0
+        assert "full_lrb: 2/2 passed" in capsys.readouterr().out
+        assert cli.main(["fixed-point", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: space:" in err and "model.MAX_DENSE_DIM" in err
+
     def test_nine_sites_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "c9.json"
         path.write_text(json.dumps(minimal_raw(space="chain(9)",
@@ -251,18 +272,18 @@ class TestRandomModel:
     def test_seed_determinism(self):
         m1 = harness.random_model(42, n_sites=3)
         m2 = harness.random_model(42, n_sites=3)
-        assert m1.digest() == m2.digest()
-        assert m1.digest() != harness.random_model(43, n_sites=3).digest()
+        assert m1.config_hash() == m2.config_hash()
+        assert m1.config_hash() != harness.random_model(43, n_sites=3).config_hash()
 
     def test_single_site_has_only_onsite_terms(self):
         m = harness.random_model(7, n_sites=1)
         assert all(len(t.support) == 1 for t in m.interaction.terms)
 
     def test_ceiling_enforced(self):
-        with pytest.raises(ValueError, match="ceiling"):
-            harness.random_model(1, n_sites=6)
-        m = harness.random_model(1, n_sites=6, ceiling=6)
-        assert len(m.space) == 6
+        # the config's eight-site ceiling; the suite's own limit is --sites
+        assert len(harness.random_model(1, n_sites=6).space) == 6
+        with pytest.raises(ConfigError, match="space: volume exceeds the 8-site ceiling"):
+            harness.random_model(1, n_sites=9)
 
     def test_finite_f_norm_by_construction(self):
         for seed in range(5):
@@ -403,8 +424,7 @@ class TestRunExperiment:
             return original(*args)
 
         monkeypatch.setattr(correlations, "_multistart_state_distance", counted)
-        cfg = config_from_dict(fixed_point_raw())
-        cfg.theorems = harness.GROUPS["fixed-point"]
+        cfg = config_from_dict(fixed_point_raw(theorems=harness.GROUPS["fixed-point"]))
         harness.run_experiment(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["counters"] == {"generators": 1, "evolutions": 8,
@@ -549,6 +569,34 @@ class TestCli:
         assert code == 2
         assert "configuration error: observables.b: selected theorems need a second " \
             "observable" in capsys.readouterr().err
+
+    def test_narrowed_selection_needs_no_b(self, tmp_path, capsys):
+        # the file lists a theorem that needs b; certify-truncation does not
+        path = tmp_path / "no_b.json"
+        path.write_text(json.dumps({"seed": 1, "space": "chain(4)",
+                                    "theorems": ["dynamic_correlation"],
+                                    "observables": {"a": "Z0"}}))
+        assert cli.main(["certify-truncation", "--config", str(path)]) == 0
+        assert "range_truncation: 6/6 passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("profile", [
+        "power(nan)", "power(inf)", "weighted(nan, power(3))", "weighted(inf, power(3))",
+        {"grid": [0.0, 1.0, 2.0], "values": [1.0, math.nan, 0.25]},
+        {"grid": [0.0, 1.0, math.inf], "values": [1.0, 0.5, 0.25]},
+        "table(FILE)", "table(MISSING)",
+    ], ids=["power-nan", "power-inf", "weighted-nan", "weighted-inf", "inline-nan-value",
+            "inline-inf-grid", "file-nan-value", "missing-file"])
+    def test_non_finite_profile_is_a_config_error(self, tmp_path, capsys, profile):
+        table = tmp_path / "profile.json"
+        table.write_text(json.dumps({"grid": [0.0, 1.0, 2.0],
+                                     "values": [1.0, math.nan, 0.25]}))
+        if isinstance(profile, str):
+            profile = profile.replace("FILE", str(table)).replace(
+                "MISSING", str(tmp_path / "missing.json"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_raw(f_function=profile)))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: f_function:")
 
     def test_pass_exit_code_and_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
