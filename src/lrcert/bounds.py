@@ -113,10 +113,6 @@ class BoundReport:
     def passes(self, tolerance: float = SLACK_RTOL) -> bool:
         return self.valid and self.slack >= -tolerance * max(1.0, self.rhs)
 
-    @property
-    def passed(self) -> bool:
-        return self.passes()
-
 
 @dataclass(frozen=True)
 class WindowedValue:

@@ -2,12 +2,15 @@
 
 A left-hand side needs the semigroup only through its action on a few
 observables, so ``Dynamics`` holds the CSR generators of one interaction on its
-space, one per selected term set (full, range-R truncated, subvolume), and
-applies exp(t L) to vectorized observables with scipy's ``expm_multiply``
-(Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), never forming the
-propagator.  Every exact left-hand side is a ``Dynamics`` method or built from
-its evolutions: the quasi-locality norm, the truncation error and the local
-approximation error here, the correlation quantities in ``correlations``.
+space, one per term set, and applies exp(t L) to vectorized observables with
+scipy's ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011),
+never forming the propagator.  A generator is its term set
+(``DissipativeInteraction.terms_for``): every term, the terms of diameter at
+most R (the range-R approximant) or the terms inside a region (the strictly
+local dynamics).  Every exact left-hand side is a ``Dynamics`` method or
+built from its evolutions: the quasi-locality norm, the truncation error and
+the local approximation error here, the correlation quantities in
+``correlations``.
 The module-level ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
 consume, and the fixed-point suite; both go through the generator's
@@ -26,7 +29,7 @@ import scipy.sparse.linalg
 
 from . import geometry, model
 from .geometry import Site
-from .model import DissipativeInteraction, Superoperator
+from .model import DissipativeInteraction, LindbladTerm, Superoperator
 from .qalgebra import (ObservableOp, ObservationMap, _choi, apply_map, devectorize, op_norm,
                        vectorize)
 
@@ -54,43 +57,40 @@ def _action(matrix, t: float, vec: np.ndarray) -> np.ndarray:
 class Dynamics:
     """The dynamics of one interaction on its whole space, for left-hand sides.
 
-    Generators are assembled in CSR form on first use, one per selected term
-    set (``model.select_terms``): a range-R truncation or a subvolume that
-    keeps every term is the full generator itself, and two ranges or regions
-    that keep the same terms share one matrix.  Evolved observables are kept
-    by (generator, t, content), so every theorem of a run shares each
-    evolution.  ``counters`` counts this work: generators assembled,
-    evolutions computed, evolutions found kept, and ``expm_multiply`` calls.
+    A generator is the sum of a set of the interaction's terms, assembled in
+    CSR form on first use and keyed by the terms' identities: a range or a
+    region that keeps every term is the full generator itself, and two that
+    keep the same terms share one matrix.  Evolved observables are kept by
+    (generator, t, content), so every theorem of a run shares each evolution.
+    ``counters`` counts this work: generators assembled, evolutions computed,
+    evolutions found kept, and ``expm_multiply`` calls.
     """
 
     def __init__(self, interaction: DissipativeInteraction):
         self.interaction = interaction
         self.sites = tuple(interaction.space.points)
-        self._site_set = frozenset(self.sites)
         self.dims = model.volume_dims(self.sites, *interaction.terms)
         self._generators: dict = {}
         self._evolved: dict = {}
         self.counters = {"generators": 0, "evolutions": 0, "evolution_hits": 0,
                          "expm_multiply": 0}
 
-    def generator(self, mode: str = "full", R: Optional[float] = None,
-                  region: Optional[Iterable[Site]] = None):
-        """CSR generator of a mode of ``model.generator``, keyed by the terms
-        the mode selects (by identity: the interaction holds them)."""
-        terms = model.select_terms(self.interaction, self._site_set, mode, R, region)
+    def generator(self, terms: Optional[Iterable[LindbladTerm]] = None):
+        """CSR generator of ``terms``, terms of the interaction (every term
+        by default), keyed by their identities: the interaction holds them."""
+        terms = tuple(self.interaction.terms if terms is None else terms)
         key = tuple(map(id, terms))
         if key not in self._generators:
             self._generators[key] = model.assemble(terms, self.sites, self.dims)
             self.counters["generators"] += 1
         return self._generators[key]
 
-    def evolve(self, t: float, a: ObservableOp, mode: str = "full",
-               R: Optional[float] = None,
-               region: Optional[Iterable[Site]] = None) -> ObservableOp:
-        """exp(t L) applied to ``a``, with L the generator of the mode."""
+    def evolve(self, t: float, a: ObservableOp,
+               terms: Optional[Iterable[LindbladTerm]] = None) -> ObservableOp:
+        """exp(t L) applied to ``a``, with L the generator of ``terms``."""
         if tuple(a.sites) != self.sites or tuple(a.dims) != self.dims:
             raise DynamicsError("observable volume differs from the generator volume")
-        gen = self.generator(mode, R=R, region=region)
+        gen = self.generator(terms)
         vec = vectorize(a)
         key = (id(gen), float(t), hashlib.blake2b(vec.tobytes(), digest_size=16).digest())
         if key in self._evolved:
@@ -109,12 +109,19 @@ class Dynamics:
         otherwise."""
         if frozenset(k.sites) & a.support:
             raise DynamicsError("observation map and observable supports overlap")
-        evolved = self.evolve(t, a, "full" if R is None else "truncated", R=R)
+        evolved = self.evolve(t, a, None if R is None else self._within(R))
         return op_norm(apply_map(k, evolved))
 
     def truncation_error(self, t: float, a: ObservableOp, R: float) -> float:
         """opnorm of (full - range-R truncated) evolution of ``a``."""
-        return op_norm(self.evolve(t, a) - self.evolve(t, a, "truncated", R=R))
+        within = self._within(R)
+        return op_norm(self.evolve(t, a) - self.evolve(t, a, within))
+
+    def _within(self, R: float) -> list:
+        """The terms of the range-R approximant: support diameter at most R > 0."""
+        if not R > 0:
+            raise DynamicsError(f"range-R dynamics needs R > 0, got {R}")
+        return self.interaction.terms_for(self.interaction.space.all_sites(), max_diam=R)
 
     def local_error(self, t: float, a: ObservableOp, xs: Iterable[Site], r: float) -> float:
         """opnorm of (full - strictly local on the r-inflation of ``xs``)
@@ -124,7 +131,7 @@ class Dynamics:
         if not a.support <= xs:
             raise DynamicsError("observable must be supported in the localization region")
         region = geometry.inflate(self.interaction.space, xs, r)
-        return op_norm(self.evolve(t, a) - self.evolve(t, a, "subvolume", region=region))
+        return op_norm(self.evolve(t, a) - self.evolve(t, a, self.interaction.terms_for(region)))
 
 
 def propagator(gen: Superoperator, t: float) -> Superoperator:

@@ -91,16 +91,26 @@ def _parse_call(desc: str):
 
 
 def parse_space(desc) -> FiniteMetricSpace:
+    """The space a descriptor names, refused over ``SINGLE_POINT_CEILING`` points
+    from its point count, before its O(n^3) distance-table check runs."""
     if isinstance(desc, Mapping):
-        return FiniteMetricSpace.explicit([_site_from_json(p) for p in desc["points"]],
-                                          desc["dist"])
+        points = [_site_from_json(p) for p in desc["points"]]
+        _within_ceiling(len(points))
+        return FiniteMetricSpace.explicit(points, desc["dist"])
     name, args, kwargs = _parse_call(str(desc))
     if name == "chain":
-        return FiniteMetricSpace.chain(int(args[0]))
+        return FiniteMetricSpace.chain(_within_ceiling(int(args[0])))
     if name == "grid":
-        return FiniteMetricSpace.grid(int(args[0]), int(args[1]),
-                                      metric=kwargs.get("metric", "l1"))
+        nx, ny = int(args[0]), int(args[1])
+        _within_ceiling(max(nx, 0) * max(ny, 0))
+        return FiniteMetricSpace.grid(nx, ny, metric=kwargs.get("metric", "l1"))
     raise ValueError(f"unknown space descriptor {desc!r}")
+
+
+def _within_ceiling(n_points: int) -> int:
+    if n_points > SINGLE_POINT_CEILING:
+        raise ValueError(f"volume exceeds the {SINGLE_POINT_CEILING}-site ceiling")
+    return n_points
 
 
 def parse_f_function(desc) -> FFunction:
@@ -207,38 +217,30 @@ def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
     raise ValueError(f"unknown interaction descriptor {desc!r}")
 
 
-def _state_form(desc) -> tuple:
-    """(form, argument) of a state descriptor, building nothing; ValueError
-    for a descriptor ``parse_state`` cannot read."""
+def parse_state(desc, sites: tuple) -> Optional[StateFunctional]:
+    """The state a descriptor names on the qubit sites ``sites``; None
+    signals the stationary state, resolved against the model at run time."""
     if isinstance(desc, Mapping):
-        for form in ("product", "density"):
-            if form in desc:
-                return form, desc[form]
+        if "product" in desc:
+            arg = desc["product"]
+            if isinstance(arg, Mapping):
+                arg = {_site_from_json_key(k): v for k, v in arg.items()}
+            return StateFunctional.product(sites, arg)
+        if "density" in desc:
+            return StateFunctional(_matrix_from_json(desc["density"]), sites,
+                                   (2,) * len(sites))
         raise ValueError(f"unknown state object {desc!r}")
     name, args, _ = _parse_call(str(desc))
     if name == "product":
         label = args[0] if args else "0"
         if label not in correlations.SINGLE_SITE_DENSITIES:
             raise ValueError(f"unknown single-site state {label!r} in {desc!r}")
-        return name, label
-    if name in ("maximally_mixed", "stationary"):
-        return name, None
-    raise ValueError(f"unknown state descriptor {desc!r}")
-
-
-def parse_state(desc, sites: tuple, dims) -> Optional[StateFunctional]:
-    """None signals the stationary state, resolved against the model at run time."""
-    form, arg = _state_form(desc)
-    if form == "stationary":
+        return StateFunctional.product(sites, label)
+    if name == "maximally_mixed":
+        return StateFunctional.maximally_mixed(sites)
+    if name == "stationary":
         return None
-    if form == "maximally_mixed":
-        return StateFunctional.maximally_mixed(sites, dims)
-    if form == "density":
-        return StateFunctional(_matrix_from_json(arg), sites,
-                               qalgebra._resolve_dims(sites, dims))
-    if isinstance(arg, Mapping):
-        arg = {_site_from_json_key(k): v for k, v in arg.items()}
-    return StateFunctional.product(sites, arg, dims)
+    raise ValueError(f"unknown state descriptor {desc!r}")
 
 
 def _site_from_json_key(k):
@@ -279,8 +281,9 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True).encode()).hexdigest()
+        """SHA-256 of the raw JSON with ``theorems`` the selection this config runs."""
+        selected = {**self.raw, "theorems": list(self.theorems)}
+        return hashlib.sha256(json.dumps(selected, sort_keys=True).encode()).hexdigest()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -306,8 +309,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         raise ConfigError("file", f"the top level must be a JSON object, "
                                   f"not {type(raw).__name__}")
     space = section("space", parse_space, raw.get("space", "chain(4)"))
-    if len(space) > SINGLE_POINT_CEILING:
-        raise ConfigError("space", f"volume exceeds the {SINGLE_POINT_CEILING}-site ceiling")
     f = section("f_function", parse_f_function, raw.get("f_function", "power(3)"))
     nu = section("nu", _positive, raw.get("nu", 1.0))
     interaction = section("interaction", parse_interaction,
@@ -386,8 +387,8 @@ def _grid(values, positive: bool = False) -> tuple:
 def check_selection(cfg: ExperimentConfig) -> None:
     """ConfigError unless the selected theorems can run on this config: a
     second observable, and an observation map, on supports disjoint from the
-    first wherever one is needed, a readable state descriptor wherever the
-    state is read, and at most ``model.MAX_DENSE_DIM`` wherever the dense
+    first wherever one is needed, a state that builds on the space wherever
+    the state is read, and at most ``model.MAX_DENSE_DIM`` wherever the dense
     generator is used (by a ``dense`` theorem or for the stationary state).
     ``ExperimentRunner`` calls it on the theorems it runs."""
     selected = [THEOREMS[name] for name in cfg.theorems]
@@ -401,8 +402,10 @@ def check_selection(cfg: ExperimentConfig) -> None:
     dense = any(spec.dense for spec in selected)
     if any(spec.reads_state for spec in selected):
         try:
-            dense = _state_form(cfg.state_desc)[0] == "stationary" or dense
-        except ValueError as exc:
+            dense = parse_state(cfg.state_desc, cfg.space.points) is None or dense
+        except KeyError as exc:
+            raise ConfigError("state", f"no entry for {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError("state", str(exc)) from exc
     if dense:
         try:
@@ -539,7 +542,7 @@ class ExperimentRunner:
 
     def state(self) -> StateFunctional:
         if self._state is None:
-            parsed = parse_state(self.cfg.state_desc, self.volume, None)
+            parsed = parse_state(self.cfg.state_desc, self.volume)
             if parsed is None:
                 parsed = correlations.stationary_state(self.dense_generator())
             self._state = parsed

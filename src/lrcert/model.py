@@ -7,14 +7,14 @@ surrogate ``cb_upper = 2 |H| + 2 sum_j |K_j|^2`` (triangle inequality over
 the three Lindblad pieces) together with a probed lower bound, and all
 analytic bounds consume ``cb_upper``.
 
-A generator on a volume is the sum of its selected terms, L = sum_Z L_Z.  Each
-term builds its superoperator on its own support once (``LindbladTerm.superop``);
-``local_superop`` embeds it into a volume by index arithmetic alone, every
-entry an entry of that matrix, and ``assemble`` sums the embedded terms in
-their stored order.  The full, range-R truncated and subvolume generators
-differ only in which terms ``select_terms`` keeps, so a caller that keys its
-generators by the selected terms (``dynamics.Dynamics``) builds one per
-distinct set.
+A generator is its term set: L = sum_Z L_Z over every term (the full
+dynamics), the terms with diam Z <= R (the range-R approximant) or the terms
+inside a region (the strictly local dynamics), as ``terms_for`` selects them.
+Each term builds its superoperator on its own support once
+(``LindbladTerm.superop``); ``local_superop`` embeds it into a volume by index
+arithmetic alone, every entry an entry of that matrix, and ``assemble`` sums
+the embedded terms in their stored order, so a caller that keys its
+generators by their terms (``dynamics.Dynamics``) builds one per distinct set.
 """
 from __future__ import annotations
 
@@ -299,30 +299,19 @@ class DissipativeInteraction:
         return max(self.diameters, default=0.0)
 
     def terms_for(self, volume: frozenset, max_diam: Optional[float] = None) -> list:
+        """A generator's term set: the terms inside ``volume`` (of diameter <= ``max_diam``)."""
         return [t for t, diam in zip(self.terms, self.diameters)
                 if t.support <= volume and (max_diam is None or diam <= max_diam + 1e-12)]
 
 
-def generator(interaction: DissipativeInteraction, mode: str = "full",
-              R: Optional[float] = None,
-              region: Optional[Iterable[Site]] = None) -> Superoperator:
-    """Sum of embedded term superoperators on the interaction's whole space,
-    filtered by mode, as a dense matrix.
-
-    ``full``      : all terms.
-    ``truncated`` : additionally diam(support) <= R (requires ``R > 0``);
-                    identical to ``full`` once R reaches the interaction range.
-    ``subvolume`` : only terms supported inside ``region``, still embedded in
-                    the full volume.
-    The matrix is the densified ``assemble`` of the selected terms.  A volume
-    whose vectorized dimension exceeds ``MAX_DENSE_DIM`` is refused before
-    any matrix is allocated.
-    """
+def generator(interaction: DissipativeInteraction) -> Superoperator:
+    """The full generator on the interaction's space, the densified ``assemble``
+    of every term; a volume whose vectorized dimension exceeds ``MAX_DENSE_DIM``
+    is refused before any matrix is allocated."""
     vol_sites = interaction.space.points
-    selected = select_terms(interaction, frozenset(vol_sites), mode, R, region)
-    dims_t = volume_dims(vol_sites, *selected)
+    dims_t = volume_dims(vol_sites, *interaction.terms)
     _check_dense(dims_t)
-    return Superoperator(assemble(selected, vol_sites, dims_t).toarray(), vol_sites,
+    return Superoperator(assemble(interaction.terms, vol_sites, dims_t).toarray(), vol_sites,
                          dims_t, picture="heisenberg")
 
 
@@ -332,26 +321,6 @@ def _check_dense(dims: tuple) -> None:
     if d2 > MAX_DENSE_DIM:
         raise ModelError(f"vectorized dimension {d2} exceeds the dense ceiling "
                          f"model.MAX_DENSE_DIM = {MAX_DENSE_DIM}")
-
-
-def select_terms(interaction: DissipativeInteraction, volume: frozenset, mode: str,
-                 R: Optional[float] = None, region: Optional[Iterable[Site]] = None) -> list:
-    """The terms a generator mode keeps on ``volume``, in stored order; modes
-    and arguments are those of ``generator``."""
-    if mode == "full":
-        return interaction.terms_for(volume)
-    if mode == "truncated":
-        if R is None or R <= 0:
-            raise ModelError("truncated mode needs R > 0")
-        return interaction.terms_for(volume, max_diam=R)
-    if mode == "subvolume":
-        if region is None:
-            raise ModelError("subvolume mode needs a region")
-        reg = frozenset(region)
-        if not reg <= volume:
-            raise ModelError("region must lie inside the volume")
-        return interaction.terms_for(reg)
-    raise ModelError(f"unknown generator mode {mode!r}")
 
 
 def assemble(terms: Iterable[LindbladTerm], vol_sites: tuple,

@@ -147,7 +147,7 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
         for r in (1.0, 2.0):
             rep = bounds.surface_sum_check(c, sites, xs, r, sites[0])
             rows += 1
-            if not rep.passed:
+            if not rep.passes():
                 failures.append((idx, r, "surface", rep.lhs, rep.rhs))
     conclude("criterion 3 (truncation and locality errors)", failures,
              f"{rows} rows, {time.perf_counter() - started:.1f}s")
@@ -345,7 +345,7 @@ def test_criterion_7_fixed_point_suite(fixed_point_suite):
     dyn = lr.Dynamics(inter)
     for t in (0.5, 2.0, 6.0):
         rep = lr.check_fixed_point_correlation(rho_pi, dyn, a, b, t, omega, g)
-        if not rep.passed:
+        if not rep.passes():
             failures.append(("fixed-point correlation", t, rep.lhs, rep.rhs))
 
     f0 = FFunction.power(3.0)

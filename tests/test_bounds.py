@@ -280,7 +280,7 @@ class TestSurfaceSum:
     def test_full_inflation_both_sides_zero(self, chain4_model):
         space, _, _, c, _, _ = chain4_model
         rep = bounds.surface_sum_check(c, space.points, {0}, r=5.0, x=0)
-        assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
+        assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passes()
 
     def test_no_surface_terms(self):
         space = lr.FiniteMetricSpace.chain(3)
@@ -289,7 +289,7 @@ class TestSurfaceSum:
         f = FFunction.power(2.0)
         c = ModelConstants.from_model(space, f, inter, nu=1.0)
         rep = bounds.surface_sum_check(c, space.points, {0}, r=1.0, x=0)
-        assert rep.lhs == 0.0 and rep.passed
+        assert rep.lhs == 0.0 and rep.passes()
 
     def test_anchor_outside_region_rejected(self, chain4_model):
         space, _, _, c, _, _ = chain4_model
@@ -313,7 +313,7 @@ class TestSurfaceSum:
                 lhs += t.cb_upper * sum(f(space.d(x, z)) for z in t.support)
         assert rep.lhs == pytest.approx(lhs, rel=1e-13)
         assert rep.lhs <= rep.rhs * (1 + 1e-12)
-        assert rep.passed
+        assert rep.passes()
 
 
 class TestLocalApprox:
@@ -513,13 +513,13 @@ class TestFixedPointEvaluators:
 class TestReports:
     def test_pass_rule(self):
         rep = bounds.BoundReport("x", {}, lhs=1.0, rhs=1.0)
-        assert rep.passed and rep.slack == 0.0
+        assert rep.passes() and rep.slack == 0.0
         rep = bounds.BoundReport("x", {}, lhs=1.0 + 1e-11, rhs=1.0)
-        assert rep.passed  # inside the roundoff allowance
+        assert rep.passes()  # inside the roundoff allowance
         rep = bounds.BoundReport("x", {}, lhs=1.1, rhs=1.0)
-        assert not rep.passed
+        assert not rep.passes()
         rep = bounds.BoundReport("x", {}, lhs=0.0, rhs=1.0, flags={"w": False})
-        assert not rep.valid and not rep.passed
+        assert not rep.valid and not rep.passes()
 
     def test_monotone_rhs_in_time(self, chain4_model):
         space, _, _, c, a, k = chain4_model

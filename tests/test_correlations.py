@@ -118,7 +118,7 @@ class TestCheckDynamicCorrelation:
         dyn = lr.Dynamics(inter)
         for t in np.linspace(0.0, 1.0, 5):
             rep = lr.check_dynamic_correlation(omega, dyn, {0}, {3}, 1.0, t, a, b)
-            assert rep.valid and rep.passed
+            assert rep.valid and rep.passes()
 
     def test_trivial_governance_always_passes(self, tfim4):
         space, inter = tfim4
@@ -129,7 +129,7 @@ class TestCheckDynamicCorrelation:
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         rep = lr.check_dynamic_correlation(omega, lr.Dynamics(inter), {0}, {3}, 1.0, 0.5,
                                            a, b)
-        assert rep.valid and rep.passed
+        assert rep.valid and rep.passes()
 
     def test_boundary_radius_flagged(self, tfim4):
         space, inter = tfim4
@@ -557,7 +557,7 @@ class TestCheckFixedPointCorrelation:
         rep = lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, b, 1.0,
                                                omega, analysis.governance())
         assert rep.lhs == pytest.approx(0.0, abs=1e-11)
-        assert rep.passed
+        assert rep.passes()
 
     def test_self_state_time_zero_identity(self, analyzed):
         # with omega = pi at t = 0 the first term reproduces the lhs exactly
@@ -569,7 +569,7 @@ class TestCheckFixedPointCorrelation:
                                                analysis.governance())
         first = rep.rhs - 3.0 * analysis.governance()(0.0)
         assert first == pytest.approx(rep.lhs, abs=1e-11)
-        assert rep.passed
+        assert rep.passes()
 
     def test_grid_passes(self, analyzed):
         space, dyn, analysis = analyzed
@@ -579,7 +579,7 @@ class TestCheckFixedPointCorrelation:
         for t in (0.0, 0.5, 1.5, 3.0):
             rep = lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, b, t,
                                                    omega, analysis.governance())
-            assert rep.passed
+            assert rep.passes()
 
     def test_overlapping_supports_rejected(self, analyzed):
         space, dyn, analysis = analyzed

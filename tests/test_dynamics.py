@@ -338,7 +338,8 @@ class TestDynamicsLayer:
                         chain4.points)
         dyn = lr.Dynamics(inter)
         assert np.array_equal(dyn.evolve(0.0, a).matrix, a.matrix)
-        assert np.array_equal(dyn.evolve(0.0, a, "subvolume", region={0}).matrix, a.matrix)
+        assert np.array_equal(dyn.evolve(0.0, a, inter.terms_for(frozenset({0}))).matrix,
+                              a.matrix)
         assert np.array_equal(lr.evolve(lr.generator(inter), 0.0, a).matrix, a.matrix)
 
     def test_truncation_saturates(self, chain4):
@@ -347,28 +348,46 @@ class TestDynamicsLayer:
         full = dyn.generator()
         assert inter.range_r0 == 3.0
         for R in (3.0, 4.5):
-            assert dyn.generator("truncated", R=R) is full
-        short = dyn.generator("truncated", R=1.0)
+            assert dyn.generator(inter.terms_for(chain4.all_sites(), max_diam=R)) is full
+        short = dyn.generator(inter.terms_for(chain4.all_sites(), max_diam=1.0))
         assert short is not full
         assert (short != full).nnz > 0
 
     def test_one_generator_per_term_set(self, chain4):
-        dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
-        assert dyn.generator("subvolume", region=chain4.points) is dyn.generator()
-        dyn = lr.Dynamics(lr.long_range_zz(chain4, 0.4, 3.0, 1.0))
-        assert dyn.generator("truncated", R=1.0) is dyn.generator("truncated", R=1.5)
-        assert dyn.generator("truncated", R=2.0) is not dyn.generator("truncated", R=1.0)
+        inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
+        dyn = lr.Dynamics(inter)
+        assert dyn.generator(inter.terms_for(chain4.all_sites())) is dyn.generator()
+        inter = lr.long_range_zz(chain4, 0.4, 3.0, 1.0)
+        dyn = lr.Dynamics(inter)
+
+        def within(R):
+            return dyn.generator(inter.terms_for(chain4.all_sites(), max_diam=R))
+
+        assert within(1.0) is within(1.5)
+        assert within(2.0) is not within(1.0)
         assert dyn.counters["generators"] == 2
 
     def test_shared_generator_shares_evolutions(self, chain4):
-        dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
+        dyn = lr.Dynamics(inter)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
         full = dyn.evolve(0.5, a)
-        assert dyn.evolve(0.5, a, "subvolume", region=chain4.points) is full
-        assert dyn.evolve(0.5, a, "truncated", R=1.0) is full
-        dyn.evolve(0.0, a, "subvolume", region={0})
+        assert dyn.evolve(0.5, a, inter.terms_for(chain4.all_sites())) is full
+        assert dyn.evolve(0.5, a, inter.terms_for(chain4.all_sites(), max_diam=1.0)) is full
+        dyn.evolve(0.0, a, inter.terms_for(frozenset({0})))
         assert dyn.counters == {"generators": 2, "evolutions": 2, "evolution_hits": 2,
                                 "expm_multiply": 1}
+
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_range_dynamics_needs_positive_range(self, chain4, R):
+        dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        a = lr.embed(lr.site_operator("Z", 0), chain4.points)
+        k = lr.commutator_map(lr.site_operator("Z", 3))
+        with pytest.raises(DynamicsError, match="R > 0"):
+            dyn.truncation_error(0.5, a, R)
+        with pytest.raises(DynamicsError, match="R > 0"):
+            dyn.quasi_locality(0.5, a, k, R)
+        assert dyn.counters["generators"] == 0
 
     def test_volume_mismatch_rejected(self, chain4):
         dyn = lr.Dynamics(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrcert as lr
-from lrcert import cli, correlations, harness, model
+from lrcert import cli, correlations, dynamics, harness, model
 from lrcert.bounds import BoundReport
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
@@ -158,7 +158,7 @@ class TestLoadConfig:
             state={"product": {"0": "0", "1": "+"}},
             theorems=["dynamic_correlation"]))
         reports, _ = harness.run_experiment(cfg)
-        assert reports and all(r.passed for r in reports if r.valid)
+        assert reports and all(r.passes() for r in reports if r.valid)
 
     def test_state_checked_only_where_read(self):
         # full_lrb never reads the state
@@ -221,7 +221,7 @@ class TestObservationMapConfig:
                                            observables={"a": "Z0", "b": "Z3"}))
         reports, _ = harness.run_experiment(cfg)
         assert [r.params["d"] for r in reports] == [2.0, 2.0]
-        assert all(r.passed for r in reports)
+        assert all(r.passes() for r in reports)
 
 
 class TestVolumeCeiling:
@@ -259,6 +259,18 @@ class TestVolumeCeiling:
         assert cli.main(["fixed-point", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: space:" in err and "model.MAX_DENSE_DIM" in err
+
+    @pytest.mark.parametrize("space", [
+        "chain(9)", "grid(3,3)",
+        {"points": list(range(9)), "dist": [[abs(i - j) for j in range(9)] for i in range(9)]},
+    ], ids=["chain", "grid", "explicit"])
+    def test_oversized_space_is_refused_before_it_is_built(self, monkeypatch, space):
+        def no_table(self):
+            raise AssertionError("built the distance table of an oversized space")
+
+        monkeypatch.setattr(lr.FiniteMetricSpace, "__post_init__", no_table)
+        with pytest.raises(ConfigError, match="space: volume exceeds the 8-site ceiling"):
+            config_from_dict(minimal_raw(space=space))
 
     def test_nine_sites_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "c9.json"
@@ -308,7 +320,7 @@ class TestRunExperiment:
         for rep in reports:
             assert rep.lhs == pytest.approx(0.0, abs=1e-13)
             assert rep.rhs == pytest.approx(0.0, abs=1e-13)
-            assert rep.passed
+            assert rep.passes()
 
     def test_deterministic_json(self, tmp_path):
         cfg = config_from_dict(minimal_raw(theorems=["full_lrb", "local_approx"]))
@@ -394,16 +406,15 @@ class TestRunExperiment:
         one, which R = 1, 2, 3 and the regions around {0, 3} also select on
         this nearest-neighbour chain, and four strictly local regions), 28
         evolutions of which 7 are at t = 0, and 124 evolutions found kept."""
-        requests, term_sets = set(), set()
-        original = model.select_terms
+        requests, term_sets = [], set()
+        original = dynamics.Dynamics.generator
 
-        def recording(interaction, volume, mode, R=None, region=None):
-            terms = original(interaction, volume, mode, R, region)
-            requests.add((mode, R, None if region is None else frozenset(region)))
-            term_sets.add(tuple(map(id, terms)))
-            return terms
+        def recording(self, terms=None):
+            requests.append(terms)
+            term_sets.add(tuple(map(id, self.interaction.terms if terms is None else terms)))
+            return original(self, terms)
 
-        monkeypatch.setattr(model, "select_terms", recording)
+        monkeypatch.setattr(dynamics.Dynamics, "generator", recording)
         cfg = load_config(DOCS / "tfim_dissipative.json")
         harness.run_experiment(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -558,6 +569,29 @@ class TestCli:
         assert code == 2
         assert "configuration error: state: unknown state descriptor 'bogus'" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state, message", [
+        ({"product": {"0": "0"}}, "no entry for 1"),
+        ({"density": [[1, 0], [0, 0]]}, "density matrix shape inconsistent with volume"),
+    ], ids=["partial-product", "density-shape"])
+    def test_state_that_does_not_build_is_a_config_error(self, tmp_path, capsys, state,
+                                                         message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(4)", observables={"a": "Z0", "b": "Z3"}, state=state,
+            theorems=["dynamic_correlation"])))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert f"configuration error: state: {message}" in capsys.readouterr().err
+
+    def test_config_hash_covers_the_selection(self, tmp_path):
+        # one file, two subcommands over disjoint theorem sets
+        hashes = []
+        for command in ("certify-lrb", "certify-local"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(DATA / "all_theorems.json"),
+                             "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
 
     @pytest.mark.parametrize("command", ["certify-lrb", "certify-correlations",
                                          "fixed-point", "sweep"])
@@ -716,4 +750,4 @@ class TestCli:
             theorems=["fixed_point_correlation"],
             grids={"t": [0.5, 1.0], "R": [1], "r": [1]}))
         reports, _ = harness.run_experiment(cfg)
-        assert reports and all(r.passed for r in reports)
+        assert reports and all(r.passes() for r in reports)

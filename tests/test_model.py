@@ -96,28 +96,34 @@ def pair_only_interaction(space, amp=0.5):
     return DissipativeInteraction(space, tuple(terms))
 
 
+def assembled(inter, terms):
+    """The dense generator of ``terms`` on the interaction's whole space."""
+    points = inter.space.points
+    return model.assemble(terms, points, model.volume_dims(points, *inter.terms)).toarray()
+
+
 class TestGenerator:
     def test_truncation_below_min_diameter_is_zero(self):
         space = lr.FiniteMetricSpace.chain(3)
         inter = pair_only_interaction(space)
-        gen = lr.generator(inter, mode="truncated", R=0.5)
-        assert np.allclose(gen.matrix, 0)
+        gen = assembled(inter, inter.terms_for(space.all_sites(), max_diam=0.5))
+        assert np.allclose(gen, 0)
 
     def test_truncation_saturates(self, chain4):
         inter = lr.long_range_zz(chain4, 0.5, 3.0, 1.0)
-        full = lr.generator(inter, mode="full")
-        trunc = lr.generator(inter, mode="truncated", R=inter.range_r0)
-        np.testing.assert_array_equal(full.matrix, trunc.matrix)
+        full = lr.generator(inter)
+        trunc = assembled(inter, inter.terms_for(chain4.all_sites(), max_diam=inter.range_r0))
+        np.testing.assert_array_equal(full.matrix, trunc)
 
     def test_subvolume_filter_oracle(self):
         space = lr.FiniteMetricSpace.chain(3)
         inter = lr.tfim_dissipative(space, j=0.4, h=0.3, gamma=0.8)
-        gen = lr.generator(inter, mode="subvolume", region={0, 1})
-        acc = np.zeros_like(gen.matrix)
+        gen = assembled(inter, inter.terms_for(frozenset({0, 1})))
+        acc = np.zeros_like(gen)
         for t in inter.terms:
             if t.support <= {0, 1}:
-                acc = acc + model.local_superop(t, space.points, gen.dims).toarray()
-        np.testing.assert_allclose(gen.matrix, acc, atol=1e-14)
+                acc = acc + model.local_superop(t, space.points, (2, 2, 2)).toarray()
+        np.testing.assert_allclose(gen, acc, atol=1e-14)
 
     def test_truncation_term_count_monotone(self, chain4):
         inter = lr.long_range_zz(chain4, 0.5, 3.0, 1.0)
