@@ -60,8 +60,7 @@ from .correlations import (
     StateFunctional,
     analyze_fixed_point,
     c_ab,
-    check_dynamic_correlation,
-    check_fixed_point_correlation,
+    centred_correlation,
     convergence_envelope,
     correlation,
     mixing_eta,

@@ -1,16 +1,18 @@
-"""Analytic right-hand sides of the certified inequalities, plus report records.
+"""Analytic right-hand sides of the certified inequalities, and the report record.
 
-Each evaluator is a pure function of model constants and geometry.  Exponent
-or hypothesis windows never raise during sweeps: out-of-window points come
-back as reports or values flagged invalid, so a parameter sweep records
-rather than aborts.  The two fixed-point evaluators raise on violated
-hypotheses instead, since they are single-point checks by construction.
+Each evaluator is a pure function of model constants and geometry returning a
+float, a ``WindowedValue`` or (``surface_sum_check``) the lhs and rhs; only
+``harness.THEOREMS`` builds ``BoundReport`` rows.  Exponent or hypothesis
+windows never raise during sweeps: out-of-window points come back as values
+flagged invalid, so a parameter sweep records rather than aborts.  The two
+fixed-point evaluators raise on violated hypotheses instead, since they are
+single-point checks by construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import decay, geometry
 from .decay import FFunction, c_epsilon, exp_tail
@@ -190,20 +192,11 @@ def rhs_range_truncation(c: ModelConstants, a_norm: float, xs: Iterable[Site],
 
 
 def rhs_composite_lrb(c: ModelConstants, k_cb: float, a_norm: float,
-                      xs: Iterable[Site], ys: Iterable[Site], volume: Iterable[Site],
-                      t: float, r: float, R: float, first_term: str = "exact",
-                      exact_first: Optional[float] = None) -> float:
+                      xs: Iterable[Site], volume: Iterable[Site], t: float, r: float,
+                      R: float, head: float) -> float:
     """Quasi-locality of the full dynamics through its range-R approximant:
-    first term (exact norm or its analytic bound) plus k_cb times the
-    truncation bracket."""
-    if first_term == "exact":
-        if exact_first is None:
-            raise BoundsError("exact mode needs the computed first term")
-        head = float(exact_first)
-    elif first_term == "analytic":
-        head = rhs_finite_range_lrb(c, k_cb, a_norm, xs, ys, t, R)
-    else:
-        raise BoundsError(f"unknown first_term mode {first_term!r}")
+    ``head``, the range-R dynamics' term (its exact norm, or
+    ``rhs_finite_range_lrb``), plus k_cb times the truncation bracket."""
     return head + k_cb * rhs_range_truncation(c, a_norm, xs, volume, t, r, R)
 
 
@@ -289,8 +282,8 @@ def rhs_correlation_power_law(c: ModelConstants, a_norm: float, b_norm: float,
 
 
 def surface_sum_check(c: ModelConstants, volume: Iterable[Site], xs: Iterable[Site],
-                      r: float, x: Site) -> BoundReport:
-    """Anchored surface-term sum against its profile-tail bound.
+                      r: float, x: Site) -> tuple:
+    """(lhs, rhs) of the anchored surface-term sum against its profile-tail bound.
 
     LHS sums cb_upper over interaction supports that straddle the boundary of
     the r-inflation of xs while avoiding xs; RHS is
@@ -311,10 +304,7 @@ def surface_sum_check(c: ModelConstants, volume: Iterable[Site], xs: Iterable[Si
         lhs += term.cb_upper * sum(float(c.f(space.d(x, z_site))) for z_site in z)
     rhs = c.l_fnorm * (c.conv + c.fnorm) * sum(
         float(c.f(space.d(x, y))) for y in outside)
-    return BoundReport(
-        theorem="surface_sum",
-        params={"r": r, "x": repr(x), "t": None, "R": None, "d": None},
-        lhs=lhs, rhs=rhs)
+    return lhs, rhs
 
 
 def rhs_local_approx(c: ModelConstants, a_norm: float, xs: Iterable[Site],
@@ -347,6 +337,21 @@ def rhs_correlation_general(c: ModelConstants, a_norm: float, b_norm: float,
     sums = (c.pairs(xs, out_x) if out_x else 0.0) + (c.pairs(ys, out_y) if out_y else 0.0)
     bracket = t + (c.conv + c.fnorm) / c.conv * c.growth_integral(t)
     return WindowedValue(2.0 * a_norm * b_norm * c.l_fnorm * bracket * sums, flags)
+
+
+def rhs_dynamic_correlation(c: ModelConstants, a_norm: float, b_norm: float,
+                            xs: Iterable[Site], ys: Iterable[Site], r: float,
+                            governance: Callable[[float, float, float], float],
+                            defect: float) -> WindowedValue:
+    """|A| |B| governance(|X_r|, |Y_r|, d(X_r, Y_r)) of the r-inflations plus the
+    localization ``defect`` (``c_ab``).  The factorization behind it needs
+    2r < d(X, Y); the boundary case 2r = d(X, Y) is evaluated but flagged."""
+    d = geometry.set_distance(c.space, xs, ys)
+    flags = {"separation_window": d >= 2.0, "radius_window": 2.0 * r >= 2.0,
+             "factorization_strict": 2.0 * r < d}
+    xr, yr = geometry.inflate(c.space, xs, r), geometry.inflate(c.space, ys, r)
+    gov = float(governance(len(xr), len(yr), geometry.set_distance(c.space, xr, yr)))
+    return WindowedValue(a_norm * b_norm * gov + defect, flags)
 
 
 # -- fixed-point correlation bounds ----------------------------------------------

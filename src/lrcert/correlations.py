@@ -1,5 +1,8 @@
 """States, exact correlation functionals, dynamical fixed points, and mixing.
 
+Nothing here builds a report row: the rows its values enter are built only
+by the theorem table, ``harness.THEOREMS``.
+
 The fixed-point analysis certifies brackets, not exact values.  A trace-norm
 supremum sup_rho |T(rho) - rho_pi|_1 is bounded above by sqrt(dim) times the
 spectral norm of the vectorized map difference, and below by its value at an
@@ -31,8 +34,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from . import geometry
-from .bounds import BoundReport
 from .dynamics import Dynamics
 from .geometry import Site
 from .model import Superoperator
@@ -171,38 +172,12 @@ def c_ab(dynamics: Dynamics, xs: Iterable[Site], ys: Iterable[Site], r: float, t
             + dynamics.local_error(t, a @ b, xs | ys, r))
 
 
-def check_dynamic_correlation(omega: StateFunctional, dynamics: Dynamics,
-                              xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
-                              a: ObservableOp, b: ObservableOp,
-                              defect: Optional[float] = None) -> BoundReport:
-    """Evolved correlations against governance of the inflated regions plus
-    the localization defect.
-
-    The factorization step behind the bound needs 2r strictly below d(X, Y);
-    the boundary case 2r = d(X, Y) is evaluated but flagged.  ``defect`` is
-    ``c_ab`` at (r, t) when the caller already has it.
-    """
-    if omega.governance is None:
-        raise CorrelationsError("state carries no correlation governance")
-    space = dynamics.interaction.space
-    xs, ys = frozenset(xs), frozenset(ys)
-    d = geometry.set_distance(space, xs, ys)
-    flags = {
-        "separation_window": d >= 2.0,
-        "radius_window": 2.0 * r >= 2.0,
-        "factorization_strict": 2.0 * r < d,
-    }
-    lhs = abs(correlation(omega, dynamics, t, a, b))
-    if defect is None:
-        defect = c_ab(dynamics, xs, ys, r, t, a, b)
-    xr = geometry.inflate(space, xs, r)
-    yr = geometry.inflate(space, ys, r)
-    gov = float(omega.governance(len(xr), len(yr), geometry.set_distance(space, xr, yr)))
-    rhs = op_norm(a) * op_norm(b) * gov + defect
-    return BoundReport(
-        theorem="dynamic_correlation",
-        params={"t": t, "r": r, "R": None, "d": d},
-        lhs=lhs, rhs=rhs, flags=flags)
+def centred_correlation(omega: StateFunctional, dynamics: Dynamics, t: float,
+                        a: ObservableOp, b: ObservableOp) -> complex:
+    """w(T_t(A B_t)), where B_t = B - w(T_t(B)) recentres B by its evolved
+    w-expectation: the first term of the fixed-point clustering bound."""
+    b_centred = b - complex(omega.expect(dynamics.evolve(t, b))) * identity(b.sites, b.dims)
+    return omega.expect(dynamics.evolve(t, a @ b_centred))
 
 
 # -- fixed points and spectra ------------------------------------------------------
@@ -565,25 +540,3 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPoi
     rho_pi = stationary_state(gen)
     _, gamma, _, c = _envelope(gen, rho_pi, tuple(map(float, t_grid)))
     return FixedPointAnalysis(rho_pi=rho_pi, gap=gamma, envelope_c=c)
-
-
-def check_fixed_point_correlation(pi_state: StateFunctional, dynamics: Dynamics,
-                                  a: ObservableOp, b: ObservableOp, t: float,
-                                  omega: StateFunctional,
-                                  g: Callable[[float], float]) -> BoundReport:
-    """Fixed-point clustering through an auxiliary state omega:
-    |pi(AB) - pi(A) pi(B)| against |omega(T_t(A B_t))| + 3 |A| |B| g(t),
-    where B_t recenters B by its evolved omega-expectation, both evolutions
-    by ``dynamics``.
-    """
-    if a.support & b.support:
-        raise CorrelationsError("observables must have disjoint supports")
-    lhs = abs(pi_state.expect(a @ b) - pi_state.expect(a) * pi_state.expect(b))
-    b_centred = b - complex(omega.expect(dynamics.evolve(t, b))) * identity(b.sites, b.dims)
-    first = abs(omega.expect(dynamics.evolve(t, a @ b_centred)))
-    rhs = first + 3.0 * op_norm(a) * op_norm(b) * float(g(t))
-    return BoundReport(
-        theorem="fixed_point_correlation",
-        params={"t": t, "r": None, "R": None,
-                "d": None},
-        lhs=lhs, rhs=rhs)

@@ -6,12 +6,13 @@ README).  Runs are deterministic in (config, seed): reports are sorted before
 emission and serialized with fixed float formatting, so identical inputs give
 byte-identical outputs.
 
-``THEOREMS`` is the one table of what the runner certifies: for each theorem
-its grid axes, the function that builds its report rows at one grid point, its
-CLI group, and whether it needs the second observable, reads the state or uses
-the dense generator.  ``ExperimentRunner.run`` is a single loop over it; the
-CLI groups, the theorem lists and the config checks are derived from it.
-Adding a theorem means adding an entry.
+``THEOREMS`` is the one table of what the runner certifies and the only place
+report rows are built: for each theorem its grid axes, how a grid point's rows
+pair the exact left-hand side with the right-hand side ``bounds`` evaluates,
+its CLI group, and whether it needs the second observable, reads the state or
+its governance, or uses the dense generator.  ``ExperimentRunner.run`` is a
+single loop over it; the CLI groups, the theorem lists and the config checks
+are derived from it.  Adding a theorem means adding an entry.
 
 ``load_config`` and ``config_from_dict`` check each field and return a frozen
 ``ExperimentConfig``; whether its theorem selection can run on it
@@ -388,8 +389,9 @@ def check_selection(cfg: ExperimentConfig) -> None:
     """ConfigError unless the selected theorems can run on this config: a
     second observable, and an observation map, on supports disjoint from the
     first wherever one is needed, a state that builds on the space wherever
-    the state is read, and at most ``model.MAX_DENSE_DIM`` wherever the dense
-    generator is used (by a ``dense`` theorem or for the stationary state).
+    the state is read and carries correlation governance wherever that is
+    read, and at most ``model.MAX_DENSE_DIM`` wherever the dense generator is
+    used (by a ``dense`` theorem or for the stationary state).
     ``ExperimentRunner`` calls it on the theorems it runs."""
     selected = [THEOREMS[name] for name in cfg.theorems]
     if any(spec.needs_b for spec in selected):
@@ -400,18 +402,23 @@ def check_selection(cfg: ExperimentConfig) -> None:
         if cfg.x_sites & frozenset(cfg.k_map.sites):
             raise ConfigError("k_map", "observation map sites overlap the support of a")
     dense = any(spec.dense for spec in selected)
-    if any(spec.reads_state for spec in selected):
+    governed = any(spec.reads_governance for spec in selected)
+    if governed or any(spec.reads_state for spec in selected):
         try:
-            dense = parse_state(cfg.state_desc, cfg.space.points) is None or dense
+            state = parse_state(cfg.state_desc, cfg.space.points)
         except KeyError as exc:
             raise ConfigError("state", f"no entry for {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError("state", str(exc)) from exc
+        dense = dense or state is None
     if dense:
         try:
             model._check_dense(model.volume_dims(cfg.space.points, *cfg.interaction.terms))
         except model.ModelError as exc:
             raise ConfigError("space", str(exc)) from exc
+    if governed and (state is None or state.governance is None):
+        raise ConfigError("state", "selected theorems read the state's correlation "
+                                   "governance, which this state does not carry")
 
 
 # -- random models ----------------------------------------------------------------
@@ -617,9 +624,10 @@ class Theorem:
     gives the reports at one point of the product of the ``axes`` grids, where
     ``params`` holds t, R and r (None off the axes) and d (the distance from
     a's support to the region ``distance(runner)``, or None without one).
-    ``group`` is the CLI subcommand that selects it; ``needs_b`` and
-    ``reads_state`` say what the config must give, and ``dense`` that it uses
-    the whole dense generator."""
+    ``group`` is the CLI subcommand that selects it; ``needs_b``,
+    ``reads_state`` and ``reads_governance`` (the state's correlation
+    governance, so the state too) say what the config must give, and
+    ``dense`` that it uses the whole dense generator."""
 
     group: str
     axes: tuple
@@ -627,6 +635,7 @@ class Theorem:
     distance: Optional[Callable] = None
     needs_b: bool = False
     reads_state: bool = False
+    reads_governance: bool = False
     dense: bool = False
 
 
@@ -697,9 +706,8 @@ THEOREMS = {
         ExperimentRunner._lhs_k, nan_outside=True), distance=_k_sites, needs_b=True),
     "composite_lrb": Theorem("certify-lrb", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_composite_lrb(
-            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites,
-            _k_sites(run), run.volume, p["t"], p["r"], p["R"], first_term="exact",
-            exact_first=run._lhs_k(p, p["R"])),
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites, run.volume,
+            p["t"], p["r"], p["R"], run._lhs_k(p, p["R"])),
         ExperimentRunner._lhs_k), distance=_k_sites, needs_b=True),
     "power_law_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_power_law_lrb(
@@ -712,7 +720,8 @@ THEOREMS = {
             run.consts, run.a_norm, run.cfg.x_sites, run.volume, p["t"], p["r"], p["R"]),
         lambda run, p: run.dynamics.truncation_error(p["t"], run.a, p["R"]))),
     "surface_sum": Theorem("certify-local", ("r",), lambda run, name, p: [
-        bounds.surface_sum_check(run.consts, run.volume, run.cfg.x_sites, p["r"], x)
+        BoundReport(name, {**p, "x": repr(x)}, *bounds.surface_sum_check(
+            run.consts, run.volume, run.cfg.x_sites, p["r"], x))
         for x in sorted(run.cfg.x_sites, key=repr)]),
     "local_approx": Theorem("certify-local", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_local_approx(
@@ -723,10 +732,13 @@ THEOREMS = {
             run.consts, run.a_norm, len(run.cfg.x_sites), p["r"], p["t"], run.cfg.eps,
             run.cfg.delta),
         ExperimentRunner._local_error, nan_outside=True, **_EPS_DELTA)),
-    "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), lambda run, name, p: [
-        correlations.check_dynamic_correlation(
-            run.state(), run.dynamics, run.cfg.x_sites, run.cfg.y_sites, p["r"], p["t"],
-            run.a, run.b, defect=run._c_ab(p))], needs_b=True, reads_state=True),
+    "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), _bound(
+        lambda run, p: bounds.rhs_dynamic_correlation(
+            run.consts, run.a.norm(), run.b.norm(), run.cfg.x_sites, run.cfg.y_sites,
+            p["r"], run.state().governance, run._c_ab(p)),
+        lambda run, p: abs(correlations.correlation(
+            run.state(), run.dynamics, p["t"], run.a, run.b))),
+        distance=_b_sites, needs_b=True, reads_governance=True),
     "correlation_general": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_correlation_general(
             run.consts, run.a_norm, run.b_norm, run.cfg.x_sites, run.cfg.y_sites,
@@ -737,10 +749,11 @@ THEOREMS = {
             run.consts, run.a_norm, run.b_norm, len(run.cfg.x_sites),
             len(run.cfg.y_sites), p["r"], p["t"], run.cfg.eps, run.cfg.delta),
         ExperimentRunner._c_ab, nan_outside=True, **_EPS_DELTA), needs_b=True),
-    "fixed_point_correlation": Theorem("fixed-point", ("t",), lambda run, name, p: [
-        correlations.check_fixed_point_correlation(
-            run.analysis().rho_pi, run.dynamics, run.a, run.b, p["t"],
-            run.state(), run.analysis().governance())],
+    "fixed_point_correlation": Theorem("fixed-point", ("t",), _bound(
+        lambda run, p: abs(correlations.centred_correlation(
+            run.state(), run.dynamics, p["t"], run.a, run.b))
+        + 3.0 * run.a.norm() * run.b.norm() * float(run.analysis().governance()(p["t"])),
+        ExperimentRunner._covariance),
         needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
         _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),

@@ -131,8 +131,7 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                     if k is not None:
                         head = dyn.quasi_locality(t, a, k, R)
                         rhs_comp = bounds.rhs_composite_lrb(
-                            c, k.cb_upper, a.norm(), xs, {sites[-1]}, sites,
-                            t, r, R, first_term="exact", exact_first=head)
+                            c, k.cb_upper, a.norm(), xs, sites, t, r, R, head)
                         lhs_comp = dyn.quasi_locality(t, a, k)
                         rows += 1
                         if not dominated(lhs_comp, rhs_comp):
@@ -145,7 +144,8 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                 if wv.valid and not dominated(lhs_loc, wv.value):
                     failures.append((idx, t, r, "local", lhs_loc, wv.value))
         for r in (1.0, 2.0):
-            rep = bounds.surface_sum_check(c, sites, xs, r, sites[0])
+            rep = bounds.BoundReport("surface_sum", {},
+                                     *bounds.surface_sum_check(c, sites, xs, r, sites[0]))
             rows += 1
             if not rep.passes():
                 failures.append((idx, r, "surface", rep.lhs, rep.rhs))
@@ -167,9 +167,8 @@ def test_criterion_4_static_recovery(model_pool, pool_constants):
         k_cb = 2.0
         R = 2.0 * m.space.diam
         for t in np.linspace(0.0, 2.0 / c.v, 8):
-            comp = bounds.rhs_composite_lrb(c, k_cb, a_norm, xs, ys, sites,
-                                            t, 1.0, R, first_term="analytic")
             head = bounds.rhs_finite_range_lrb(c, k_cb, a_norm, xs, ys, t, R)
+            comp = bounds.rhs_composite_lrb(c, k_cb, a_norm, xs, sites, t, 1.0, R, head)
             if comp != head:  # the additive bracket must be exactly zero
                 failures.append((idx, t, "collapse", comp, head))
             full = bounds.rhs_full_lrb(c, k_cb, a_norm, xs, ys, t)
@@ -343,14 +342,16 @@ def test_criterion_7_fixed_point_suite(fixed_point_suite):
     omega = correlations.StateFunctional.product(sites, "+")
     g = lambda t: min(2.0, env_c * math.exp(-env_gamma * t))
     dyn = lr.Dynamics(inter)
+    lhs_fp = abs(rho_pi.expect(a @ b) - rho_pi.expect(a) * rho_pi.expect(b))
     for t in (0.5, 2.0, 6.0):
-        rep = lr.check_fixed_point_correlation(rho_pi, dyn, a, b, t, omega, g)
+        rhs = abs(lr.centred_correlation(omega, dyn, t, a, b)) \
+            + 3.0 * lr.op_norm(a) * lr.op_norm(b) * float(g(t))
+        rep = bounds.BoundReport("fixed_point_correlation", {}, lhs_fp, rhs)
         if not rep.passes():
             failures.append(("fixed-point correlation", t, rep.lhs, rep.rhs))
 
     f0 = FFunction.power(3.0)
     c_a = ModelConstants.from_model(space, FFunction.weighted(1.0, f0), inter, nu=1.0)
-    lhs_fp = abs(rho_pi.expect(a @ b) - rho_pi.expect(a) * rho_pi.expect(b))
     rhs_fp = bounds.rhs_fixed_point_exponential(c_a, lr.f_norm(f0, space), a.norm(),
                                                 b.norm(), 1, 1, 3.0, g)
     if not dominated(lhs_fp, rhs_fp):

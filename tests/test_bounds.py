@@ -8,7 +8,7 @@ import pytest
 
 import lrcert as lr
 from lrcert import bounds, dynamics, geometry
-from lrcert.bounds import BoundsError, ModelConstants
+from lrcert.bounds import BoundReport, BoundsError, ModelConstants
 from lrcert.decay import FFunction
 
 from conftest import mixed_field_chain
@@ -181,11 +181,13 @@ class TestRangeTruncation:
 
 
 class TestCompositeLrb:
+    # the range-R term is the exact norm in the runner; its analytic bound
+    # rhs_finite_range_lrb gives the composite bound's fully analytic form
     def test_zero_at_time_zero_analytic(self, chain4_model):
         space, _, _, c, a, k = chain4_model
-        got = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, {3},
-                                       space.points, 0.0, 1.0, 1.0,
-                                       first_term="analytic")
+        head = bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3}, 0.0, 1.0)
+        got = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, space.points,
+                                       0.0, 1.0, 1.0, head)
         assert got == 0.0
 
     def test_analytic_dominates_exact_mode(self, chain4_model):
@@ -194,12 +196,11 @@ class TestCompositeLrb:
         for t in (0.2, 0.5):
             for R in (1.0, 2.0):
                 head = dyn.quasi_locality(t, a, k, R)
-                exact = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, {3},
-                                                 space.points, t, 1.0, R,
-                                                 first_term="exact", exact_first=head)
-                analytic = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, {3},
-                                                    space.points, t, 1.0, R,
-                                                    first_term="analytic")
+                exact = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0},
+                                                 space.points, t, 1.0, R, head)
+                analytic = bounds.rhs_composite_lrb(
+                    c, k.cb_upper, a.norm(), {0}, space.points, t, 1.0, R,
+                    bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t, R))
                 assert exact <= analytic * (1 + 1e-12)
 
     def test_recovery_of_static_bound(self, chain4_model):
@@ -208,10 +209,9 @@ class TestCompositeLrb:
         space, _, _, c, a, k = chain4_model
         R = 2.0 * space.diam
         for t in np.linspace(0.0, 1.5, 7):
-            comp = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, {3},
-                                            space.points, t, 1.0, R,
-                                            first_term="analytic")
             fr = bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t, R)
+            comp = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, space.points,
+                                            t, 1.0, R, fr)
             full = bounds.rhs_full_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t)
             assert comp == fr  # exact equality: the additive bracket is zero
             assert fr <= full * (1 + 1e-12) + 1e-300
@@ -276,10 +276,15 @@ class TestPowerLawLrb:
             assert lhs <= wv.value * (1 + 1e-9) + 1e-300
 
 
+def surface_row(c, volume, xs, r, x):
+    """The surface_sum row the theorem table builds from the (lhs, rhs) pair."""
+    return BoundReport("surface_sum", {}, *bounds.surface_sum_check(c, volume, xs, r, x))
+
+
 class TestSurfaceSum:
     def test_full_inflation_both_sides_zero(self, chain4_model):
         space, _, _, c, _, _ = chain4_model
-        rep = bounds.surface_sum_check(c, space.points, {0}, r=5.0, x=0)
+        rep = surface_row(c, space.points, {0}, r=5.0, x=0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passes()
 
     def test_no_surface_terms(self):
@@ -288,7 +293,7 @@ class TestSurfaceSum:
         inter = DissipativeInteraction(space, ())
         f = FFunction.power(2.0)
         c = ModelConstants.from_model(space, f, inter, nu=1.0)
-        rep = bounds.surface_sum_check(c, space.points, {0}, r=1.0, x=0)
+        rep = surface_row(c, space.points, {0}, r=1.0, x=0)
         assert rep.lhs == 0.0 and rep.passes()
 
     def test_anchor_outside_region_rejected(self, chain4_model):
@@ -302,7 +307,7 @@ class TestSurfaceSum:
         f = FFunction.power(3.0)
         c = ModelConstants.from_model(space, f, inter, nu=1.0)
         xs, r, x = {0}, 1.0, 0
-        rep = bounds.surface_sum_check(c, space.points, xs, r, x)
+        rep = surface_row(c, space.points, xs, r, x)
         # oracle: enumerate via the set-geometric primitive
         inflated = geometry.inflate(space, xs, r)
         supports = [t.support for t in inter.terms]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrcert as lr
-from lrcert import bounds, correlations
+from lrcert import bounds, correlations, harness
+from lrcert.bounds import BoundReport, ModelConstants
 from lrcert.correlations import (
     CorrelationsError,
     DegenerateFixedPointError,
@@ -17,6 +18,8 @@ from lrcert.correlations import (
     StateFunctional,
     trace_norm,
 )
+from lrcert.decay import FFunction
+from lrcert.harness import ConfigError
 from lrcert.model import DissipativeInteraction, LindbladTerm
 from lrcert.qalgebra import from_matrix
 
@@ -109,15 +112,26 @@ class TestCAb:
             lr.c_ab(lr.Dynamics(inter), {0}, {3}, 1.0, 0.5, a, b)
 
 
+def dynamic_correlation_row(omega, inter, xs, ys, r, t, a, b):
+    """The dynamic_correlation row as the theorem table builds it: the exact
+    evolved correlation against ``rhs_dynamic_correlation``."""
+    dyn = lr.Dynamics(inter)
+    c = ModelConstants.from_model(inter.space, FFunction.power(3.0), inter)
+    rhs = bounds.rhs_dynamic_correlation(c, lr.op_norm(a), lr.op_norm(b), xs, ys, r,
+                                         omega.governance,
+                                         lr.c_ab(dyn, xs, ys, r, t, a, b))
+    return BoundReport("dynamic_correlation", {},
+                       abs(lr.correlation(omega, dyn, t, a, b)), rhs.value, rhs.flags)
+
+
 class TestCheckDynamicCorrelation:
     def test_product_state_sweep(self):
         space, f, inter = mixed_field_chain(4, alpha=3.0)
         omega = StateFunctional.product(space.points, "+")
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        dyn = lr.Dynamics(inter)
         for t in np.linspace(0.0, 1.0, 5):
-            rep = lr.check_dynamic_correlation(omega, dyn, {0}, {3}, 1.0, t, a, b)
+            rep = dynamic_correlation_row(omega, inter, {0}, {3}, 1.0, t, a, b)
             assert rep.valid and rep.passes()
 
     def test_trivial_governance_always_passes(self, tfim4):
@@ -127,8 +141,7 @@ class TestCheckDynamicCorrelation:
                                 governance=correlations.trivial_governance)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        rep = lr.check_dynamic_correlation(omega, lr.Dynamics(inter), {0}, {3}, 1.0, 0.5,
-                                           a, b)
+        rep = dynamic_correlation_row(omega, inter, {0}, {3}, 1.0, 0.5, a, b)
         assert rep.valid and rep.passes()
 
     def test_boundary_radius_flagged(self, tfim4):
@@ -136,19 +149,19 @@ class TestCheckDynamicCorrelation:
         omega = StateFunctional.product(space.points, "+")
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 2), space.points)
-        rep = lr.check_dynamic_correlation(omega, lr.Dynamics(inter), {0}, {2}, 1.0, 0.3,
-                                           a, b)
+        rep = dynamic_correlation_row(omega, inter, {0}, {2}, 1.0, 0.3, a, b)
         assert not rep.flags["factorization_strict"]
         assert not rep.valid
 
-    def test_ungoverned_state_rejected(self, tfim4):
-        space, inter = tfim4
-        rho = StateFunctional.maximally_mixed(space.points)
-        bare = StateFunctional(rho.density, space.points, rho.dims)
-        a = lr.embed(lr.site_operator("Z", 0), space.points)
-        b = lr.embed(lr.site_operator("Z", 3), space.points)
-        with pytest.raises(CorrelationsError, match="governance"):
-            lr.check_dynamic_correlation(bare, lr.Dynamics(inter), {0}, {3}, 1.0, 0.3, a, b)
+    def test_ungoverned_state_rejected(self):
+        # a density-matrix state carries no governance: the runner refuses
+        # the config before any model work
+        cfg = harness.config_from_dict({
+            "seed": 1, "space": "chain(4)", "observables": {"a": "Z0", "b": "Z3"},
+            "theorems": ["dynamic_correlation"],
+            "state": {"density": (np.eye(16) / 16).tolist()}})
+        with pytest.raises(ConfigError, match="governance"):
+            harness.ExperimentRunner(cfg)
 
 
 class TestStationaryState:
@@ -548,14 +561,22 @@ def analyzed():
     return space, lr.Dynamics(inter), analysis
 
 
+def fixed_point_row(pi, dyn, a, b, t, omega, g):
+    """The fixed_point_correlation row as the theorem table builds it:
+    |pi(AB) - pi(A) pi(B)| against |omega(T_t(A B_t))| + 3 |A| |B| g(t)."""
+    lhs = abs(pi.expect(a @ b) - pi.expect(a) * pi.expect(b))
+    first = abs(lr.centred_correlation(omega, dyn, t, a, b))
+    return BoundReport("fixed_point_correlation", {}, lhs,
+                       first + 3.0 * lr.op_norm(a) * lr.op_norm(b) * float(g(t)))
+
+
 class TestCheckFixedPointCorrelation:
     def test_identity_observable_trivial(self, analyzed):
         space, dyn, analysis = analyzed
         omega = StateFunctional.product(space.points, "0")
         a = lr.identity(space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        rep = lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, b, 1.0,
-                                               omega, analysis.governance())
+        rep = fixed_point_row(analysis.rho_pi, dyn, a, b, 1.0, omega, analysis.governance())
         assert rep.lhs == pytest.approx(0.0, abs=1e-11)
         assert rep.passes()
 
@@ -565,8 +586,7 @@ class TestCheckFixedPointCorrelation:
         pi = analysis.rho_pi
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        rep = lr.check_fixed_point_correlation(pi, dyn, a, b, 0.0, pi,
-                                               analysis.governance())
+        rep = fixed_point_row(pi, dyn, a, b, 0.0, pi, analysis.governance())
         first = rep.rhs - 3.0 * analysis.governance()(0.0)
         assert first == pytest.approx(rep.lhs, abs=1e-11)
         assert rep.passes()
@@ -577,17 +597,18 @@ class TestCheckFixedPointCorrelation:
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         for t in (0.0, 0.5, 1.5, 3.0):
-            rep = lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, b, t,
-                                                   omega, analysis.governance())
+            rep = fixed_point_row(analysis.rho_pi, dyn, a, b, t, omega,
+                                  analysis.governance())
             assert rep.passes()
 
-    def test_overlapping_supports_rejected(self, analyzed):
-        space, dyn, analysis = analyzed
-        omega = StateFunctional.product(space.points, "+")
-        a = lr.embed(lr.site_operator("Z", 0), space.points)
-        with pytest.raises(CorrelationsError):
-            lr.check_fixed_point_correlation(analysis.rho_pi, dyn, a, a, 1.0,
-                                             omega, analysis.governance())
+    def test_overlapping_supports_rejected(self):
+        # the row needs disjoint supports; check_selection refuses overlapping
+        # observables for every theorem that reads b, this one included
+        cfg = harness.config_from_dict({
+            "seed": 1, "space": "chain(4)", "observables": {"a": "Z0", "b": "X0"},
+            "theorems": ["fixed_point_correlation"]})
+        with pytest.raises(ConfigError, match="disjoint"):
+            harness.ExperimentRunner(cfg)
 
 
 class TestTraceNorm:

@@ -356,6 +356,44 @@ class TestRunExperiment:
                     assert err <= GOLDEN_REL * abs(float(w)), (line_want, g, w)
             assert cells_got[8:] == cells_want[8:]
 
+    def test_json_row_format(self):
+        # reports.json carries each row's params and flags, which the golden
+        # CSV does not; every theorem's row shape is pinned here
+        cfg = load_config(DATA / "all_theorems.json")
+        reports, _ = harness.run_experiment(cfg)
+        rows = json.loads(harness.reports_to_json(reports))["reports"]
+        axes = {"t", "R", "r", "d"}
+        power_law = {"power_law_profile", "alpha_window", "epsilon_window",
+                     "delta_window", "exponent_window", "time_window"}
+        want = {
+            "finite_range_lrb": (axes, set()),
+            "full_lrb": (axes, set()),
+            "strong_lrb": (axes, set()),
+            "composite_lrb": (axes, set()),
+            "power_law_lrb": (axes | {"eps", "delta"}, power_law | {"distance_window"}),
+            "range_truncation": (axes, set()),
+            "surface_sum": (axes | {"x"}, set()),
+            "local_approx": (axes, {"radius_window"}),
+            "local_approx_power_law": (axes | {"eps", "delta"},
+                                       power_law | {"radius_window"}),
+            "dynamic_correlation": (axes, {"separation_window", "radius_window",
+                                           "factorization_strict"}),
+            "correlation_general": (axes, {"radius_window"}),
+            "correlation_power_law": (axes | {"eps", "delta"}, power_law | {"radius_window"}),
+            "fixed_point_correlation": (axes, set()),
+            "fixed_point_exponential": (axes | {"a"}, set()),
+            "fixed_point_power_law": (axes | {"eps", "delta", "eta_exp"}, set()),
+        }
+        got = {}
+        for row in rows:
+            got.setdefault(row["theorem"], set()).add(
+                (frozenset(row["params"]), frozenset(row["flags"])))
+        assert got == {name: {(frozenset(params), frozenset(flags))}
+                       for name, (params, flags) in want.items()}
+        anchors = [row["params"]["x"] for row in rows if row["theorem"] == "surface_sum"]
+        assert anchors and set(anchors) == {repr(x) for x in cfg.x_sites}
+        assert all(isinstance(x, str) for x in anchors)
+
     def test_csv_float_formatting(self):
         rep = BoundReport("x", {"t": 1 / 3, "R": None, "r": None, "d": None},
                           lhs=math.pi, rhs=math.e)
@@ -583,6 +621,29 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert f"configuration error: state: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state", [
+        "stationary", {"density": (np.eye(16) / 16).tolist()},
+    ], ids=["stationary", "density"])
+    def test_ungoverned_state_is_a_config_error(self, tmp_path, capsys, state):
+        # dynamic_correlation reads the state's correlation governance; the
+        # stationary state and a density matrix carry none
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(4)", observables={"a": "Z0", "b": "Z3"}, state=state,
+            theorems=["dynamic_correlation"])))
+        assert cli.main(["certify-correlations", "--config", str(path)]) == 2
+        assert "configuration error: state: selected theorems read the state's " \
+            "correlation governance" in capsys.readouterr().err
+
+    def test_fixed_point_group_reads_no_governance(self, tmp_path, capsys):
+        # the same stationary state is an auxiliary state the fixed-point rows read
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(4)", observables={"a": "Z0", "b": "Z3"}, state="stationary",
+            theorems=["dynamic_correlation"])))
+        assert cli.main(["fixed-point", "--config", str(path)]) == 0
+        assert "violations 0" in capsys.readouterr().out
+
     def test_config_hash_covers_the_selection(self, tmp_path):
         # one file, two subcommands over disjoint theorem sets
         hashes = []
@@ -653,16 +714,16 @@ class TestCli:
         assert cli._violations([flagged], 1e-9) == []
 
     def test_numerical_failure_names_the_point(self, tmp_path, capsys):
-        path = tmp_path / "degenerate.json"
+        # e^{v t} overflows in the right-hand side at t = 1000
+        path = tmp_path / "overflow.json"
         path.write_text(json.dumps(minimal_raw(
-            space="chain(3)", interaction="tfim_dissipative(0.5, 0.4, 0.0)",
-            observables={"a": "Z0", "b": "Z2"}, state="stationary",
-            theorems=["dynamic_correlation"], grids={"t": [0.5], "R": [1], "r": [1]})))
-        code = cli.main(["certify-correlations", "--config", str(path)])
+            space="chain(3)", observables={"a": "Z0", "b": "Z2"},
+            theorems=["local_approx"], grids={"t": [1000.0], "R": [1], "r": [1]})))
+        code = cli.main(["certify-local", "--config", str(path)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "dynamic_correlation at t=0.5, R=None, r=1.0" in err
-        assert "non-unique fixed point" in err
+        assert "local_approx at t=1000.0, R=None, r=1.0" in err
+        assert "math range error" in err
 
     def test_tolerance_zero(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
