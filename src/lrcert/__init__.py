@@ -60,9 +60,9 @@ from .correlations import (
     StateFunctional,
     analyze_fixed_point,
     c_ab,
-    centred_correlation,
     convergence_envelope,
     correlation,
+    covariance,
     mixing_eta,
     periodic_points,
     spectral_gap,

@@ -23,13 +23,15 @@ SVD, the exponentials and their products, the gap's inverse and
 growth-bound eigenvalues, and the upper brackets' norms; only the ascent
 reads a dense map.  ``analyze_fixed_point`` keeps the certificate the
 fixed-point bounds read, the stationary state and the envelope
-c e^{-gamma t} above the upper brackets; only ``convergence_envelope`` and
-``mixing_eta`` run the ascent.
+c e^{-gamma t} above the upper brackets, and the maps of its grid; only
+``convergence_envelope`` and ``mixing_eta`` run the ascent.  ``correlation``
+evolves observables through ``Dynamics``; the fixed-point rows' first term
+w(T_t(A B_t)) is ``covariance`` at w evolved by the analysis' maps instead.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -41,7 +43,6 @@ from .qalgebra import (
     ObservableOp,
     _resolve_dims,
     devectorize,
-    identity,
     op_norm,
 )
 
@@ -154,9 +155,16 @@ class StateFunctional:
 
 def correlation(omega: StateFunctional, dynamics: Dynamics, t: float,
                 a: ObservableOp, b: ObservableOp) -> complex:
-    """w(T_t(AB)) - w(T_t(A)) w(T_t(B)), all three evolutions exact."""
+    """w(T_t(AB)) - w(T_t(A)) w(T_t(B)), all three evolutions exact; as
+    T_t(1) = 1, it is also w(T_t(A B_t)) with B_t = B - w(T_t(B)) 1."""
     return (omega.expect(dynamics.evolve(t, a @ b))
             - omega.expect(dynamics.evolve(t, a)) * omega.expect(dynamics.evolve(t, b)))
+
+
+def covariance(density: np.ndarray, a: ObservableOp, b: ObservableOp) -> complex:
+    """tr(rho AB) - tr(rho A) tr(rho B) at the density matrix ``density``."""
+    e_ab, e_a, e_b = (complex(np.trace(density @ x.matrix)) for x in (a @ b, a, b))
+    return e_ab - e_a * e_b
 
 
 def c_ab(dynamics: Dynamics, xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
@@ -170,14 +178,6 @@ def c_ab(dynamics: Dynamics, xs: Iterable[Site], ys: Iterable[Site], r: float, t
     return (op_norm(a) * dynamics.local_error(t, b, ys, r)
             + op_norm(b) * dynamics.local_error(t, a, xs, r)
             + dynamics.local_error(t, a @ b, xs | ys, r))
-
-
-def centred_correlation(omega: StateFunctional, dynamics: Dynamics, t: float,
-                        a: ObservableOp, b: ObservableOp) -> complex:
-    """w(T_t(A B_t)), where B_t = B - w(T_t(B)) recentres B by its evolved
-    w-expectation: the first term of the fixed-point clustering bound."""
-    b_centred = b - complex(omega.expect(dynamics.evolve(t, b))) * identity(b.sites, b.dims)
-    return omega.expect(dynamics.evolve(t, a @ b_centred))
 
 
 # -- fixed points and spectra ------------------------------------------------------
@@ -381,16 +381,30 @@ def trace_norm(m: np.ndarray) -> float:
 class FixedPointAnalysis:
     """The certificate the fixed-point bounds read: the stationary state, the
     gap gamma, and the least c >= 1 with c e^{-gamma t} above every upper
-    bracket of the analysis' time grid."""
+    bracket of the analysis' time grid; and the grid's ``_semigroup`` maps
+    on the invariant ``blocks`` (``Superoperator._blocks``)."""
 
     rho_pi: StateFunctional
     gap: float
     envelope_c: float
+    maps: Mapping = field(compare=False, repr=False)
+    blocks: tuple = field(compare=False, repr=False)
 
     def governance(self) -> Callable[[float], float]:
         """g(t) = min(2, c e^{-gamma t}), valid whenever the envelope holds."""
         c, gamma = self.envelope_c, self.gap
         return lambda t: min(2.0, c * math.exp(-gamma * t))
+
+    def evolve(self, t: float, density: np.ndarray) -> np.ndarray:
+        """exp(t L_s)(rho) at a grid time t, one batched matvec per block size."""
+        if float(t) not in self.maps:
+            raise CorrelationsError(
+                f"t = {t!r} is not on the analysis grid {sorted(self.maps)}")
+        vec = density.flatten(order="F")
+        out = np.empty(vec.shape, dtype=complex)
+        for idx, m in zip(self.blocks, self.maps[float(t)]):
+            out[idx] = (m @ vec[idx][:, :, None])[:, :, 0]
+        return out.reshape(density.shape, order="F")
 
 
 def _envelope(gen: Superoperator, rho_pi: StateFunctional, t_grid: tuple) -> tuple:
@@ -534,9 +548,12 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPoi
     """The stationary state and the envelope c e^{-gamma t} over ``t_grid``.
 
     One ``_semigroup`` dict holds the maps of ``t_grid`` and of the gap's
-    t = 1; each grid time gets an upper bracket and no ascent runs.  The lower
-    brackets come from ``convergence_envelope`` and ``mixing_eta``.
+    t = 1; each grid time gets an upper bracket, only the grid's maps are kept
+    and no ascent runs.  The lower brackets come from ``convergence_envelope``
+    and ``mixing_eta``.
     """
     rho_pi = stationary_state(gen)
-    _, gamma, _, c = _envelope(gen, rho_pi, tuple(map(float, t_grid)))
-    return FixedPointAnalysis(rho_pi=rho_pi, gap=gamma, envelope_c=c)
+    t_grid = tuple(map(float, t_grid))
+    maps, gamma, _, c = _envelope(gen, rho_pi, t_grid)
+    return FixedPointAnalysis(rho_pi, gamma, c, {t: maps[t] for t in t_grid},
+                              _schrodinger(gen)._blocks)

@@ -7,10 +7,10 @@ scipy's ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011),
 never forming the propagator.  A generator is its term set
 (``DissipativeInteraction.terms_for``): every term, the terms of diameter at
 most R (the range-R approximant) or the terms inside a region (the strictly
-local dynamics).  Every exact left-hand side is a ``Dynamics`` method or
-built from its evolutions: the quasi-locality norm, the truncation error and
-the local approximation error here, the correlation quantities in
-``correlations``.
+local dynamics).  Every exact left-hand side but the fixed-point group's
+(the analysis' dense maps) is a ``Dynamics`` method or built from its
+evolutions: the quasi-locality norm, the truncation and local approximation
+errors here, ``correlations.correlation`` and ``c_ab``.
 The module-level ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
 consume, and the fixed-point suite; both go through the generator's

@@ -548,11 +548,10 @@ class ExperimentRunner:
         return out
 
     def state(self) -> StateFunctional:
+        """The config's state; the stationary one is the analysis' rho_pi."""
         if self._state is None:
             parsed = parse_state(self.cfg.state_desc, self.volume)
-            if parsed is None:
-                parsed = correlations.stationary_state(self.dense_generator())
-            self._state = parsed
+            self._state = self.analysis().rho_pi if parsed is None else parsed
         return self._state
 
     def analysis(self) -> correlations.FixedPointAnalysis:
@@ -611,8 +610,7 @@ class ExperimentRunner:
 
     def _covariance(self, p: dict) -> float:
         """|pi(AB) - pi(A) pi(B)| in the fixed point pi."""
-        rho = self.analysis().rho_pi
-        return abs(rho.expect(self.a @ self.b) - rho.expect(self.a) * rho.expect(self.b))
+        return abs(correlations.covariance(self.analysis().rho_pi.density, self.a, self.b))
 
 
 # -- the theorem table -----------------------------------------------------------------
@@ -750,8 +748,8 @@ THEOREMS = {
             len(run.cfg.y_sites), p["r"], p["t"], run.cfg.eps, run.cfg.delta),
         ExperimentRunner._c_ab, nan_outside=True, **_EPS_DELTA), needs_b=True),
     "fixed_point_correlation": Theorem("fixed-point", ("t",), _bound(
-        lambda run, p: abs(correlations.centred_correlation(
-            run.state(), run.dynamics, p["t"], run.a, run.b))
+        lambda run, p: abs(correlations.covariance(
+            run.analysis().evolve(p["t"], run.state().density), run.a, run.b))
         + 3.0 * run.a.norm() * run.b.norm() * float(run.analysis().governance()(p["t"])),
         ExperimentRunner._covariance),
         needs_b=True, reads_state=True, dense=True),

@@ -344,7 +344,7 @@ def test_criterion_7_fixed_point_suite(fixed_point_suite):
     dyn = lr.Dynamics(inter)
     lhs_fp = abs(rho_pi.expect(a @ b) - rho_pi.expect(a) * rho_pi.expect(b))
     for t in (0.5, 2.0, 6.0):
-        rhs = abs(lr.centred_correlation(omega, dyn, t, a, b)) \
+        rhs = abs(lr.correlation(omega, dyn, t, a, b)) \
             + 3.0 * lr.op_norm(a) * lr.op_norm(b) * float(g(t))
         rep = bounds.BoundReport("fixed_point_correlation", {}, lhs_fp, rhs)
         if not rep.passes():

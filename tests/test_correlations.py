@@ -89,6 +89,22 @@ class TestCorrelation:
             defect = lr.c_ab(dyn, {0}, {3}, 1.0, t, a, b)
             assert corr <= defect * (1 + 1e-9) + 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_centred_form(self, seed):
+        # w(T_t(A (B - w(T_t B) 1))) is the correlation, since T_t(1) = 1
+        cfg = harness.random_model(seed, n_sites=3)
+        sites = cfg.space.points
+        dyn = lr.Dynamics(cfg.interaction)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        omega = StateFunctional(x @ x.conj().T / np.trace(x @ x.conj().T).real, sites, (2,) * 3)
+        a = lr.embed(from_matrix(rng.normal(size=(2, 2)), (sites[0],)), sites)
+        b = lr.embed(from_matrix(rng.normal(size=(2, 2)), (sites[2],)), sites)
+        for t in (0.0, 0.3, 1.1):
+            b_t = b - omega.expect(dyn.evolve(t, b)) * lr.identity(sites)
+            centred = omega.expect(dyn.evolve(t, a @ b_t))
+            assert abs(centred - lr.correlation(omega, dyn, t, a, b)) <= 1e-12
+
 
 class TestCAb:
     def test_zero_at_time_zero(self, tfim4):
@@ -452,6 +468,23 @@ class TestSemigroupStore:
             want = scipy.linalg.expm(t * gen_s.matrix)
             np.testing.assert_allclose(gen_s._scatter(maps[t]), want, rtol=0, atol=1e-12)
 
+    def test_analysis_keeps_the_grid_maps(self, damped4):
+        # the gap's t = 1 map is not kept unless 1 is on the grid
+        gen, _ = damped4
+        gen_s = gen.adjoint
+        grid = (0.0, 0.5, 2.0)
+        analysis = lr.analyze_fixed_point(gen, grid)
+        assert sorted(analysis.maps) == list(grid)
+        rho = StateFunctional.product(gen.sites, "+").density
+        for t in grid:
+            want = scipy.linalg.expm(t * gen_s.matrix) @ rho.flatten(order="F")
+            np.testing.assert_allclose(analysis.evolve(t, rho).flatten(order="F"), want,
+                                       rtol=0, atol=1e-12)
+        assert np.array_equal(analysis.evolve(0.0, rho), rho)
+        with pytest.raises(CorrelationsError,
+                           match=r"t = 1\.0 is not on the analysis grid \[0\.0, 0\.5, 2\.0\]"):
+            analysis.evolve(1.0, rho)
+
     def test_schrodinger_adjoint_built_once(self, damped4):
         gen, _ = damped4
         assert gen.adjoint is gen.adjoint
@@ -565,7 +598,7 @@ def fixed_point_row(pi, dyn, a, b, t, omega, g):
     """The fixed_point_correlation row as the theorem table builds it:
     |pi(AB) - pi(A) pi(B)| against |omega(T_t(A B_t))| + 3 |A| |B| g(t)."""
     lhs = abs(pi.expect(a @ b) - pi.expect(a) * pi.expect(b))
-    first = abs(lr.centred_correlation(omega, dyn, t, a, b))
+    first = abs(lr.correlation(omega, dyn, t, a, b))
     return BoundReport("fixed_point_correlation", {}, lhs,
                        first + 3.0 * lr.op_norm(a) * lr.op_norm(b) * float(g(t)))
 

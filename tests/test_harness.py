@@ -52,7 +52,7 @@ def minimal_raw(**overrides):
 
 def fixed_point_raw(**overrides):
     """The fixed-point group on chain(4): its dense analysis reads one
-    generator and its rows evolve two observables at each of four times."""
+    generator, and its rows read the analysis' maps at each of four times."""
     raw = minimal_raw(
         space="chain(4)",
         f_function="power(4)",
@@ -461,10 +461,11 @@ class TestRunExperiment:
         assert len(term_sets) == 5 < len(requests)
 
     def test_fixed_point_counters_and_no_ascent(self, tmp_path, monkeypatch):
-        """The fixed-point rows evolve B and A B_t at each of four times
-        through the one generator the run assembles, whose dense form splits
-        into 3^4 invariant blocks of at most 2^4 coordinates; no report cell
-        reads a lower bracket, so the pure-state ascent never runs."""
+        """The fixed-point rows evolve the state by the analysis' maps of the
+        dense form of the one generator the run assembles, which splits into
+        3^4 invariant blocks of at most 2^4 coordinates, so no observable is
+        propagated; no report cell reads a lower bracket, so the pure-state
+        ascent never runs."""
         ascents = []
         original = correlations._multistart_state_distance
 
@@ -476,10 +477,42 @@ class TestRunExperiment:
         cfg = config_from_dict(fixed_point_raw(theorems=harness.GROUPS["fixed-point"]))
         harness.run_experiment(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["counters"] == {"generators": 1, "evolutions": 8,
-                                        "evolution_hits": 0, "expm_multiply": 8,
+        assert manifest["counters"] == {"generators": 1, "evolutions": 0,
+                                        "evolution_hits": 0, "expm_multiply": 0,
                                         "dense_blocks": 81, "dense_block_max": 16}
         assert ascents == []
+
+    def test_stationary_state_computed_once(self, monkeypatch):
+        # the stationary auxiliary state is the analysis' fixed point
+        calls = []
+        original = correlations.stationary_state
+
+        def counted(gen):
+            calls.append(gen)
+            return original(gen)
+
+        monkeypatch.setattr(correlations, "stationary_state", counted)
+        cfg = config_from_dict(fixed_point_raw(theorems=harness.GROUPS["fixed-point"],
+                                               state="stationary"))
+        runner = harness.ExperimentRunner(cfg)
+        assert len(runner.run()) == 6
+        assert len(calls) == 1
+        assert runner.state() is runner.analysis().rho_pi
+
+    def test_fixed_point_first_term_is_the_dynamic_correlation(self):
+        # the dense Schroedinger maps of the analysis and the sparse
+        # Heisenberg action give one quantity at every t
+        runner = harness.ExperimentRunner(load_config(DATA / "all_theorems.json"))
+        reports = runner.run()
+        g = runner.analysis().governance()
+        scale = 3.0 * runner.a.norm() * runner.b.norm()
+        first = {r.params["t"]: r.rhs - scale * g(r.params["t"]) for r in reports
+                 if r.theorem == "fixed_point_correlation"}
+        dynamic = [r for r in reports if r.theorem == "dynamic_correlation"]
+        assert sorted(first) == sorted(runner.cfg.t_grid)
+        assert {r.params["t"] for r in dynamic} == set(first)
+        for r in dynamic:
+            assert abs(first[r.params["t"]] - r.lhs) <= 1e-12
 
     def test_theorem_wall_times(self, tmp_path):
         cfg = load_config(DATA / "all_theorems.json")
