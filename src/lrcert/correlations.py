@@ -190,7 +190,9 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
     additionally demands a 1e3 gap ratio to the first retained singular value.
     Both read the union of the singular values of the generator's invariant
     blocks (one batched SVD per block size), and the null vector is its
-    block's singular vector, zero off the block.
+    block's singular vector, zero off the block.  The state stays zero off
+    that block: the roundoff of its positive-semidefinite clip is dropped
+    there, so the fixed projection lies in one block (``_fixed_projection``).
     """
     gen_s = _schrodinger(gen)
     svds = [np.linalg.svd(m) for m in gen_s._gather(gen_s.matrix)]
@@ -212,6 +214,8 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
     vec = np.zeros(flat.size, dtype=complex)
     vec[gen_s._blocks[g][b]] = svds[g][2][b, j].conj()
     rho = devectorize(vec, gen_s.sites, gen_s.dims).matrix
+    in_block = np.zeros(rho.size, dtype=bool)
+    in_block[gen_s._blocks[g][b]] = True
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
@@ -221,6 +225,7 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
     if float(np.min(vals)) < -1e-10:
         raise CorrelationsError(f"fixed point not PSD (min eigenvalue {np.min(vals):.3e})")
     rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    rho[~in_block.reshape(rho.shape, order="F")] = 0.0
     rho = rho / np.trace(rho).real
     return StateFunctional(rho, gen_s.sites, gen_s.dims)
 

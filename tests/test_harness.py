@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,17 @@ GOLDEN_CASES = {
                          DOCS / "tfim_dissipative.golden.csv"),
     "all_theorems": (DATA / "all_theorems.json", DATA / "all_theorems.golden.csv"),
 }
+
+
+# h = 0.3 X with damping on site 0, h = 0.2 Z with damping on site 1, and a
+# 0.2 ZZ coupling: a split generator whose fixed point has coherences
+COHERENT_SPLIT = {"terms": [
+    {"support": [0], "h": {"matrix": [[0, 0.3], [0.3, 0]], "sites": [0]},
+     "kraus": [{"matrix": [[0, 1], [0, 0]], "sites": [0]}]},
+    {"support": [1], "h": {"matrix": [[0.2, 0], [0, -0.2]], "sites": [1]},
+     "kraus": [{"matrix": [[0, 1], [0, 0]], "sites": [1]}]},
+    {"support": [0, 1], "h": {"matrix": np.diag([0.2, -0.2, -0.2, 0.2]).tolist(),
+                              "sites": [0, 1]}}]}
 
 
 def minimal_raw(**overrides):
@@ -834,6 +846,23 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err == "numerical failure: fixed_point_correlation at " \
             f"t=0.5, R=None, r=None: {cause}\n"
+
+    def test_split_generator_with_a_coherent_fixed_point(self, tmp_path):
+        # site 0's transverse field gives the fixed point coherences, and the
+        # generator still splits into blocks; the state's positive clip must
+        # not leave roundoff off the fixed point's block
+        raw = fixed_point_raw(space="chain(2)", interaction=COHERENT_SPLIT,
+                              observables={"a": "Z0", "b": "Z1"})
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["fixed-point", "--config", str(path)]) == 0
+        gen = model.generator(harness.parse_interaction(COHERENT_SPLIT,
+                                                        lr.FiniteMetricSpace.chain(2)))
+        assert len(gen._blocks) > 1
+        (null,) = scipy.linalg.null_space(gen.adjoint.matrix).T
+        want = null.reshape((4, 4), order="F") / null.reshape((4, 4), order="F").trace()
+        assert abs(want[0, 2]) > 0.1
+        np.testing.assert_allclose(lr.stationary_state(gen).density, want, rtol=0, atol=1e-12)
 
     def test_stationary_state_descriptor(self):
         cfg = config_from_dict(minimal_raw(
