@@ -11,22 +11,23 @@ supremum, and a linearisation ascent from tilted basis starts and seeded
 starts moves each start to the top eigenvector of
 T^dagger(sign(T(psi psi^*) - rho_pi)), a step that cannot decrease the
 objective.  The reported lower value is the exact trace norm recomputed at
-the best state found, so it is attained, not estimated.  Each generator's
-spectrum is decomposed once (``Superoperator.spectrum``), and one check on it
-decides whether the generator mixes.  The Schroedinger-picture maps exp(tL)
-of a time grid are one dict (``_semigroup``), built in ascending order, so a
-time that is the sum of two earlier ones is composed from their maps by the
-semigroup law rather than exponentiated.  Every O(n^3) step of the analysis
-runs on the generator's invariant blocks (``Superoperator._blocks``), one
-batched LAPACK call per block size: the spectrum, the stationary state's
-SVD, the exponentials and their products, the gap's inverse and
-growth-bound eigenvalues, and the upper brackets' norms; only the ascent
-reads a dense map.  ``analyze_fixed_point`` keeps the certificate the
-fixed-point bounds read, the stationary state and the envelope
-c e^{-gamma t} above the upper brackets, and the maps of its grid; only
-``convergence_envelope`` and ``mixing_eta`` run the ascent.  ``correlation``
-evolves observables through ``Dynamics``; the fixed-point rows' first term
-w(T_t(A B_t)) is ``covariance`` at w evolved by the analysis' maps instead.
+the best state found, so it is attained, not estimated.
+
+``analyze_fixed_point`` is the one fixed-point analysis; every fixed-point
+question reads the ``FixedPointAnalysis`` it returns.  It builds rho_pi, the
+gap gamma off the generator's spectrum (``Superoperator.spectrum``), the
+Schroedinger maps exp(tL) of its grid as one dict (``_semigroup``, where a
+time that is the sum of two earlier ones is their maps' product) and the
+fixed projection P.  Its checks read T_t - P: the growth-bound identity at
+t = 1 and the upper bracket of each grid time, under the envelope
+c e^{-gamma t}.  Every O(n^3) step runs on the generator's invariant blocks
+(``Superoperator._blocks``), one batched LAPACK call per block size; only
+the ascent reads a dense map.  The analysis runs no ascent:
+``convergence_envelope`` and ``mixing_eta`` read its maps for the lower
+brackets, and ``spectral_gap`` is its gap on an empty grid.
+``correlation`` evolves observables through ``Dynamics``; the fixed-point
+rows' first term w(T_t(A B_t)) is ``covariance`` at w evolved by the
+analysis' maps instead.
 """
 from __future__ import annotations
 
@@ -210,7 +211,8 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
             f"ambiguous rank: singular values {smallest_kept:.3e} vs {largest_null:.3e}")
     if null_count != 1:
         raise DegenerateFixedPointError(null_count)
-    g, b, j = _locate(gen_s._blocks, int(np.argmin(flat)))
+    g = int(np.argmin([sv[1].min() for sv in svds]))
+    b, j = np.unravel_index(np.argmin(svds[g][1]), svds[g][1].shape)
     vec = np.zeros(flat.size, dtype=complex)
     vec[gen_s._blocks[g][b]] = svds[g][2][b, j].conj()
     rho = devectorize(vec, gen_s.sites, gen_s.dims).matrix
@@ -236,7 +238,7 @@ def periodic_points(gen: Superoperator) -> list:
     Eigenvalues with |Re| <= 1e-9 count; imaginary parts are clustered at the
     same tolerance.
     """
-    eigs = gen.spectrum[0]
+    eigs = gen.spectrum
     imags = sorted(float(ev.imag) for ev in eigs if abs(ev.real) <= PERIODIC_ATOL)
     clusters = []
     for im in imags:
@@ -249,44 +251,22 @@ def periodic_points(gen: Superoperator) -> list:
 
 
 def spectral_gap(gen: Superoperator) -> tuple:
-    """(gamma, omega0) with gamma the least decay rate off the fixed subspace.
+    """(gamma, omega0) with gamma the least decay rate off the fixed subspace
+    and omega0 = -gamma: the gap of ``analyze_fixed_point`` on an empty grid.
 
     Requires a unique fixed point and no oscillatory periodic points.  The
-    growth-bound identity rad(exp(L restricted)) = exp(omega0) is verified at
-    t = 1 to 1e-8 relative accuracy.
+    growth-bound identity rad(exp(L_s) - P) = exp(omega0) is verified to
+    1e-8 relative accuracy.
     """
-    return _spectral_gap(gen, _schrodinger(gen)._exp_blocks(1.0))
+    gap = analyze_fixed_point(gen, ()).gap
+    return gap, -gap
 
 
-def _spectral_gap(gen: Superoperator, prop: list) -> tuple:
-    """``spectral_gap`` with ``prop`` the Schroedinger map exp(L_s) at t = 1
-    on the invariant blocks (its conjugate transpose is used for a
-    Heisenberg generator).  The spectral projection of the zero eigenvalue
-    lies in that eigenvalue's block, so only that block's eigenvectors are
-    inverted, and the restricted map's eigenvalues are those of its blocks."""
-    gamma, zero = _mixing_spectrum(gen)
-    g, b, j = _locate(gen._blocks, zero)
-    v = gen.spectrum[1][g][b]
-    omega0 = -gamma
-    proj = np.outer(v[:, j], np.linalg.inv(v)[j, :])
-    if gen.picture == "heisenberg":
-        prop = [m.conj().transpose(0, 2, 1) for m in prop]
-    restricted = list(prop)
-    restricted[g] = prop[g].copy()
-    restricted[g][b] = prop[g][b] @ (np.eye(v.shape[0]) - proj)
-    rad = max(float(np.max(np.abs(np.linalg.eigvals(m)))) for m in restricted)
-    expected = math.exp(omega0)
-    if abs(rad - expected) > 1e-8 * expected:
-        raise CorrelationsError(
-            f"growth-bound identity violated: rad {rad:.12e} vs exp(omega0) {expected:.12e}")
-    return gamma, omega0
-
-
-def _mixing_spectrum(gen: Superoperator) -> tuple:
-    """(gamma, zero): the least decay rate off the fixed subspace and the
-    index of the one zero eigenvalue in ``gen.spectrum[0]``.  Raises unless
-    the zero eigenvalue is simple and every other eigenvalue decays."""
-    w = gen.spectrum[0]
+def _mixing_spectrum(gen: Superoperator) -> float:
+    """The least decay rate off the fixed subspace, read off
+    ``gen.spectrum``.  Raises unless the zero eigenvalue is simple and every
+    other eigenvalue decays."""
+    w = gen.spectrum
     zero = np.abs(w) <= PERIODIC_ATOL
     n_zero = int(np.sum(zero))
     if n_zero != 1:
@@ -297,17 +277,7 @@ def _mixing_spectrum(gen: Superoperator) -> tuple:
     gamma = float(np.min(-w.real[~zero]))
     if gamma <= 0:
         raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
-    return gamma, int(np.flatnonzero(zero)[0])
-
-
-def _locate(blocks: tuple, flat: int) -> tuple:
-    """(group, block, position) of entry ``flat`` of values listed block by
-    block in the order of ``blocks`` (``Superoperator._blocks``)."""
-    for g, idx in enumerate(blocks):
-        if flat < idx.size:
-            return (g, *divmod(flat, idx.shape[1]))
-        flat -= idx.size
-    raise IndexError(flat)
+    return gamma
 
 
 def _schrodinger(gen: Superoperator) -> Superoperator:
@@ -323,7 +293,7 @@ def _semigroup(gen: Superoperator, times: Iterable[float]) -> dict:
     law exp((s + u) L) = exp(s L) exp(u L) that is also the squaring step of
     scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); any
     other time is exponentiated.  No dense map is formed; the ascent
-    scatters the one it reads (``_lower_bracket``)."""
+    scatters the one it reads (``FixedPointAnalysis.lower_bracket``)."""
     gen_s = _schrodinger(gen)
     maps: dict = {}
     for t in sorted(set(map(float, times))):
@@ -336,20 +306,6 @@ def _semigroup(gen: Superoperator, times: Iterable[float]) -> dict:
         for m in maps[t]:
             m.flags.writeable = False
     return maps
-
-
-def _upper_brackets(gen: Superoperator, maps: dict, rho_pi: StateFunctional,
-                    times: Iterable[float]) -> dict:
-    """{t: sqrt(dim) |T_t - P|_2} over ``times``, each bounding
-    sup_rho |T_t(rho) - rho_pi|_1 from above, with ``maps`` the
-    ``_semigroup`` dict of ``gen``.  T_t - P is block-diagonal on the
-    generator's invariant blocks (``_fixed_projection``), so its norm is the
-    largest of its blocks' norms, one batched SVD per block size."""
-    proj = _fixed_projection(_schrodinger(gen), rho_pi.density)
-    scale = math.sqrt(rho_pi.density.shape[0])
-    return {t: scale * max(float(np.max(np.linalg.norm(m - p, 2, axis=(1, 2))))
-                           for m, p in zip(maps[t], proj))
-            for t in set(times)}
 
 
 def _fixed_projection(gen_s: Superoperator, rho_pi: np.ndarray) -> list:
@@ -385,15 +341,17 @@ def trace_norm(m: np.ndarray) -> float:
 @dataclass(frozen=True)
 class FixedPointAnalysis:
     """The certificate the fixed-point bounds read: the stationary state, the
-    gap gamma, and the least c >= 1 with c e^{-gamma t} above every upper
-    bracket of the analysis' time grid; and the grid's ``_semigroup`` maps
-    on the invariant ``blocks`` (``Superoperator._blocks``)."""
+    gap gamma, the upper bracket sqrt(dim) |T_t - P|_2 of each grid time
+    (``uppers``) and the least c >= 1 with c e^{-gamma t} above every one;
+    and the grid's ``_semigroup`` maps on the invariant blocks of the
+    Schroedinger ``generator``, which the lower brackets read."""
 
     rho_pi: StateFunctional
     gap: float
     envelope_c: float
+    uppers: Mapping = field(repr=False)
     maps: Mapping = field(compare=False, repr=False)
-    blocks: tuple = field(compare=False, repr=False)
+    generator: Superoperator = field(compare=False, repr=False)
 
     def governance(self) -> Callable[[float], float]:
         """g(t) = min(2, c e^{-gamma t}), valid whenever the envelope holds."""
@@ -402,70 +360,53 @@ class FixedPointAnalysis:
 
     def evolve(self, t: float, density: np.ndarray) -> np.ndarray:
         """exp(t L_s)(rho) at a grid time t, one batched matvec per block size."""
-        if float(t) not in self.maps:
-            raise CorrelationsError(
-                f"t = {t!r} is not on the analysis grid {sorted(self.maps)}")
         vec = density.flatten(order="F")
         out = np.empty(vec.shape, dtype=complex)
-        for idx, m in zip(self.blocks, self.maps[float(t)]):
+        for idx, m in zip(self.generator._blocks, self._map(t)):
             out[idx] = (m @ vec[idx][:, :, None])[:, :, 0]
         return out.reshape(density.shape, order="F")
 
+    def lower_bracket(self, t: float, n_starts: int, seed: int) -> float:
+        """|T_t(psi psi^*) - rho_pi|_1 at the best pure state the ascent finds
+        at a grid time t, with the map T_t scattered into the dense map the
+        ascent reads.  ``n_starts`` below 1 is refused before any ascent."""
+        _check_starts(n_starts)
+        dense = self.generator._scatter(self._map(t))
+        return _multistart_state_distance(dense, self.rho_pi.density, n_starts, seed)[0]
 
-def _envelope(gen: Superoperator, rho_pi: StateFunctional, t_grid: tuple) -> tuple:
-    """(maps, gamma, uppers, c): the maps of ``t_grid`` and of the gap's t = 1
-    as one ``_semigroup`` dict, the gap, the upper bracket of each grid time,
-    and the least c >= 1 with ``upper <= c * exp(-gamma t)`` on the grid."""
-    maps = _semigroup(gen, [*t_grid, 1.0])
-    gamma, _ = _spectral_gap(gen, maps[1.0])
-    uppers = _upper_brackets(gen, maps, rho_pi, t_grid)
-    c = max([1.0, *(uppers[t] * math.exp(gamma * t) for t in t_grid)])
-    return maps, gamma, uppers, c
-
-
-def _lower_bracket(gen: Superoperator, prop: list, rho_pi: StateFunctional,
-                   n_starts: int, seed: int) -> float:
-    """|T(psi psi^*) - rho_pi|_1 at the best pure state the ascent finds,
-    with ``prop`` a ``_semigroup`` map T of ``gen``, scattered into the dense
-    map the ascent reads."""
-    dense = _schrodinger(gen)._scatter(prop)
-    return _multistart_state_distance(dense, rho_pi.density, n_starts, seed)[0]
+    def _map(self, t: float) -> list:
+        if float(t) not in self.maps:
+            raise CorrelationsError(
+                f"t = {t!r} is not on the analysis grid {sorted(self.maps)}")
+        return self.maps[float(t)]
 
 
-def convergence_envelope(gen: Superoperator, rho_pi: StateFunctional,
-                         t_grid: Sequence[float], n_starts: int = 16,
+def convergence_envelope(analysis: FixedPointAnalysis, n_starts: int = 16,
                          seed: int = 11) -> tuple:
-    """Per-time brackets of the state-picture distance to the fixed projection.
+    """Per-time brackets of the state-picture distance to the fixed projection
+    over the grid of ``analysis``.
 
-    Returns ``(c, gamma, samples)`` where samples are (t, lower, upper) and
-    ``upper <= c * exp(-gamma t)`` holds on the grid by construction of c.
-    ``n_starts`` below 1 is refused before any work.
+    Returns ``(c, gamma, samples)``, the analysis' envelope and, per grid
+    time, samples (t, lower, upper): the ascent's lower bracket and the
+    analysis' upper bracket, with ``upper <= c * exp(-gamma t)`` by
+    construction of c.  ``n_starts`` below 1 is refused before any ascent.
     """
     _check_starts(n_starts)
-    t_grid = tuple(map(float, t_grid))
-    maps, gamma, uppers, c = _envelope(gen, rho_pi, t_grid)
-    samples = tuple((t, _lower_bracket(gen, maps[t], rho_pi, n_starts, seed), uppers[t])
-                    for t in t_grid)
-    return c, gamma, samples
+    samples = tuple((t, analysis.lower_bracket(t, n_starts, seed), upper)
+                    for t, upper in analysis.uppers.items())
+    return analysis.envelope_c, analysis.gap, samples
 
 
-def mixing_eta(gen: Superoperator, t: float, rho_pi: StateFunctional,
-               n_starts: int = 64, seed: int = 23) -> tuple:
-    """Bracket (lower, upper) for the mixing coefficient at time t.
-
-    lower: half the trace distance at the best pure initial state that the
-    ascent finds (the supremum over density matrices is attained at pure
-    states);
-    upper: half of sqrt(dim) times the spectral norm of the map difference,
-    the envelope's upper bracket at t.
-    ``n_starts`` below 1 is refused before any work.
-    """
-    _check_starts(n_starts)
-    _mixing_spectrum(gen)
-    t = float(t)
-    maps = _semigroup(gen, [t])
-    return (0.5 * _lower_bracket(gen, maps[t], rho_pi, n_starts, seed),
-            0.5 * _upper_brackets(gen, maps, rho_pi, [t])[t])
+def mixing_eta(analysis: FixedPointAnalysis, t: float, n_starts: int = 64,
+               seed: int = 23) -> tuple:
+    """Bracket (lower, upper) for the mixing coefficient at a grid time t of
+    ``analysis``: half its lower bracket, the trace distance at the best pure
+    initial state the ascent finds (pure states attain the supremum over
+    density matrices), and half its upper bracket.  ``n_starts`` below 1 is
+    refused before any ascent, and a time off the grid raises
+    ``CorrelationsError``."""
+    return (0.5 * analysis.lower_bracket(t, n_starts, seed),
+            0.5 * analysis.uppers[float(t)])
 
 
 def _check_starts(n_starts: int) -> None:
@@ -487,7 +428,6 @@ def _multistart_state_distance(prop: np.ndarray, rho_pi: np.ndarray,
     does the step's eigenvector.  So the basis starts are tilted off their
     axes by a seeded component of weight ``ASCENT_TILT``.
     """
-    _check_starts(n_starts)
     dim = rho_pi.shape[0]
     rng = np.random.default_rng(seed)
     psi = np.zeros((n_starts, dim), dtype=complex)
@@ -550,15 +490,37 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPointAnalysis:
-    """The stationary state and the envelope c e^{-gamma t} over ``t_grid``.
+    """The stationary state, the gap and the envelope c e^{-gamma t} over ``t_grid``.
 
-    One ``_semigroup`` dict holds the maps of ``t_grid`` and of the gap's
-    t = 1; each grid time gets an upper bracket, only the grid's maps are kept
-    and no ascent runs.  The lower brackets come from ``convergence_envelope``
-    and ``mixing_eta``.
+    One ``_semigroup`` dict holds the maps of ``t_grid`` and of t = 1, and
+    every check reads T_t - P, with P the fixed projection of rho_pi
+    (``_fixed_projection``), block-diagonal on the generator's invariant
+    blocks like T_t.  At t = 1 the growth-bound identity
+    rad(T_1 - P) = e^{-gamma} is verified to 1e-8 relative accuracy: P
+    removes the eigenvalue 1 of T_1 and keeps every other, as vec(1) is a
+    left eigenvector of T_1.  Each grid time gets the upper bracket
+    sqrt(dim) |T_t - P|_2, the largest of its blocks' norms.  Only the grid's
+    maps are kept and no ascent runs; the lower brackets come from
+    ``convergence_envelope`` and ``mixing_eta``.
     """
     rho_pi = stationary_state(gen)
+    gamma = _mixing_spectrum(gen)
+    gen_s = _schrodinger(gen)
     t_grid = tuple(map(float, t_grid))
-    maps, gamma, _, c = _envelope(gen, rho_pi, t_grid)
-    return FixedPointAnalysis(rho_pi, gamma, c, {t: maps[t] for t in t_grid},
-                              _schrodinger(gen)._blocks)
+    maps = _semigroup(gen_s, [*t_grid, 1.0])
+    proj = _fixed_projection(gen_s, rho_pi.density)
+
+    def minus_p(t: float) -> list:
+        return [m - p for m, p in zip(maps[t], proj)]
+
+    rad = max(float(np.max(np.abs(np.linalg.eigvals(d)))) for d in minus_p(1.0))
+    expected = math.exp(-gamma)
+    if abs(rad - expected) > 1e-8 * expected:
+        raise CorrelationsError(
+            f"growth-bound identity violated: rad {rad:.12e} vs exp(omega0) {expected:.12e}")
+    scale = math.sqrt(rho_pi.density.shape[0])
+    uppers = {t: scale * max(float(np.max(np.linalg.norm(d, 2, axis=(1, 2))))
+                             for d in minus_p(t))
+              for t in t_grid}
+    c = max([1.0, *(upper * math.exp(gamma * t) for t, upper in uppers.items())])
+    return FixedPointAnalysis(rho_pi, gamma, c, uppers, {t: maps[t] for t in t_grid}, gen_s)

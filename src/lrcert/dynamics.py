@@ -13,9 +13,10 @@ evolutions: the quasi-locality norm, the truncation and local approximation
 errors here, ``correlations.correlation`` and ``c_ab``.
 The module-level ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
-consume, and the fixed-point suite; both go through the generator's
-invariant blocks, with one dense ``expm`` per block size
-(``Superoperator.exp``).  Dense generators cap at
+consume, and the fixed-point suite; both run one dense ``expm`` per block
+size of the generator's invariant blocks (``Superoperator._exp_blocks``),
+which ``propagator`` scatters into the whole map (``Superoperator.exp``)
+and the fixed-point analysis keeps.  Dense generators cap at
 ``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of its
 own, and an observation map acts on its own sites (``qalgebra.apply_map``).
 """

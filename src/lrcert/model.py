@@ -55,7 +55,7 @@ class Superoperator:
     Its O(n^3) work runs on its invariant coordinate blocks (``_blocks``),
     the connected components of the nonzero pattern of M + M^H.  A block of
     coordinates that neither M nor M^H leaves is invariant, so M is
-    block-diagonal over the blocks, and its exponentials, eigenpairs and
+    block-diagonal over the blocks, and its exponentials, eigenvalues and
     singular values are those of its blocks: the symmetry reduction of Buca
     and Prosen (New J. Phys. 14, 073007, 2012), read off the sparsity pattern.
     Blocks of one size are stacked, so each step is one batched LAPACK call
@@ -112,17 +112,13 @@ class Superoperator:
         return out
 
     @cached_property
-    def spectrum(self) -> tuple:
-        """(eigenvalues, eigenvectors) on the invariant blocks: every
-        eigenvalue, block by block in ``_blocks`` order, and per size group
-        the (k, n, n) right eigenvectors of its blocks.  One batched ``eig``
-        per size group, shared by every spectral question asked of the map."""
-        pairs = [np.linalg.eig(s) for s in self._gather(self.matrix)]
-        w = np.concatenate([p[0].ravel() for p in pairs])
-        v = tuple(p[1] for p in pairs)
-        for x in (w, *v):
-            x.flags.writeable = False
-        return w, v
+    def spectrum(self) -> np.ndarray:
+        """Every eigenvalue, block by block in ``_blocks`` order, read-only.
+        One batched ``eig`` per size group, shared by every spectral question
+        asked of the map."""
+        w = np.concatenate([np.linalg.eig(s)[0].ravel() for s in self._gather(self.matrix)])
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def adjoint(self) -> "Superoperator":

@@ -249,12 +249,10 @@ def test_criterion_5_power_law_theorems(power_law_suite):
             failures.append(("correlation power-law", t, lhs, wv.value))
 
     # fixed-point power-law bound against the exact stationary correlation
-    gen = lr.generator(inter)
-    rho_pi = lr.stationary_state(gen)
     t_point = d ** eta_exp / (math.e * c.v * 2.0 ** eta_exp)
-    env_c, env_gamma, _ = lr.convergence_envelope(gen, rho_pi,
-                                                  [t_point, 1.0, 2.0, 4.0],
-                                                  n_starts=4, seed=5)
+    analysis = lr.analyze_fixed_point(lr.generator(inter), [t_point, 1.0, 2.0, 4.0])
+    rho_pi = analysis.rho_pi
+    env_c, env_gamma, _ = lr.convergence_envelope(analysis, n_starts=4, seed=5)
     g = lambda t: min(2.0, env_c * math.exp(-env_gamma * t))
     lhs_fp = abs(rho_pi.expect(a @ b) - rho_pi.expect(a) * rho_pi.expect(b))
     rhs_fp = bounds.rhs_fixed_point_power_law(c, a.norm(), b.norm(), 1, 1, d,
@@ -305,12 +303,12 @@ def fixed_point_suite():
     space = lr.FiniteMetricSpace.chain(4)
     inter = lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)
     gen = lr.generator(inter)
-    rho_pi = lr.stationary_state(gen)
-    gap, omega0 = lr.spectral_gap(gen)
+    # one analysis for the gap, the envelope and every eta bracket
     t_grid = np.linspace(0.0, 8.0, 16)
-    env_c, env_gamma, samples = lr.convergence_envelope(gen, rho_pi, t_grid,
-                                                        n_starts=8, seed=11)
-    eta = [(t, *lr.mixing_eta(gen, t, rho_pi, n_starts=64, seed=23)) for t in t_grid]
+    analysis = lr.analyze_fixed_point(gen, t_grid)
+    rho_pi, gap = analysis.rho_pi, analysis.gap
+    env_c, env_gamma, samples = lr.convergence_envelope(analysis, n_starts=8, seed=11)
+    eta = [(t, *lr.mixing_eta(analysis, t, n_starts=64, seed=23)) for t in t_grid]
     return space, inter, gen, rho_pi, gap, env_c, env_gamma, samples, eta
 
 

@@ -288,36 +288,52 @@ class TestSpectralGap:
         gap, omega0 = lr.spectral_gap(gen)  # raises if rad != exp(omega0) at t=1
         assert gap > 0 and omega0 == -gap
 
+    def test_growth_bound_refuses_a_wrong_projection(self, monkeypatch):
+        # with P = 0 the eigenvalue 1 of T_1 stays, and rad(T_1 - P) = 1
+        space, f, inter = mixed_field_chain(2, alpha=3.0)
+        gen = lr.generator(inter)
+
+        def zero_projection(gen_s, rho_pi):
+            return [np.zeros((k, n, n), dtype=complex) for k, n in
+                    (idx.shape for idx in gen_s._blocks)]
+
+        monkeypatch.setattr(correlations, "_fixed_projection", zero_projection)
+        with pytest.raises(CorrelationsError, match="growth-bound identity violated"):
+            lr.analyze_fixed_point(gen, [0.5, 1.0])
+
+    def test_gap_is_the_analysis_gap(self, damped4):
+        # the gap's t = 1 map is built whether or not 1 is on the grid
+        space, f, inter = mixed_field_chain(2, alpha=3.0)
+        for gen in (lr.generator(inter), damped4[0]):
+            for grid in ((0.5, 1.0, 2.0), (0.5, 2.0)):
+                assert lr.spectral_gap(gen)[0] == lr.analyze_fixed_point(gen, grid).gap
+
 
 @pytest.fixture(scope="module")
 def damped():
     space, inter = single_qubit_damping(gamma=1.0)
-    gen = lr.generator(inter)
-    rho = lr.stationary_state(gen.adjoint)
-    return gen, rho
+    return lr.generator(inter)
 
 
 class TestConvergenceEnvelope:
     def test_bracket_and_certificate(self, damped):
-        gen, rho = damped
-        grid = np.linspace(0.0, 10.0, 9)
-        c, gamma, samples = lr.convergence_envelope(gen, rho, grid, n_starts=8, seed=5)
+        analysis = lr.analyze_fixed_point(damped, np.linspace(0.0, 10.0, 9))
+        c, gamma, samples = lr.convergence_envelope(analysis, n_starts=8, seed=5)
         assert c >= 1.0
         for t, lo, up in samples:
             assert lo <= up * (1 + 1e-12)
             assert up <= c * math.exp(-gamma * t) * (1 + 1e-12)
 
     def test_initial_distance_attained(self, damped):
-        gen, rho = damped
-        _, _, samples = lr.convergence_envelope(gen, rho, [0.0], n_starts=8, seed=5)
+        analysis = lr.analyze_fixed_point(damped, [0.0])
+        _, _, samples = lr.convergence_envelope(analysis, n_starts=8, seed=5)
         t0, lo, up = samples[0]
         # the orthogonal pure state sits at trace distance 2
         assert lo >= 2.0 - 1e-9
 
     def test_asymptotic_rate_is_half_gamma(self, damped):
-        gen, rho = damped
-        _, _, samples = lr.convergence_envelope(gen, rho, [8.0, 12.0], n_starts=4,
-                                                seed=5)
+        analysis = lr.analyze_fixed_point(damped, [8.0, 12.0])
+        _, _, samples = lr.convergence_envelope(analysis, n_starts=4, seed=5)
         (_, _, u1), (_, _, u2) = samples
         rate = -(math.log(u2) - math.log(u1)) / 4.0
         assert rate == pytest.approx(0.5, rel=0.05)
@@ -354,38 +370,38 @@ def damped4():
 
 class TestMixingEta:
     def test_orthogonal_probe_at_time_zero(self, damped4):
-        gen, rho = damped4
-        lo, up = lr.mixing_eta(gen, 0.0, rho, n_starts=16, seed=3)
+        analysis = lr.analyze_fixed_point(damped4[0], [0.0])
+        lo, up = lr.mixing_eta(analysis, 0.0, n_starts=16, seed=3)
         assert lo >= 1.0 - 1e-9
         assert lo <= up * (1 + 1e-12)
 
     def test_non_increasing_along_grid(self):
         space, inter = single_qubit_damping(1.0)
-        gen = lr.generator(inter)
-        rho = lr.stationary_state(gen.adjoint)
+        grid = (0.0, 0.5, 1.0, 2.0, 4.0)
+        analysis = lr.analyze_fixed_point(lr.generator(inter), grid)
         uppers, lowers = [], []
-        for t in (0.0, 0.5, 1.0, 2.0, 4.0):
-            lo, up = lr.mixing_eta(gen, t, rho, n_starts=12, seed=9)
+        for t in grid:
+            lo, up = lr.mixing_eta(analysis, t, n_starts=12, seed=9)
             lowers.append(lo)
             uppers.append(up)
         assert all(a >= b - 1e-9 for a, b in zip(lowers, lowers[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(uppers, uppers[1:]))
 
     def test_dominated_by_envelope(self, damped4):
-        gen, rho = damped4
         grid = [0.0, 1.0, 2.0, 4.0]
-        c, gamma, _ = lr.convergence_envelope(gen, rho, grid, n_starts=4, seed=7)
+        analysis = lr.analyze_fixed_point(damped4[0], grid)
+        c, gamma, _ = lr.convergence_envelope(analysis, n_starts=4, seed=7)
         for t in grid:
-            lo, up = lr.mixing_eta(gen, t, rho, n_starts=8, seed=7)
+            lo, up = lr.mixing_eta(analysis, t, n_starts=8, seed=7)
             assert up <= 0.5 * c * math.exp(-gamma * t) * (1 + 1e-12)
             assert lo <= 0.5 * c * math.exp(-gamma * t) * (1 + 1e-12)
 
     def test_ascent_not_below_nelder_mead(self, damped4):
         # the lower brackets that multistart Nelder-Mead reached from these starts
-        gen, rho = damped4
+        analysis = lr.analyze_fixed_point(damped4[0], [2.0, 4.0, 8.0])
         for t, nelder_mead in ((2.0, 0.44102684), (4.0, 0.087957524),
                                (8.0, 0.0096370075)):
-            lo, up = lr.mixing_eta(gen, t, rho, n_starts=64, seed=23)
+            lo, up = lr.mixing_eta(analysis, t, n_starts=64, seed=23)
             assert lo >= nelder_mead
             assert lo <= up * (1 + 1e-12)
 
@@ -401,17 +417,22 @@ class TestMixingEta:
     def test_oscillatory_rejected(self):
         m = np.diag([0.0, -1.0, 1.5j, -1.5j]).astype(complex)
         fake = lr.Superoperator(m, (0,), (2,), "heisenberg")
-        rho = StateFunctional(np.diag([1.0, 0.0]).astype(complex), (0,), (2,))
         with pytest.raises(NotMixingError):
-            lr.mixing_eta(fake, 1.0, rho)
+            lr.analyze_fixed_point(fake, [1.0])
 
     def test_degenerate_rejected(self):
         # no terms: every state is fixed
         space = lr.FiniteMetricSpace.chain(1)
         gen = lr.generator(DissipativeInteraction(space, ()))
-        rho = StateFunctional(np.diag([1.0, 0.0]).astype(complex), (0,), (2,))
         with pytest.raises(DegenerateFixedPointError):
-            lr.mixing_eta(gen, 1.0, rho)
+            lr.analyze_fixed_point(gen, [1.0])
+
+    def test_off_grid_time_rejected(self, recorded_analysis, monkeypatch):
+        calls = _counting_ascent(monkeypatch)
+        with pytest.raises(CorrelationsError,
+                           match=r"t = 1\.5 is not on the analysis grid \[0\.5, 1\.0, 2\.0"):
+            lr.mixing_eta(recorded_analysis, 1.5, n_starts=4, seed=3)
+        assert calls == []
 
 
 def _one_call_per_block_size(gen, shapes):
@@ -513,12 +534,17 @@ RECORDED_GRID = (0.5, 1.0, 2.0, 3.0, 4.0)
 
 
 @pytest.fixture(scope="module")
-def recorded_brackets(damped4):
+def recorded_analysis(damped4):
+    return lr.analyze_fixed_point(damped4[0], RECORDED_GRID)
+
+
+@pytest.fixture(scope="module")
+def recorded_brackets(recorded_analysis):
     """The brackets whose values are recorded: ``convergence_envelope`` on
-    ``RECORDED_GRID`` and ``mixing_eta`` at t = 4, on the damped chain(4)."""
-    gen, rho = damped4
-    return (lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=4, seed=3),
-            lr.mixing_eta(gen, 4.0, rho, n_starts=16, seed=3))
+    ``RECORDED_GRID`` and ``mixing_eta`` at t = 4, on the damped chain(4),
+    both read from one analysis."""
+    return (lr.convergence_envelope(recorded_analysis, n_starts=4, seed=3),
+            lr.mixing_eta(recorded_analysis, 4.0, n_starts=16, seed=3))
 
 
 def _counting_ascent(monkeypatch):
@@ -556,34 +582,30 @@ class TestLowerBrackets:
             assert lower == pytest.approx(want, rel=1e-6, abs=0)
         assert eta_lower == pytest.approx(self.RECORDED_ETA_LOWER, rel=1e-6, abs=0)
 
-    def test_envelope_equals_the_analysis(self, damped4):
-        # the envelope reads its brackets from the maps of its grid and t = 1,
-        # with the analysis' gap and c
-        gen, _ = damped4
-        analysis = lr.analyze_fixed_point(gen, RECORDED_GRID)
-        rho = analysis.rho_pi
-        maps = correlations._semigroup(gen, [*RECORDED_GRID, 1.0])
-        uppers = correlations._upper_brackets(gen, maps, rho, RECORDED_GRID)
-        samples = tuple((t, correlations._lower_bracket(gen, maps[t], rho, 4, 3), uppers[t])
+    def test_envelope_equals_the_analysis(self, recorded_analysis):
+        # the envelope reads its brackets from the analysis' maps and upper
+        # brackets at each grid time, with the analysis' gap and c
+        analysis = recorded_analysis
+        samples = tuple((t, analysis.lower_bracket(t, 4, 3), analysis.uppers[t])
                         for t in RECORDED_GRID)
-        assert lr.convergence_envelope(gen, rho, RECORDED_GRID, n_starts=4, seed=3) == (
+        assert lr.convergence_envelope(analysis, n_starts=4, seed=3) == (
             analysis.envelope_c, analysis.gap, samples)
 
-    def test_no_start_rejected(self, damped4, monkeypatch):
-        # refused on entry, on an empty grid too: no map, no spectrum
-        gen, rho = damped4
-        fresh = lr.Superoperator(gen.matrix, gen.sites, gen.dims, gen.picture)
+    def test_no_start_rejected(self, damped4, recorded_analysis, monkeypatch):
+        # refused on entry, on an empty grid too: no dense map, no ascent
+        empty = lr.analyze_fixed_point(damped4[0], [])
 
-        def no_maps(*args):
-            raise AssertionError("maps built before the start count was checked")
+        def no_dense(*args):
+            raise AssertionError("dense map built before the start count was checked")
 
-        monkeypatch.setattr(correlations, "_semigroup", no_maps)
-        for grid in (RECORDED_GRID, []):
+        calls = _counting_ascent(monkeypatch)
+        monkeypatch.setattr(lr.Superoperator, "_scatter", no_dense)
+        for analysis in (recorded_analysis, empty):
             with pytest.raises(CorrelationsError, match="at least one start"):
-                lr.convergence_envelope(fresh, rho, grid, n_starts=0)
+                lr.convergence_envelope(analysis, n_starts=0)
         with pytest.raises(CorrelationsError, match="at least one start"):
-            lr.mixing_eta(fresh, 4.0, rho, n_starts=0)
-        assert "spectrum" not in vars(fresh)
+            lr.mixing_eta(recorded_analysis, 4.0, n_starts=0)
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -690,12 +712,10 @@ def _oracle(gen, times):
 
 
 def _blockwise(gen, times):
-    """The same quantities as ``_oracle``, through the package."""
-    rho = lr.stationary_state(gen)
-    blocks = correlations._semigroup(gen, times)
-    maps = {t: gen.adjoint._scatter(blocks[t]) for t in times}
-    uppers = correlations._upper_brackets(gen, blocks, rho, times)
-    return maps, gen.spectrum[0], rho.density, lr.spectral_gap(gen)[0], uppers
+    """The same quantities as ``_oracle``, through the package: one analysis."""
+    analysis = lr.analyze_fixed_point(gen, times)
+    maps = {t: gen.adjoint._scatter(analysis.maps[t]) for t in times}
+    return maps, gen.spectrum, analysis.rho_pi.density, analysis.gap, analysis.uppers
 
 
 @st.composite
@@ -751,14 +771,14 @@ class TestInvariantBlocks:
         assert np.array_equal(got[2], want[2])
         assert got[3] == want[3]
 
-    def test_projection_off_its_block_refused(self, damped4):
+    def test_projection_off_its_block_refused(self, damped4, monkeypatch):
         # vec(rho) of a state with coherences leaves the block of vec(1), so
         # T_t - P is not block-diagonal and the blockwise norm would drop P
         gen, _ = damped4
         coherent = StateFunctional.product(gen.sites, "+")
-        maps = correlations._semigroup(gen, [1.0])
+        monkeypatch.setattr(correlations, "stationary_state", lambda _: coherent)
         with pytest.raises(CorrelationsError, match="spans 81 invariant blocks"):
-            correlations._upper_brackets(gen, maps, coherent, [1.0])
+            lr.analyze_fixed_point(gen, [1.0])
 
     def test_five_sites(self):
         # the slowest mode is a single-site coherence, decaying at gamma / 2
@@ -769,8 +789,7 @@ class TestInvariantBlocks:
         grid = (0.5, 1.0, 2.0, 4.0)
         analysis = lr.analyze_fixed_point(gen, grid)
         assert analysis.gap == pytest.approx(0.5, rel=1e-10)
-        c, gamma, samples = lr.convergence_envelope(gen, analysis.rho_pi, grid,
-                                                    n_starts=4, seed=3)
+        c, gamma, samples = lr.convergence_envelope(analysis, n_starts=4, seed=3)
         assert (c, gamma) == (analysis.envelope_c, analysis.gap)
         for _, lower, upper in samples:
             assert lower <= upper
