@@ -2,7 +2,10 @@
 
 Each evaluator is a pure function of model constants and geometry returning a
 float, a ``WindowedValue`` or (``surface_sum_check``) the lhs and rhs; only
-``harness.THEOREMS`` builds ``BoundReport`` rows.  Exponent or hypothesis
+``harness.THEOREMS`` builds ``BoundReport`` rows.  Every bound is stated on
+one volume Lambda, the interaction's space, which the evaluators read off the
+constants (``ModelConstants.space``); a caller passes only the supports and
+the grid point.  Exponent or hypothesis
 windows never raise during sweeps: out-of-window points come back as values
 flagged invalid, so a parameter sweep records rather than aborts.  The two
 fixed-point evaluators raise on violated hypotheses instead, since they are
@@ -30,10 +33,10 @@ class BoundsError(ValueError):
 class ModelConstants:
     """All scalar constants a bound evaluator needs, computed once per model.
 
-    ``v = l_fnorm * conv`` is the velocity used by every evaluator.
+    The volume Lambda every bound is stated on is the interaction's space
+    (``space``).  ``v = l_fnorm * conv`` is the velocity used by every evaluator.
     """
 
-    space: FiniteMetricSpace
     f: FFunction
     interaction: DissipativeInteraction
     nu: float
@@ -41,24 +44,26 @@ class ModelConstants:
     fnorm: float
     conv: float
     l_fnorm: float
-    l_sup: float
     r0: float
 
     @classmethod
-    def from_model(cls, space: FiniteMetricSpace, f: FFunction,
-                   interaction: DissipativeInteraction, nu: float = 1.0) -> "ModelConstants":
+    def from_model(cls, f: FFunction, interaction: DissipativeInteraction,
+                   nu: float = 1.0) -> "ModelConstants":
+        space = interaction.space
         return cls(
-            space=space,
             f=f,
             interaction=interaction,
             nu=float(nu),
             kappa=geometry.nu_regularity(space, nu),
             fnorm=decay.f_norm(f, space),
             conv=decay.conv_constant(f, space),
-            l_fnorm=interaction_f_norm(interaction, f, space),
-            l_sup=interaction.sup_norm,
+            l_fnorm=interaction_f_norm(interaction, f),
             r0=interaction.range_r0,
         )
+
+    @property
+    def space(self) -> FiniteMetricSpace:
+        return self.interaction.space
 
     @property
     def v(self) -> float:
@@ -170,7 +175,7 @@ def rhs_strong_lrb(c: ModelConstants, k_cb: float, a_norm: float, x_size: int,
 
 
 def rhs_range_truncation(c: ModelConstants, a_norm: float, xs: Iterable[Site],
-                         volume: Iterable[Site], t: float, r: float, R: float) -> float:
+                         t: float, r: float, R: float) -> float:
     """Bound on full-vs-truncated dynamics via the uniform tail G(R/2) and a
     buffer region of radius r around the observable support."""
     if R <= 0:
@@ -180,24 +185,23 @@ def rhs_range_truncation(c: ModelConstants, a_norm: float, xs: Iterable[Site],
     if c.l_fnorm == 0.0:
         return 0.0
     xs = frozenset(xs)
-    vol = frozenset(volume)
     inflated = geometry.inflate(c.space, xs, r)
-    outside = vol - inflated
+    outside = c.space.all_sites() - inflated
     tail = c.tail(R / 2.0)
     if tail == 0.0:
         return 0.0
     series = exp_tail(c.v * t, 1.0 + r / R) / (c.v * c.conv) * c.pairs(xs, outside) \
         if outside else 0.0
-    return a_norm * c.l_fnorm * tail * (t * len(inflated & vol) + series)
+    return a_norm * c.l_fnorm * tail * (t * len(inflated) + series)
 
 
 def rhs_composite_lrb(c: ModelConstants, k_cb: float, a_norm: float,
-                      xs: Iterable[Site], volume: Iterable[Site], t: float, r: float,
-                      R: float, head: float) -> float:
+                      xs: Iterable[Site], t: float, r: float, R: float,
+                      head: float) -> float:
     """Quasi-locality of the full dynamics through its range-R approximant:
     ``head``, the range-R dynamics' term (its exact norm, or
     ``rhs_finite_range_lrb``), plus k_cb times the truncation bracket."""
-    return head + k_cb * rhs_range_truncation(c, a_norm, xs, volume, t, r, R)
+    return head + k_cb * rhs_range_truncation(c, a_norm, xs, t, r, R)
 
 
 # -- power-law family -----------------------------------------------------------
@@ -281,8 +285,7 @@ def rhs_correlation_power_law(c: ModelConstants, a_norm: float, b_norm: float,
 # -- strictly local approximation ------------------------------------------------
 
 
-def surface_sum_check(c: ModelConstants, volume: Iterable[Site], xs: Iterable[Site],
-                      r: float, x: Site) -> tuple:
+def surface_sum_check(c: ModelConstants, xs: Iterable[Site], r: float, x: Site) -> tuple:
     """(lhs, rhs) of the anchored surface-term sum against its profile-tail bound.
 
     LHS sums cb_upper over interaction supports that straddle the boundary of
@@ -292,14 +295,13 @@ def surface_sum_check(c: ModelConstants, volume: Iterable[Site], xs: Iterable[Si
     xs = frozenset(xs)
     if x not in xs:
         raise BoundsError("anchor site must lie in the localization region")
-    vol = frozenset(volume)
     space = c.space
     inflated = geometry.inflate(space, xs, r)
-    outside = vol - inflated
+    outside = space.all_sites() - inflated
     lhs = 0.0
     for term in c.interaction.terms:
         z = term.support
-        if not z <= vol or not (z & inflated) or not (z & outside) or (z & xs):
+        if not (z & inflated) or not (z & outside) or (z & xs):
             continue
         lhs += term.cb_upper * sum(float(c.f(space.d(x, z_site))) for z_site in z)
     rhs = c.l_fnorm * (c.conv + c.fnorm) * sum(
@@ -308,13 +310,12 @@ def surface_sum_check(c: ModelConstants, volume: Iterable[Site], xs: Iterable[Si
 
 
 def rhs_local_approx(c: ModelConstants, a_norm: float, xs: Iterable[Site],
-                     volume: Iterable[Site], t: float, r: float) -> WindowedValue:
+                     t: float, r: float) -> WindowedValue:
     """Strictly-local approximation bound; stated for buffer radius r >= 1,
     smaller radii are reported but flagged."""
     xs = frozenset(xs)
-    vol = frozenset(volume)
     flags = {"radius_window": r >= 1.0}
-    outside = vol - geometry.inflate(c.space, xs, r)
+    outside = c.space.all_sites() - geometry.inflate(c.space, xs, r)
     if not outside:
         return WindowedValue(0.0, flags)
     bracket = t + (c.conv + c.fnorm) / c.conv * c.growth_integral(t)
@@ -326,11 +327,11 @@ def rhs_local_approx(c: ModelConstants, a_norm: float, xs: Iterable[Site],
 
 
 def rhs_correlation_general(c: ModelConstants, a_norm: float, b_norm: float,
-                            xs: Iterable[Site], ys: Iterable[Site],
-                            volume: Iterable[Site], t: float, r: float) -> WindowedValue:
+                            xs: Iterable[Site], ys: Iterable[Site], t: float,
+                            r: float) -> WindowedValue:
     """Bound on the dynamically generated correlations between two regions."""
     xs, ys = frozenset(xs), frozenset(ys)
-    vol = frozenset(volume)
+    vol = c.space.all_sites()
     flags = {"radius_window": r >= 1.0}
     out_x = vol - geometry.inflate(c.space, xs, r)
     out_y = vol - geometry.inflate(c.space, ys, r)

@@ -93,7 +93,7 @@ def trivial_governance(nx: float, ny: float, d: float) -> float:
     return 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateFunctional:
     """A state on the observable algebra of a volume, given by a density matrix.
 

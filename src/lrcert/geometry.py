@@ -29,13 +29,14 @@ def _as_frozen(space: "FiniteMetricSpace", sites: Iterable[Site]) -> frozenset:
     return members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite set of sites with an explicit, validated distance table.
 
     ``points`` fixes a canonical site order used everywhere downstream
     (tensor-factor order, report ordering).  ``dist`` is indexed by position
-    in ``points``.
+    in ``points``.  Spaces compare by identity, as do the other types that
+    hold arrays: ``==`` on an array has no single truth value.
     """
 
     points: tuple

@@ -15,10 +15,11 @@ single loop over it; the CLI groups, the theorem lists and the config checks
 are derived from it.  Adding a theorem means adding an entry.
 
 ``load_config`` and ``config_from_dict`` check each field and return a frozen
-``ExperimentConfig``; whether its theorem selection can run on it
-(``check_selection``) is checked once, by the ``ExperimentRunner`` that runs
-it, so a caller that narrows the selection (``dataclasses.replace``) is
-checked on what it runs.
+``ExperimentConfig``, which keeps only what it was given: its volume is its
+interaction's space and its supports X and Y are its observables' sites.
+Whether its theorem selection can run on it (``check_selection``) is checked
+once, by the ``ExperimentRunner`` that runs it, so a caller that narrows the
+config (``dataclasses.replace``) is checked on what it runs.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -258,16 +260,15 @@ def _site_from_json_key(k):
 class ExperimentConfig:
     """An experiment description with every field checked, plus the raw JSON
     it came from; immutable (narrow it with ``dataclasses.replace``).  Whether
-    its theorem selection can run is checked by ``ExperimentRunner``."""
+    its theorem selection can run is checked by ``ExperimentRunner``.
+    ``space``, ``x_sites`` and ``y_sites`` are read off the interaction and
+    the observables, so a narrowed config cannot disagree with them."""
 
-    space: FiniteMetricSpace
     f: FFunction
     nu: float
     interaction: DissipativeInteraction
     a_local: ObservableOp
-    b_local: ObservableOp
-    x_sites: frozenset
-    y_sites: frozenset
+    b_local: Optional[ObservableOp]
     k_map: Optional[ObservationMap]
     t_grid: tuple
     big_r_grid: tuple
@@ -280,6 +281,18 @@ class ExperimentConfig:
     state_desc: object
     seed: int
     raw: dict = field(repr=False)
+
+    @property
+    def space(self) -> FiniteMetricSpace:
+        return self.interaction.space
+
+    @property
+    def x_sites(self) -> frozenset:
+        return frozenset(self.a_local.sites)
+
+    @property
+    def y_sites(self) -> frozenset:
+        return frozenset(self.b_local.sites) if self.b_local is not None else frozenset()
 
     def config_hash(self) -> str:
         """SHA-256 of the raw JSON with ``theorems`` the selection this config runs."""
@@ -339,11 +352,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         for key, default in (("epsilon", 0.5), ("delta", 0.3), ("eta_exp", 0.02),
                              ("a_weight", 1.0)))
     return ExperimentConfig(
-        space=space, f=f, nu=nu, interaction=interaction,
-        a_local=a_local, b_local=b_local,
-        x_sites=frozenset(a_local.sites),
-        y_sites=frozenset(b_local.sites) if b_local is not None else frozenset(),
-        k_map=k_map,
+        f=f, nu=nu, interaction=interaction, a_local=a_local, b_local=b_local, k_map=k_map,
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
         theorems=theorems,
         eps=eps, delta=delta, eta_exp=eta_exp, a_weight=a_weight,
@@ -500,65 +509,51 @@ class ExperimentRunner:
     def __init__(self, cfg: ExperimentConfig):
         check_selection(cfg)
         self.cfg = cfg
-        self.space = cfg.space
-        self.volume = self.space.points
-        self.consts = ModelConstants.from_model(cfg.space, cfg.f, cfg.interaction, cfg.nu)
-        self.a = embed(cfg.a_local, self.volume)
-        self.b = embed(cfg.b_local, self.volume) if cfg.b_local is not None else None
+        self.consts = ModelConstants.from_model(cfg.f, cfg.interaction, cfg.nu)
+        sites = cfg.space.points
+        self.a = embed(cfg.a_local, sites)
+        self.b = embed(cfg.b_local, sites) if cfg.b_local is not None else None
         self.a_norm = cfg.a_local.norm()
         self.b_norm = cfg.b_local.norm() if cfg.b_local is not None else None
-        self._dynamics = None
-        self._dense = None
         self._k_lhs: dict = {}
         self._defects: dict = {}
-        self._analysis = None
-        self._state = None
         self.theorem_wall_s: dict = {}
 
     # dynamics -------------------------------------------------------------------
 
-    @property
+    @cached_property
     def dynamics(self) -> dynamics.Dynamics:
         """The propagation layer every left-hand side goes through."""
-        if self._dynamics is None:
-            self._dynamics = dynamics.Dynamics(self.cfg.interaction)
-        return self._dynamics
+        return dynamics.Dynamics(self.cfg.interaction)
 
-    def dense_generator(self) -> Superoperator:
-        """The full generator as a dense matrix, for the fixed-point suite and
-        the stationary state, which consume the whole map; it is the
-        propagation layer's CSR generator densified, so a run assembles the
-        generator once."""
-        if self._dense is None:
-            layer = self.dynamics
-            model._check_dense(layer.dims)
-            self._dense = Superoperator(layer.generator().toarray(), layer.sites, layer.dims,
-                                        picture="heisenberg")
-        return self._dense
+    @cached_property
+    def analysis(self) -> correlations.FixedPointAnalysis:
+        """The fixed-point analysis over the t grid, for the fixed-point suite
+        and the stationary state, which consume the whole map.  Its generator
+        is the propagation layer's CSR generator densified, so a run assembles
+        the generator once."""
+        layer = self.dynamics
+        model._check_dense(layer.dims)
+        dense = Superoperator(layer.generator().toarray(), layer.sites, layer.dims,
+                              picture="heisenberg")
+        return correlations.analyze_fixed_point(dense, self.cfg.t_grid)
+
+    @cached_property
+    def state(self) -> StateFunctional:
+        """The config's state; the stationary one is the analysis' rho_pi."""
+        parsed = parse_state(self.cfg.state_desc, self.cfg.space.points)
+        return self.analysis.rho_pi if parsed is None else parsed
 
     def counters(self) -> dict:
-        """The propagation layer's counters, and, when the run built the dense
-        generator, its number of invariant blocks (``dense_blocks``) and the
-        size of the largest (``dense_block_max``)."""
+        """The propagation layer's counters, and, for a run that builds the
+        fixed-point analysis, its generator's number of invariant blocks
+        (``dense_blocks``) and the size of the largest (``dense_block_max``)."""
         out = dict(self.dynamics.counters)
-        if self._dense is not None:
-            blocks = self._dense._blocks
+        if "analysis" in self.__dict__:
+            blocks = self.analysis.generator._blocks
             out["dense_blocks"] = sum(idx.shape[0] for idx in blocks)
             out["dense_block_max"] = int(blocks[-1].shape[1])
         return out
-
-    def state(self) -> StateFunctional:
-        """The config's state; the stationary one is the analysis' rho_pi."""
-        if self._state is None:
-            parsed = parse_state(self.cfg.state_desc, self.volume)
-            self._state = self.analysis().rho_pi if parsed is None else parsed
-        return self._state
-
-    def analysis(self) -> correlations.FixedPointAnalysis:
-        if self._analysis is None:
-            self._analysis = correlations.analyze_fixed_point(self.dense_generator(),
-                                                              self.cfg.t_grid)
-        return self._analysis
 
     # the loop ----------------------------------------------------------------------
 
@@ -575,7 +570,7 @@ class ExperimentRunner:
             spec = THEOREMS[name]
             point = {}
             try:
-                d = geometry.set_distance(self.space, cfg.x_sites, spec.distance(self)) \
+                d = geometry.set_distance(cfg.space, cfg.x_sites, spec.distance(self)) \
                     if spec.distance else None
                 for values in itertools.product(*(grids[axis] for axis in spec.axes)):
                     point = dict(zip(spec.axes, values))
@@ -610,7 +605,7 @@ class ExperimentRunner:
 
     def _covariance(self, p: dict) -> float:
         """|pi(AB) - pi(A) pi(B)| in the fixed point pi."""
-        return abs(correlations.covariance(self.analysis().rho_pi.density, self.a, self.b))
+        return abs(correlations.covariance(self.analysis.rho_pi.density, self.a, self.b))
 
 
 # -- the theorem table -----------------------------------------------------------------
@@ -677,10 +672,10 @@ def _b_sites(run: ExperimentRunner) -> frozenset:
 def _fixed_point_exponential(run: ExperimentRunner, p: dict) -> float:
     cfg = run.cfg
     weighted = FFunction.weighted(cfg.a_weight, cfg.f)
-    c_a = ModelConstants.from_model(run.space, weighted, cfg.interaction, cfg.nu)
+    c_a = ModelConstants.from_model(weighted, cfg.interaction, cfg.nu)
     return bounds.rhs_fixed_point_exponential(
         c_a, run.consts.fnorm, run.a_norm, run.b_norm, len(cfg.x_sites),
-        len(cfg.y_sites), p["d"], run.analysis().governance())
+        len(cfg.y_sites), p["d"], run.analysis.governance())
 
 
 _EPS_DELTA = {"eps": "eps", "delta": "delta"}
@@ -704,8 +699,8 @@ THEOREMS = {
         ExperimentRunner._lhs_k, nan_outside=True), distance=_k_sites, needs_b=True),
     "composite_lrb": Theorem("certify-lrb", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_composite_lrb(
-            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites, run.volume,
-            p["t"], p["r"], p["R"], run._lhs_k(p, p["R"])),
+            run.consts, run.cfg.k_map.cb_upper, run.a_norm, run.cfg.x_sites, p["t"],
+            p["r"], p["R"], run._lhs_k(p, p["R"])),
         ExperimentRunner._lhs_k), distance=_k_sites, needs_b=True),
     "power_law_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_power_law_lrb(
@@ -715,15 +710,15 @@ THEOREMS = {
         needs_b=True),
     "range_truncation": Theorem("certify-truncation", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_range_truncation(
-            run.consts, run.a_norm, run.cfg.x_sites, run.volume, p["t"], p["r"], p["R"]),
+            run.consts, run.a_norm, run.cfg.x_sites, p["t"], p["r"], p["R"]),
         lambda run, p: run.dynamics.truncation_error(p["t"], run.a, p["R"]))),
     "surface_sum": Theorem("certify-local", ("r",), lambda run, name, p: [
         BoundReport(name, {**p, "x": repr(x)}, *bounds.surface_sum_check(
-            run.consts, run.volume, run.cfg.x_sites, p["r"], x))
+            run.consts, run.cfg.x_sites, p["r"], x))
         for x in sorted(run.cfg.x_sites, key=repr)]),
     "local_approx": Theorem("certify-local", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_local_approx(
-            run.consts, run.a_norm, run.cfg.x_sites, run.volume, p["t"], p["r"]),
+            run.consts, run.a_norm, run.cfg.x_sites, p["t"], p["r"]),
         ExperimentRunner._local_error)),
     "local_approx_power_law": Theorem("certify-local", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_local_approx_power_law(
@@ -733,14 +728,14 @@ THEOREMS = {
     "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_dynamic_correlation(
             run.consts, run.a.norm(), run.b.norm(), run.cfg.x_sites, run.cfg.y_sites,
-            p["r"], run.state().governance, run._c_ab(p)),
+            p["r"], run.state.governance, run._c_ab(p)),
         lambda run, p: abs(correlations.correlation(
-            run.state(), run.dynamics, p["t"], run.a, run.b))),
+            run.state, run.dynamics, p["t"], run.a, run.b))),
         distance=_b_sites, needs_b=True, reads_governance=True),
     "correlation_general": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_correlation_general(
-            run.consts, run.a_norm, run.b_norm, run.cfg.x_sites, run.cfg.y_sites,
-            run.volume, p["t"], p["r"]),
+            run.consts, run.a_norm, run.b_norm, run.cfg.x_sites, run.cfg.y_sites, p["t"],
+            p["r"]),
         ExperimentRunner._c_ab), needs_b=True),
     "correlation_power_law": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_correlation_power_law(
@@ -749,8 +744,8 @@ THEOREMS = {
         ExperimentRunner._c_ab, nan_outside=True, **_EPS_DELTA), needs_b=True),
     "fixed_point_correlation": Theorem("fixed-point", ("t",), _bound(
         lambda run, p: abs(correlations.covariance(
-            run.analysis().evolve(p["t"], run.state().density), run.a, run.b))
-        + 3.0 * run.a.norm() * run.b.norm() * float(run.analysis().governance()(p["t"])),
+            run.analysis.evolve(p["t"], run.state.density), run.a, run.b))
+        + 3.0 * run.a.norm() * run.b.norm() * float(run.analysis.governance()(p["t"])),
         ExperimentRunner._covariance),
         needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
@@ -760,7 +755,7 @@ THEOREMS = {
         lambda run, p: bounds.rhs_fixed_point_power_law(
             run.consts, run.a_norm, run.b_norm, len(run.cfg.x_sites),
             len(run.cfg.y_sites), p["d"], run.cfg.eps, run.cfg.delta, run.cfg.eta_exp,
-            run.analysis().governance()),
+            run.analysis.governance()),
         ExperimentRunner._covariance, hypothesis=True, **_EPS_DELTA, eta_exp="eta_exp"),
         distance=_b_sites, needs_b=True, dense=True),
 }

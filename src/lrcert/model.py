@@ -48,7 +48,7 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Dense linear map on the vectorized observable algebra of a volume.
 
@@ -329,11 +329,11 @@ def assemble(terms: Iterable[LindbladTerm], vol_sites: tuple,
     return acc
 
 
-def interaction_f_norm(interaction: DissipativeInteraction, f: Callable,
-                       space: Optional[FiniteMetricSpace] = None) -> float:
+def interaction_f_norm(interaction: DissipativeInteraction, f: Callable) -> float:
     """Smallest M with sum over terms containing both anchors x, y of cb_upper
-    <= M F(d(x,y)), maximized over all anchor pairs (including x = y)."""
-    space = space or interaction.space
+    <= M F(d(x,y)), maximized over all anchor pairs (including x = y) of the
+    interaction's space."""
+    space = interaction.space
     n = len(space)
     anchored = np.zeros((n, n))
     for t in interaction.terms:

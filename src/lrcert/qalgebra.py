@@ -53,7 +53,7 @@ def _resolve_dims(sites: Sequence[Site], dims: Union[int, Mapping, Sequence, Non
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableOp:
     """A dense operator on the Hilbert space of an ordered site tuple.
 
@@ -206,7 +206,7 @@ def left_right_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(right.T, left)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMap:
     """A linear map on observables that kills the identity, stored as its
     matrix on its own ordered ``sites``, which are its support.

@@ -74,5 +74,5 @@ def model_pool():
 
 @pytest.fixture(scope="session")
 def pool_constants(model_pool):
-    return [bounds.ModelConstants.from_model(m.space, m.f, m.interaction, nu=1.0)
+    return [bounds.ModelConstants.from_model(m.f, m.interaction, nu=1.0)
             for m in model_pool]

@@ -123,15 +123,14 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                 if R >= c.r0 and lhs_tr > 1e-10:
                     failures.append((idx, t, R, "saturation", lhs_tr))
                 for r in (1.0, 2.0):
-                    rhs_tr = bounds.rhs_range_truncation(c, a.norm(), xs, sites,
-                                                         t, r, R)
+                    rhs_tr = bounds.rhs_range_truncation(c, a.norm(), xs, t, r, R)
                     rows += 1
                     if not dominated(lhs_tr, rhs_tr):
                         failures.append((idx, t, R, r, "truncation", lhs_tr, rhs_tr))
                     if k is not None:
                         head = dyn.quasi_locality(t, a, k, R)
                         rhs_comp = bounds.rhs_composite_lrb(
-                            c, k.cb_upper, a.norm(), xs, sites, t, r, R, head)
+                            c, k.cb_upper, a.norm(), xs, t, r, R, head)
                         lhs_comp = dyn.quasi_locality(t, a, k)
                         rows += 1
                         if not dominated(lhs_comp, rhs_comp):
@@ -139,13 +138,13 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                                              lhs_comp, rhs_comp))
             for r in (1.0, 2.0):
                 lhs_loc = dyn.local_error(t, a, xs, r)
-                wv = bounds.rhs_local_approx(c, a.norm(), xs, sites, t, r)
+                wv = bounds.rhs_local_approx(c, a.norm(), xs, t, r)
                 rows += 1
                 if wv.valid and not dominated(lhs_loc, wv.value):
                     failures.append((idx, t, r, "local", lhs_loc, wv.value))
         for r in (1.0, 2.0):
             rep = bounds.BoundReport("surface_sum", {},
-                                     *bounds.surface_sum_check(c, sites, xs, r, sites[0]))
+                                     *bounds.surface_sum_check(c, xs, r, sites[0]))
             rows += 1
             if not rep.passes():
                 failures.append((idx, r, "surface", rep.lhs, rep.rhs))
@@ -168,7 +167,7 @@ def test_criterion_4_static_recovery(model_pool, pool_constants):
         R = 2.0 * m.space.diam
         for t in np.linspace(0.0, 2.0 / c.v, 8):
             head = bounds.rhs_finite_range_lrb(c, k_cb, a_norm, xs, ys, t, R)
-            comp = bounds.rhs_composite_lrb(c, k_cb, a_norm, xs, sites, t, 1.0, R, head)
+            comp = bounds.rhs_composite_lrb(c, k_cb, a_norm, xs, t, 1.0, R, head)
             if comp != head:  # the additive bracket must be exactly zero
                 failures.append((idx, t, "collapse", comp, head))
             full = bounds.rhs_full_lrb(c, k_cb, a_norm, xs, ys, t)
@@ -183,7 +182,7 @@ def test_criterion_4_static_recovery(model_pool, pool_constants):
 @pytest.fixture(scope="module")
 def power_law_suite():
     space, f, inter = mixed_field_chain(5, alpha=4.0, j=0.3, h=0.25, gamma=1.0)
-    c = ModelConstants.from_model(space, f, inter, nu=1.0)
+    c = ModelConstants.from_model(f, inter, nu=1.0)
     return space, f, inter, c, lr.Dynamics(inter)
 
 
@@ -252,7 +251,7 @@ def test_criterion_5_power_law_theorems(power_law_suite):
     t_point = d ** eta_exp / (math.e * c.v * 2.0 ** eta_exp)
     analysis = lr.analyze_fixed_point(lr.generator(inter), [t_point, 1.0, 2.0, 4.0])
     rho_pi = analysis.rho_pi
-    env_c, env_gamma, _ = lr.convergence_envelope(analysis, n_starts=4, seed=5)
+    env_c, env_gamma = analysis.envelope_c, analysis.gap
     g = lambda t: min(2.0, env_c * math.exp(-env_gamma * t))
     lhs_fp = abs(rho_pi.expect(a @ b) - rho_pi.expect(a) * rho_pi.expect(b))
     rhs_fp = bounds.rhs_fixed_point_power_law(c, a.norm(), b.norm(), 1, 1, d,
@@ -284,8 +283,7 @@ def test_criterion_6_correlation_decay(model_pool, pool_constants):
         for t in np.linspace(0.0, 2.0 / c.v, 8):
             corr = abs(lr.correlation(omega, dyn, t, a, b))
             defect = lr.c_ab(dyn, xs, ys, 1.0, t, a, b)
-            wv = bounds.rhs_correlation_general(c, a.norm(), b.norm(), xs, ys,
-                                                sites, t, 1.0)
+            wv = bounds.rhs_correlation_general(c, a.norm(), b.norm(), xs, ys, t, 1.0)
             rows += 1
             if not dominated(corr, defect):
                 failures.append((idx, t, "correlation vs defect", corr, defect))
@@ -349,7 +347,7 @@ def test_criterion_7_fixed_point_suite(fixed_point_suite):
             failures.append(("fixed-point correlation", t, rep.lhs, rep.rhs))
 
     f0 = FFunction.power(3.0)
-    c_a = ModelConstants.from_model(space, FFunction.weighted(1.0, f0), inter, nu=1.0)
+    c_a = ModelConstants.from_model(FFunction.weighted(1.0, f0), inter, nu=1.0)
     rhs_fp = bounds.rhs_fixed_point_exponential(c_a, lr.f_norm(f0, space), a.norm(),
                                                 b.norm(), 1, 1, 3.0, g)
     if not dominated(lhs_fp, rhs_fp):

@@ -18,7 +18,7 @@ from test_decay import mp_exp_tail
 @pytest.fixture(scope="module")
 def chain4_model():
     space, f, inter = mixed_field_chain(4, alpha=3.0)
-    consts = ModelConstants.from_model(space, f, inter, nu=1.0)
+    consts = ModelConstants.from_model(f, inter, nu=1.0)
     a = lr.embed(lr.site_operator("Z", 0), space.points)
     k = lr.commutator_map(lr.site_operator("Z", 3))
     return space, f, inter, consts, a, k
@@ -27,7 +27,7 @@ def chain4_model():
 @pytest.fixture(scope="module")
 def power4_model():
     space, f, inter = mixed_field_chain(5, alpha=4.0, j=0.3, h=0.25, gamma=1.0)
-    consts = ModelConstants.from_model(space, f, inter, nu=1.0)
+    consts = ModelConstants.from_model(f, inter, nu=1.0)
     return space, f, inter, consts
 
 
@@ -57,7 +57,7 @@ class TestFiniteRangeLrb:
 
     def test_formula_oracle(self):
         space, f, inter = mixed_field_chain(4, alpha=3.0)
-        c = ModelConstants.from_model(space, f, inter, nu=1.0)
+        c = ModelConstants.from_model(f, inter, nu=1.0)
         t, R = 0.5, 1.0
         got = bounds.rhs_finite_range_lrb(c, 2.0, 1.0, {0}, {3}, t, R)
         with mpmath.workdps(60):
@@ -129,7 +129,7 @@ class TestStrongLrb:
         space = lr.FiniteMetricSpace.chain(4)
         inter = lr.tfim_dissipative(space, j=0.4, h=0.3, gamma=1.0)
         f = FFunction.power(3.0)
-        c = ModelConstants.from_model(space, f, inter, nu=1.0)
+        c = ModelConstants.from_model(f, inter, nu=1.0)
         assert c.r0 == 1.0
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         k = lr.commutator_map(lr.site_operator("Z", 3))
@@ -146,18 +146,17 @@ class TestStrongLrb:
 class TestRangeTruncation:
     def test_zero_at_time_zero(self, chain4_model):
         _, _, _, c, a, _ = chain4_model
-        assert bounds.rhs_range_truncation(c, a.norm(), {0}, range(4), 0.0, 1.0,
-                                           1.0) == 0.0
+        assert bounds.rhs_range_truncation(c, a.norm(), {0}, 0.0, 1.0, 1.0) == 0.0
 
     def test_zero_when_tail_vanishes(self, chain4_model):
         space, _, _, c, a, _ = chain4_model
-        assert bounds.rhs_range_truncation(c, a.norm(), {0}, space.points, 0.7, 1.0,
+        assert bounds.rhs_range_truncation(c, a.norm(), {0}, 0.7, 1.0,
                                            2.0 * space.diam) == 0.0
 
     def test_formula_oracle(self, chain4_model):
         space, f, _, c, a, _ = chain4_model
         t, r, R = 0.45, 1.0, 2.0
-        got = bounds.rhs_range_truncation(c, a.norm(), {0}, space.points, t, r, R)
+        got = bounds.rhs_range_truncation(c, a.norm(), {0}, t, r, R)
         inflated = geometry.inflate(space, {0}, r)
         outside = space.all_sites() - inflated
         with mpmath.workdps(60):
@@ -169,14 +168,13 @@ class TestRangeTruncation:
         assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_dominates_exact_truncation(self, chain4_model):
-        space, _, inter, c, a, _ = chain4_model
+        _, _, inter, c, a, _ = chain4_model
         dyn = lr.Dynamics(inter)
         for t in (0.2, 0.6):
             for R in (1.0, 2.0):
                 lhs = dyn.truncation_error(t, a, R)
                 for r in (0.0, 1.0, 2.0):
-                    rhs = bounds.rhs_range_truncation(c, a.norm(), {0}, space.points,
-                                                      t, r, R)
+                    rhs = bounds.rhs_range_truncation(c, a.norm(), {0}, t, r, R)
                     assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -184,22 +182,20 @@ class TestCompositeLrb:
     # the range-R term is the exact norm in the runner; its analytic bound
     # rhs_finite_range_lrb gives the composite bound's fully analytic form
     def test_zero_at_time_zero_analytic(self, chain4_model):
-        space, _, _, c, a, k = chain4_model
+        _, _, _, c, a, k = chain4_model
         head = bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3}, 0.0, 1.0)
-        got = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, space.points,
-                                       0.0, 1.0, 1.0, head)
+        got = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, 0.0, 1.0, 1.0, head)
         assert got == 0.0
 
     def test_analytic_dominates_exact_mode(self, chain4_model):
-        space, _, inter, c, a, k = chain4_model
+        _, _, inter, c, a, k = chain4_model
         dyn = lr.Dynamics(inter)
         for t in (0.2, 0.5):
             for R in (1.0, 2.0):
                 head = dyn.quasi_locality(t, a, k, R)
-                exact = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0},
-                                                 space.points, t, 1.0, R, head)
+                exact = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, t, 1.0, R, head)
                 analytic = bounds.rhs_composite_lrb(
-                    c, k.cb_upper, a.norm(), {0}, space.points, t, 1.0, R,
+                    c, k.cb_upper, a.norm(), {0}, t, 1.0, R,
                     bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t, R))
                 assert exact <= analytic * (1 + 1e-12)
 
@@ -210,8 +206,7 @@ class TestCompositeLrb:
         R = 2.0 * space.diam
         for t in np.linspace(0.0, 1.5, 7):
             fr = bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t, R)
-            comp = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, space.points,
-                                            t, 1.0, R, fr)
+            comp = bounds.rhs_composite_lrb(c, k.cb_upper, a.norm(), {0}, t, 1.0, R, fr)
             full = bounds.rhs_full_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t)
             assert comp == fr  # exact equality: the additive bracket is zero
             assert fr <= full * (1 + 1e-12) + 1e-300
@@ -237,7 +232,7 @@ class TestPowerLawLrb:
     def test_non_power_profile_flagged(self, chain4_model):
         space, _, inter, _, _, _ = chain4_model
         f = FFunction.weighted(0.5, FFunction.power(4.0))
-        c = ModelConstants.from_model(space, f, inter, nu=1.0)
+        c = ModelConstants.from_model(f, inter, nu=1.0)
         wv = bounds.rhs_power_law_lrb(c, 2.0, 1.0, 1, 3.0, 0.1, 0.5, 0.3)
         assert not wv.flags["power_law_profile"]
 
@@ -276,15 +271,15 @@ class TestPowerLawLrb:
             assert lhs <= wv.value * (1 + 1e-9) + 1e-300
 
 
-def surface_row(c, volume, xs, r, x):
+def surface_row(c, xs, r, x):
     """The surface_sum row the theorem table builds from the (lhs, rhs) pair."""
-    return BoundReport("surface_sum", {}, *bounds.surface_sum_check(c, volume, xs, r, x))
+    return BoundReport("surface_sum", {}, *bounds.surface_sum_check(c, xs, r, x))
 
 
 class TestSurfaceSum:
     def test_full_inflation_both_sides_zero(self, chain4_model):
-        space, _, _, c, _, _ = chain4_model
-        rep = surface_row(c, space.points, {0}, r=5.0, x=0)
+        _, _, _, c, _, _ = chain4_model
+        rep = surface_row(c, {0}, r=5.0, x=0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passes()
 
     def test_no_surface_terms(self):
@@ -292,22 +287,22 @@ class TestSurfaceSum:
         from lrcert.model import DissipativeInteraction
         inter = DissipativeInteraction(space, ())
         f = FFunction.power(2.0)
-        c = ModelConstants.from_model(space, f, inter, nu=1.0)
-        rep = surface_row(c, space.points, {0}, r=1.0, x=0)
+        c = ModelConstants.from_model(f, inter, nu=1.0)
+        rep = surface_row(c, {0}, r=1.0, x=0)
         assert rep.lhs == 0.0 and rep.passes()
 
     def test_anchor_outside_region_rejected(self, chain4_model):
-        space, _, _, c, _, _ = chain4_model
+        _, _, _, c, _, _ = chain4_model
         with pytest.raises(BoundsError):
-            bounds.surface_sum_check(c, space.points, {0}, r=1.0, x=3)
+            bounds.surface_sum_check(c, {0}, r=1.0, x=3)
 
     def test_exhaustive_oracle_on_long_range_model(self):
         space = lr.FiniteMetricSpace.chain(5)
         inter = lr.long_range_zz(space, 0.6, 3.0, 1.0)
         f = FFunction.power(3.0)
-        c = ModelConstants.from_model(space, f, inter, nu=1.0)
+        c = ModelConstants.from_model(f, inter, nu=1.0)
         xs, r, x = {0}, 1.0, 0
-        rep = surface_row(c, space.points, xs, r, x)
+        rep = surface_row(c, xs, r, x)
         # oracle: enumerate via the set-geometric primitive
         inflated = geometry.inflate(space, xs, r)
         supports = [t.support for t in inter.terms]
@@ -323,24 +318,24 @@ class TestSurfaceSum:
 
 class TestLocalApprox:
     def test_zero_at_time_zero(self, chain4_model):
-        space, _, _, c, a, _ = chain4_model
-        wv = bounds.rhs_local_approx(c, a.norm(), {0}, space.points, 0.0, 1.0)
+        _, _, _, c, a, _ = chain4_model
+        wv = bounds.rhs_local_approx(c, a.norm(), {0}, 0.0, 1.0)
         assert wv.value == 0.0 and wv.valid
 
     def test_full_inflation_is_zero(self, chain4_model):
-        space, _, _, c, a, _ = chain4_model
-        wv = bounds.rhs_local_approx(c, a.norm(), {0}, space.points, 0.8, 5.0)
+        _, _, _, c, a, _ = chain4_model
+        wv = bounds.rhs_local_approx(c, a.norm(), {0}, 0.8, 5.0)
         assert wv.value == 0.0
 
     def test_small_radius_flagged(self, chain4_model):
-        space, _, _, c, a, _ = chain4_model
-        wv = bounds.rhs_local_approx(c, a.norm(), {0}, space.points, 0.5, 0.5)
+        _, _, _, c, a, _ = chain4_model
+        wv = bounds.rhs_local_approx(c, a.norm(), {0}, 0.5, 0.5)
         assert not wv.valid and not wv.flags["radius_window"]
 
     def test_formula_oracle(self, chain4_model):
         space, f, _, c, a, _ = chain4_model
         t, r = 0.5, 1.0
-        wv = bounds.rhs_local_approx(c, a.norm(), {0}, space.points, t, r)
+        wv = bounds.rhs_local_approx(c, a.norm(), {0}, t, r)
         outside = space.all_sites() - geometry.inflate(space, {0}, r)
         with mpmath.workdps(60):
             pair = mpmath.mpf(sum(f(space.d(0, y)) for y in outside))
@@ -350,12 +345,12 @@ class TestLocalApprox:
         assert wv.value == pytest.approx(float(want), rel=1e-12)
 
     def test_dominates_exact_local_error(self, chain4_model):
-        space, _, inter, c, a, _ = chain4_model
+        _, _, inter, c, a, _ = chain4_model
         dyn = lr.Dynamics(inter)
         for t in (0.2, 0.5):
             for r in (1.0, 2.0):
                 lhs = dyn.local_error(t, a, {0}, r)
-                wv = bounds.rhs_local_approx(c, a.norm(), {0}, space.points, t, r)
+                wv = bounds.rhs_local_approx(c, a.norm(), {0}, t, r)
                 assert lhs <= wv.value * (1 + 1e-9)
 
     def test_growth_integral_small_argument(self):
@@ -406,21 +401,19 @@ class TestLocalApproxPowerLaw:
 
 class TestCorrelationEvaluators:
     def test_general_zero_at_time_zero(self, chain4_model):
-        space, _, _, c, a, k = chain4_model
-        wv = bounds.rhs_correlation_general(c, 1.0, 1.0, {0}, {3}, space.points,
-                                            0.0, 1.0)
+        _, _, _, c, a, k = chain4_model
+        wv = bounds.rhs_correlation_general(c, 1.0, 1.0, {0}, {3}, 0.0, 1.0)
         assert wv.value == 0.0
 
     def test_general_empty_complements(self, chain4_model):
-        space, _, _, c, _, _ = chain4_model
-        wv = bounds.rhs_correlation_general(c, 1.0, 1.0, {0}, {3}, space.points,
-                                            0.6, 4.0)
+        _, _, _, c, _, _ = chain4_model
+        wv = bounds.rhs_correlation_general(c, 1.0, 1.0, {0}, {3}, 0.6, 4.0)
         assert wv.value == 0.0
 
     def test_general_formula_oracle(self, chain4_model):
         space, f, _, c, _, _ = chain4_model
         t, r = 0.4, 1.0
-        wv = bounds.rhs_correlation_general(c, 1.5, 0.5, {0}, {3}, space.points, t, r)
+        wv = bounds.rhs_correlation_general(c, 1.5, 0.5, {0}, {3}, t, r)
         out_x = space.all_sites() - geometry.inflate(space, {0}, r)
         out_y = space.all_sites() - geometry.inflate(space, {3}, r)
         with mpmath.workdps(60):
@@ -446,7 +439,7 @@ class TestFixedPointEvaluators:
     def make_weighted_consts(self, a_weight=1.0):
         space, f, inter = mixed_field_chain(4, alpha=3.0)
         fa = FFunction.weighted(a_weight, f)
-        c_a = ModelConstants.from_model(space, fa, inter, nu=1.0)
+        c_a = ModelConstants.from_model(fa, inter, nu=1.0)
         f0_norm = lr.f_norm(f, space)
         return c_a, f0_norm
 
@@ -527,16 +520,14 @@ class TestReports:
         assert not rep.valid and not rep.passes()
 
     def test_monotone_rhs_in_time(self, chain4_model):
-        space, _, _, c, a, k = chain4_model
+        _, _, _, c, a, k = chain4_model
         ts = np.linspace(0.0, 2.0, 9)
         for fn in (
             lambda t: bounds.rhs_full_lrb(c, k.cb_upper, a.norm(), {0}, {3}, t),
             lambda t: bounds.rhs_finite_range_lrb(c, k.cb_upper, a.norm(), {0}, {3},
                                                   t, 1.0),
-            lambda t: bounds.rhs_range_truncation(c, a.norm(), {0}, space.points,
-                                                  t, 1.0, 1.0),
-            lambda t: bounds.rhs_local_approx(c, a.norm(), {0}, space.points,
-                                              t, 1.0).value,
+            lambda t: bounds.rhs_range_truncation(c, a.norm(), {0}, t, 1.0, 1.0),
+            lambda t: bounds.rhs_local_approx(c, a.norm(), {0}, t, 1.0).value,
         ):
             vals = [fn(t) for t in ts]
             assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))

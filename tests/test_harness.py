@@ -185,6 +185,17 @@ class TestLoadConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.theorems = ("local_approx",)
 
+    def test_narrowed_observable_runs_on_its_own_support(self):
+        # X is read off the observable, so replacing it moves X too
+        path = DOCS / "tfim_dissipative.json"
+        cfg = load_config(path)
+        narrowed = dataclasses.replace(cfg, a_local=harness.parse_operator("Z1", cfg.space))
+        raw = json.loads(path.read_text())
+        raw["observables"]["a"] = "Z1"
+        assert narrowed.x_sites == {1}
+        assert (harness.reports_to_csv(harness.run_experiment(narrowed)[0])
+                == harness.reports_to_csv(harness.run_experiment(config_from_dict(raw))[0]))
+
 
 K_READERS = ["finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb", "power_law_lrb"]
 ACTION_PATH = ["finite_range_lrb", "full_lrb", "composite_lrb", "range_truncation",
@@ -509,14 +520,14 @@ class TestRunExperiment:
         runner = harness.ExperimentRunner(cfg)
         assert len(runner.run()) == 6
         assert len(calls) == 1
-        assert runner.state() is runner.analysis().rho_pi
+        assert runner.state is runner.analysis.rho_pi
 
     def test_fixed_point_first_term_is_the_dynamic_correlation(self):
         # the dense Schroedinger maps of the analysis and the sparse
         # Heisenberg action give one quantity at every t
         runner = harness.ExperimentRunner(load_config(DATA / "all_theorems.json"))
         reports = runner.run()
-        g = runner.analysis().governance()
+        g = runner.analysis.governance()
         scale = 3.0 * runner.a.norm() * runner.b.norm()
         first = {r.params["t"]: r.rhs - scale * g(r.params["t"]) for r in reports
                  if r.theorem == "fixed_point_correlation"}
