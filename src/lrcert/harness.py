@@ -16,10 +16,11 @@ are derived from it.  Adding a theorem means adding an entry.
 
 ``load_config`` and ``config_from_dict`` check each field and return a frozen
 ``ExperimentConfig``, which keeps only what it was given: its volume is its
-interaction's space and its supports X and Y are its observables' sites.
-Whether its theorem selection can run on it (``check_selection``) is checked
-once, by the ``ExperimentRunner`` that runs it, so a caller that narrows the
-config (``dataclasses.replace``) is checked on what it runs.
+interaction's space, its supports X and Y are its observables' sites, and its
+observation map K and its state are built from the descriptors in ``raw`` on
+first read.  Whether its theorem selection can run on it (``check_selection``)
+is checked once, by the ``ExperimentRunner`` that runs it, so a caller that
+narrows the config (``dataclasses.replace``) is checked on what it runs.
 """
 from __future__ import annotations
 
@@ -227,23 +228,29 @@ def parse_state(desc, sites: tuple) -> Optional[StateFunctional]:
         if "product" in desc:
             arg = desc["product"]
             if isinstance(arg, Mapping):
-                arg = {_site_from_json_key(k): v for k, v in arg.items()}
-            return StateFunctional.product(sites, arg)
+                arg = {_site_from_json_key(k): _single_site(v, f"at site {k}")
+                       for k, v in arg.items()}
+            return StateFunctional.product(sites, _single_site(arg, f"in {desc!r}"))
         if "density" in desc:
             return StateFunctional(_matrix_from_json(desc["density"]), sites,
                                    (2,) * len(sites))
         raise ValueError(f"unknown state object {desc!r}")
     name, args, _ = _parse_call(str(desc))
     if name == "product":
-        label = args[0] if args else "0"
-        if label not in correlations.SINGLE_SITE_DENSITIES:
-            raise ValueError(f"unknown single-site state {label!r} in {desc!r}")
+        label = _single_site(args[0] if args else "0", f"in {desc!r}")
         return StateFunctional.product(sites, label)
     if name == "maximally_mixed":
         return StateFunctional.maximally_mixed(sites)
     if name == "stationary":
         return None
     raise ValueError(f"unknown state descriptor {desc!r}")
+
+
+def _single_site(label, where: str):
+    """``label`` unless it is a string naming no single-site state."""
+    if isinstance(label, str) and label not in correlations.SINGLE_SITE_DENSITIES:
+        raise ValueError(f"unknown single-site state {label!r} {where}")
+    return label
 
 
 def _site_from_json_key(k):
@@ -262,14 +269,15 @@ class ExperimentConfig:
     it came from; immutable (narrow it with ``dataclasses.replace``).  Whether
     its theorem selection can run is checked by ``ExperimentRunner``.
     ``space``, ``x_sites`` and ``y_sites`` are read off the interaction and
-    the observables, so a narrowed config cannot disagree with them."""
+    the observables, and ``k_map`` and ``state`` are built from ``raw`` on
+    first read, so a narrowed config cannot disagree with them: narrowing the
+    map or the state means replacing ``raw``, which ``config_hash`` reads."""
 
     f: FFunction
     nu: float
     interaction: DissipativeInteraction
     a_local: ObservableOp
     b_local: Optional[ObservableOp]
-    k_map: Optional[ObservationMap]
     t_grid: tuple
     big_r_grid: tuple
     r_grid: tuple
@@ -278,7 +286,6 @@ class ExperimentConfig:
     delta: float
     eta_exp: float
     a_weight: float
-    state_desc: object
     seed: int
     raw: dict = field(repr=False)
 
@@ -293,6 +300,19 @@ class ExperimentConfig:
     @property
     def y_sites(self) -> frozenset:
         return frozenset(self.b_local.sites) if self.b_local is not None else frozenset()
+
+    @cached_property
+    def k_map(self) -> Optional[ObservationMap]:
+        """K on its own sites, from the file's descriptor against this config's
+        ``b_local``; None for ``commutator`` without a second observable."""
+        return parse_observation_map(self.raw.get("k_map", "commutator"), self.space,
+                                     self.b_local, self.seed)
+
+    @cached_property
+    def state(self) -> Optional[StateFunctional]:
+        """The state the file's descriptor names on the volume; None for the
+        stationary state, which the runner resolves against the model."""
+        return parse_state(self.raw.get("state", "product(+)"), self.space.points)
 
     def config_hash(self) -> str:
         """SHA-256 of the raw JSON with ``theorems`` the selection this config runs."""
@@ -344,22 +364,21 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if "seed" not in raw:
         raise ConfigError("seed", "seed is mandatory")
     seed = section("seed", _seed, raw["seed"])
-    k_map = section("k_map", parse_observation_map, raw.get("k_map", "commutator"), space,
-                    b_local, seed)
     poly = section("poly", _object, raw.get("poly", {}))
     eps, delta, eta_exp, a_weight = (
-        section(f"poly.{key}", float, poly.get(key, default))
+        section(f"poly.{key}", _finite, poly.get(key, default), key == "a_weight")
         for key, default in (("epsilon", 0.5), ("delta", 0.3), ("eta_exp", 0.02),
                              ("a_weight", 1.0)))
-    return ExperimentConfig(
-        f=f, nu=nu, interaction=interaction, a_local=a_local, b_local=b_local, k_map=k_map,
+    cfg = ExperimentConfig(
+        f=f, nu=nu, interaction=interaction, a_local=a_local, b_local=b_local,
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
         theorems=theorems,
         eps=eps, delta=delta, eta_exp=eta_exp, a_weight=a_weight,
-        state_desc=raw.get("state", "product(+)"),
         seed=seed,
         raw=dict(raw),
     )
+    section("k_map", getattr, cfg, "k_map")  # built here once, so a bad map fails the load
+    return cfg
 
 
 def _object(value) -> Mapping:
@@ -372,6 +391,13 @@ def _positive(value) -> float:
     x = float(value)
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"must be finite and > 0, got {x}")
+    return x
+
+
+def _finite(value, nonnegative: bool = False) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and (x >= 0 or not nonnegative)):
+        raise ValueError(f"must be finite{' and >= 0' if nonnegative else ''}, got {x}")
     return x
 
 
@@ -400,8 +426,10 @@ def check_selection(cfg: ExperimentConfig) -> None:
     first wherever one is needed, a state that builds on the space wherever
     the state is read and carries correlation governance wherever that is
     read, and at most ``model.MAX_DENSE_DIM`` wherever the dense generator is
-    used (by a ``dense`` theorem or for the stationary state).
-    ``ExperimentRunner`` calls it on the theorems it runs."""
+    used (by a ``dense`` theorem or for the stationary state).  The map and
+    the state are the config's own (``cfg.k_map``, ``cfg.state``), so the
+    runner reads the ones checked here.  ``ExperimentRunner`` calls it on the
+    theorems it runs."""
     selected = [THEOREMS[name] for name in cfg.theorems]
     if any(spec.needs_b for spec in selected):
         if cfg.b_local is None:
@@ -414,7 +442,7 @@ def check_selection(cfg: ExperimentConfig) -> None:
     governed = any(spec.reads_governance for spec in selected)
     if governed or any(spec.reads_state for spec in selected):
         try:
-            state = parse_state(cfg.state_desc, cfg.space.points)
+            state = cfg.state
         except KeyError as exc:
             raise ConfigError("state", f"no entry for {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -540,9 +568,9 @@ class ExperimentRunner:
 
     @cached_property
     def state(self) -> StateFunctional:
-        """The config's state; the stationary one is the analysis' rho_pi."""
-        parsed = parse_state(self.cfg.state_desc, self.cfg.space.points)
-        return self.analysis.rho_pi if parsed is None else parsed
+        """The config's state (``cfg.state``, parsed once and checked by
+        ``check_selection``); the stationary one is the analysis' rho_pi."""
+        return self.analysis.rho_pi if self.cfg.state is None else self.cfg.state
 
     def counters(self) -> dict:
         """The propagation layer's counters, and, for a run that builds the
@@ -727,7 +755,7 @@ THEOREMS = {
         ExperimentRunner._local_error, nan_outside=True, **_EPS_DELTA)),
     "dynamic_correlation": Theorem("certify-correlations", ("t", "r"), _bound(
         lambda run, p: bounds.rhs_dynamic_correlation(
-            run.consts, run.a.norm(), run.b.norm(), run.cfg.x_sites, run.cfg.y_sites,
+            run.consts, run.a_norm, run.b_norm, run.cfg.x_sites, run.cfg.y_sites,
             p["r"], run.state.governance, run._c_ab(p)),
         lambda run, p: abs(correlations.correlation(
             run.state, run.dynamics, p["t"], run.a, run.b))),
@@ -745,7 +773,7 @@ THEOREMS = {
     "fixed_point_correlation": Theorem("fixed-point", ("t",), _bound(
         lambda run, p: abs(correlations.covariance(
             run.analysis.evolve(p["t"], run.state.density), run.a, run.b))
-        + 3.0 * run.a.norm() * run.b.norm() * float(run.analysis.governance()(p["t"])),
+        + 3.0 * run.a_norm * run.b_norm * float(run.analysis.governance()(p["t"])),
         ExperimentRunner._covariance),
         needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(

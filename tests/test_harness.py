@@ -175,26 +175,46 @@ class TestLoadConfig:
     def test_state_checked_only_where_read(self):
         # full_lrb never reads the state
         harness.ExperimentRunner(config_from_dict(minimal_raw(state="bogus")))
-        cfg = config_from_dict(minimal_raw(state="product(x)",
-                                           theorems=["dynamic_correlation"]))
-        with pytest.raises(ConfigError, match="unknown single-site state 'x'"):
-            harness.ExperimentRunner(cfg)
+        for state, message in [("product(x)", "unknown single-site state 'x'"),
+                               ({"product": {"0": "0", "1": "x"}},
+                                "unknown single-site state 'x' at site 1"),
+                               ({"product": "x"}, "unknown single-site state 'x' in")]:
+            cfg = config_from_dict(minimal_raw(state=state,
+                                               theorems=["dynamic_correlation"]))
+            with pytest.raises(ConfigError, match=message):
+                harness.ExperimentRunner(cfg)
 
     def test_config_is_frozen(self):
         cfg = config_from_dict(minimal_raw())
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.theorems = ("local_approx",)
 
-    def test_narrowed_observable_runs_on_its_own_support(self):
-        # X is read off the observable, so replacing it moves X too
+    @pytest.mark.parametrize("field, literal", [("a_local", "Z1"), ("b_local", "Z2")])
+    def test_narrowed_observable_runs_on_its_own_support(self, field, literal):
+        # X and Y are read off the observables and K is built against b, so
+        # replacing an observable moves its support and the map too
         path = DOCS / "tfim_dissipative.json"
         cfg = load_config(path)
-        narrowed = dataclasses.replace(cfg, a_local=harness.parse_operator("Z1", cfg.space))
+        narrowed = dataclasses.replace(
+            cfg, **{field: harness.parse_operator(literal, cfg.space)})
         raw = json.loads(path.read_text())
-        raw["observables"]["a"] = "Z1"
-        assert narrowed.x_sites == {1}
+        raw["observables"][field[0]] = literal
+        loaded = config_from_dict(raw)
+        assert (narrowed.x_sites, narrowed.y_sites) == (loaded.x_sites, loaded.y_sites)
+        assert narrowed.k_map.sites == loaded.k_map.sites
         assert (harness.reports_to_csv(harness.run_experiment(narrowed)[0])
-                == harness.reports_to_csv(harness.run_experiment(config_from_dict(raw))[0]))
+                == harness.reports_to_csv(harness.run_experiment(loaded)[0]))
+
+    def test_narrowed_state_runs_on_its_own_raw(self):
+        # the state is parsed from raw, so replacing raw replaces the state
+        path = DOCS / "tfim_dissipative.json"
+        cfg = load_config(path)
+        narrowed = dataclasses.replace(cfg, raw={**cfg.raw, "state": "maximally_mixed"})
+        loaded = config_from_dict({**json.loads(path.read_text()),
+                                   "state": "maximally_mixed"})
+        assert narrowed.config_hash() == loaded.config_hash() != cfg.config_hash()
+        assert (harness.reports_to_csv(harness.run_experiment(narrowed)[0])
+                == harness.reports_to_csv(harness.run_experiment(loaded)[0]))
 
 
 K_READERS = ["finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb", "power_law_lrb"]
@@ -621,6 +641,12 @@ class TestCli:
         ({"seed": 1, "theorems": 3}, "theorems"),
         ({"seed": 1, "theorems": [["full_lrb"]]}, "theorems"),
         ([1, 2], "file"),
+        ({"seed": 1, "poly": {"a_weight": -1}}, "poly.a_weight"),
+        ({"seed": 1, "poly": {"a_weight": math.nan}}, "poly.a_weight"),
+        ({"seed": 1, "poly": {"a_weight": math.inf}}, "poly.a_weight"),
+        ({"seed": 1, "poly": {"epsilon": math.nan}}, "poly.epsilon"),
+        ({"seed": 1, "poly": {"delta": math.inf}}, "poly.delta"),
+        ({"seed": 1, "poly": {"eta_exp": -math.inf}}, "poly.eta_exp"),
     ])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, raw, field):
         path = tmp_path / "bad.json"
