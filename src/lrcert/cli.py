@@ -113,7 +113,7 @@ def _run_random_suite(args) -> int:
         horizon = 2.0 / consts.v if consts.v > 0 else 1.0
         cfg = replace(cfg, t_grid=tuple(i * horizon / 5.0 for i in range(6)))
         try:
-            reports, _ = harness.run_experiment(cfg, out_dir=None)
+            reports = harness.ExperimentRunner(cfg, consts).run()
         except Exception as exc:
             print(f"numerical failure in model {k} (seed {args.seed + k}): {exc}",
                   file=sys.stderr)

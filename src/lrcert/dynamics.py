@@ -8,7 +8,7 @@ never forming the propagator.  A generator is its term set
 (``DissipativeInteraction.terms_for``): every term, the terms of diameter at
 most R (the range-R approximant) or the terms inside a region (the strictly
 local dynamics).  Every exact left-hand side but the fixed-point group's
-(the analysis' dense maps) is a ``Dynamics`` method or built from its
+(the analysis' block maps) is a ``Dynamics`` method or built from its
 evolutions: the quasi-locality norm, the truncation and local approximation
 errors here, ``correlations.correlation`` and ``c_ab``.
 The module-level ``evolve`` acts the same way with a dense generator.  Dense
@@ -16,9 +16,11 @@ exponentials remain for ``propagator``, whose whole map the Choi checks
 consume, and the fixed-point suite; both run one dense ``expm`` per block
 size of the generator's invariant blocks (``Superoperator._exp_blocks``),
 which ``propagator`` scatters into the whole map (``Superoperator.exp``)
-and the fixed-point analysis keeps.  Dense generators cap at
-``model.MAX_DENSE_DIM`` (six qubits); the action path has no ceiling of its
-own, and an observation map acts on its own sites (``qalgebra.apply_map``).
+and the fixed-point analysis keeps.  The runner's analysis reads the full
+CSR generator held here, block by block, and never densifies it.  Dense
+work caps at ``model.MAX_DENSE_DIM`` (six qubits); the action path has no
+ceiling of its own, and an observation map acts on its own sites
+(``qalgebra.apply_map``).
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ byte-identical outputs.
 report rows are built: for each theorem its grid axes, how a grid point's rows
 pair the exact left-hand side with the right-hand side ``bounds`` evaluates,
 its CLI group, and whether it needs the second observable, reads the state or
-its governance, or uses the dense generator.  ``ExperimentRunner.run`` is a
+its governance, or runs the fixed-point analysis.  ``ExperimentRunner.run`` is a
 single loop over it; the CLI groups, the theorem lists and the config checks
 are derived from it.  Adding a theorem means adding an entry.
 
@@ -271,7 +271,8 @@ class ExperimentConfig:
     ``space``, ``x_sites`` and ``y_sites`` are read off the interaction and
     the observables, and ``k_map`` and ``state`` are built from ``raw`` on
     first read, so a narrowed config cannot disagree with them: narrowing the
-    map or the state means replacing ``raw``, which ``config_hash`` reads."""
+    map or the state means replacing ``raw``.  ``config_hash`` names what the
+    config runs, so it reads the fields and those two descriptors."""
 
     f: FFunction
     nu: float
@@ -315,9 +316,37 @@ class ExperimentConfig:
         return parse_state(self.raw.get("state", "product(+)"), self.space.points)
 
     def config_hash(self) -> str:
-        """SHA-256 of the raw JSON with ``theorems`` the selection this config runs."""
-        selected = {**self.raw, "theorems": list(self.theorems)}
-        return hashlib.sha256(json.dumps(selected, sort_keys=True).encode()).hexdigest()
+        """SHA-256 of what this config runs: each field by value (the space
+        as its points and distances, the interaction as its terms' supports
+        and matrices, an observable as its sites and matrix) and the map and
+        state descriptors of ``raw``.  A narrowed config hashes as the file
+        that states its fields does."""
+        space = self.space
+        ran = {
+            "space": {"points": list(space.points), "dist": space.dist.tolist()},
+            "f_function": asdict(self.f),
+            "nu": self.nu,
+            "interaction": [{"support": list(space.ordered(t.support)),
+                             "h": _operator_json(t.hamiltonian),
+                             "kraus": [_operator_json(k) for k in t.kraus]}
+                            for t in self.interaction.terms],
+            "observables": {"a": _operator_json(self.a_local),
+                            "b": _operator_json(self.b_local)},
+            "k_map": self.raw.get("k_map", "commutator"),
+            "state": self.raw.get("state", "product(+)"),
+            "theorems": list(self.theorems),
+            "grids": {"t": list(self.t_grid), "R": list(self.big_r_grid),
+                      "r": list(self.r_grid)},
+            "poly": {"epsilon": self.eps, "delta": self.delta, "eta_exp": self.eta_exp,
+                     "a_weight": self.a_weight},
+            "seed": self.seed,
+        }
+        return hashlib.sha256(json.dumps(ran, sort_keys=True).encode()).hexdigest()
+
+
+def _operator_json(op: Optional[ObservableOp]) -> Optional[dict]:
+    """An operator as its sites and ``_matrix_json`` entries; None stays None."""
+    return None if op is None else {"sites": list(op.sites), "matrix": _matrix_json(op.matrix)}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -425,8 +454,8 @@ def check_selection(cfg: ExperimentConfig) -> None:
     second observable, and an observation map, on supports disjoint from the
     first wherever one is needed, a state that builds on the space wherever
     the state is read and carries correlation governance wherever that is
-    read, and at most ``model.MAX_DENSE_DIM`` wherever the dense generator is
-    used (by a ``dense`` theorem or for the stationary state).  The map and
+    read, and at most ``model.MAX_DENSE_DIM`` wherever the fixed-point
+    analysis runs (for a ``dense`` theorem or the stationary state).  The map and
     the state are the config's own (``cfg.k_map``, ``cfg.state``), so the
     runner reads the ones checked here.  ``ExperimentRunner`` calls it on the
     theorems it runs."""
@@ -532,12 +561,15 @@ class NumericalFailure(RuntimeError):
 class ExperimentRunner:
     """Executes the selected theorem checks for one config.  Construction
     raises ``ConfigError`` when the selection cannot run on the config
-    (``check_selection``), before any model work."""
+    (``check_selection``), before any model work.  ``consts`` are the
+    config's model constants when the caller has computed them already, as
+    the random suite does for its time grid."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, consts: Optional[ModelConstants] = None):
         check_selection(cfg)
         self.cfg = cfg
-        self.consts = ModelConstants.from_model(cfg.f, cfg.interaction, cfg.nu)
+        self.consts = consts if consts is not None else ModelConstants.from_model(
+            cfg.f, cfg.interaction, cfg.nu)
         sites = cfg.space.points
         self.a = embed(cfg.a_local, sites)
         self.b = embed(cfg.b_local, sites) if cfg.b_local is not None else None
@@ -558,13 +590,12 @@ class ExperimentRunner:
     def analysis(self) -> correlations.FixedPointAnalysis:
         """The fixed-point analysis over the t grid, for the fixed-point suite
         and the stationary state, which consume the whole map.  Its generator
-        is the propagation layer's CSR generator densified, so a run assembles
-        the generator once."""
+        is the propagation layer's CSR generator itself, read block by block,
+        so a run assembles the generator once and never densifies it."""
         layer = self.dynamics
         model._check_dense(layer.dims)
-        dense = Superoperator(layer.generator().toarray(), layer.sites, layer.dims,
-                              picture="heisenberg")
-        return correlations.analyze_fixed_point(dense, self.cfg.t_grid)
+        gen = Superoperator(layer.generator(), layer.sites, layer.dims, picture="heisenberg")
+        return correlations.analyze_fixed_point(gen, self.cfg.t_grid)
 
     @cached_property
     def state(self) -> StateFunctional:
@@ -648,7 +679,8 @@ class Theorem:
     ``group`` is the CLI subcommand that selects it; ``needs_b``,
     ``reads_state`` and ``reads_governance`` (the state's correlation
     governance, so the state too) say what the config must give, and
-    ``dense`` that it uses the whole dense generator."""
+    ``dense`` that it reads the fixed-point analysis, whose dense work on the
+    generator's blocks ``model.MAX_DENSE_DIM`` caps."""
 
     group: str
     axes: tuple

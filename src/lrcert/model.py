@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +50,9 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Dense linear map on the vectorized observable algebra of a volume.
+    """Linear map on the vectorized observable algebra of a volume, its matrix
+    kept as given: a dense array, or a scipy sparse matrix such as the CSR
+    generator of ``dynamics.Dynamics``.
 
     Its O(n^3) work runs on its invariant coordinate blocks (``_blocks``),
     the connected components of the nonzero pattern of M + M^H.  A block of
@@ -58,27 +60,46 @@ class Superoperator:
     block-diagonal over the blocks, and its exponentials, eigenvalues and
     singular values are those of its blocks: the symmetry reduction of Buca
     and Prosen (New J. Phys. 14, 073007, 2012), read off the sparsity pattern.
-    Blocks of one size are stacked, so each step is one batched LAPACK call
-    per block size; a map that does not split is one block and runs the same
-    calls on its whole matrix.
+    The blocks, their entries (``_gather``) and the adjoint are read through
+    one CSR view of the matrix (``_csr``), so a sparse map is never
+    densified.  Blocks of one size are stacked, so each step is one batched
+    LAPACK call per block size; a map that does not split is one block and
+    runs the same calls on its whole matrix.
     """
 
-    matrix: np.ndarray
+    matrix: Union[np.ndarray, scipy.sparse.spmatrix]
     sites: tuple
     dims: tuple
     picture: str  # "heisenberg" | "schrodinger"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = self.matrix
+        if not scipy.sparse.issparse(m):
+            m = np.asarray(m, dtype=complex)
+            m.flags.writeable = False
         total = int(np.prod(self.dims))
         if m.shape != (total * total, total * total):
             raise ModelError(f"superoperator shape {m.shape} inconsistent with volume")
         if self.picture not in ("heisenberg", "schrodinger"):
             raise ModelError(f"unknown picture {self.picture!r}")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "sites", tuple(self.sites))
         object.__setattr__(self, "dims", tuple(self.dims))
+
+    @cached_property
+    def _csr(self) -> scipy.sparse.csr_matrix:
+        """The matrix in canonical CSR form with only nonzero entries stored:
+        a CSR matrix that is one already is itself, not a copy; any other
+        matrix is converted."""
+        m = self.matrix
+        if not scipy.sparse.issparse(m):
+            return scipy.sparse.csr_matrix(m)
+        if m.format == "csr" and m.has_canonical_format and np.all(m.data != 0):
+            return m
+        csr = scipy.sparse.csr_matrix(m, copy=True)
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        return csr
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -87,8 +108,10 @@ class Superoperator:
         order, and rows follow their least index.  The blocks are the weakly
         connected components of the pattern of M, each coordinate labelled
         by the least index of its component."""
-        _, component = scipy.sparse.csgraph.connected_components(
-            scipy.sparse.csr_matrix(self.matrix != 0), connection="weak")
+        csr = self._csr
+        pattern = scipy.sparse.csr_matrix(
+            (np.ones(csr.nnz, dtype=bool), csr.indices, csr.indptr), shape=csr.shape)
+        _, component = scipy.sparse.csgraph.connected_components(pattern, connection="weak")
         _, least = np.unique(component, return_index=True)
         label = least[component]
         order = np.argsort(label, kind="stable")
@@ -96,10 +119,26 @@ class Superoperator:
         return tuple(order[starts[sizes == n][:, None] + np.arange(n)]
                      for n in np.unique(sizes))
 
-    def _gather(self, m: np.ndarray) -> list:
-        """The invariant blocks of ``m``, a matrix on this map's coordinates:
-        one (k, n, n) stack per size group of ``_blocks``."""
-        return [m[idx[:, :, None], idx[:, None, :]] for idx in self._blocks]
+    def _gather(self) -> list:
+        """The invariant blocks of the matrix, one writable (k, n, n) stack
+        per size group of ``_blocks``: one COO scatter per group of the
+        stored entries of ``_csr``, each in its block, at its places there."""
+        csr = self._csr
+        group, block, place = (np.empty(csr.shape[0], dtype=np.intp) for _ in range(3))
+        for g, idx in enumerate(self._blocks):
+            group[idx] = g
+            block[idx] = np.arange(idx.shape[0])[:, None]
+            place[idx] = np.arange(idx.shape[1])
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        row_group = group[rows]
+        stacks = []
+        for g, (k, n) in enumerate(idx.shape for idx in self._blocks):
+            mine = row_group == g
+            r, c = rows[mine], csr.indices[mine]
+            s = np.zeros((k, n, n), dtype=complex)
+            s[block[r], place[r], place[c]] = csr.data[mine]
+            stacks.append(s)
+        return stacks
 
     def _scatter(self, stacks: list) -> np.ndarray:
         """The read-only dense matrix that is ``stacks`` on the invariant
@@ -116,16 +155,18 @@ class Superoperator:
         """Every eigenvalue, block by block in ``_blocks`` order, read-only.
         One batched ``eig`` per size group, shared by every spectral question
         asked of the map."""
-        w = np.concatenate([np.linalg.eig(s)[0].ravel() for s in self._gather(self.matrix)])
+        w = np.concatenate([np.linalg.eig(s)[0].ravel() for s in self._gather()])
         w.flags.writeable = False
         return w
 
     @cached_property
     def adjoint(self) -> "Superoperator":
-        """The trace-pairing adjoint, in the other picture; built once per map.
-        M^H + M is the pattern of both, so the adjoint shares ``_blocks``."""
+        """The trace-pairing adjoint, in the other picture; built once per map
+        as the CSR conjugate transpose of ``_csr``.  M^H + M is the pattern of
+        both, so the adjoint shares ``_blocks``."""
         flipped = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-        adjoint = Superoperator(self.matrix.conj().T, self.sites, self.dims, picture=flipped)
+        adjoint = Superoperator(self._csr.conj().T.tocsr(), self.sites, self.dims,
+                                picture=flipped)
         adjoint.__dict__["_blocks"] = self._blocks
         return adjoint
 
@@ -144,7 +185,7 @@ class Superoperator:
         if t == 0.0:
             return [np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
                     for k, n in (idx.shape for idx in self._blocks)]
-        stacks = self._gather(self.matrix)
+        stacks = self._gather()
         for s in stacks:
             s *= t
         return [scipy.linalg.expm(s) for s in stacks]

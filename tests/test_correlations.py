@@ -486,7 +486,7 @@ class TestSemigroupStore:
         assert sorted(maps) == list(times)
         for t in times:
             assert not any(m.flags.writeable for m in maps[t])
-            want = scipy.linalg.expm(t * gen_s.matrix)
+            want = scipy.linalg.expm(t * gen_s.matrix.toarray())
             np.testing.assert_allclose(gen_s._scatter(maps[t]), want, rtol=0, atol=1e-12)
 
     def test_analysis_keeps_the_grid_maps(self, damped4):
@@ -498,7 +498,7 @@ class TestSemigroupStore:
         assert sorted(analysis.maps) == list(grid)
         rho = StateFunctional.product(gen.sites, "+").density
         for t in grid:
-            want = scipy.linalg.expm(t * gen_s.matrix) @ rho.flatten(order="F")
+            want = scipy.linalg.expm(t * gen_s.matrix.toarray()) @ rho.flatten(order="F")
             np.testing.assert_allclose(analysis.evolve(t, rho).flatten(order="F"), want,
                                        rtol=0, atol=1e-12)
         assert np.array_equal(analysis.evolve(0.0, rho), rho)
@@ -689,7 +689,7 @@ def _oracle(gen, times):
     (maps, eigenvalues, stationary density, gap, upper brackets).  The maps
     follow ``_semigroup``'s rule: a time that is the sum of two earlier ones
     is their product."""
-    m_s = gen.adjoint.matrix
+    m_s = gen.adjoint.matrix.toarray()
     maps = {}
     for t in times:
         s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
@@ -721,7 +721,8 @@ def _blockwise(gen, times):
 @st.composite
 def _damped_models(draw, field: bool):
     """2-3 sites, amplitude damping at each, ZZ couplings and Z fields (both
-    diagonal), and a transverse X field at each site when ``field``."""
+    diagonal), and a transverse X field at each site when ``field``: the
+    dense generator and the same map on the CSR generator a run reads."""
     n = draw(st.integers(2, 3))
     space = lr.FiniteMetricSpace.chain(n)
     rate = st.floats(0.5, 1.5)
@@ -736,16 +737,38 @@ def _damped_models(draw, field: bool):
     for x, y in zip(space.points, space.points[1:]):
         zz = draw(strength) * np.kron(lr.model.PAULI_Z, lr.model.PAULI_Z)
         terms.append(LindbladTerm(frozenset([x, y]), from_matrix(zz, (x, y)), ()))
-    return lr.generator(DissipativeInteraction(space, tuple(terms)))
+    interaction = DissipativeInteraction(space, tuple(terms))
+    gen = lr.generator(interaction)
+    csr = lr.Superoperator(lr.Dynamics(interaction).generator(), gen.sites, gen.dims,
+                           gen.picture)
+    return gen, csr
 
 
 BLOCK_TIMES = (0.0, 0.5, 1.0, 1.5)
 
 
+def _assert_reads_alike(csr, gen, times):
+    """The CSR form ``csr`` of the dense map ``gen`` gives its blocks, block
+    stacks, spectrum, exponentials and analysis maps, entry for entry."""
+    assert len(csr._blocks) == len(gen._blocks)
+    for x, y in zip(csr._blocks, gen._blocks):
+        assert np.array_equal(x, y)
+    for x, y in zip(csr._gather(), gen._gather()):
+        assert np.array_equal(x, y)
+    assert np.array_equal(csr.spectrum, gen.spectrum)
+    got, want = lr.analyze_fixed_point(csr, times), lr.analyze_fixed_point(gen, times)
+    for t in times:
+        assert np.array_equal(csr.exp(t), gen.exp(t))
+        for x, y in zip(got.maps[t], want.maps[t]):
+            assert np.array_equal(x, y)
+
+
 class TestInvariantBlocks:
-    @given(gen=_damped_models(field=False))
+    @given(gens=_damped_models(field=False))
     @settings(max_examples=25, deadline=None)
-    def test_split_generator_matches_the_full_matrix(self, gen):
+    def test_split_generator_matches_the_full_matrix(self, gens):
+        gen, csr = gens
+        _assert_reads_alike(csr, gen, BLOCK_TIMES)
         n_sites = len(gen.sites)
         assert sum(idx.shape[0] for idx in gen._blocks) == 3 ** n_sites
         assert gen._blocks[-1].shape[1] == 2 ** n_sites
@@ -759,9 +782,11 @@ class TestInvariantBlocks:
         np.testing.assert_allclose(rho, want[2], rtol=0, atol=1e-12)
         assert gap == pytest.approx(want[3], rel=1e-12, abs=0)
 
-    @given(gen=_damped_models(field=True))
+    @given(gens=_damped_models(field=True))
     @settings(max_examples=10, deadline=None)
-    def test_one_block_generator_is_the_full_matrix(self, gen):
+    def test_one_block_generator_is_the_full_matrix(self, gens):
+        gen, csr = gens
+        _assert_reads_alike(csr, gen, BLOCK_TIMES)
         assert [idx.shape for idx in gen._blocks] == [(1, gen.matrix.shape[0])]
         got, want = _blockwise(gen, BLOCK_TIMES), _oracle(gen, BLOCK_TIMES)
         for t in BLOCK_TIMES:

@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrcert as lr
 from lrcert import cli, correlations, dynamics, harness, model
-from lrcert.bounds import BoundReport
+from lrcert.bounds import BoundReport, ModelConstants
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -204,6 +205,21 @@ class TestLoadConfig:
         assert narrowed.k_map.sites == loaded.k_map.sites
         assert (harness.reports_to_csv(harness.run_experiment(narrowed)[0])
                 == harness.reports_to_csv(harness.run_experiment(loaded)[0]))
+
+    @pytest.mark.parametrize("field, value, section, key, entry", [
+        ("b_local", "Z2", "observables", "b", "Z2"),
+        ("t_grid", (0.0, 2.0), "grids", "t", [0.0, 2.0])])
+    def test_narrowed_config_hash_names_what_runs(self, field, value, section, key, entry):
+        # the hash reads the fields the rows come from, not only raw
+        path = DOCS / "tfim_dissipative.json"
+        cfg = load_config(path)
+        if field == "b_local":
+            value = harness.parse_operator(value, cfg.space)
+        narrowed = dataclasses.replace(cfg, **{field: value})
+        raw = json.loads(path.read_text())
+        raw[section][key] = entry
+        assert narrowed.config_hash() == config_from_dict(raw).config_hash() \
+            != cfg.config_hash()
 
     def test_narrowed_state_runs_on_its_own_raw(self):
         # the state is parsed from raw, so replacing raw replaces the state
@@ -505,7 +521,7 @@ class TestRunExperiment:
 
     def test_fixed_point_counters_and_no_ascent(self, tmp_path, monkeypatch):
         """The fixed-point rows evolve the state by the analysis' maps of the
-        dense form of the one generator the run assembles, which splits into
+        one CSR generator the run assembles, which splits into
         3^4 invariant blocks of at most 2^4 coordinates, so no observable is
         propagated; no report cell reads a lower bracket, so the pure-state
         ascent never runs."""
@@ -524,6 +540,33 @@ class TestRunExperiment:
                                         "evolution_hits": 0, "expm_multiply": 0,
                                         "dense_blocks": 81, "dense_block_max": 16}
         assert ascents == []
+
+    def test_fixed_point_run_densifies_nothing(self, monkeypatch):
+        # the analysis reads the layer's CSR generator itself, block by
+        # block: no sparse matrix is densified, and no map, the adjoint
+        # included, holds a dense matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse matrix was densified")
+
+        for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix, scipy.sparse.coo_matrix):
+            monkeypatch.setattr(cls, "toarray", refuse)
+            monkeypatch.setattr(cls, "todense", refuse)
+        built = []
+        init = model.Superoperator.__post_init__
+
+        def recorded(sup):
+            init(sup)
+            built.append(sup)
+
+        monkeypatch.setattr(model.Superoperator, "__post_init__", recorded)
+        cfg = config_from_dict(fixed_point_raw(theorems=harness.GROUPS["fixed-point"],
+                                               state="stationary"))
+        runner = harness.ExperimentRunner(cfg)
+        assert len(runner.run()) == 6
+        assert [s.picture for s in built] == ["heisenberg", "schrodinger"]
+        assert not any(isinstance(s.matrix, np.ndarray) for s in built)
+        assert built[0]._csr is built[0].matrix is runner.dynamics.generator()
+        assert runner.analysis.generator is built[0].adjoint
 
     def test_stationary_state_computed_once(self, monkeypatch):
         # the stationary auxiliary state is the analysis' fixed point
@@ -841,6 +884,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "violations 0" in out
 
+    def test_random_suite_computes_each_models_constants_once(self, monkeypatch, capsys):
+        # the suite's time grid and the runner share one ModelConstants
+        calls = []
+        from_model = ModelConstants.from_model
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_model(*args)
+
+        monkeypatch.setattr(ModelConstants, "from_model", classmethod(counted))
+        assert cli.main(["random-suite", "--models", "3", "--sites", "3"]) == 0
+        assert len(calls) == 3
+        assert "violations 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("sites", [0, harness.DEFAULT_SWEEP_CEILING + 1])
     def test_random_suite_sites_out_of_range(self, capsys, sites):
         assert cli.main(["random-suite", "--models", "1", "--sites", str(sites)]) == 2
@@ -896,7 +953,7 @@ class TestCli:
         gen = model.generator(harness.parse_interaction(COHERENT_SPLIT,
                                                         lr.FiniteMetricSpace.chain(2)))
         assert len(gen._blocks) > 1
-        (null,) = scipy.linalg.null_space(gen.adjoint.matrix).T
+        (null,) = scipy.linalg.null_space(gen.adjoint.matrix.toarray()).T
         want = null.reshape((4, 4), order="F") / null.reshape((4, 4), order="F").trace()
         assert abs(want[0, 2]) > 0.1
         np.testing.assert_allclose(lr.stationary_state(gen).density, want, rtol=0, atol=1e-12)
