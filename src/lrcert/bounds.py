@@ -34,7 +34,8 @@ class ModelConstants:
     """All scalar constants a bound evaluator needs, computed once per model.
 
     The volume Lambda every bound is stated on is the interaction's space
-    (``space``).  ``v = l_fnorm * conv`` is the velocity used by every evaluator.
+    (``space``), and ``r0`` is its range.  ``v = l_fnorm * conv`` is the
+    velocity used by every evaluator.
     """
 
     f: FFunction
@@ -44,7 +45,6 @@ class ModelConstants:
     fnorm: float
     conv: float
     l_fnorm: float
-    r0: float
 
     @classmethod
     def from_model(cls, f: FFunction, interaction: DissipativeInteraction,
@@ -58,12 +58,15 @@ class ModelConstants:
             fnorm=decay.f_norm(f, space),
             conv=decay.conv_constant(f, space),
             l_fnorm=interaction_f_norm(interaction, f),
-            r0=interaction.range_r0,
         )
 
     @property
     def space(self) -> FiniteMetricSpace:
         return self.interaction.space
+
+    @property
+    def r0(self) -> float:
+        return self.interaction.range_r0
 
     @property
     def v(self) -> float:

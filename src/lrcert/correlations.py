@@ -27,9 +27,10 @@ such as the runner's, is never densified; only the ascent reads a dense
 map.  The analysis runs no ascent:
 ``convergence_envelope`` and ``mixing_eta`` read its maps for the lower
 brackets, and ``spectral_gap`` is its gap on an empty grid.
-``correlation`` evolves observables through ``Dynamics``; the fixed-point
-rows' first term w(T_t(A B_t)) is ``covariance`` at w evolved by the
-analysis' maps instead.
+``correlation`` evolves observables through ``Dynamics``, and ``c_ab``
+localizes them there, each to the inflation of its own support; the
+fixed-point rows' first term w(T_t(A B_t)) is ``covariance`` at w evolved by
+the analysis' maps instead.
 """
 from __future__ import annotations
 
@@ -170,17 +171,13 @@ def covariance(density: np.ndarray, a: ObservableOp, b: ObservableOp) -> complex
     return e_ab - e_a * e_b
 
 
-def c_ab(dynamics: Dynamics, xs: Iterable[Site], ys: Iterable[Site], r: float, t: float,
-         a: ObservableOp, b: ObservableOp) -> float:
-    """The three-term localization defect that controls dynamic correlations."""
-    xs, ys = frozenset(xs), frozenset(ys)
-    if not a.support <= xs:
-        raise CorrelationsError("first observable not supported in its region")
-    if not b.support <= ys:
-        raise CorrelationsError("second observable not supported in its region")
-    return (op_norm(a) * dynamics.local_error(t, b, ys, r)
-            + op_norm(b) * dynamics.local_error(t, a, xs, r)
-            + dynamics.local_error(t, a @ b, xs | ys, r))
+def c_ab(dynamics: Dynamics, r: float, t: float, a: ObservableOp, b: ObservableOp) -> float:
+    """The three-term localization defect that controls dynamic correlations:
+    B, A and AB, each localized to the r-inflation of its own support, Y, X
+    and X | Y."""
+    return (op_norm(a) * dynamics.local_error(t, b, r)
+            + op_norm(b) * dynamics.local_error(t, a, r)
+            + dynamics.local_error(t, a @ b, r))
 
 
 # -- fixed points and spectra ------------------------------------------------------

@@ -2,15 +2,17 @@
 
 A left-hand side needs the semigroup only through its action on a few
 observables, so ``Dynamics`` holds the CSR generators of one interaction on its
-space, one per term set, and applies exp(t L) to vectorized observables with
-scipy's ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011),
-never forming the propagator.  A generator is its term set
+space and local dimensions (``DissipativeInteraction.dims``), one per term
+set, and applies exp(t L) to vectorized observables with scipy's
+``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), never
+forming the propagator.  A generator is its term set
 (``DissipativeInteraction.terms_for``): every term, the terms of diameter at
 most R (the range-R approximant) or the terms inside a region (the strictly
-local dynamics).  Every exact left-hand side but the fixed-point group's
-(the analysis' block maps) is a ``Dynamics`` method or built from its
-evolutions: the quasi-locality norm, the truncation and local approximation
-errors here, ``correlations.correlation`` and ``c_ab``.
+local dynamics; ``local_error`` reads its region, the r-inflation of the
+observable's support, off the observable).  Every exact left-hand side but
+the fixed-point group's (the analysis' block maps) is a ``Dynamics`` method
+or built from its evolutions: the quasi-locality norm, the truncation and
+local approximation errors here, ``correlations.correlation`` and ``c_ab``.
 The module-level ``evolve`` acts the same way with a dense generator.  Dense
 exponentials remain for ``propagator``, whose whole map the Choi checks
 consume, and the fixed-point suite; both run one dense ``expm`` per block
@@ -31,7 +33,6 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import geometry, model
-from .geometry import Site
 from .model import DissipativeInteraction, LindbladTerm, Superoperator
 from .qalgebra import (ObservableOp, ObservationMap, _choi, apply_map, devectorize, op_norm,
                        vectorize)
@@ -72,7 +73,7 @@ class Dynamics:
     def __init__(self, interaction: DissipativeInteraction):
         self.interaction = interaction
         self.sites = tuple(interaction.space.points)
-        self.dims = model.volume_dims(self.sites, *interaction.terms)
+        self.dims = interaction.dims
         self._generators: dict = {}
         self._evolved: dict = {}
         self.counters = {"generators": 0, "evolutions": 0, "evolution_hits": 0,
@@ -126,14 +127,11 @@ class Dynamics:
             raise DynamicsError(f"range-R dynamics needs R > 0, got {R}")
         return self.interaction.terms_for(self.interaction.space.all_sites(), max_diam=R)
 
-    def local_error(self, t: float, a: ObservableOp, xs: Iterable[Site], r: float) -> float:
-        """opnorm of (full - strictly local on the r-inflation of ``xs``)
-        evolution of ``a``, which must be supported in ``xs``; the local
-        dynamics stays embedded in the volume."""
-        xs = frozenset(xs)
-        if not a.support <= xs:
-            raise DynamicsError("observable must be supported in the localization region")
-        region = geometry.inflate(self.interaction.space, xs, r)
+    def local_error(self, t: float, a: ObservableOp, r: float) -> float:
+        """opnorm of (full - strictly local) evolution of ``a``, the local
+        dynamics being the terms inside the r-inflation of a's support; it
+        stays embedded in the volume."""
+        region = geometry.inflate(self.interaction.space, a.support, r)
         return op_norm(self.evolve(t, a) - self.evolve(t, a, self.interaction.terms_for(region)))
 
 

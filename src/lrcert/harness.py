@@ -14,13 +14,15 @@ its governance, or runs the fixed-point analysis.  ``ExperimentRunner.run`` is a
 single loop over it; the CLI groups, the theorem lists and the config checks
 are derived from it.  Adding a theorem means adding an entry.
 
-``load_config`` and ``config_from_dict`` check each field and return a frozen
-``ExperimentConfig``, which keeps only what it was given: its volume is its
-interaction's space, its supports X and Y are its observables' sites, and its
-observation map K and its state are built from the descriptors in ``raw`` on
-first read.  Whether its theorem selection can run on it (``check_selection``)
-is checked once, by the ``ExperimentRunner`` that runs it, so a caller that
-narrows the config (``dataclasses.replace``) is checked on what it runs.
+``load_config`` and ``config_from_dict`` refuse unknown fields and descriptors
+called with arguments they do not take, check each field and return a frozen
+``ExperimentConfig``, which keeps only what it was given: its volume and its
+local dimensions are its interaction's, its supports X and Y are its
+observables', and its observation map K and its state are built from the
+descriptors in ``raw`` on first read.  Whether its theorem selection can run
+on it (``check_selection``) is checked once, by the ``ExperimentRunner`` that
+runs it, so a caller that narrows the config (``dataclasses.replace``) is
+checked on what it runs.
 """
 from __future__ import annotations
 
@@ -48,6 +50,10 @@ DOMINATION_SUITE = ("finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb
                     "range_truncation", "surface_sum", "local_approx",
                     "dynamic_correlation", "correlation_general")
 
+FIELDS = ("space", "f_function", "nu", "interaction", "observables", "k_map", "theorems",
+          "grids", "seed", "poly", "state")
+POLY_DEFAULTS = {"epsilon": 0.5, "delta": 0.3, "eta_exp": 0.02, "a_weight": 1.0}
+
 DEFAULT_SWEEP_CEILING = 5
 SINGLE_POINT_CEILING = 8
 
@@ -61,29 +67,25 @@ class ConfigError(ValueError):
 # -- descriptor parsing -----------------------------------------------------------
 
 
-def _parse_call(desc: str):
-    """Split 'name(arg, arg, key=val)' into (name, positional, keyword)."""
-    desc = desc.strip()
-    if "(" not in desc:
-        return desc, [], {}
-    if not desc.endswith(")"):
+def _parse_call(desc, kind: str, signatures: Mapping[str, tuple]):
+    """Split the ``kind`` descriptor 'name(arg, arg, key=val)' into (name,
+    positional, keyword): its name a key of ``signatures``, called with a
+    positional count (int) and only keywords (str) its signature lists."""
+    desc = str(desc).strip()
+    name, paren, rest = desc.partition("(")
+    if paren and not desc.endswith(")"):
         raise ValueError(f"malformed descriptor {desc!r}")
-    name, _, rest = desc.partition("(")
     args, kwargs = [], {}
     body = rest[:-1].strip()
-    depth, token, parts = 0, "", []
+    depth, parts = 0, [""]
     for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            parts.append(token)
-            token = ""
+            parts.append("")
         else:
-            token += ch
-    if token.strip():
-        parts.append(token)
+            parts[-1] += ch
+    if not parts[-1].strip():
+        parts.pop()
     for part in parts:
         part = part.strip()
         if "=" in part and "(" not in part.split("=", 1)[0]:
@@ -91,7 +93,16 @@ def _parse_call(desc: str):
             kwargs[key.strip()] = val.strip()
         else:
             args.append(part)
-    return name.strip(), args, kwargs
+    name = name.strip()
+    if name not in signatures:
+        raise ValueError(f"unknown {kind} descriptor {desc!r}")
+    if len(args) not in signatures[name]:
+        counts = " or ".join(str(n) for n in signatures[name] if isinstance(n, int))
+        raise ValueError(f"{name} takes {counts} positional argument(s), got {len(args)}")
+    for key in kwargs:
+        if key not in signatures[name]:
+            raise ValueError(f"{name} takes no keyword argument {key!r}")
+    return name, args, kwargs
 
 
 def parse_space(desc) -> FiniteMetricSpace:
@@ -101,14 +112,12 @@ def parse_space(desc) -> FiniteMetricSpace:
         points = [_site_from_json(p) for p in desc["points"]]
         _within_ceiling(len(points))
         return FiniteMetricSpace.explicit(points, desc["dist"])
-    name, args, kwargs = _parse_call(str(desc))
+    name, args, kwargs = _parse_call(desc, "space", {"chain": (1,), "grid": (2, "metric")})
     if name == "chain":
         return FiniteMetricSpace.chain(_within_ceiling(int(args[0])))
-    if name == "grid":
-        nx, ny = int(args[0]), int(args[1])
-        _within_ceiling(max(nx, 0) * max(ny, 0))
-        return FiniteMetricSpace.grid(nx, ny, metric=kwargs.get("metric", "l1"))
-    raise ValueError(f"unknown space descriptor {desc!r}")
+    nx, ny = int(args[0]), int(args[1])
+    _within_ceiling(max(nx, 0) * max(ny, 0))
+    return FiniteMetricSpace.grid(nx, ny, metric=kwargs.get("metric", "l1"))
 
 
 def _within_ceiling(n_points: int) -> int:
@@ -120,20 +129,18 @@ def _within_ceiling(n_points: int) -> int:
 def parse_f_function(desc) -> FFunction:
     if isinstance(desc, Mapping):
         return FFunction.table(desc["grid"], desc["values"])
-    name, args, _ = _parse_call(str(desc))
+    name, args, _ = _parse_call(desc, "profile", {"power": (1,), "weighted": (2,),
+                                                  "table": (1,)})
     if name == "power":
         return FFunction.power(float(args[0]))
     if name == "weighted":
-        base = parse_f_function(",".join(args[1:]) if len(args) > 2 else args[1])
-        return FFunction.weighted(float(args[0]), base)
-    if name == "table":
-        try:
-            text = Path(args[0]).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot read the table {args[0]}: {exc}") from exc
-        data = json.loads(text)
-        return FFunction.table(data["grid"], data["values"])
-    raise ValueError(f"unknown profile descriptor {desc!r}")
+        return FFunction.weighted(float(args[0]), parse_f_function(args[1]))
+    try:
+        text = Path(args[0]).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read the table {args[0]}: {exc}") from exc
+    data = json.loads(text)
+    return FFunction.table(data["grid"], data["values"])
 
 
 def _site_from_json(p):
@@ -189,36 +196,26 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
             _matrix_from_json(desc["matrix"]),
             space.ordered([_site_from_json(s) for s in desc["support"]]),
             cb_upper=desc.get("cb_upper"), cb_lower=desc.get("cb_lower"), probe_seed=seed)
-    name, args, _ = _parse_call(str(desc))
-    if name != "commutator" or len(args) > 1:
-        raise ValueError(f"unknown observation-map descriptor {desc!r}")
+    _, args, _ = _parse_call(desc, "observation-map", {"commutator": (0, 1)})
     target = parse_operator(args[0], space) if args else b_local
     return commutator_map(target, probe_seed=seed) if target is not None else None
 
 
 def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
     if isinstance(desc, Mapping):
+        def on_support(d, support: frozenset) -> ObservableOp:
+            op = parse_operator(d, space)
+            return op if frozenset(op.sites) == support else embed(op, space.ordered(support))
         terms = []
         for i, td in enumerate(desc["terms"]):
             support = frozenset(_site_from_json(s) for s in td["support"])
-            ordered = space.ordered(support)
-            ham = None
-            if td.get("h") is not None:
-                op = parse_operator(td["h"], space)
-                ham = embed(op, ordered) if frozenset(op.sites) != support else op
-            kraus = []
-            for kd in td.get("kraus", ()):
-                op = parse_operator(kd, space)
-                kraus.append(embed(op, ordered) if frozenset(op.sites) != support else op)
-            terms.append(LindbladTerm(support, ham, tuple(kraus),
-                                      label=td.get("label", f"term{i}")))
+            ham = on_support(td["h"], support) if td.get("h") is not None else None
+            kraus = tuple(on_support(kd, support) for kd in td.get("kraus", ()))
+            terms.append(LindbladTerm(support, ham, kraus, label=td.get("label", f"term{i}")))
         return DissipativeInteraction(space, tuple(terms))
-    name, args, _ = _parse_call(str(desc))
-    if name == "tfim_dissipative":
-        return model.tfim_dissipative(space, float(args[0]), float(args[1]), float(args[2]))
-    if name == "long_range_zz":
-        return model.long_range_zz(space, float(args[0]), float(args[1]), float(args[2]))
-    raise ValueError(f"unknown interaction descriptor {desc!r}")
+    family = {"tfim_dissipative": model.tfim_dissipative, "long_range_zz": model.long_range_zz}
+    name, args, _ = _parse_call(desc, "interaction", dict.fromkeys(family, (3,)))
+    return family[name](space, *map(float, args))
 
 
 def parse_state(desc, sites: tuple) -> Optional[StateFunctional]:
@@ -235,15 +232,14 @@ def parse_state(desc, sites: tuple) -> Optional[StateFunctional]:
             return StateFunctional(_matrix_from_json(desc["density"]), sites,
                                    (2,) * len(sites))
         raise ValueError(f"unknown state object {desc!r}")
-    name, args, _ = _parse_call(str(desc))
+    name, args, _ = _parse_call(desc, "state", {"product": (0, 1), "maximally_mixed": (0,),
+                                                "stationary": (0,)})
     if name == "product":
         label = _single_site(args[0] if args else "0", f"in {desc!r}")
         return StateFunctional.product(sites, label)
     if name == "maximally_mixed":
         return StateFunctional.maximally_mixed(sites)
-    if name == "stationary":
-        return None
-    raise ValueError(f"unknown state descriptor {desc!r}")
+    return None
 
 
 def _single_site(label, where: str):
@@ -254,10 +250,12 @@ def _single_site(label, where: str):
 
 
 def _site_from_json_key(k):
+    """A product-state key as a site: an integer, or a JSON array read as the
+    tuple site ("[0, 0]"), as ``points`` and ``sites`` name it."""
     try:
         return int(k)
     except (TypeError, ValueError):
-        return k
+        return tuple(json.loads(k)) if isinstance(k, str) and k.startswith("[") else k
 
 
 # -- configuration ----------------------------------------------------------------
@@ -296,11 +294,11 @@ class ExperimentConfig:
 
     @property
     def x_sites(self) -> frozenset:
-        return frozenset(self.a_local.sites)
+        return self.a_local.support
 
     @property
     def y_sites(self) -> frozenset:
-        return frozenset(self.b_local.sites) if self.b_local is not None else frozenset()
+        return self.b_local.support if self.b_local is not None else frozenset()
 
     @cached_property
     def k_map(self) -> Optional[ObservationMap]:
@@ -337,8 +335,7 @@ class ExperimentConfig:
             "theorems": list(self.theorems),
             "grids": {"t": list(self.t_grid), "R": list(self.big_r_grid),
                       "r": list(self.r_grid)},
-            "poly": {"epsilon": self.eps, "delta": self.delta, "eta_exp": self.eta_exp,
-                     "a_weight": self.a_weight},
+            "poly": dict(zip(POLY_DEFAULTS, (self.eps, self.delta, self.eta_exp, self.a_weight))),
             "seed": self.seed,
         }
         return hashlib.sha256(json.dumps(ran, sort_keys=True).encode()).hexdigest()
@@ -371,13 +368,14 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError("file", f"the top level must be a JSON object, "
                                   f"not {type(raw).__name__}")
+    _object("", raw, FIELDS)
     space = section("space", parse_space, raw.get("space", "chain(4)"))
     f = section("f_function", parse_f_function, raw.get("f_function", "power(3)"))
     nu = section("nu", _positive, raw.get("nu", 1.0))
     interaction = section("interaction", parse_interaction,
                           raw.get("interaction", "tfim_dissipative(0.5,0.5,1.0)"),
                           space)
-    obs = section("observables", _object, raw.get("observables", {}))
+    obs = _object("observables", raw.get("observables", {}), ("a", "b"))
     a_local = section("observables.a", parse_operator, obs.get("a", "Z0"), space)
     b_desc = obs.get("b")
     b_local = section("observables.b", parse_operator, b_desc, space) \
@@ -386,18 +384,17 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     unknown = [t for t in theorems if not isinstance(t, str) or t not in THEOREMS]
     if unknown:
         raise ConfigError("theorems", f"unknown theorem tags {unknown}")
-    grids = section("grids", _object, raw.get("grids", {}))
+    grids = _object("grids", raw.get("grids", {}), ("t", "R", "r"))
     t_grid = section("grids.t", _grid, grids.get("t", [0.0, 0.25, 0.5]))
     big_r_grid = section("grids.R", _grid, grids.get("R", [1.0, 2.0]), True)
     r_grid = section("grids.r", _grid, grids.get("r", [1.0]))
     if "seed" not in raw:
         raise ConfigError("seed", "seed is mandatory")
     seed = section("seed", _seed, raw["seed"])
-    poly = section("poly", _object, raw.get("poly", {}))
+    poly = _object("poly", raw.get("poly", {}), POLY_DEFAULTS)
     eps, delta, eta_exp, a_weight = (
         section(f"poly.{key}", _finite, poly.get(key, default), key == "a_weight")
-        for key, default in (("epsilon", 0.5), ("delta", 0.3), ("eta_exp", 0.02),
-                             ("a_weight", 1.0)))
+        for key, default in POLY_DEFAULTS.items())
     cfg = ExperimentConfig(
         f=f, nu=nu, interaction=interaction, a_local=a_local, b_local=b_local,
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
@@ -410,9 +407,15 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     return cfg
 
 
-def _object(value) -> Mapping:
+def _object(where: str, value, keys) -> Mapping:
+    """``value``, a JSON object whose keys are among ``keys``: a misspelled
+    field is refused by name, not silently left at its default."""
     if not isinstance(value, Mapping):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+        raise ConfigError(where, f"expected a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}".lstrip("."),
+                              f"unknown field; expected one of {', '.join(keys)}")
     return value
 
 
@@ -479,7 +482,7 @@ def check_selection(cfg: ExperimentConfig) -> None:
         dense = dense or state is None
     if dense:
         try:
-            model._check_dense(model.volume_dims(cfg.space.points, *cfg.interaction.terms))
+            model._check_dense(cfg.interaction.dims)
         except model.ModelError as exc:
             raise ConfigError("space", str(exc)) from exc
     if governed and (state is None or state.governance is None):
@@ -570,9 +573,9 @@ class ExperimentRunner:
         self.cfg = cfg
         self.consts = consts if consts is not None else ModelConstants.from_model(
             cfg.f, cfg.interaction, cfg.nu)
-        sites = cfg.space.points
-        self.a = embed(cfg.a_local, sites)
-        self.b = embed(cfg.b_local, sites) if cfg.b_local is not None else None
+        sites, dims = cfg.space.points, cfg.interaction.dims
+        self.a = embed(cfg.a_local, sites, dims)
+        self.b = embed(cfg.b_local, sites, dims) if cfg.b_local is not None else None
         self.a_norm = cfg.a_local.norm()
         self.b_norm = cfg.b_local.norm() if cfg.b_local is not None else None
         self._k_lhs: dict = {}
@@ -651,15 +654,14 @@ class ExperimentRunner:
         return self._k_lhs[key]
 
     def _local_error(self, p: dict) -> float:
-        return self.dynamics.local_error(p["t"], self.a, self.cfg.x_sites, p["r"])
+        return self.dynamics.local_error(p["t"], self.a, p["r"])
 
     def _c_ab(self, p: dict) -> float:
         """The localization defect, computed once per (r, t) and shared by
         every correlation theorem."""
         r, t = p["r"], p["t"]
         if (r, t) not in self._defects:
-            self._defects[(r, t)] = correlations.c_ab(
-                self.dynamics, self.cfg.x_sites, self.cfg.y_sites, r, t, self.a, self.b)
+            self._defects[(r, t)] = correlations.c_ab(self.dynamics, r, t, self.a, self.b)
         return self._defects[(r, t)]
 
     def _covariance(self, p: dict) -> float:

@@ -7,6 +7,9 @@ surrogate ``cb_upper = 2 |H| + 2 sum_j |K_j|^2`` (triangle inequality over
 the three Lindblad pieces) together with a probed lower bound, and all
 analytic bounds consume ``cb_upper``.
 
+An interaction names the volume's shape once: its space and its local
+dimensions (``DissipativeInteraction.dims``, read off its terms' own operators).
+
 A generator is its term set: L = sum_Z L_Z over every term (the full
 dynamics), the terms with diam Z <= R (the range-R approximant) or the terms
 inside a region (the strictly local dynamics), as ``terms_for`` selects them.
@@ -199,6 +202,8 @@ class LindbladTerm:
     hamiltonian: Optional[ObservableOp]
     kraus: tuple
     label: str = ""
+    sites: tuple = field(init=False)
+    dims: tuple = field(init=False)
     cb_upper: float = field(init=False)
     cb_lower: float = field(init=False)
     superop: np.ndarray = field(init=False, compare=False, repr=False)
@@ -219,39 +224,34 @@ class LindbladTerm:
                 raise ModelError("kraus operator volume must equal the term support")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "kraus", kraus)
+        # the ordered sites and local dimensions of the term's own operators
+        ref = h if h is not None else kraus[0] if kraus else None
+        object.__setattr__(self, "sites", tuple(ref.sites) if ref is not None
+                           else tuple(sorted(support, key=repr)))
+        object.__setattr__(self, "dims", tuple(ref.dims) if ref is not None
+                           else (2,) * len(support))
         h_norm = op_norm(h) if h is not None else 0.0
         k_norms = [op_norm(k) for k in kraus]
         object.__setattr__(self, "cb_upper", 2.0 * h_norm + 2.0 * sum(x * x for x in k_norms))
         own = own_superop(self)
         own.flags.writeable = False
         object.__setattr__(self, "superop", own)
-        object.__setattr__(self, "cb_lower", probed_cb_lower(own, self._dims(), 99,
+        object.__setattr__(self, "cb_lower", probed_cb_lower(own, self.dims, 99,
                                                              self.cb_upper))
-
-    def _site_order(self) -> tuple:
-        ref = self.hamiltonian if self.hamiltonian is not None else self.kraus[0] if self.kraus else None
-        if ref is None:
-            return tuple(sorted(self.support, key=repr))
-        return tuple(ref.sites)
-
-    def _dims(self) -> tuple:
-        ref = self.hamiltonian if self.hamiltonian is not None else self.kraus[0] if self.kraus else None
-        return tuple(ref.dims) if ref is not None else (2,) * len(self.support)
 
 
 def own_superop(term: LindbladTerm) -> np.ndarray:
     """Dense Heisenberg-picture matrix of the term on its own support:
     A -> i[H, A] + sum_j K_j* A K_j - (1/2){K_j* K_j, A}.  Built once per
     term, as ``term.superop``."""
-    sites, dims = term._site_order(), term._dims()
-    total = int(np.prod(dims))
+    total = int(np.prod(term.dims))
     eye = np.eye(total, dtype=complex)
     out = np.zeros((total * total, total * total), dtype=complex)
     if term.hamiltonian is not None:
-        h = embed(term.hamiltonian, sites, dims).matrix
+        h = embed(term.hamiltonian, term.sites, term.dims).matrix
         out += 1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
     for k in term.kraus:
-        km = embed(k, sites, dims).matrix
+        km = embed(k, term.sites, term.dims).matrix
         kdag = km.conj().T
         kk = kdag @ km
         out += left_right_superop(kdag, km)
@@ -271,14 +271,13 @@ def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> scipy.sparse
     where f(p) = inv(p rest^2) and g(k) = inv(k).  Row i of the result is
     therefore row p = sigma(i) // rest^2 of the term, shifted by i - f(p);
     sorting each term row by f once sorts every row of the result."""
-    own = term._site_order()
     by_site = dict(zip(sites, dims))
-    if any(by_site.get(s) != d for s, d in zip(own, term._dims())):
+    if any(by_site.get(s) != d for s, d in zip(term.sites, term.dims)):
         raise ModelError("term dimensions do not match the volume")
     rest = tuple(s for s in sites if s not in term.support)
     rest2 = int(np.prod([by_site[s] for s in rest], dtype=int)) ** 2
     # a vec index runs over column sites (slowest), then row sites
-    legs = tuple((leg, s) for part in (own, rest) for leg in ("col", "row") for s in part)
+    legs = tuple((leg, s) for part in (term.sites, rest) for leg in ("col", "row") for s in part)
     target = tuple((leg, s) for leg in ("col", "row") for s in sites)
     sigma = _basis_permutation(legs, target, tuple(dims) * 2)
     n, m = sigma.size, term.superop.shape[0]
@@ -315,6 +314,18 @@ class DissipativeInteraction:
             if not t.support <= universe:
                 raise ModelError("term support outside the space")
         object.__setattr__(self, "terms", terms)
+        self.dims  # refuses inconsistent local dimensions here, once
+
+    @cached_property
+    def dims(self) -> tuple:
+        """The local dimension at each of ``space.points``, read off the terms'
+        own operators (``LindbladTerm.sites``/``dims``); 2 where no term acts."""
+        by_site: dict = {}
+        for t in self.terms:
+            for s, d in zip(t.sites, t.dims):
+                if by_site.setdefault(s, d) != d:
+                    raise ModelError(f"inconsistent local dimension at site {s!r}")
+        return tuple(by_site.get(s, 2) for s in self.space.points)
 
     @property
     def sup_norm(self) -> float:
@@ -345,11 +356,10 @@ def generator(interaction: DissipativeInteraction) -> Superoperator:
     """The full generator on the interaction's space, the densified ``assemble``
     of every term; a volume whose vectorized dimension exceeds ``MAX_DENSE_DIM``
     is refused before any matrix is allocated."""
-    vol_sites = interaction.space.points
-    dims_t = volume_dims(vol_sites, *interaction.terms)
-    _check_dense(dims_t)
-    return Superoperator(assemble(interaction.terms, vol_sites, dims_t).toarray(), vol_sites,
-                         dims_t, picture="heisenberg")
+    vol_sites, dims = interaction.space.points, interaction.dims
+    _check_dense(dims)
+    return Superoperator(assemble(interaction.terms, vol_sites, dims).toarray(), vol_sites,
+                         dims, picture="heisenberg")
 
 
 def _check_dense(dims: tuple) -> None:
@@ -397,18 +407,6 @@ def finite_range_fnorm_bound(interaction: DissipativeInteraction, f: Callable,
     if sup == 0.0:
         return 0.0
     return sup * 2.0 ** (kappa * r0 ** nu - 2.0) / float(f(r0))
-
-
-def volume_dims(vol_sites: tuple, *terms: LindbladTerm) -> tuple:
-    """Local dimensions of a volume, read off the terms (2 at sites no term
-    covers)."""
-    by_site = {}
-    for t in terms:
-        for s, d in zip(t._site_order(), t._dims()):
-            prev = by_site.setdefault(s, d)
-            if prev != d:
-                raise ModelError(f"inconsistent local dimension at site {s!r}")
-    return tuple(by_site.get(s, 2) for s in vol_sites)
 
 
 # -- named interaction families -------------------------------------------------

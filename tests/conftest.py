@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lrcert as lr
 from lrcert import bounds, harness
@@ -28,6 +29,19 @@ def grid22():
 def damping_interaction(space, gamma=1.0, j=0.0):
     """On-site amplitude damping, optional nearest-neighbour ZZ."""
     return lr.tfim_dissipative(space, j=j, h=0.0, gamma=gamma)
+
+
+def dense_local_error(inter, t, a, region):
+    """opnorm of a evolved by every term minus a evolved by the terms inside
+    ``region``, each by a dense ``scipy.linalg.expm`` of its generator: a
+    reference for ``Dynamics.local_error`` that shares none of its code."""
+    sites, vec = inter.space.points, a.matrix.flatten(order="F")
+
+    def evolved(terms):
+        gen = lr.model.assemble(terms, sites, inter.dims).toarray()
+        return (scipy.linalg.expm(t * gen) @ vec).reshape(a.matrix.shape, order="F")
+
+    return lr.op_norm(evolved(inter.terms) - evolved(inter.terms_for(region)))
 
 
 def single_qubit_damping(gamma=1.0):

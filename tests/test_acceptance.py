@@ -137,7 +137,7 @@ def test_criterion_3_truncation_and_locality(model_pool, pool_constants):
                             failures.append((idx, t, R, r, "composite",
                                              lhs_comp, rhs_comp))
             for r in (1.0, 2.0):
-                lhs_loc = dyn.local_error(t, a, xs, r)
+                lhs_loc = dyn.local_error(t, a, r)
                 wv = bounds.rhs_local_approx(c, a.norm(), xs, t, r)
                 rows += 1
                 if wv.valid and not dominated(lhs_loc, wv.value):
@@ -232,7 +232,7 @@ def test_criterion_5_power_law_theorems(power_law_suite):
             rows += 1
             if not wv.valid:
                 continue
-            lhs = dyn.local_error(t, a, xs, r)
+            lhs = dyn.local_error(t, a, r)
             if not dominated(lhs, wv.value):
                 failures.append(("local power-law", r, t, lhs, wv.value))
 
@@ -243,7 +243,7 @@ def test_criterion_5_power_law_theorems(power_law_suite):
         rows += 1
         if not wv.valid:
             continue
-        lhs = lr.c_ab(dyn, xs, ys, r, t, a, b)
+        lhs = lr.c_ab(dyn, r, t, a, b)
         if not dominated(lhs, wv.value):
             failures.append(("correlation power-law", t, lhs, wv.value))
 
@@ -282,7 +282,7 @@ def test_criterion_6_correlation_decay(model_pool, pool_constants):
         dyn = lr.Dynamics(m.interaction)
         for t in np.linspace(0.0, 2.0 / c.v, 8):
             corr = abs(lr.correlation(omega, dyn, t, a, b))
-            defect = lr.c_ab(dyn, xs, ys, 1.0, t, a, b)
+            defect = lr.c_ab(dyn, 1.0, t, a, b)
             wv = bounds.rhs_correlation_general(c, a.norm(), b.norm(), xs, ys, t, 1.0)
             rows += 1
             if not dominated(corr, defect):

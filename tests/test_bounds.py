@@ -349,7 +349,7 @@ class TestLocalApprox:
         dyn = lr.Dynamics(inter)
         for t in (0.2, 0.5):
             for r in (1.0, 2.0):
-                lhs = dyn.local_error(t, a, {0}, r)
+                lhs = dyn.local_error(t, a, r)
                 wv = bounds.rhs_local_approx(c, a.norm(), {0}, t, r)
                 assert lhs <= wv.value * (1 + 1e-9)
 
@@ -395,7 +395,7 @@ class TestLocalApproxPowerLaw:
             t = r ** 0.3 / (math.e * c.v) * 0.9
             wv = bounds.rhs_local_approx_power_law(c, a.norm(), 1, r, t, 0.5, 0.3)
             assert wv.valid
-            lhs = dyn.local_error(t, a, {0}, r)
+            lhs = dyn.local_error(t, a, r)
             assert lhs <= wv.value * (1 + 1e-9)
 
 

@@ -23,7 +23,7 @@ from lrcert.harness import ConfigError
 from lrcert.model import DissipativeInteraction, LindbladTerm
 from lrcert.qalgebra import from_matrix
 
-from conftest import mixed_field_chain, single_qubit_damping
+from conftest import dense_local_error, mixed_field_chain, single_qubit_damping
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ class TestCorrelation:
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         for t in (0.2, 0.6):
             corr = abs(lr.correlation(omega, dyn, t, a, b))
-            defect = lr.c_ab(dyn, {0}, {3}, 1.0, t, a, b)
+            defect = lr.c_ab(dyn, 1.0, t, a, b)
             assert corr <= defect * (1 + 1e-9) + 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -111,21 +111,25 @@ class TestCAb:
         space, inter = tfim4
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        assert lr.c_ab(lr.Dynamics(inter), {0}, {3}, 1.0, 0.0, a, b) == \
+        assert lr.c_ab(lr.Dynamics(inter), 1.0, 0.0, a, b) == \
             pytest.approx(0.0, abs=1e-13)
 
     def test_zero_when_regions_cover_volume(self, tfim4):
         space, inter = tfim4
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        assert lr.c_ab(lr.Dynamics(inter), {0}, {3}, 4.0, 0.8, a, b) <= 1e-11
+        assert lr.c_ab(lr.Dynamics(inter), 4.0, 0.8, a, b) <= 1e-11
 
-    def test_support_violation_rejected(self, tfim4):
+    def test_regions_are_the_inflated_supports(self, tfim4):
+        # B, A and AB are localized to the r-inflations of {3}, {1} and {1, 3}
         space, inter = tfim4
         a = lr.embed(lr.site_operator("Z", 1), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
-        with pytest.raises(CorrelationsError):
-            lr.c_ab(lr.Dynamics(inter), {0}, {3}, 1.0, 0.5, a, b)
+        t, r = 0.5, 1.0
+        want = (lr.op_norm(a) * dense_local_error(inter, t, b, lr.inflate(space, {3}, r))
+                + lr.op_norm(b) * dense_local_error(inter, t, a, lr.inflate(space, {1}, r))
+                + dense_local_error(inter, t, a @ b, lr.inflate(space, {1, 3}, r)))
+        assert lr.c_ab(lr.Dynamics(inter), r, t, a, b) == pytest.approx(want, rel=1e-10)
 
 
 def dynamic_correlation_row(omega, inter, xs, ys, r, t, a, b):
@@ -135,7 +139,7 @@ def dynamic_correlation_row(omega, inter, xs, ys, r, t, a, b):
     c = ModelConstants.from_model(FFunction.power(3.0), inter)
     rhs = bounds.rhs_dynamic_correlation(c, lr.op_norm(a), lr.op_norm(b), xs, ys, r,
                                          omega.governance,
-                                         lr.c_ab(dyn, xs, ys, r, t, a, b))
+                                         lr.c_ab(dyn, r, t, a, b))
     return BoundReport("dynamic_correlation", {},
                        abs(lr.correlation(omega, dyn, t, a, b)), rhs.value, rhs.flags)
 

@@ -12,7 +12,7 @@ from lrcert.dynamics import DynamicsError, choi_matrix, choi_min_eigenvalue
 from lrcert.model import DissipativeInteraction, ModelError
 from lrcert.qalgebra import _basis_permutation, embed, from_matrix, left_right_superop
 
-from conftest import mixed_field_chain, single_qubit_damping
+from conftest import dense_local_error, mixed_field_chain, single_qubit_damping
 
 
 def damping_closed_form(t, a):
@@ -150,19 +150,26 @@ class TestLhsErrors:
     def test_local_error_full_region(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.Dynamics(inter).local_error(0.9, a, {0}, 5.0) <= 1e-12
+        assert lr.Dynamics(inter).local_error(0.9, a, 5.0) <= 1e-12
 
     def test_local_error_zero_time(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.Dynamics(inter).local_error(0.0, a, {0}, 1.0) == \
+        assert lr.Dynamics(inter).local_error(0.0, a, 1.0) == \
             pytest.approx(0.0, abs=1e-14)
 
-    def test_unsupported_observable_rejected(self, chain4):
+    def test_region_is_the_inflated_support(self, chain4):
+        # the strictly local dynamics of Z2 keeps the terms inside the
+        # r-inflation of its support {2}, not of any other region
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)
         a = lr.embed(lr.site_operator("Z", 2), chain4.points)
-        with pytest.raises(DynamicsError):
-            lr.Dynamics(inter).local_error(0.5, a, {0}, 1.0)
+        dyn = lr.Dynamics(inter)
+        for r in (0.0, 1.0, 2.0):
+            got = dyn.local_error(0.5, a, r)
+            want = dense_local_error(inter, 0.5, a, lr.inflate(chain4, {2}, r))
+            assert got == pytest.approx(want, rel=1e-10)
+            other = dense_local_error(inter, 0.5, a, lr.inflate(chain4, {0}, r))
+            assert abs(got - other) > 1e-3
 
 
 class TestChoi:
@@ -251,7 +258,7 @@ def kron_term_superop(term, sites, dims):
     superoperator tensored with the identity on the rest of the volume, then
     the legs permuted by fancy indexing; the reference for the index
     arithmetic of ``local_superop``."""
-    own = term._site_order()
+    own = term.sites
     rest = tuple(s for s in sites if s not in term.support)
     by_site = dict(zip(sites, dims))
     rest_dim = int(np.prod([by_site[s] for s in rest], dtype=int))
@@ -409,4 +416,4 @@ class TestDenseCeiling:
                 lr.generator(inter)
         # the action path has no dense ceiling
         a = lr.embed(lr.site_operator("Z", 0), chain4.points)
-        assert lr.Dynamics(inter).local_error(0.5, a, {0}, 1.0) > 0
+        assert lr.Dynamics(inter).local_error(0.5, a, 1.0) > 0

@@ -19,6 +19,8 @@ from lrcert import cli, correlations, dynamics, harness, model
 from lrcert.bounds import BoundReport, ModelConstants
 from lrcert.harness import ConfigError, config_from_dict, load_config
 
+from conftest import dense_local_error
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -172,6 +174,38 @@ class TestLoadConfig:
             theorems=["dynamic_correlation"]))
         reports, _ = harness.run_experiment(cfg)
         assert reports and all(r.passes() for r in reports if r.valid)
+
+    def test_product_state_mapping_on_tuple_sites(self):
+        # a key that is a JSON array names the tuple site, as points do
+        labels = {(0, 0): "0", (0, 1): "+", (1, 0): "1", (1, 1): "+"}
+        cfg = config_from_dict(minimal_raw(
+            space="grid(2,2)",
+            observables={"a": {"matrix": [[1, 0], [0, -1]], "sites": [[0, 0]]},
+                         "b": {"matrix": [[1, 0], [0, -1]], "sites": [[1, 1]]}},
+            state={"product": {json.dumps(list(s)): v for s, v in labels.items()}},
+            theorems=["dynamic_correlation"]))
+        reports, _ = harness.run_experiment(cfg)
+        want = correlations.StateFunctional.product(cfg.space.points, labels)
+        np.testing.assert_array_equal(cfg.state.density, want.density)
+        assert len(reports) == 2 and all(r.passes() for r in reports if r.valid)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"t": [0.5]}}, "grid: unknown field"),
+        ({"poly": {"eta": 0.5}}, "poly.eta: unknown field"),
+        ({"interaction": "tfim_dissipative(0.5, 0.4, 1.0, 2.0)"},
+         "interaction: tfim_dissipative takes 3 positional argument(s), got 4"),
+        ({"interaction": "tfim_dissipative(0.5, 0.4, 1.0, gamma=2.0)"},
+         "interaction: tfim_dissipative takes no keyword argument 'gamma'"),
+        ({"interaction": "long_range_zz(0.5, 3)"},
+         "interaction: long_range_zz takes 3 positional argument(s), got 2"),
+        ({"space": "chain(4, metric=l2)"}, "space: chain takes no keyword argument 'metric'"),
+        ({"f_function": "weighted(0.5, power(3), 2)"},
+         "f_function: weighted takes 2 positional argument(s), got 3"),
+    ])
+    def test_refusal_names_the_field_or_descriptor(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(minimal_raw(**overrides))
+        assert str(info.value).startswith(message)
 
     def test_state_checked_only_where_read(self):
         # full_lrb never reads the state
@@ -339,6 +373,37 @@ class TestVolumeCeiling:
         assert "configuration error: space:" in capsys.readouterr().err
 
 
+class TestQutritSite:
+    def test_runner_embeds_on_the_interactions_dims(self):
+        # a qutrit term and a qutrit observable at site 0 of a qubit chain:
+        # the runner embeds A and B on the interaction's local dimensions
+        space = lr.FiniteMetricSpace.chain(4)
+        spin1_x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
+        spin1_z, lower = np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 1.0], k=1)
+        qutrit = lr.from_matrix(0.4 * spin1_x, (0,), dims=(3,))
+        coupling = lr.from_matrix(0.5 * np.kron(spin1_z, model.PAULI_Z), (0, 1), dims=(3, 2))
+        terms = [model.LindbladTerm(frozenset([0]), qutrit,
+                                    (lr.from_matrix(lower, (0,), dims=(3,)),)),
+                 model.LindbladTerm(frozenset([0, 1]), coupling, ())]
+        terms += [t for t in lr.tfim_dissipative(space, 0.5, 0.4, 1.0).terms
+                  if 0 not in t.support]
+        inter = model.DissipativeInteraction(space, tuple(terms))
+        groups = ("certify-lrb", "certify-truncation", "certify-local")
+        cfg = dataclasses.replace(
+            config_from_dict(minimal_raw(space="chain(4)", observables={"a": "Z0", "b": "Z3"},
+                                         grids={"t": [0, 0.5, 1.0], "R": [1, 2], "r": [1, 2]})),
+            interaction=inter, a_local=lr.from_matrix(spin1_z, (0,), dims=(3,)),
+            theorems=tuple(n for n, s in harness.THEOREMS.items() if s.group in groups))
+        reports, _ = harness.run_experiment(cfg)
+        assert len(reports) == 53 and all(r.passes() for r in reports if r.valid)
+        a = lr.embed(cfg.a_local, space.points, inter.dims)
+        local = [r for r in reports if r.theorem == "local_approx" and r.params["t"] == 0.5]
+        for rep in local:
+            region = lr.inflate(space, {0}, rep.params["r"])
+            assert rep.lhs == pytest.approx(dense_local_error(inter, 0.5, a, region),
+                                            rel=1e-10)
+
+
 class TestRandomModel:
     def test_seed_determinism(self):
         m1 = harness.random_model(42, n_sites=3)
@@ -466,7 +531,7 @@ class TestRunExperiment:
         original = correlations.c_ab
 
         def counting(*args, **kwargs):
-            calls.append(args[3:5])
+            calls.append(args[1:3])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(correlations, "c_ab", counting)
@@ -690,6 +755,21 @@ class TestCli:
         ({"seed": 1, "poly": {"epsilon": math.nan}}, "poly.epsilon"),
         ({"seed": 1, "poly": {"delta": math.inf}}, "poly.delta"),
         ({"seed": 1, "poly": {"eta_exp": -math.inf}}, "poly.eta_exp"),
+        ({"seed": 1, "grid": {"t": [0.5]}}, "grid"),
+        ({"seed": 1, "poly": {"eta": 0.5}}, "poly.eta"),
+        ({"seed": 1, "observables": {"a": "Z0", "c": "Z3"}}, "observables.c"),
+        ({"seed": 1, "grids": {"T": [0.5]}}, "grids.T"),
+        ({"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4, 1.0, gamma=2.0)"},
+         "interaction"),
+        ({"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4, 1.0, 2.0)"}, "interaction"),
+        ({"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4)"}, "interaction"),
+        ({"seed": 1, "space": "chain(4, 7)"}, "space"),
+        ({"seed": 1, "space": "grid(2,2,3)"}, "space"),
+        ({"seed": 1, "f_function": "power(3, 9)"}, "f_function"),
+        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"}, "state": "product(0, 1)"},
+         "state"),
+        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"}, "state": "maximally_mixed(0)"},
+         "state"),
     ])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, raw, field):
         path = tmp_path / "bad.json"

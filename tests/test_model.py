@@ -99,7 +99,28 @@ def pair_only_interaction(space, amp=0.5):
 def assembled(inter, terms):
     """The dense generator of ``terms`` on the interaction's whole space."""
     points = inter.space.points
-    return model.assemble(terms, points, model.volume_dims(points, *inter.terms)).toarray()
+    return model.assemble(terms, points, inter.dims).toarray()
+
+
+SPIN1_Z = np.diag([1.0, 0.0, -1.0])
+
+
+class TestInteractionDims:
+    def test_read_off_the_terms(self):
+        # a qutrit at site 1, coupled to site 0; no term covers site 2
+        space = lr.FiniteMetricSpace.chain(3)
+        terms = (LindbladTerm(frozenset([1]), from_matrix(SPIN1_Z, (1,), dims=(3,)), ()),
+                 LindbladTerm(frozenset([0, 1]),
+                              from_matrix(np.kron(PAULI_Z, SPIN1_Z), (0, 1), dims=(2, 3)), ()))
+        inter = DissipativeInteraction(space, terms)
+        assert inter.dims == lr.generator(inter).dims == lr.Dynamics(inter).dims == (2, 3, 2)
+
+    def test_inconsistent_dimensions_refused(self):
+        space = lr.FiniteMetricSpace.chain(2)
+        qubit = LindbladTerm(frozenset([0]), from_matrix(PAULI_Z, (0,)), ())
+        qutrit = LindbladTerm(frozenset([0]), from_matrix(SPIN1_Z, (0,), dims=(3,)), ())
+        with pytest.raises(ModelError, match="inconsistent local dimension at site 0"):
+            DissipativeInteraction(space, (qubit, qutrit)).dims
 
 
 class TestGenerator:

@@ -230,7 +230,7 @@ class TestProbedCbLower:
         assert len(terms) > 20
         for term in terms:
             assert term.cb_lower == per_probe_cb_lower(
-                term.superop, term._site_order(), term._dims(), 99, term.cb_upper)
+                term.superop, term.sites, term.dims, 99, term.cb_upper)
         b = lr.from_matrix(rand_matrix(np.random.default_rng(13), 4), (2, 5))
         k = lr.commutator_map(b)
         assert k.cb_lower == per_probe_cb_lower(k.matrix, (2, 5), (2, 2), 2024, k.cb_upper)
