@@ -100,10 +100,11 @@ def _growth_integral(v: float, t: float) -> float:
 class BoundReport:
     """One certified inequality instance.
 
-    ``passes(tolerance)`` requires both the slack criterion and every
-    validity flag; rows with ``valid == False`` are recorded but never count
-    as violations.  It is the one pass predicate behind the CSV and JSON
-    ``pass`` column, the manifest tallies and the CLI exit code.
+    ``passes()`` requires every validity flag and a slack of at least
+    ``-SLACK_RTOL * max(1, rhs)``; rows with ``valid == False`` are recorded
+    but never count as violations.  It is the one pass predicate, at the one
+    tolerance, behind the CSV and JSON ``pass`` column, the manifest tallies
+    and the CLI exit code.
     """
 
     theorem: str
@@ -120,8 +121,8 @@ class BoundReport:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    def passes(self, tolerance: float = SLACK_RTOL) -> bool:
-        return self.valid and self.slack >= -tolerance * max(1.0, self.rhs)
+    def passes(self) -> bool:
+        return self.valid and self.slack >= -SLACK_RTOL * max(1.0, self.rhs)
 
 
 @dataclass(frozen=True)

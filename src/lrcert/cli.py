@@ -1,27 +1,22 @@
 """Command-line entry point.
 
+With ``--out`` every run writes reports.csv and reports.json, and a config
+run also manifest.json.  A row passes by ``BoundReport.passes``, at the one
+tolerance ``bounds.SLACK_RTOL``, in the reports, the summary and the exit code.
+
 Exit codes: 0 all valid rows pass, 1 at least one violation, 2 configuration
-error, 3 numerical failure (the offending parameter point is printed).
+error (an unknown flag among them), 3 numerical failure (the offending
+parameter point is printed).
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 from . import harness
-from .bounds import SLACK_RTOL
 
 GROUPS = {**harness.GROUPS, "sweep": None}
-
-
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="experiment config (JSON)")
-    p.add_argument("--out", default=None, help="output directory for reports")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--tolerance", type=float, default=SLACK_RTOL,
-                   help="relative slack tolerance for the pass decision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,25 +27,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in GROUPS:
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="experiment config (JSON)")
+        p.add_argument("--out", default=None, help="output directory for the reports")
     p = sub.add_parser("random-suite")
     p.add_argument("--models", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sites", type=int, default=4)
-    _add_common(p, config_required=False)
+    p.add_argument("--out", default=None, help="output directory for the reports")
     return parser
 
 
-def _formats(arg: str) -> tuple:
-    return ("csv", "json") if arg == "both" else (arg,)
+def _violations(reports) -> list:
+    return [r for r in reports if r.valid and not r.passes()]
 
 
-def _violations(reports, tol: float) -> list:
-    return [r for r in reports if r.valid and not r.passes(tol)]
-
-
-def _summarize(manifest, reports, tol):
-    bad = _violations(reports, tol)
+def _summarize(manifest, reports):
+    bad = _violations(reports)
     for theorem, tally in sorted(manifest.tallies.items()):
         ratio = manifest.tightest.get(theorem)
         ratio_s = f"{ratio:.3e}" if ratio is not None else "n/a"
@@ -63,9 +55,6 @@ def _summarize(manifest, reports, tol):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise harness.ConfigError("--tolerance",
-                                      f"{args.tolerance} is not a finite value >= 0")
         if args.command == "random-suite":
             return _run_random_suite(args)
         return _run_config(args)
@@ -86,15 +75,13 @@ def _run_config(args) -> int:
         theorems = cfg.theorems or harness.ALL_THEOREMS
     try:
         reports, manifest = harness.run_experiment(replace(cfg, theorems=theorems),
-                                                   out_dir=args.out,
-                                                   formats=_formats(args.format),
-                                                   tolerance=args.tolerance)
+                                                   out_dir=args.out)
     except harness.ConfigError:  # the runner's selection check: exit 2, in main
         raise
     except Exception as exc:  # numerical failure; the point is in the message
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    bad = _summarize(manifest, reports, args.tolerance)
+    bad = _summarize(manifest, reports)
     return 1 if bad else 0
 
 
@@ -123,8 +110,8 @@ def _run_random_suite(args) -> int:
         all_reports.extend(reports)
     all_reports = harness.sort_reports(all_reports)
     if args.out:
-        harness.write_reports(args.out, all_reports, _formats(args.format), args.tolerance)
-    bad = _violations(all_reports, args.tolerance)
+        harness.write_reports(args.out, all_reports)
+    bad = _violations(all_reports)
     print(f"{args.models} models, {len(all_reports)} rows, violations {len(bad)}")
     return 1 if bad else 0
 

@@ -81,16 +81,14 @@ class FiniteMetricSpace:
                    descriptor=f"chain({n})")
 
     @classmethod
-    def grid(cls, nx: int, ny: int, metric: str = "l1") -> "FiniteMetricSpace":
+    def grid(cls, nx: int, ny: int) -> "FiniteMetricSpace":
         """An nx-by-ny grid with the l1 (taxicab) metric; sites are (i, j) tuples."""
         if nx < 1 or ny < 1:
             raise GeometryError("grid needs nx, ny >= 1")
-        if metric != "l1":
-            raise GeometryError(f"unsupported grid metric {metric!r}")
         pts = tuple(itertools.product(range(nx), range(ny)))
         coords = np.array(pts, dtype=float)
         d = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
-        return cls(pts, d, descriptor=f"grid({nx},{ny},metric=l1)")
+        return cls(pts, d, descriptor=f"grid({nx},{ny})")
 
     @classmethod
     def explicit(cls, points: Sequence[Site], dist) -> "FiniteMetricSpace":

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import bounds, correlations, dynamics, geometry, model, qalgebra
-from .bounds import SLACK_RTOL, BoundReport, BoundsError, ModelConstants
+from .bounds import BoundReport, BoundsError, ModelConstants
 from .correlations import StateFunctional
 from .decay import FFunction
 from .geometry import FiniteMetricSpace, GeometryError
@@ -68,17 +68,18 @@ class ConfigError(ValueError):
 
 
 def _parse_call(desc, kind: str, signatures: Mapping[str, tuple]):
-    """Split the ``kind`` descriptor 'name(arg, arg, key=val)' into (name,
-    positional, keyword): its name a key of ``signatures``, called with a
-    positional count (int) and only keywords (str) its signature lists."""
+    """Split the ``kind`` descriptor 'name(arg, arg)' into (name, args): its
+    name a key of ``signatures``, called with one of the argument counts its
+    signature lists.  No descriptor takes a keyword argument."""
     desc = str(desc).strip()
     name, paren, rest = desc.partition("(")
     if paren and not desc.endswith(")"):
         raise ValueError(f"malformed descriptor {desc!r}")
-    args, kwargs = [], {}
-    body = rest[:-1].strip()
+    name = name.strip()
+    if name not in signatures:
+        raise ValueError(f"unknown {kind} descriptor {desc!r}")
     depth, parts = 0, [""]
-    for ch in body:
+    for ch in rest[:-1].strip():
         depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
             parts.append("")
@@ -86,23 +87,15 @@ def _parse_call(desc, kind: str, signatures: Mapping[str, tuple]):
             parts[-1] += ch
     if not parts[-1].strip():
         parts.pop()
-    for part in parts:
-        part = part.strip()
-        if "=" in part and "(" not in part.split("=", 1)[0]:
-            key, _, val = part.partition("=")
-            kwargs[key.strip()] = val.strip()
-        else:
-            args.append(part)
-    name = name.strip()
-    if name not in signatures:
-        raise ValueError(f"unknown {kind} descriptor {desc!r}")
+    args = [part.strip() for part in parts]
+    for arg in args:
+        key, eq, _ = arg.partition("=")
+        if eq and "(" not in key:
+            raise ValueError(f"{name} takes no keyword argument {key.strip()!r}")
     if len(args) not in signatures[name]:
-        counts = " or ".join(str(n) for n in signatures[name] if isinstance(n, int))
+        counts = " or ".join(map(str, signatures[name]))
         raise ValueError(f"{name} takes {counts} positional argument(s), got {len(args)}")
-    for key in kwargs:
-        if key not in signatures[name]:
-            raise ValueError(f"{name} takes no keyword argument {key!r}")
-    return name, args, kwargs
+    return name, args
 
 
 def parse_space(desc) -> FiniteMetricSpace:
@@ -112,12 +105,12 @@ def parse_space(desc) -> FiniteMetricSpace:
         points = [_site_from_json(p) for p in desc["points"]]
         _within_ceiling(len(points))
         return FiniteMetricSpace.explicit(points, desc["dist"])
-    name, args, kwargs = _parse_call(desc, "space", {"chain": (1,), "grid": (2, "metric")})
+    name, args = _parse_call(desc, "space", {"chain": (1,), "grid": (2,)})
     if name == "chain":
         return FiniteMetricSpace.chain(_within_ceiling(int(args[0])))
     nx, ny = int(args[0]), int(args[1])
     _within_ceiling(max(nx, 0) * max(ny, 0))
-    return FiniteMetricSpace.grid(nx, ny, metric=kwargs.get("metric", "l1"))
+    return FiniteMetricSpace.grid(nx, ny)
 
 
 def _within_ceiling(n_points: int) -> int:
@@ -129,8 +122,8 @@ def _within_ceiling(n_points: int) -> int:
 def parse_f_function(desc) -> FFunction:
     if isinstance(desc, Mapping):
         return FFunction.table(desc["grid"], desc["values"])
-    name, args, _ = _parse_call(desc, "profile", {"power": (1,), "weighted": (2,),
-                                                  "table": (1,)})
+    name, args = _parse_call(desc, "profile", {"power": (1,), "weighted": (2,),
+                                               "table": (1,)})
     if name == "power":
         return FFunction.power(float(args[0]))
     if name == "weighted":
@@ -196,7 +189,7 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
             _matrix_from_json(desc["matrix"]),
             space.ordered([_site_from_json(s) for s in desc["support"]]),
             cb_upper=desc.get("cb_upper"), cb_lower=desc.get("cb_lower"), probe_seed=seed)
-    _, args, _ = _parse_call(desc, "observation-map", {"commutator": (0, 1)})
+    _, args = _parse_call(desc, "observation-map", {"commutator": (0, 1)})
     target = parse_operator(args[0], space) if args else b_local
     return commutator_map(target, probe_seed=seed) if target is not None else None
 
@@ -214,31 +207,30 @@ def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
             terms.append(LindbladTerm(support, ham, kraus, label=td.get("label", f"term{i}")))
         return DissipativeInteraction(space, tuple(terms))
     family = {"tfim_dissipative": model.tfim_dissipative, "long_range_zz": model.long_range_zz}
-    name, args, _ = _parse_call(desc, "interaction", dict.fromkeys(family, (3,)))
+    name, args = _parse_call(desc, "interaction", dict.fromkeys(family, (3,)))
     return family[name](space, *map(float, args))
 
 
-def parse_state(desc, sites: tuple) -> Optional[StateFunctional]:
-    """The state a descriptor names on the qubit sites ``sites``; None
-    signals the stationary state, resolved against the model at run time."""
+def parse_state(desc, sites: tuple, dims: tuple) -> Optional[StateFunctional]:
+    """The state a descriptor names on ``sites`` of local dimensions ``dims``;
+    None signals the stationary state, resolved against the model at run time."""
     if isinstance(desc, Mapping):
         if "product" in desc:
             arg = desc["product"]
             if isinstance(arg, Mapping):
                 arg = {_site_from_json_key(k): _single_site(v, f"at site {k}")
                        for k, v in arg.items()}
-            return StateFunctional.product(sites, _single_site(arg, f"in {desc!r}"))
+            return StateFunctional.product(sites, _single_site(arg, f"in {desc!r}"), dims)
         if "density" in desc:
-            return StateFunctional(_matrix_from_json(desc["density"]), sites,
-                                   (2,) * len(sites))
+            return StateFunctional(_matrix_from_json(desc["density"]), sites, dims)
         raise ValueError(f"unknown state object {desc!r}")
-    name, args, _ = _parse_call(desc, "state", {"product": (0, 1), "maximally_mixed": (0,),
-                                                "stationary": (0,)})
+    name, args = _parse_call(desc, "state", {"product": (0, 1), "maximally_mixed": (0,),
+                                             "stationary": (0,)})
     if name == "product":
         label = _single_site(args[0] if args else "0", f"in {desc!r}")
-        return StateFunctional.product(sites, label)
+        return StateFunctional.product(sites, label, dims)
     if name == "maximally_mixed":
-        return StateFunctional.maximally_mixed(sites)
+        return StateFunctional.maximally_mixed(sites, dims)
     return None
 
 
@@ -309,9 +301,11 @@ class ExperimentConfig:
 
     @cached_property
     def state(self) -> Optional[StateFunctional]:
-        """The state the file's descriptor names on the volume; None for the
-        stationary state, which the runner resolves against the model."""
-        return parse_state(self.raw.get("state", "product(+)"), self.space.points)
+        """The state the file's descriptor names on the volume and its local
+        dimensions; None for the stationary state, which the runner resolves
+        against the model."""
+        return parse_state(self.raw.get("state", "product(+)"), self.space.points,
+                           self.interaction.dims)
 
     def config_hash(self) -> str:
         """SHA-256 of what this config runs: each field by value (the space
@@ -544,8 +538,8 @@ class RunManifest:
     tallies: dict
     worst_slack: dict
     tightest: dict  # per theorem, max lhs/rhs over valid rows with rhs > 0
-    counters: dict = field(default_factory=dict)  # propagation work, dense blocks
-    theorem_wall_s: dict = field(default_factory=dict)  # per selected theorem
+    counters: dict  # propagation work, dense blocks
+    theorem_wall_s: dict  # per selected theorem
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -851,7 +845,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def reports_to_csv(reports: Sequence[BoundReport], tolerance: float = SLACK_RTOL) -> str:
+def reports_to_csv(reports: Sequence[BoundReport]) -> str:
     lines = ["theorem,t,R,r,d,lhs,rhs,slack,valid,pass"]
     for rep in reports:
         p = rep.params
@@ -859,7 +853,7 @@ def reports_to_csv(reports: Sequence[BoundReport], tolerance: float = SLACK_RTOL
         lines.append(",".join([
             rep.theorem, _fmt(p.get("t")), _fmt(p.get("R")), _fmt(p.get("r")),
             _fmt(p.get("d")), _fmt(rep.lhs), _fmt(rep.rhs), _fmt(slack),
-            str(rep.valid).lower(), str(rep.passes(tolerance)).lower()]))
+            str(rep.valid).lower(), str(rep.passes()).lower()]))
     return "\n".join(lines) + "\n"
 
 
@@ -869,7 +863,7 @@ def _json_safe(x):
     return x
 
 
-def reports_to_json(reports: Sequence[BoundReport], tolerance: float = SLACK_RTOL) -> str:
+def reports_to_json(reports: Sequence[BoundReport]) -> str:
     payload = []
     for rep in reports:
         payload.append({
@@ -879,16 +873,14 @@ def reports_to_json(reports: Sequence[BoundReport], tolerance: float = SLACK_RTO
             "rhs": _json_safe(rep.rhs),
             "slack": _json_safe(rep.slack),
             "valid": rep.valid,
-            "pass": rep.passes(tolerance),
+            "pass": rep.passes(),
             "flags": dict(rep.flags),
         })
     return json.dumps({"reports": payload}, indent=2, sort_keys=True) + "\n"
 
 
 def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
-                   wall_time_s: float, tolerance: float = SLACK_RTOL,
-                   counters: Optional[dict] = None,
-                   theorem_wall_s: Optional[dict] = None) -> RunManifest:
+                   wall_time_s: float, counters: dict, theorem_wall_s: dict) -> RunManifest:
     import scipy
 
     from . import __version__
@@ -902,7 +894,7 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
         tally["rows"] += 1
         if not rep.valid:
             tally["invalid"] += 1
-        elif rep.passes(tolerance):
+        elif rep.passes():
             tally["passed"] += 1
         else:
             tally["failed"] += 1
@@ -919,37 +911,33 @@ def build_manifest(cfg: ExperimentConfig, reports: Sequence[BoundReport],
         tallies=tallies,
         worst_slack={k: v for k, v in worst.items()},
         tightest=tightest,
-        counters=dict(counters or {}),
-        theorem_wall_s=dict(theorem_wall_s or {}),
+        counters=dict(counters),
+        theorem_wall_s=dict(theorem_wall_s),
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, formats=("csv", "json"),
-                   tolerance: float = SLACK_RTOL):
-    """Execute the configured checks; returns (reports, manifest).  The pass
-    column and the tallies use ``BoundReport.passes(tolerance)``; the
+def run_experiment(cfg: ExperimentConfig, out_dir=None):
+    """Execute the configured checks; returns (reports, manifest), and with
+    ``out_dir`` writes reports.csv, reports.json and manifest.json there.
+    The pass column and the tallies use ``BoundReport.passes``; the
     manifest's ``counters`` are the runner's (``ExperimentRunner.counters``),
     and its ``theorem_wall_s`` the runner's time per theorem."""
     started = time.perf_counter()
     runner = ExperimentRunner(cfg)
     reports = runner.run()
-    manifest = build_manifest(cfg, reports, time.perf_counter() - started, tolerance,
-                              counters=runner.counters(),
-                              theorem_wall_s=runner.theorem_wall_s)
+    manifest = build_manifest(cfg, reports, time.perf_counter() - started,
+                              runner.counters(), runner.theorem_wall_s)
     if out_dir is not None:
-        out = write_reports(out_dir, reports, formats, tolerance)
+        out = write_reports(out_dir, reports)
         (out / "manifest.json").write_text(
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return reports, manifest
 
 
-def write_reports(out_dir, reports: Sequence[BoundReport], formats=("csv", "json"),
-                  tolerance: float = SLACK_RTOL) -> Path:
-    """reports.csv and/or reports.json in ``out_dir``, which is created."""
+def write_reports(out_dir, reports: Sequence[BoundReport]) -> Path:
+    """reports.csv and reports.json in ``out_dir``, which is created."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "csv" in formats:
-        (out / "reports.csv").write_text(reports_to_csv(reports, tolerance))
-    if "json" in formats:
-        (out / "reports.json").write_text(reports_to_json(reports, tolerance))
+    (out / "reports.csv").write_text(reports_to_csv(reports))
+    (out / "reports.json").write_text(reports_to_json(reports))
     return out
