@@ -47,13 +47,7 @@ from .model import (
     long_range_zz,
     tfim_dissipative,
 )
-from .dynamics import (
-    Dynamics,
-    choi_matrix,
-    choi_min_eigenvalue,
-    evolve,
-    propagator,
-)
+from .dynamics import Dynamics, evolve, propagator
 from .bounds import BoundReport, ModelConstants, WindowedValue
 from .correlations import (
     FixedPointAnalysis,

@@ -5,14 +5,15 @@ run also manifest.json.  A row passes by ``BoundReport.passes``, at the one
 tolerance ``bounds.SLACK_RTOL``, in the reports, the summary and the exit code.
 
 Exit codes: 0 all valid rows pass, 1 at least one violation, 2 configuration
-error (an unknown flag among them), 3 numerical failure (the offending
-parameter point is printed).
+error (an unknown flag, or an ``--out`` that cannot be a directory, among
+them), 3 numerical failure (the offending parameter point is printed).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import harness
 
@@ -55,12 +56,23 @@ def _summarize(manifest, reports):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _make_out(args.out)
         if args.command == "random-suite":
             return _run_random_suite(args)
         return _run_config(args)
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+
+
+def _make_out(out) -> None:
+    """Create the ``--out`` directory before any model work, so a path that
+    cannot be one is a configuration error, not a failure after the run."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise harness.ConfigError("--out", str(exc)) from exc
 
 
 def _run_config(args) -> int:

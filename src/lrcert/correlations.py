@@ -20,11 +20,11 @@ Schroedinger maps exp(tL) of its grid as one dict (``_semigroup``, where a
 time that is the sum of two earlier ones is their maps' product) and the
 fixed projection P.  Its checks read T_t - P: the growth-bound identity at
 t = 1 and the upper bracket of each grid time, under the envelope
-c e^{-gamma t}.  The generator may be dense or sparse: every O(n^3) step
-runs on its invariant blocks (``Superoperator._blocks``), gathered from its
-CSR view, one batched LAPACK call per block size, so a sparse generator,
-such as the runner's, is never densified; only the ascent reads a dense
-map.  The analysis runs no ascent:
+c e^{-gamma t}.  The generator is a ``Superoperator``, one CSR matrix:
+every O(n^3) step runs on its invariant blocks (``Superoperator._blocks``),
+gathered from its stored entries, one batched LAPACK call per block size, so
+the generator is never densified; only the ascent reads a dense map.  The
+analysis runs no ascent:
 ``convergence_envelope`` and ``mixing_eta`` read its maps for the lower
 brackets, and ``spectral_gap`` is its gap on an empty grid.
 ``correlation`` evolves observables through ``Dynamics``, and ``c_ab``

@@ -13,16 +13,16 @@ observable's support, off the observable).  Every exact left-hand side but
 the fixed-point group's (the analysis' block maps) is a ``Dynamics`` method
 or built from its evolutions: the quasi-locality norm, the truncation and
 local approximation errors here, ``correlations.correlation`` and ``c_ab``.
-The module-level ``evolve`` acts the same way with a dense generator.  Dense
-exponentials remain for ``propagator``, whose whole map the Choi checks
-consume, and the fixed-point suite; both run one dense ``expm`` per block
-size of the generator's invariant blocks (``Superoperator._exp_blocks``),
-which ``propagator`` scatters into the whole map (``Superoperator.exp``)
-and the fixed-point analysis keeps.  The runner's analysis reads the full
-CSR generator held here, block by block, and never densifies it.  Dense
-work caps at ``model.MAX_DENSE_DIM`` (six qubits); the action path has no
-ceiling of its own, and an observation map acts on its own sites
-(``qalgebra.apply_map``).
+The module-level ``evolve`` acts the same way with a ``Superoperator``
+generator.  Every generator is a ``Superoperator``, one CSR matrix
+(``model.assemble``).  The one dense map left is ``propagator``'s, the
+read-only array ``Superoperator.exp``: one dense ``expm`` per block size of
+the generator's invariant blocks (``Superoperator._exp_blocks``), scattered
+into the whole map; the fixed-point analysis keeps the blocks instead.  The
+runner's analysis reads the full generator held here, block by block, and
+never densifies it.  Dense work caps at ``model.MAX_DENSE_DIM`` (six qubits);
+the action path has no ceiling of its own, and an observation map acts on
+its own sites (``qalgebra.apply_map``).
 """
 from __future__ import annotations
 
@@ -34,27 +34,23 @@ import scipy.sparse.linalg
 
 from . import geometry, model
 from .model import DissipativeInteraction, LindbladTerm, Superoperator
-from .qalgebra import (ObservableOp, ObservationMap, _choi, apply_map, devectorize, op_norm,
-                       vectorize)
+from .qalgebra import ObservableOp, ObservationMap, apply_map, devectorize, op_norm, vectorize
 
 
 class DynamicsError(ValueError):
     pass
 
 
-def _action(matrix, t: float, vec: np.ndarray) -> np.ndarray:
+def _action(matrix: scipy.sparse.csr_matrix, t: float, vec: np.ndarray) -> np.ndarray:
     """exp(t * matrix) @ vec without forming the exponential; t = 0 returns a
-    copy of ``vec``, exactly.  A CSR matrix is scaled with its index arrays
+    copy of ``vec``, exactly.  The CSR matrix is scaled with its index arrays
     shared, not copied, which lowers the peak allocation of a call."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
     if t == 0.0:
         return vec.copy()
-    if getattr(matrix, "format", None) == "csr":
-        scaled = scipy.sparse.csr_matrix((t * matrix.data, matrix.indices, matrix.indptr),
-                                         shape=matrix.shape)
-    else:
-        scaled = t * matrix
+    scaled = scipy.sparse.csr_matrix((t * matrix.data, matrix.indices, matrix.indptr),
+                                     shape=matrix.shape)
     return scipy.sparse.linalg.expm_multiply(scaled, vec)
 
 
@@ -79,8 +75,8 @@ class Dynamics:
         self.counters = {"generators": 0, "evolutions": 0, "evolution_hits": 0,
                          "expm_multiply": 0}
 
-    def generator(self, terms: Optional[Iterable[LindbladTerm]] = None):
-        """CSR generator of ``terms``, terms of the interaction (every term
+    def generator(self, terms: Optional[Iterable[LindbladTerm]] = None) -> Superoperator:
+        """The generator of ``terms``, terms of the interaction (every term
         by default), keyed by their identities: the interaction holds them."""
         terms = tuple(self.interaction.terms if terms is None else terms)
         key = tuple(map(id, terms))
@@ -100,7 +96,7 @@ class Dynamics:
         if key in self._evolved:
             self.counters["evolution_hits"] += 1
         else:
-            self._evolved[key] = devectorize(_action(gen, t, vec), a.sites, a.dims)
+            self._evolved[key] = devectorize(_action(gen.matrix, t, vec), a.sites, a.dims)
             self.counters["evolutions"] += 1
             self.counters["expm_multiply"] += int(t > 0)
         return self._evolved[key]
@@ -135,12 +131,12 @@ class Dynamics:
         return op_norm(self.evolve(t, a) - self.evolve(t, a, self.interaction.terms_for(region)))
 
 
-def propagator(gen: Superoperator, t: float) -> Superoperator:
-    """exp(t * gen); defined for t >= 0 only (semigroup, not a group), by
-    ``Superoperator.exp``."""
+def propagator(gen: Superoperator, t: float) -> np.ndarray:
+    """exp(t * gen) as a read-only dense array (``Superoperator.exp``);
+    defined for t >= 0 only (semigroup, not a group)."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
-    return Superoperator(gen.exp(t), gen.sites, gen.dims, picture=gen.picture)
+    return gen.exp(t)
 
 
 def evolve(gen: Superoperator, t: float, a: ObservableOp) -> ObservableOp:
@@ -150,23 +146,10 @@ def evolve(gen: Superoperator, t: float, a: ObservableOp) -> ObservableOp:
     return devectorize(_action(gen.matrix, t, vectorize(a)), a.sites, a.dims)
 
 
-def apply_superop(sup: Superoperator, a: ObservableOp) -> ObservableOp:
-    if tuple(a.sites) != tuple(sup.sites):
-        raise DynamicsError("observable volume differs from the map volume")
-    return devectorize(sup.matrix @ vectorize(a), a.sites, a.dims)
-
-
-def choi_matrix(sup: Superoperator) -> np.ndarray:
-    """Choi representative in the column-stacking convention (``qalgebra._choi``).
-
-    For the Schroedinger-picture propagator of a Lindblad semigroup this is
-    positive semidefinite up to roundoff, and its partial trace
-    ``einsum('iaja->ij')`` is the identity.
-    """
-    return _choi(sup.matrix)
-
-
-def choi_min_eigenvalue(sup: Superoperator) -> float:
-    c = choi_matrix(sup)
-    c = 0.5 * (c + c.conj().T)
-    return float(np.min(np.linalg.eigvalsh(c)))
+def apply_superop(m: np.ndarray, a: ObservableOp) -> ObservableOp:
+    """The dense map ``m``, such as a ``propagator``, applied to ``a``; a map
+    whose shape does not fit a's volume is refused."""
+    vec = vectorize(a)
+    if m.shape != (vec.size, vec.size):
+        raise DynamicsError(f"map shape {m.shape} does not fit the observable volume")
+    return devectorize(m @ vec, a.sites, a.dims)

@@ -43,7 +43,7 @@ from .bounds import BoundReport, BoundsError, ModelConstants
 from .correlations import StateFunctional
 from .decay import FFunction
 from .geometry import FiniteMetricSpace, GeometryError
-from .model import DissipativeInteraction, LindbladTerm, Superoperator
+from .model import DissipativeInteraction, LindbladTerm
 from .qalgebra import ObservableOp, ObservationMap, commutator_map, embed, from_matrix
 
 DOMINATION_SUITE = ("finite_range_lrb", "full_lrb", "strong_lrb", "composite_lrb",
@@ -104,7 +104,7 @@ def parse_space(desc) -> FiniteMetricSpace:
     if isinstance(desc, Mapping):
         points = [_site_from_json(p) for p in desc["points"]]
         _within_ceiling(len(points))
-        return FiniteMetricSpace.explicit(points, desc["dist"])
+        return FiniteMetricSpace.explicit(points, [_numbers(row) for row in desc["dist"]])
     name, args = _parse_call(desc, "space", {"chain": (1,), "grid": (2,)})
     if name == "chain":
         return FiniteMetricSpace.chain(_within_ceiling(int(args[0])))
@@ -121,7 +121,7 @@ def _within_ceiling(n_points: int) -> int:
 
 def parse_f_function(desc) -> FFunction:
     if isinstance(desc, Mapping):
-        return FFunction.table(desc["grid"], desc["values"])
+        return FFunction.table(_numbers(desc["grid"]), _numbers(desc["values"]))
     name, args = _parse_call(desc, "profile", {"power": (1,), "weighted": (2,),
                                                "table": (1,)})
     if name == "power":
@@ -133,7 +133,7 @@ def parse_f_function(desc) -> FFunction:
     except OSError as exc:
         raise ValueError(f"cannot read the table {args[0]}: {exc}") from exc
     data = json.loads(text)
-    return FFunction.table(data["grid"], data["values"])
+    return FFunction.table(_numbers(data["grid"]), _numbers(data["values"]))
 
 
 def _site_from_json(p):
@@ -148,8 +148,9 @@ def _matrix_json(m) -> list:
 def _matrix_from_json(entries) -> np.ndarray:
     def scalar(v):
         if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
+            re, im = v
+            return complex(_number(re), _number(im))
+        return complex(_number(v))
     return np.array([[scalar(v) for v in row] for row in entries], dtype=complex)
 
 
@@ -185,10 +186,11 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
     {'matrix': ..., 'support': [...]} on its support, like an operator
     literal, with an optional cb bracket 'cb_upper' / 'cb_lower'."""
     if isinstance(desc, Mapping):
+        bracket = {key: _number(desc[key]) for key in ("cb_upper", "cb_lower") if key in desc}
         return qalgebra.general_map(
             _matrix_from_json(desc["matrix"]),
             space.ordered([_site_from_json(s) for s in desc["support"]]),
-            cb_upper=desc.get("cb_upper"), cb_lower=desc.get("cb_lower"), probe_seed=seed)
+            probe_seed=seed, **bracket)
     _, args = _parse_call(desc, "observation-map", {"commutator": (0, 1)})
     target = parse_operator(args[0], space) if args else b_local
     return commutator_map(target, probe_seed=seed) if target is not None else None
@@ -413,15 +415,29 @@ def _object(where: str, value, keys) -> Mapping:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number as a float; ``float`` would read "10" and true as well."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values) -> tuple:
+    """A JSON array of numbers as floats; a string would be read char by char."""
+    if not isinstance(values, list):
+        raise ValueError(f"must be a list of numbers, got {values!r}")
+    return tuple(map(_number, values))
+
+
 def _positive(value) -> float:
-    x = float(value)
+    x = _number(value)
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"must be finite and > 0, got {x}")
     return x
 
 
 def _finite(value, nonnegative: bool = False) -> float:
-    x = float(value)
+    x = _number(value)
     if not (math.isfinite(x) and (x >= 0 or not nonnegative)):
         raise ValueError(f"must be finite{' and >= 0' if nonnegative else ''}, got {x}")
     return x
@@ -435,8 +451,8 @@ def _seed(value) -> int:
 
 
 def _grid(values, positive: bool = False) -> tuple:
-    """A nonempty grid of finite values, each > 0 if ``positive``, else >= 0."""
-    grid = tuple(float(x) for x in values)
+    """A nonempty list of finite numbers, each > 0 if ``positive``, else >= 0."""
+    grid = _numbers(values)
     if not grid:
         raise ValueError("grid must be nonempty")
     rule = "> 0" if positive else ">= 0"
@@ -586,13 +602,11 @@ class ExperimentRunner:
     @cached_property
     def analysis(self) -> correlations.FixedPointAnalysis:
         """The fixed-point analysis over the t grid, for the fixed-point suite
-        and the stationary state, which consume the whole map.  Its generator
-        is the propagation layer's CSR generator itself, read block by block,
-        so a run assembles the generator once and never densifies it."""
-        layer = self.dynamics
-        model._check_dense(layer.dims)
-        gen = Superoperator(layer.generator(), layer.sites, layer.dims, picture="heisenberg")
-        return correlations.analyze_fixed_point(gen, self.cfg.t_grid)
+        and the stationary state, which consume the whole map.  It reads the
+        propagation layer's generator itself, block by block, so a run
+        assembles the generator once and never densifies it."""
+        model._check_dense(self.dynamics.dims)
+        return correlations.analyze_fixed_point(self.dynamics.generator(), self.cfg.t_grid)
 
     @cached_property
     def state(self) -> StateFunctional:

@@ -16,15 +16,18 @@ inside a region (the strictly local dynamics), as ``terms_for`` selects them.
 Each term builds its superoperator on its own support once
 (``LindbladTerm.superop``); ``local_superop`` embeds it into a volume by index
 arithmetic alone, every entry an entry of that matrix, and ``assemble`` sums
-the embedded terms in their stored order, so a caller that keys its
-generators by their terms (``dynamics.Dynamics``) builds one per distinct set.
+the embedded terms in their stored order into a Heisenberg ``Superoperator``,
+one CSR matrix, so a caller that keys its generators by their terms
+(``dynamics.Dynamics``) builds one per distinct set.  No generator is dense;
+``generator`` refuses, over ``MAX_DENSE_DIM``, a volume too large for the
+dense block work that reads the full generator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -44,7 +47,7 @@ from .qalgebra import (
 )
 
 HERMITICITY_ATOL = 1e-12
-MAX_DENSE_DIM = 4096  # largest vectorized dimension assembled as a dense matrix
+MAX_DENSE_DIM = 4096  # largest vectorized dimension of the dense work on a generator
 
 
 class ModelError(ValueError):
@@ -54,8 +57,9 @@ class ModelError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on the vectorized observable algebra of a volume, its matrix
-    kept as given: a dense array, or a scipy sparse matrix such as the CSR
-    generator of ``dynamics.Dynamics``.
+    held in canonical CSR form: sorted indices, no duplicates and no stored
+    zeros.  Any other input is converted once; a canonical CSR input with no
+    stored zero, such as ``assemble``'s, is kept as it is, not copied.
 
     Its O(n^3) work runs on its invariant coordinate blocks (``_blocks``),
     the connected components of the nonzero pattern of M + M^H.  A block of
@@ -63,23 +67,25 @@ class Superoperator:
     block-diagonal over the blocks, and its exponentials, eigenvalues and
     singular values are those of its blocks: the symmetry reduction of Buca
     and Prosen (New J. Phys. 14, 073007, 2012), read off the sparsity pattern.
-    The blocks, their entries (``_gather``) and the adjoint are read through
-    one CSR view of the matrix (``_csr``), so a sparse map is never
-    densified.  Blocks of one size are stacked, so each step is one batched
-    LAPACK call per block size; a map that does not split is one block and
-    runs the same calls on its whole matrix.
+    The blocks, their entries (``_gather``) and the adjoint are read off the
+    stored entries, so the map is never densified.  Blocks of one size are
+    stacked, so each step is one batched LAPACK call per block size; a map
+    that does not split is one block and runs the same calls on its whole
+    matrix.  A dense map it yields, such as ``exp``, is a read-only array.
     """
 
-    matrix: Union[np.ndarray, scipy.sparse.spmatrix]
+    matrix: scipy.sparse.csr_matrix
     sites: tuple
     dims: tuple
     picture: str  # "heisenberg" | "schrodinger"
 
     def __post_init__(self):
         m = self.matrix
-        if not scipy.sparse.issparse(m):
-            m = np.asarray(m, dtype=complex)
-            m.flags.writeable = False
+        if not (scipy.sparse.issparse(m) and m.format == "csr" and m.has_canonical_format
+                and np.all(m.data != 0)):
+            m = scipy.sparse.csr_matrix(m, dtype=complex, copy=True)
+            m.sum_duplicates()
+            m.eliminate_zeros()
         total = int(np.prod(self.dims))
         if m.shape != (total * total, total * total):
             raise ModelError(f"superoperator shape {m.shape} inconsistent with volume")
@@ -90,28 +96,13 @@ class Superoperator:
         object.__setattr__(self, "dims", tuple(self.dims))
 
     @cached_property
-    def _csr(self) -> scipy.sparse.csr_matrix:
-        """The matrix in canonical CSR form with only nonzero entries stored:
-        a CSR matrix that is one already is itself, not a copy; any other
-        matrix is converted."""
-        m = self.matrix
-        if not scipy.sparse.issparse(m):
-            return scipy.sparse.csr_matrix(m)
-        if m.format == "csr" and m.has_canonical_format and np.all(m.data != 0):
-            return m
-        csr = scipy.sparse.csr_matrix(m, copy=True)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        return csr
-
-    @cached_property
     def _blocks(self) -> tuple:
         """The invariant coordinate blocks as (k, n) index stacks, one per
         block size n, ascending; a row holds one block's indices in ascending
         order, and rows follow their least index.  The blocks are the weakly
         connected components of the pattern of M, each coordinate labelled
         by the least index of its component."""
-        csr = self._csr
+        csr = self.matrix
         pattern = scipy.sparse.csr_matrix(
             (np.ones(csr.nnz, dtype=bool), csr.indices, csr.indptr), shape=csr.shape)
         _, component = scipy.sparse.csgraph.connected_components(pattern, connection="weak")
@@ -125,8 +116,8 @@ class Superoperator:
     def _gather(self) -> list:
         """The invariant blocks of the matrix, one writable (k, n, n) stack
         per size group of ``_blocks``: one COO scatter per group of the
-        stored entries of ``_csr``, each in its block, at its places there."""
-        csr = self._csr
+        stored entries of the matrix, each in its block, at its places there."""
+        csr = self.matrix
         group, block, place = (np.empty(csr.shape[0], dtype=np.intp) for _ in range(3))
         for g, idx in enumerate(self._blocks):
             group[idx] = g
@@ -165,10 +156,10 @@ class Superoperator:
     @cached_property
     def adjoint(self) -> "Superoperator":
         """The trace-pairing adjoint, in the other picture; built once per map
-        as the CSR conjugate transpose of ``_csr``.  M^H + M is the pattern of
-        both, so the adjoint shares ``_blocks``."""
+        as the CSR conjugate transpose of the matrix.  M^H + M is the pattern
+        of both, so the adjoint shares ``_blocks``."""
         flipped = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-        adjoint = Superoperator(self._csr.conj().T.tocsr(), self.sites, self.dims,
+        adjoint = Superoperator(self.matrix.conj().T.tocsr(), self.sites, self.dims,
                                 picture=flipped)
         adjoint.__dict__["_blocks"] = self._blocks
         return adjoint
@@ -353,13 +344,12 @@ class DissipativeInteraction:
 
 
 def generator(interaction: DissipativeInteraction) -> Superoperator:
-    """The full generator on the interaction's space, the densified ``assemble``
-    of every term; a volume whose vectorized dimension exceeds ``MAX_DENSE_DIM``
-    is refused before any matrix is allocated."""
-    vol_sites, dims = interaction.space.points, interaction.dims
-    _check_dense(dims)
-    return Superoperator(assemble(interaction.terms, vol_sites, dims).toarray(), vol_sites,
-                         dims, picture="heisenberg")
+    """The full generator on the interaction's space, ``assemble`` of every
+    term.  It feeds dense block work (the fixed-point analysis,
+    ``Superoperator.exp``), so a volume whose vectorized dimension exceeds
+    ``MAX_DENSE_DIM`` is refused before any matrix is built."""
+    _check_dense(interaction.dims)
+    return assemble(interaction.terms, interaction.space.points, interaction.dims)
 
 
 def _check_dense(dims: tuple) -> None:
@@ -370,14 +360,14 @@ def _check_dense(dims: tuple) -> None:
                          f"model.MAX_DENSE_DIM = {MAX_DENSE_DIM}")
 
 
-def assemble(terms: Iterable[LindbladTerm], vol_sites: tuple,
-             dims: tuple) -> scipy.sparse.csr_matrix:
-    """The embedded terms summed in their stored order, for reproducibility."""
+def assemble(terms: Iterable[LindbladTerm], vol_sites: tuple, dims: tuple) -> Superoperator:
+    """The Heisenberg generator of ``terms`` on the volume: the embedded terms
+    summed in their stored order, for reproducibility."""
     total = int(np.prod(dims))
     acc = scipy.sparse.csr_matrix((total * total, total * total), dtype=complex)
     for t in terms:
         acc = acc + local_superop(t, vol_sites, dims)
-    return acc
+    return Superoperator(acc, vol_sites, dims, picture="heisenberg")
 
 
 def interaction_f_norm(interaction: DissipativeInteraction, f: Callable) -> float:

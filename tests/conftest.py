@@ -8,7 +8,7 @@ import scipy.linalg
 import lrcert as lr
 from lrcert import bounds, harness
 from lrcert.model import DissipativeInteraction, LindbladTerm, LOWERING, PAULI_X, PAULI_Z
-from lrcert.qalgebra import from_matrix
+from lrcert.qalgebra import _choi, from_matrix
 
 
 @pytest.fixture(scope="session")
@@ -38,10 +38,24 @@ def dense_local_error(inter, t, a, region):
     sites, vec = inter.space.points, a.matrix.flatten(order="F")
 
     def evolved(terms):
-        gen = lr.model.assemble(terms, sites, inter.dims).toarray()
+        gen = lr.model.assemble(terms, sites, inter.dims).matrix.toarray()
         return (scipy.linalg.expm(t * gen) @ vec).reshape(a.matrix.shape, order="F")
 
     return lr.op_norm(evolved(inter.terms) - evolved(inter.terms_for(region)))
+
+
+def choi_min_eigenvalue(m):
+    """Least eigenvalue of the Hermitian part of the Choi matrix of the dense
+    map ``m`` in ``qalgebra._choi``'s column-stacking convention: a dense
+    reference for complete positivity, nonnegative up to roundoff for the
+    Schroedinger propagator of a Lindblad semigroup."""
+    c = _choi(m)
+    c = 0.5 * (c + c.conj().T)
+    return float(np.min(np.linalg.eigvalsh(c)))
+
+
+def csr_arrays(m):
+    return m.indptr, m.indices, m.data
 
 
 def single_qubit_damping(gamma=1.0):

@@ -19,7 +19,7 @@ from lrcert import bounds, correlations, dynamics, qalgebra
 from lrcert.bounds import ModelConstants
 from lrcert.decay import FFunction
 
-from conftest import mixed_field_chain
+from conftest import choi_min_eigenvalue, mixed_field_chain
 from test_decay import mp_exp_tail
 
 SLACK = 1e-9
@@ -51,14 +51,12 @@ def test_criterion_1_semigroup_validity(model_pool):
             unital = lr.op_norm(dynamics.apply_superop(props[t], ident) - ident)
             if unital > 1e-10:
                 failures.append((idx, t, "unitality", unital))
-            schro = lr.Superoperator(props[t].matrix.conj().T, gen.sites, gen.dims,
-                                     "schrodinger")
-            cmin = dynamics.choi_min_eigenvalue(schro)
+            cmin = choi_min_eigenvalue(props[t].conj().T)
             if cmin < -1e-10:
                 failures.append((idx, t, "choi", cmin))
         for s, t in ((0.1, 0.5), (0.5, 1.0), (1.0, 2.0)):
-            combined = lr.propagator(gen, s + t).matrix
-            err = np.linalg.norm(combined - props[s].matrix @ props[t].matrix, 2)
+            combined = lr.propagator(gen, s + t)
+            err = np.linalg.norm(combined - props[s] @ props[t], 2)
             if err > 1e-10 * max(1.0, np.linalg.norm(combined, 2)):
                 failures.append((idx, (s, t), "semigroup", err))
     conclude("criterion 1 (semigroup validity)", failures,
@@ -381,10 +379,11 @@ def test_criterion_8_spectral_identities():
     inter = lr.tfim_dissipative(space, j=0.3, h=0.2, gamma=1.0)
     gen = lr.generator(inter)
     gap, omega0 = lr.spectral_gap(gen)  # verifies the identity at 1e-8 internally
-    w, v = np.linalg.eig(gen.matrix)
+    dense = gen.matrix.toarray()
+    w, v = np.linalg.eig(dense)
     zero_idx = int(np.argmin(np.abs(w)))
     proj = np.outer(v[:, zero_idx], np.linalg.inv(v)[zero_idx, :])
-    restricted = scipy.linalg.expm(gen.matrix) @ (np.eye(len(w)) - proj)
+    restricted = scipy.linalg.expm(dense) @ (np.eye(len(w)) - proj)
     rad = float(np.max(np.abs(np.linalg.eigvals(restricted))))
     if abs(rad - math.exp(omega0)) > 1e-8 * math.exp(omega0):
         failures.append(("growth bound", rad, math.exp(omega0)))
@@ -427,10 +426,11 @@ def test_criterion_9_numerical_kernels():
     for seed in range(3):
         m = lr.harness.random_model(7000 + seed, n_sites=2)
         gen = lr.generator(m.interaction)
+        dense = gen.matrix.toarray()
         y0 = (rng.normal(size=16) + 1j * rng.normal(size=16))
-        sol = scipy.integrate.solve_ivp(lambda t, y: gen.matrix @ y, (0.0, 0.8), y0,
+        sol = scipy.integrate.solve_ivp(lambda t, y: dense @ y, (0.0, 0.8), y0,
                                         method="DOP853", rtol=1e-11, atol=1e-12)
-        got = lr.propagator(gen, 0.8).matrix @ y0
+        got = lr.propagator(gen, 0.8) @ y0
         err = np.linalg.norm(got - sol.y[:, -1])
         if err > 1e-8 * max(1.0, np.linalg.norm(sol.y[:, -1])):
             failures.append(("propagator vs integrator", seed, err))

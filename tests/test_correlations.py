@@ -241,7 +241,7 @@ class TestPeriodicPoints:
     def test_agrees_with_brute_force_classification(self):
         space, f, inter = mixed_field_chain(2, alpha=3.0)
         gen = lr.generator(inter)
-        eigs = np.linalg.eigvals(gen.matrix)
+        eigs = np.linalg.eigvals(gen.matrix.toarray())
         expected = sum(1 for ev in eigs if abs(ev.real) <= 1e-9)
         assert sum(m for _, m in lr.periodic_points(gen)) == expected
 
@@ -411,7 +411,7 @@ class TestMixingEta:
 
     def test_lower_attained_at_returned_state(self, damped4):
         gen, rho = damped4
-        prop = lr.propagator(gen.adjoint, 4.0).matrix
+        prop = lr.propagator(gen.adjoint, 4.0)
         value, psi = correlations._multistart_state_distance(prop, rho.density, 64, 23)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         image = (prop @ np.outer(psi, psi.conj()).flatten(order="F")).reshape(
@@ -699,7 +699,7 @@ def _oracle(gen, times):
         s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
                  None)
         maps[t] = scipy.linalg.expm(t * m_s) if s is None else maps[s] @ maps[t - s]
-    w, v = np.linalg.eig(gen.matrix)
+    w, v = np.linalg.eig(gen.matrix.toarray())
     _, s, vh = np.linalg.svd(m_s)
     dim = math.isqrt(m_s.shape[0])
     rho = vh[-1].conj().reshape((dim, dim), order="F")
@@ -726,7 +726,7 @@ def _blockwise(gen, times):
 def _damped_models(draw, field: bool):
     """2-3 sites, amplitude damping at each, ZZ couplings and Z fields (both
     diagonal), and a transverse X field at each site when ``field``: the
-    dense generator and the same map on the CSR generator a run reads."""
+    generator given as a dense array and the CSR generator a run reads."""
     n = draw(st.integers(2, 3))
     space = lr.FiniteMetricSpace.chain(n)
     rate = st.floats(0.5, 1.5)
@@ -742,18 +742,18 @@ def _damped_models(draw, field: bool):
         zz = draw(strength) * np.kron(lr.model.PAULI_Z, lr.model.PAULI_Z)
         terms.append(LindbladTerm(frozenset([x, y]), from_matrix(zz, (x, y)), ()))
     interaction = DissipativeInteraction(space, tuple(terms))
-    gen = lr.generator(interaction)
-    csr = lr.Superoperator(lr.Dynamics(interaction).generator(), gen.sites, gen.dims,
-                           gen.picture)
-    return gen, csr
+    csr = lr.Dynamics(interaction).generator()
+    dense = lr.Superoperator(csr.matrix.toarray(), csr.sites, csr.dims, csr.picture)
+    return dense, csr
 
 
 BLOCK_TIMES = (0.0, 0.5, 1.0, 1.5)
 
 
 def _assert_reads_alike(csr, gen, times):
-    """The CSR form ``csr`` of the dense map ``gen`` gives its blocks, block
-    stacks, spectrum, exponentials and analysis maps, entry for entry."""
+    """The CSR generator ``csr`` and ``gen``, built from its dense array, give
+    the same blocks, block stacks, spectrum, exponentials and analysis maps,
+    entry for entry."""
     assert len(csr._blocks) == len(gen._blocks)
     for x, y in zip(csr._blocks, gen._blocks):
         assert np.array_equal(x, y)

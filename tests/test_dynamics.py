@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse
 
 import lrcert as lr
 from lrcert import model
-from lrcert.dynamics import DynamicsError, choi_matrix, choi_min_eigenvalue
+from lrcert.dynamics import DynamicsError
 from lrcert.model import DissipativeInteraction, ModelError
-from lrcert.qalgebra import _basis_permutation, embed, from_matrix, left_right_superop
+from lrcert.qalgebra import _basis_permutation, _choi, embed, from_matrix, left_right_superop
 
-from conftest import dense_local_error, mixed_field_chain, single_qubit_damping
+from conftest import (choi_min_eigenvalue, csr_arrays, dense_local_error, mixed_field_chain,
+                      single_qubit_damping)
 
 
 def damping_closed_form(t, a):
@@ -35,17 +37,33 @@ class TestPropagator:
     def test_time_zero_is_identity(self, chain4):
         gen = lr.generator(lr.tfim_dissipative(chain4, 0.3, 0.2, 1.0))
         prop = lr.propagator(gen, 0.0)
-        np.testing.assert_array_equal(prop.matrix, np.eye(256))
+        np.testing.assert_array_equal(prop, np.eye(256))
 
     def test_zero_generator(self):
         space = lr.FiniteMetricSpace.chain(2)
         gen = lr.generator(DissipativeInteraction(space, ()))
-        np.testing.assert_allclose(lr.propagator(gen, 3.7).matrix, np.eye(16))
+        np.testing.assert_allclose(lr.propagator(gen, 3.7), np.eye(16))
 
     def test_negative_time_rejected(self, chain4):
         gen = lr.generator(lr.tfim_dissipative(chain4, 0.3, 0.2, 1.0))
         with pytest.raises(DynamicsError):
             lr.propagator(gen, -0.1)
+
+    def test_is_the_read_only_dense_exponential(self, chain4):
+        gen = lr.generator(lr.tfim_dissipative(chain4, 0.3, 0.2, 1.0))
+        for t in (0.0, 0.4, 1.3):
+            prop = lr.propagator(gen, t)
+            assert isinstance(prop, np.ndarray) and not prop.flags.writeable
+            want = scipy.linalg.expm(t * gen.matrix.toarray())
+            assert np.abs(prop - want).max() <= 1e-12
+
+    def test_apply_superop_refuses_a_map_of_another_volume(self, chain4):
+        prop = lr.propagator(lr.generator(lr.tfim_dissipative(chain4, 0.3, 0.2, 1.0)), 0.5)
+        ident = lr.identity(chain4.points)
+        assert lr.op_norm(lr.dynamics.apply_superop(prop, ident) - ident) <= 1e-12
+        for a in (lr.site_operator("X", 0), lr.identity((0, 1, 2, 3, 4))):
+            with pytest.raises(DynamicsError, match="shape"):
+                lr.dynamics.apply_superop(prop, a)
 
     def test_damping_closed_form(self):
         space, inter = single_qubit_damping(gamma=1.0)
@@ -69,8 +87,8 @@ class TestPropagator:
         rng = np.random.default_rng(42)
         for _ in range(4):
             s, t = rng.uniform(0, 1.5, size=2)
-            combined = lr.propagator(gen, s + t).matrix
-            split = lr.propagator(gen, s).matrix @ lr.propagator(gen, t).matrix
+            combined = lr.propagator(gen, s + t)
+            split = lr.propagator(gen, s) @ lr.propagator(gen, t)
             assert np.linalg.norm(combined - split, 2) <= 1e-10 * max(
                 1.0, np.linalg.norm(combined, 2))
 
@@ -174,12 +192,11 @@ class TestLhsErrors:
 
 class TestChoi:
     def test_identity_map(self):
-        sup = lr.Superoperator(np.eye(4, dtype=complex), (0,), (2,), "schrodinger")
-        c = choi_matrix(sup)
+        c = _choi(np.eye(4, dtype=complex))
         # the rank-one projector onto the (unnormalized) maximally entangled vector
         omega = np.eye(2).flatten(order="F")
         np.testing.assert_allclose(c, np.outer(omega, omega.conj()), atol=1e-14)
-        assert choi_min_eigenvalue(sup) >= -1e-14
+        assert choi_min_eigenvalue(np.eye(4, dtype=complex)) >= -1e-14
 
     def test_time_zero_psd(self, chain4):
         gen = lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)).adjoint
@@ -195,10 +212,9 @@ class TestChoi:
         rng = np.random.default_rng(45)
         ks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
         sup_m = sum(np.kron(k.conj(), k) for k in ks)
-        sup = lr.Superoperator(sup_m, (0,), (2,), "schrodinger")
         want = sum(np.outer(k.flatten(order="F"), k.flatten(order="F").conj())
                    for k in ks)
-        np.testing.assert_allclose(choi_matrix(sup), want, atol=1e-13)
+        np.testing.assert_allclose(_choi(sup_m), want, atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_output_partial_trace_is_the_identity(self, n):
@@ -208,7 +224,7 @@ class TestChoi:
         # tracing out the input does not
         inter = lr.tfim_dissipative(lr.FiniteMetricSpace.chain(n), 0.4, 0.3, 1.0)
         dim = 2 ** n
-        c = choi_matrix(lr.propagator(lr.generator(inter).adjoint, 0.7))
+        c = _choi(lr.propagator(lr.generator(inter).adjoint, 0.7))
         c = c.reshape(dim, dim, dim, dim)
         np.testing.assert_allclose(np.einsum("iaja->ij", c), np.eye(dim), rtol=0, atol=1e-13)
         assert np.abs(np.einsum("aiaj->ij", c) - np.eye(dim)).max() > 0.1
@@ -221,17 +237,18 @@ class TestOdeOracle:
         for seed in range(3):
             m = lr.harness.random_model(900 + seed, n_sites=2)
             gen = lr.generator(m.interaction)
+            dense = gen.matrix.toarray()
             a0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             y0 = a0.flatten(order="F")
             t_end = 0.9
 
             def rhs(t, y):
-                return gen.matrix @ y
+                return dense @ y
 
             sol = scipy.integrate.solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
                                             rtol=1e-11, atol=1e-12)
             want = sol.y[:, -1]
-            got = lr.propagator(gen, t_end).matrix @ y0
+            got = lr.propagator(gen, t_end) @ y0
             assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
@@ -284,19 +301,15 @@ def interleaved(points):
     return tuple(points[1::2]) + tuple(points[0::2])
 
 
-def csr_arrays(m):
-    return m.indptr, m.indices, m.data
-
-
 class TestSparseAssembly:
     @pytest.mark.parametrize("inter", list(layer_models()))
     def test_equals_dense_accumulation(self, inter):
         gen = lr.generator(inter)
-        want = np.zeros_like(gen.matrix)
+        want = np.zeros(gen.matrix.shape, dtype=complex)
         for term in inter.terms:
             want += dense_term_superop(term, gen.sites, gen.dims)
-        assert np.array_equal(gen.matrix, want)
-        assert np.array_equal(lr.Dynamics(inter).generator().toarray(), want)
+        assert np.array_equal(gen.matrix.toarray(), want)
+        assert np.array_equal(lr.Dynamics(inter).generator().matrix.toarray(), want)
 
     @pytest.mark.parametrize("inter", list(layer_models((3, 4, 5))))
     def test_embedding_equals_kronecker_formula(self, inter):
@@ -332,7 +345,7 @@ class TestDynamicsLayer:
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a = from_matrix(m, chain4.points)
         for t in (0.25, 0.5, 1.0, 2.0):
-            want = lr.propagator(gen, t).matrix @ lr.vectorize(a)
+            want = lr.propagator(gen, t) @ lr.vectorize(a)
             np.testing.assert_allclose(lr.vectorize(dyn.evolve(t, a)), want,
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(lr.vectorize(lr.evolve(gen, t, a)), want,
@@ -358,7 +371,7 @@ class TestDynamicsLayer:
             assert dyn.generator(inter.terms_for(chain4.all_sites(), max_diam=R)) is full
         short = dyn.generator(inter.terms_for(chain4.all_sites(), max_diam=1.0))
         assert short is not full
-        assert (short != full).nnz > 0
+        assert (short.matrix != full.matrix).nnz > 0
 
     def test_one_generator_per_term_set(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)

@@ -655,8 +655,8 @@ class TestRunExperiment:
         assert len(runner.run()) == 6
         assert [s.picture for s in built] == ["heisenberg", "schrodinger"]
         assert not any(isinstance(s.matrix, np.ndarray) for s in built)
-        assert built[0]._csr is built[0].matrix is runner.dynamics.generator()
-        assert runner.analysis.generator is built[0].adjoint
+        assert built[0] is runner.dynamics.generator()
+        assert runner.analysis.generator is runner.dynamics.generator().adjoint
 
     def test_stationary_state_computed_once(self, monkeypatch):
         # the stationary auxiliary state is the analysis' fixed point
@@ -795,12 +795,57 @@ class TestCli:
          "state"),
         ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"}, "state": "maximally_mixed(0)"},
          "state"),
+        # a number is a JSON number and a grid a JSON array: float() would read
+        # "2" as 2.0 and true as 1.0, and a string grid character by character
+        ({"seed": 1, "nu": "2"}, "nu"),
+        ({"seed": 1, "nu": True}, "nu"),
+        ({"seed": 1, "poly": {"epsilon": True}}, "poly.epsilon"),
+        ({"seed": 1, "poly": {"delta": "0.3"}}, "poly.delta"),
+        ({"seed": 1, "grids": {"t": "10"}}, "grids.t"),
+        ({"seed": 1, "grids": {"t": [True, False]}}, "grids.t"),
+        ({"seed": 1, "grids": {"t": {"0": 1}}}, "grids.t"),
+        ({"seed": 1, "grids": {"R": "12"}}, "grids.R"),
+        ({"seed": 1, "grids": {"r": ["1"]}}, "grids.r"),
+        ({"seed": 1, "f_function": {"grid": "012", "values": [1.0, 0.5, 0.25]}},
+         "f_function"),
+        ({"seed": 1, "f_function": {"grid": [0, 1], "values": [True, True]}}, "f_function"),
+        ({"seed": 1, "space": {"points": [0, 1], "dist": [[0, "1"], [1, 0]]}}, "space"),
+        ({"seed": 1, "observables": {"a": {"matrix": [["1", 0], [0, -1]], "sites": [0]}}},
+         "observables.a"),
+        ({"seed": 1, "observables": {"a": {"matrix": [[[1, False], 0], [0, -1]], "sites": [0]}}},
+         "observables.a"),
+        ({"seed": 1, "observables": {"a": {"matrix": [[[1, 0, 7], 0], [0, -1]], "sites": [0]}}},
+         "observables.a"),
+        ({"seed": 1, "k_map": {"matrix": harness._matrix_json(
+            lr.commutator_map(lr.site_operator("Z", 3)).matrix), "support": [3],
+            "cb_upper": "2"}}, "k_map"),
     ])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, raw, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "CFG"],
+        ["random-suite", "--models", "1", "--sites", "2"],
+    ], ids=["sweep", "random-suite"])
+    @pytest.mark.parametrize("taken", ["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys,
+                                                                monkeypatch, argv, taken):
+        # refused before any model work, not after the run
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(minimal_raw()))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / ("sub" if taken == "under-a-file" else "")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("model work ran before --out was checked")
+
+        monkeypatch.setattr(harness.ExperimentRunner, "__init__", refuse)
+        argv = [str(path) if arg == "CFG" else arg for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --out: ")
 
     @pytest.mark.parametrize("make", [
         lambda path: None,                            # missing

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import lrcert as lr
 from lrcert import model
@@ -15,7 +16,7 @@ from lrcert.model import (
 )
 from lrcert.qalgebra import from_matrix
 
-from conftest import single_qubit_damping
+from conftest import csr_arrays, single_qubit_damping
 
 
 def lindblad_action(term, a):
@@ -37,7 +38,7 @@ class TestLindbladSuperop:
         h = from_matrix(np.zeros((2, 2)), (0,), frozenset([0]))
         term = LindbladTerm(frozenset([0]), h, ())
         sup = lr.generator(DissipativeInteraction(space, (term,)))
-        assert np.allclose(sup.matrix, 0)
+        assert np.allclose(sup.matrix.toarray(), 0)
 
     def test_annihilates_identity(self):
         space, inter = single_qubit_damping()
@@ -99,7 +100,7 @@ def pair_only_interaction(space, amp=0.5):
 def assembled(inter, terms):
     """The dense generator of ``terms`` on the interaction's whole space."""
     points = inter.space.points
-    return model.assemble(terms, points, inter.dims).toarray()
+    return model.assemble(terms, points, inter.dims).matrix.toarray()
 
 
 SPIN1_Z = np.diag([1.0, 0.0, -1.0])
@@ -134,7 +135,7 @@ class TestGenerator:
         inter = lr.long_range_zz(chain4, 0.5, 3.0, 1.0)
         full = lr.generator(inter)
         trunc = assembled(inter, inter.terms_for(chain4.all_sites(), max_diam=inter.range_r0))
-        np.testing.assert_array_equal(full.matrix, trunc)
+        np.testing.assert_array_equal(full.matrix.toarray(), trunc)
 
     def test_subvolume_filter_oracle(self):
         space = lr.FiniteMetricSpace.chain(3)
@@ -246,7 +247,7 @@ class TestAdjointGenerator:
         inter = lr.tfim_dissipative(chain4, 0.3, 0.2, 0.9)
         gen = lr.generator(inter)
         twice = gen.adjoint.adjoint
-        np.testing.assert_array_equal(twice.matrix.toarray(), gen.matrix)
+        np.testing.assert_array_equal(twice.matrix.toarray(), gen.matrix.toarray())
         assert twice.picture == "heisenberg"
 
     def test_trace_pairing(self):
@@ -272,6 +273,57 @@ class TestAdjointGenerator:
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         out = lr.devectorize(adj.matrix @ rho.flatten(order="F"), chain4.points).matrix
         assert abs(np.trace(out)) <= 1e-10 * np.linalg.norm(rho)
+
+
+def storage_inputs(csr):
+    """The canonical CSR matrix ``csr`` as a dense array, as COO, and as CSR
+    with each row's entries in reverse order, every entry stored as two
+    halves, and one explicit zero per row: all the same matrix."""
+    dense = csr.toarray()
+    data, indices, indptr = [], [], [0]
+    for i in range(csr.shape[0]):
+        cols = csr.indices[csr.indptr[i]:csr.indptr[i + 1]][::-1]
+        vals = csr.data[csr.indptr[i]:csr.indptr[i + 1]][::-1]
+        empty = np.flatnonzero(dense[i] == 0)[:1]
+        indices += [*cols, *cols, *empty]
+        data += [*(0.5 * vals), *(0.5 * vals), *np.zeros(empty.size)]
+        indptr.append(len(indices))
+    messy = scipy.sparse.csr_matrix((np.array(data, dtype=complex), indices, indptr),
+                                    shape=csr.shape)
+    return dense, scipy.sparse.coo_matrix(dense), messy
+
+
+class TestSuperoperatorStorage:
+    """A superoperator holds one canonical CSR matrix, whatever it was given."""
+
+    @pytest.mark.parametrize("inter", [
+        lr.tfim_dissipative(lr.FiniteMetricSpace.chain(3), 0.4, 0.3, 1.0),
+        lr.tfim_dissipative(lr.FiniteMetricSpace.chain(3), 0.2, 0.0, 1.0),
+    ], ids=["one-block", "split"])
+    def test_every_input_gives_one_canonical_csr(self, inter):
+        gen = lr.generator(inter)
+        assert gen.matrix.format == "csr" and gen.matrix.has_canonical_format
+        assert np.all(gen.matrix.data != 0)
+        for m in storage_inputs(gen.matrix):
+            sup = lr.Superoperator(m, gen.sites, gen.dims, "heisenberg")
+            assert sup.matrix.format == "csr" and sup.matrix.has_canonical_format
+            assert all(map(np.array_equal, csr_arrays(sup.matrix), csr_arrays(gen.matrix)))
+            assert len(sup._blocks) == len(gen._blocks)
+            assert all(map(np.array_equal, sup._blocks, gen._blocks))
+            assert np.array_equal(sup.spectrum, gen.spectrum)
+
+    def test_canonical_csr_is_kept(self, chain4):
+        gen = lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        assert gen.matrix.format == "csr"
+        assert lr.Superoperator(gen.matrix, gen.sites, gen.dims, "heisenberg").matrix \
+            is gen.matrix
+
+    def test_stored_zero_is_dropped_from_a_copy(self):
+        m = scipy.sparse.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]).astype(complex))
+        m.data[0] = 0.0
+        sup = lr.Superoperator(m, (0,), (2,), "heisenberg")
+        assert sup.matrix is not m and sup.matrix.nnz == 2 and m.nnz == 3
+        assert np.array_equal(sup.matrix.toarray(), m.toarray())
 
 
 class TestSupNormAndRange:
