@@ -4,14 +4,10 @@ mixing bounds for dissipative quantum spin models on finite metric spaces."""
 from .geometry import (
     FiniteMetricSpace,
     GeometryError,
-    ball,
-    complement,
     diameter,
     inflate,
     nu_regularity,
-    nu_surface_regularity,
     set_distance,
-    surface_sets,
 )
 from .decay import (
     FFunction,
@@ -19,7 +15,6 @@ from .decay import (
     conv_constant,
     exp_tail,
     f_norm,
-    g_regular_bound,
     pair_sum,
     tail_g,
 )
@@ -41,7 +36,6 @@ from .model import (
     DissipativeInteraction,
     LindbladTerm,
     Superoperator,
-    finite_range_fnorm_bound,
     generator,
     interaction_f_norm,
     long_range_zz,

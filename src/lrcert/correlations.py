@@ -92,10 +92,6 @@ def product_governance(nx: float, ny: float, d: float) -> float:
     return 0.0 if d > 0 else 2.0
 
 
-def trivial_governance(nx: float, ny: float, d: float) -> float:
-    return 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class StateFunctional:
     """A state on the observable algebra of a volume, given by a density matrix.

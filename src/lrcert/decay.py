@@ -116,18 +116,6 @@ def tail_g(f: Callable, space: FiniteMetricSpace, r: float) -> float:
     return float(np.max(masked.sum(axis=1)))
 
 
-def g_regular_bound(f: Callable, space: FiniteMetricSpace, kappa: float, nu: float,
-                    r: float) -> float:
-    """Ball-growth upper envelope for :func:`tail_g`:
-    kappa * sum over integer n in [floor(r), ceil(diam)) of (1+n)**nu F(n)."""
-    lo = int(math.floor(r))
-    hi = int(math.ceil(space.diam))
-    if lo >= hi:
-        return 0.0
-    ns = np.arange(lo, hi, dtype=float)
-    return float(kappa * np.sum((1.0 + ns) ** nu * np.asarray(f(ns), dtype=float)))
-
-
 def pair_sum(f: Callable, space: FiniteMetricSpace, xs: Iterable[Site],
              ys: Iterable[Site]) -> float:
     """Double sum of F(d(x, y)) over x in xs, y in ys."""

@@ -1,4 +1,5 @@
-"""Finite metric spaces and the set-geometric primitives the bounds quantify over.
+"""Finite metric spaces and the set geometry the bounds read: set distance,
+diameter, r-inflation and the nu-regularity constant of ball growth.
 
 All objects are immutable after construction, so they are safe to share
 between concurrent evaluations.  Metric axioms are validated eagerly with
@@ -140,14 +141,6 @@ def diameter(space: FiniteMetricSpace, xs: Iterable[Site]) -> float:
     return float(np.max(space.dist[np.ix_(xi, xi)]))
 
 
-def ball(space: FiniteMetricSpace, x: Site, radius: float) -> frozenset:
-    """Closed ball {y : d(x, y) <= radius}; always contains x for radius >= 0."""
-    if radius < 0:
-        raise GeometryError("radius must be nonnegative")
-    row = space.dist[space.index(x)]
-    return frozenset(p for p, dd in zip(space.points, row) if dd <= radius + METRIC_ATOL)
-
-
 def inflate(space: FiniteMetricSpace, xs: Iterable[Site], r: float) -> frozenset:
     """Union of closed r-balls around the set; monotone in r and contains the set."""
     members = _as_frozen(space, xs)
@@ -160,26 +153,6 @@ def inflate(space: FiniteMetricSpace, xs: Iterable[Site], r: float) -> frozenset
     return frozenset(p for p, k in zip(space.points, keep) if k)
 
 
-def complement(space: FiniteMetricSpace, xs: Iterable[Site]) -> frozenset:
-    return space.all_sites() - _as_frozen(space, xs)
-
-
-def surface_sets(space: FiniteMetricSpace, lam: Iterable[Site], xs: Iterable[Site],
-                 candidate_supports: Sequence[Iterable[Site]]) -> list:
-    """Candidates Z inside lam that meet both xs and its complement in lam."""
-    lam_set = _as_frozen(space, lam)
-    x_set = _as_frozen(space, xs)
-    if not x_set <= lam_set:
-        raise GeometryError("surface sets require X contained in the volume")
-    outside = lam_set - x_set
-    out = []
-    for cand in candidate_supports:
-        z = _as_frozen(space, cand)
-        if z <= lam_set and z & x_set and z & outside:
-            out.append(z)
-    return out
-
-
 def nu_regularity(space: FiniteMetricSpace, nu: float) -> float:
     """Smallest kappa with |b_x(n+1)| <= kappa * (n+1)**nu for all sites x and
     integer n from 0 up to ceil(diam); exact on the finite universe."""
@@ -190,19 +163,6 @@ def nu_regularity(space: FiniteMetricSpace, nu: float) -> float:
         radius = n + 1
         sizes = np.sum(space.dist <= radius + METRIC_ATOL, axis=1)
         kappa = max(kappa, float(np.max(sizes)) / radius**nu)
-    return kappa
-
-
-def nu_surface_regularity(space: FiniteMetricSpace, nu: float) -> float:
-    """Diagnostic analogue of :func:`nu_regularity` for annulus sizes,
-    |b_x(n+1) \\ b_x(n)| <= kappa * (n+1)**(nu-1).  Not used by any evaluator."""
-    if nu <= 1:
-        raise GeometryError("surface regularity needs nu > 1")
-    kappa = 0.0
-    for n in range(int(np.ceil(space.diam)) + 1):
-        inner = np.sum(space.dist <= n + METRIC_ATOL, axis=1)
-        outer = np.sum(space.dist <= n + 1 + METRIC_ATOL, axis=1)
-        kappa = max(kappa, float(np.max(outer - inner)) / (n + 1) ** (nu - 1.0))
     return kappa
 
 

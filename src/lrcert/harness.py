@@ -102,6 +102,7 @@ def parse_space(desc) -> FiniteMetricSpace:
     """The space a descriptor names, refused over ``SINGLE_POINT_CEILING`` points
     from its point count, before its O(n^3) distance-table check runs."""
     if isinstance(desc, Mapping):
+        _object("", desc, ("points", "dist"))
         points = [_site_from_json(p) for p in desc["points"]]
         _within_ceiling(len(points))
         return FiniteMetricSpace.explicit(points, [_numbers(row) for row in desc["dist"]])
@@ -121,7 +122,7 @@ def _within_ceiling(n_points: int) -> int:
 
 def parse_f_function(desc) -> FFunction:
     if isinstance(desc, Mapping):
-        return FFunction.table(_numbers(desc["grid"]), _numbers(desc["values"]))
+        return _table(desc, "")
     name, args = _parse_call(desc, "profile", {"power": (1,), "weighted": (2,),
                                                "table": (1,)})
     if name == "power":
@@ -132,8 +133,13 @@ def parse_f_function(desc) -> FFunction:
         text = Path(args[0]).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read the table {args[0]}: {exc}") from exc
-    data = json.loads(text)
-    return FFunction.table(_numbers(data["grid"]), _numbers(data["values"]))
+    return _table(json.loads(text), "table")
+
+
+def _table(desc, where: str) -> FFunction:
+    """A profile table, the JSON object {'grid': [...], 'values': [...]}."""
+    _object(where, desc, ("grid", "values"))
+    return FFunction.table(_numbers(desc["grid"]), _numbers(desc["values"]))
 
 
 def _site_from_json(p):
@@ -158,6 +164,7 @@ def parse_operator(desc, space: FiniteMetricSpace) -> ObservableOp:
     """An operator literal on its own support: 'Z0', 'Z0*X1', or an explicit
     matrix object {'matrix': ..., 'sites': [...]}."""
     if isinstance(desc, Mapping):
+        _object("", desc, ("matrix", "sites"))
         sites = space.ordered([_site_from_json(s) for s in desc["sites"]])
         return from_matrix(_matrix_from_json(desc["matrix"]), sites)
     factors = {}
@@ -186,6 +193,7 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
     {'matrix': ..., 'support': [...]} on its support, like an operator
     literal, with an optional cb bracket 'cb_upper' / 'cb_lower'."""
     if isinstance(desc, Mapping):
+        _object("", desc, ("matrix", "support", "cb_upper", "cb_lower"))
         bracket = {key: _number(desc[key]) for key in ("cb_upper", "cb_lower") if key in desc}
         return qalgebra.general_map(
             _matrix_from_json(desc["matrix"]),
@@ -202,7 +210,8 @@ def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
             op = parse_operator(d, space)
             return op if frozenset(op.sites) == support else embed(op, space.ordered(support))
         terms = []
-        for i, td in enumerate(desc["terms"]):
+        for i, td in enumerate(_object("", desc, ("terms",))["terms"]):
+            _object(f"terms[{i}]", td, ("support", "h", "kraus", "label"))
             support = frozenset(_site_from_json(s) for s in td["support"])
             ham = on_support(td["h"], support) if td.get("h") is not None else None
             kraus = tuple(on_support(kd, support) for kd in td.get("kraus", ()))
@@ -217,15 +226,19 @@ def parse_state(desc, sites: tuple, dims: tuple) -> Optional[StateFunctional]:
     """The state a descriptor names on ``sites`` of local dimensions ``dims``;
     None signals the stationary state, resolved against the model at run time."""
     if isinstance(desc, Mapping):
-        if "product" in desc:
-            arg = desc["product"]
-            if isinstance(arg, Mapping):
-                arg = {_site_from_json_key(k): _single_site(v, f"at site {k}")
-                       for k, v in arg.items()}
-            return StateFunctional.product(sites, _single_site(arg, f"in {desc!r}"), dims)
+        if len(_object("", desc, ("product", "density"))) != 1:
+            raise ValueError(f"a state object takes exactly one of product, density, "
+                             f"got {desc!r}")
         if "density" in desc:
             return StateFunctional(_matrix_from_json(desc["density"]), sites, dims)
-        raise ValueError(f"unknown state object {desc!r}")
+        arg = desc["product"]
+        if isinstance(arg, Mapping):
+            arg = {_site_from_json_key(k): _single_site(v, f"at site {k}")
+                   for k, v in arg.items()}
+            outside = [k for k in arg if k not in sites]
+            if outside:
+                raise ValueError(f"product state names sites not in the space: {outside}")
+        return StateFunctional.product(sites, _single_site(arg, f"in {desc!r}"), dims)
     name, args = _parse_call(desc, "state", {"product": (0, 1), "maximally_mixed": (0,),
                                              "stationary": (0,)})
     if name == "product":

@@ -318,15 +318,6 @@ class DissipativeInteraction:
                     raise ModelError(f"inconsistent local dimension at site {s!r}")
         return tuple(by_site.get(s, 2) for s in self.space.points)
 
-    @property
-    def sup_norm(self) -> float:
-        """Uniform bound: max over supports of the summed cb_upper surrogates
-        (terms sharing a support are merged, matching a single map per region)."""
-        by_support: dict = {}
-        for t in self.terms:
-            by_support[t.support] = by_support.get(t.support, 0.0) + t.cb_upper
-        return max(by_support.values(), default=0.0)
-
     @cached_property
     def diameters(self) -> tuple:
         """Support diameter of each term, in stored order."""
@@ -384,19 +375,6 @@ def interaction_f_norm(interaction: DissipativeInteraction, f: Callable) -> floa
     if np.min(fm) <= 0:
         raise ModelError("profile must be positive on the space")
     return float(np.max(anchored / fm))
-
-
-def finite_range_fnorm_bound(interaction: DissipativeInteraction, f: Callable,
-                             kappa: float, nu: float) -> float:
-    """Counting bound for uniformly bounded finite-range interactions:
-    sup_norm * 2**(kappa * R0**nu - 2) / F(R0)."""
-    r0 = interaction.range_r0
-    if r0 <= 0:
-        raise ModelError("finite-range bound needs R0 > 0")
-    sup = interaction.sup_norm
-    if sup == 0.0:
-        return 0.0
-    return sup * 2.0 ** (kappa * r0 ** nu - 2.0) / float(f(r0))
 
 
 # -- named interaction families -------------------------------------------------

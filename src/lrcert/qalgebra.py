@@ -6,6 +6,8 @@ Conventions fixed here and asserted by the test suite:
   the first site is the slowest-varying index (leftmost Kronecker factor).
 * Vectorization is column stacking, ``vec(A) = A.flatten(order="F")``, so
   ``vec(X A Y) = (Y.T kron X) vec(A)``.
+* A ``dims`` argument is one local dimension per site, in the order of the
+  sites it comes with; None means a qubit at every site.
 
 An observation map is stored as its matrix on its own sites, never embedded:
 ``apply_map`` contracts it into the legs of an operator on any larger volume.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,13 +42,11 @@ class AlgebraError(ValueError):
     pass
 
 
-def _resolve_dims(sites: Sequence[Site], dims: Union[int, Mapping, Sequence, None]) -> tuple:
+def _resolve_dims(sites: Sequence[Site], dims: Optional[Sequence[int]]) -> tuple:
     if dims is None:
-        dims = 2
-    if isinstance(dims, int):
-        return (dims,) * len(sites)
-    if isinstance(dims, Mapping):
-        return tuple(int(dims.get(s, 2)) for s in sites)
+        return (2,) * len(sites)
+    if not isinstance(dims, Sequence):
+        raise AlgebraError(f"dims must be a sequence in site order, got {type(dims).__name__}")
     out = tuple(int(d) for d in dims)
     if len(out) != len(sites):
         raise AlgebraError("dims length does not match sites")
@@ -87,9 +87,6 @@ class ObservableOp:
 
     def norm(self) -> float:
         return op_norm(self)
-
-    def dagger(self) -> "ObservableOp":
-        return ObservableOp(self.matrix.conj().T, self.sites, self.support, self.dims)
 
     def __add__(self, other: "ObservableOp") -> "ObservableOp":
         self._check_compatible(other)

@@ -303,10 +303,10 @@ class TestSurfaceSum:
         c = ModelConstants.from_model(f, inter, nu=1.0)
         xs, r, x = {0}, 1.0, 0
         rep = surface_row(c, xs, r, x)
-        # oracle: enumerate via the set-geometric primitive
+        # oracle: the supports that meet both the inflation and its complement
         inflated = geometry.inflate(space, xs, r)
-        supports = [t.support for t in inter.terms]
-        straddling = geometry.surface_sets(space, space.points, inflated, supports)
+        straddling = [t.support for t in inter.terms
+                      if t.support & inflated and t.support - inflated]
         lhs = 0.0
         for t in inter.terms:
             if t.support in straddling and not (t.support & xs):

@@ -155,10 +155,11 @@ class TestCheckDynamicCorrelation:
             assert rep.valid and rep.passes()
 
     def test_trivial_governance_always_passes(self, tfim4):
+        # |w(AB) - w(A) w(B)| <= 2 |A| |B| holds for every state
         space, inter = tfim4
         rho = StateFunctional.maximally_mixed(space.points)
         omega = StateFunctional(rho.density, space.points, rho.dims,
-                                governance=correlations.trivial_governance)
+                                governance=lambda nx, ny, d: 2.0)
         a = lr.embed(lr.site_operator("Z", 0), space.points)
         b = lr.embed(lr.site_operator("Z", 3), space.points)
         rep = dynamic_correlation_row(omega, inter, {0}, {3}, 1.0, 0.5, a, b)

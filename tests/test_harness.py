@@ -160,6 +160,14 @@ class TestLoadConfig:
         assert cfg.f.kind == "table"
         assert cfg.f(1.0) == 0.5
 
+    def test_table_file_refuses_an_unknown_field(self, tmp_path):
+        table = tmp_path / "profile.json"
+        table.write_text(json.dumps({"grid": [0.0, 1.0], "values": [1.0, 0.5],
+                                     "value": [1.0, 0.25]}))
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(minimal_raw(f_function=f"table({table})"))
+        assert str(info.value).startswith("f_function: table.value: unknown field")
+
     def test_grid_space_descriptor(self):
         cfg = config_from_dict(minimal_raw(
             space="grid(2,2)",
@@ -202,6 +210,20 @@ class TestLoadConfig:
         ({"f_function": "weighted(0.5, power(3), 2)"},
          "f_function: weighted takes 2 positional argument(s), got 3"),
         ({"space": "grid(2,2,metric=l1)"}, "space: grid takes no keyword argument 'metric'"),
+        # a nested object refuses an unknown key too: "Kraus" would load the
+        # term with no Kraus operators, "cb_uper" the factorization bound
+        ({"interaction": {"terms": [{"support": [0], "h": "X0", "Kraus": ["M0"]}]}},
+         "interaction: terms[0].Kraus: unknown field"),
+        ({"interaction": {"terms": [], "term": []}}, "interaction: term: unknown field"),
+        ({"k_map": {"matrix": harness._matrix_json(
+            lr.commutator_map(lr.site_operator("Z", 1)).matrix), "support": [1],
+            "cb_uper": 0.1}}, "k_map: cb_uper: unknown field"),
+        ({"space": {"points": [0, 1], "dist": [[0, 1], [1, 0]], "metric": "l1"}},
+         "space: metric: unknown field"),
+        ({"f_function": {"grid": [0, 1], "values": [1, 0.5], "value": [1, 0.5]}},
+         "f_function: value: unknown field"),
+        ({"observables": {"a": {"matrix": [[1, 0], [0, -1]], "sites": [0], "site": [1]},
+                          "b": "Z1"}}, "observables.a: site: unknown field"),
     ])
     def test_refusal_names_the_field_or_descriptor(self, overrides, message):
         with pytest.raises(ConfigError) as info:
@@ -819,6 +841,12 @@ class TestCli:
         ({"seed": 1, "k_map": {"matrix": harness._matrix_json(
             lr.commutator_map(lr.site_operator("Z", 3)).matrix), "support": [3],
             "cb_upper": "2"}}, "k_map"),
+        # a state object is exactly one of product and density, and a product
+        # map names only sites of the space
+        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
+          "state": {"product": "+", "density": [[1]]}}, "state"),
+        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
+          "state": {"product": {"0": "0", "1": "0", "2": "0", "3": "0", "7": "0"}}}, "state"),
     ])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, raw, field):
         path = tmp_path / "bad.json"

@@ -194,34 +194,18 @@ class TestInteractionFNorm:
 
 
 class TestFiniteRangeBound:
-    def test_zero_interaction(self, chain4):
-        inter = DissipativeInteraction(
-            chain4, (LindbladTerm(frozenset([0, 1]),
-                                  from_matrix(np.zeros((4, 4)), (0, 1)), ()),))
-        f = lr.FFunction.power(2.0)
-        assert lr.finite_range_fnorm_bound(inter, f, kappa=2.0, nu=1.0) == 0.0
-
-    def test_arithmetic(self):
-        space = lr.FiniteMetricSpace.chain(2)
-        h = from_matrix(0.25 * np.kron(PAULI_Z, PAULI_Z), (0, 1))
-        term = LindbladTerm(frozenset([0, 1]), h, ())
-        inter = DissipativeInteraction(space, (term,))
-        f = lr.FFunction.power(2.0)
-        # sup-norm 2|H| = 0.5; 2^(kappa R0^nu - 2) / F(1) with kappa=2, R0=1
-        want = 0.5 * 2.0 ** (2.0 - 2.0) / f(1.0)
-        assert lr.finite_range_fnorm_bound(inter, f, 2.0, 1.0) == pytest.approx(want)
-
     def test_dominates_exhaustive_f_norm(self, chain4):
+        # the counting bound for uniformly bounded finite-range interactions,
+        # sup over supports of the summed cb_upper * 2**(kappa * R0**nu - 2) / F(R0)
         inter = lr.tfim_dissipative(chain4, 0.5, 0.4, 1.0)
         f = lr.FFunction.power(2.0)
         kappa = lr.nu_regularity(chain4, 1.0)
-        bound = lr.finite_range_fnorm_bound(inter, f, kappa, 1.0)
+        by_support = {}
+        for t in inter.terms:
+            by_support[t.support] = by_support.get(t.support, 0.0) + t.cb_upper
+        r0 = inter.range_r0
+        bound = max(by_support.values()) * 2.0 ** (kappa * r0 - 2.0) / f(r0)
         assert bound >= lr.interaction_f_norm(inter, f)
-
-    def test_zero_range_rejected(self):
-        space, inter = single_qubit_damping()
-        with pytest.raises(ModelError):
-            lr.finite_range_fnorm_bound(inter, lr.FFunction.power(2.0), 2.0, 1.0)
 
 
 class TestAdjointGenerator:
@@ -327,18 +311,6 @@ class TestSuperoperatorStorage:
 
 
 class TestSupNormAndRange:
-    def test_sup_norm_matches_single_terms(self, chain4):
-        inter = lr.tfim_dissipative(chain4, 0.5, 0.4, 1.0)
-        assert inter.sup_norm == pytest.approx(max(t.cb_upper for t in inter.terms))
-
-    def test_sup_norm_merges_duplicate_supports(self):
-        space = lr.FiniteMetricSpace.chain(1)
-        k = from_matrix(LOWERING, (0,), frozenset([0]))
-        t1 = LindbladTerm(frozenset([0]), None, (k,))
-        t2 = LindbladTerm(frozenset([0]), None, (k,))
-        inter = DissipativeInteraction(space, (t1, t2))
-        assert inter.sup_norm == pytest.approx(t1.cb_upper + t2.cb_upper)
-
     def test_range_is_derived(self, chain4):
         inter = lr.long_range_zz(chain4, 0.5, 3.0, 1.0)
         assert inter.range_r0 == 3.0

@@ -57,8 +57,9 @@ class TestEmbed:
             np.testing.assert_allclose(lr.embed(a @ b, vol).matrix,
                                        (lr.embed(a, vol) @ lr.embed(b, vol)).matrix,
                                        atol=1e-12)
-            np.testing.assert_allclose(lr.embed(a.dagger(), vol).matrix,
-                                       lr.embed(a, vol).dagger().matrix, atol=1e-14)
+            a_dagger = lr.from_matrix(a.matrix.conj().T, a.sites)
+            np.testing.assert_allclose(lr.embed(a_dagger, vol).matrix,
+                                       lr.embed(a, vol).matrix.conj().T, atol=1e-14)
 
     def test_acts_trivially_outside_support(self):
         rng = np.random.default_rng(6)
@@ -70,8 +71,8 @@ class TestEmbed:
         np.testing.assert_allclose(reduced, np.trace(a.matrix) * np.eye(2), atol=1e-12)
 
     def test_qutrit_site(self):
-        a = lr.from_matrix(np.diag([1.0, 2.0, 3.0]), (0,), dims=3)
-        out = lr.embed(a, (0, 1), dims={0: 3, 1: 2})
+        a = lr.from_matrix(np.diag([1.0, 2.0, 3.0]), (0,), dims=(3,))
+        out = lr.embed(a, (0, 1), dims=(3, 2))
         assert out.matrix.shape == (6, 6)
         np.testing.assert_allclose(np.diag(out.matrix),
                                    [1, 1, 2, 2, 3, 3])
@@ -79,6 +80,13 @@ class TestEmbed:
     def test_site_not_in_volume_rejected(self):
         with pytest.raises(AlgebraError):
             lr.embed(lr.site_operator("X", 9), (0, 1))
+
+    @pytest.mark.parametrize("dims", [3, {0: 3, 1: 2}], ids=["int", "mapping"])
+    def test_dims_not_in_site_order_rejected(self, dims):
+        # dims is one local dimension per site, in site order; a mapping
+        # would be read by its keys and an int is no sequence at all
+        with pytest.raises(AlgebraError, match="sequence in site order"):
+            lr.identity((0, 1), dims=dims)
 
 
 class TestOpNorm:
@@ -290,4 +298,4 @@ class TestApplyMap:
     def test_dimension_mismatch_rejected(self):
         k = lr.commutator_map(lr.site_operator("Z", 0))
         with pytest.raises(AlgebraError, match="volume"):
-            lr.apply_map(k, lr.identity((0, 1), dims={0: 3, 1: 2}))
+            lr.apply_map(k, lr.identity((0, 1), dims=(3, 2)))
