@@ -5,11 +5,11 @@ float, a ``WindowedValue`` or (``surface_sum_check``) the lhs and rhs; only
 ``harness.THEOREMS`` builds ``BoundReport`` rows.  Every bound is stated on
 one volume Lambda, the interaction's space, which the evaluators read off the
 constants (``ModelConstants.space``); a caller passes only the supports and
-the grid point.  Exponent or hypothesis
-windows never raise during sweeps: out-of-window points come back as values
-flagged invalid, so a parameter sweep records rather than aborts.  The two
-fixed-point evaluators raise on violated hypotheses instead, since they are
-single-point checks by construction.
+the grid point.  Each evaluator decides its own exponent and hypothesis
+windows, and none raises for them: an out-of-window point comes back as a
+``WindowedValue`` flagged invalid (NaN where the bound is not defined), so a
+parameter sweep records rather than aborts.  ``BoundsError`` is left for a
+caller's error, such as overlapping supports or a negative time.
 """
 from __future__ import annotations
 
@@ -164,10 +164,11 @@ def rhs_full_lrb(c: ModelConstants, k_cb: float, a_norm: float,
 
 
 def rhs_strong_lrb(c: ModelConstants, k_cb: float, a_norm: float, x_size: int,
-                   d: float, t: float) -> float:
-    """Finite-range strong-decay bound with m = ceil(d / R0) hops."""
+                   d: float, t: float) -> float | WindowedValue:
+    """Finite-range strong-decay bound with m = ceil(d / R0) hops; NaN flagged
+    ``finite_range`` for an interaction of zero range, an on-site one."""
     if c.r0 <= 0:
-        raise BoundsError("interaction has zero range")
+        return WindowedValue(float("nan"), {"finite_range": False})
     if d <= 0:
         raise BoundsError("needs positive separation")
     m = math.ceil(d / c.r0)
@@ -364,23 +365,19 @@ def rhs_dynamic_correlation(c: ModelConstants, a_norm: float, b_norm: float,
 
 def rhs_fixed_point_exponential(c_a: ModelConstants, f0_norm: float, a_norm: float,
                                 b_norm: float, x_size: int, y_size: int, d: float,
-                                g: Callable[[float], float]) -> float:
+                                g: Callable[[float], float]) -> float | WindowedValue:
     """Exponential fixed-point clustering bound.
 
     ``c_a`` must be built with an exponentially weighted profile; the weight
     sets the evaluation time t_a = a d / (4 v_a).  ``g`` is the convergence
-    governance handle (values in [0, 2]).
+    governance handle (values in [0, 2]).  Unless d > 2, a > 0 and v_a > 0,
+    the value is NaN flagged ``hypothesis``.
     """
-    if d <= 2:
-        raise BoundsError("separation must exceed 2")
     if c_a.f.kind != "weighted":
         raise BoundsError("needs constants built with a weighted profile")
-    a_weight = c_a.f.a
-    if a_weight is None or a_weight <= 0:
-        raise BoundsError("weight must be positive")
-    v_a = c_a.v
-    if v_a == 0.0:
-        raise BoundsError("empty interaction")
+    a_weight, v_a = c_a.f.a, c_a.v
+    if d <= 2 or a_weight <= 0 or v_a == 0.0:
+        return WindowedValue(float("nan"), {"hypothesis": False})
     t_a = a_weight * d / (4.0 * v_a)
     bracket = t_a + (c_a.conv + c_a.fnorm) / c_a.conv * c_a.growth_integral(t_a)
     first = 2.0 * a_norm * b_norm * (x_size + y_size) * c_a.l_fnorm * f0_norm \
@@ -391,18 +388,16 @@ def rhs_fixed_point_exponential(c_a: ModelConstants, f0_norm: float, a_norm: flo
 def rhs_fixed_point_power_law(c: ModelConstants, a_norm: float, b_norm: float,
                               x_size: int, y_size: int, d: float, eps: float,
                               delta: float, eta_exp: float,
-                              g: Callable[[float], float]) -> float:
-    """Power-law fixed-point clustering bound with free exponent eta_exp."""
-    if d <= 2:
-        raise BoundsError("separation must exceed 2")
+                              g: Callable[[float], float]) -> float | WindowedValue:
+    """Power-law fixed-point clustering bound with free exponent eta_exp.
+    Unless d > 2, the power-law windows hold, 0 < eta_exp < min(delta,
+    (1 - delta) alpha_eps - nu) and v > 0, the value is NaN flagged
+    ``hypothesis``."""
     alpha_eps, flags = power_law_window(c, eps, delta)
-    if not all(flags.values()):
-        raise BoundsError("power-law hypotheses violated")
     exponent = (1.0 - delta) * alpha_eps - c.nu
-    if not (0.0 < eta_exp < min(delta, exponent)):
-        raise BoundsError("eta outside its admissible window")
-    if c.v == 0.0:
-        raise BoundsError("empty interaction")
+    if d <= 2 or not all(flags.values()) or not 0.0 < eta_exp < min(delta, exponent) \
+            or c.v == 0.0:
+        return WindowedValue(float("nan"), {"hypothesis": False})
     const2 = local_approx_constant(c, eps, delta)
     c_prime = (3.0 * const2 / (math.e * c.v)) * 2.0 ** (exponent - eta_exp)
     first = c_prime * a_norm * b_norm * (x_size + y_size) * c.l_fnorm \

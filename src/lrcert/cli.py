@@ -108,11 +108,8 @@ def _run_random_suite(args) -> int:
     all_reports = []
     for k in range(args.models):
         cfg = harness.random_model(args.seed + k, n_sites=args.sites)
-        consts = harness.ModelConstants.from_model(cfg.f, cfg.interaction, cfg.nu)
-        horizon = 2.0 / consts.v if consts.v > 0 else 1.0
-        cfg = replace(cfg, t_grid=tuple(i * horizon / 5.0 for i in range(6)))
         try:
-            reports = harness.ExperimentRunner(cfg, consts).run()
+            reports = harness.ExperimentRunner(cfg).run()
         except Exception as exc:
             print(f"numerical failure in model {k} (seed {args.seed + k}): {exc}",
                   file=sys.stderr)

@@ -14,17 +14,18 @@ objective.  The reported lower value is the exact trace norm recomputed at
 the best state found, so it is attained, not estimated.
 
 ``analyze_fixed_point`` is the one fixed-point analysis; every fixed-point
-question reads the ``FixedPointAnalysis`` it returns.  It builds rho_pi, the
-gap gamma off the generator's spectrum (``Superoperator.spectrum``), the
-Schroedinger maps exp(tL) of its grid as one dict (``_semigroup``, where a
-time that is the sum of two earlier ones is their maps' product) and the
-fixed projection P.  Its checks read T_t - P: the growth-bound identity at
-t = 1 and the upper bracket of each grid time, under the envelope
-c e^{-gamma t}.  The generator is a ``Superoperator``, one CSR matrix:
-every O(n^3) step runs on its invariant blocks (``Superoperator._blocks``),
-gathered from its stored entries, one batched LAPACK call per block size, so
-the generator is never densified; only the ascent reads a dense map.  The
-analysis runs no ascent:
+question reads the ``FixedPointAnalysis`` it returns.  It builds rho_pi
+(``stationary_state``, which alone decides that it is unique), checks mixing
+on ``periodic_points``, reads the gap gamma off the generator's spectrum
+(``Superoperator.spectrum``), and builds the Schroedinger maps exp(tL) of its
+grid as one dict (``_semigroup``, where a time that is the sum of two earlier
+ones is their maps' product) and the fixed projection P.  Its checks read
+T_t - P: the growth-bound identity at t = 1 and the upper bracket of each
+grid time, under the envelope c e^{-gamma t}.  The generator is a
+``Superoperator``, one CSR matrix: every O(n^3) step runs on its invariant
+blocks (``Superoperator._blocks``), gathered from its stored entries, one
+batched LAPACK call per block size, so the generator is never densified; only
+the ascent reads a dense map.  The analysis runs no ascent:
 ``convergence_envelope`` and ``mixing_eta`` read its maps for the lower
 brackets, and ``spectral_gap`` is its gap on an empty grid.
 ``correlation`` evolves observables through ``Dynamics``, and ``c_ab``
@@ -231,7 +232,7 @@ def periodic_points(gen: Superoperator) -> list:
     """Purely imaginary spectrum of the generator: [(imag part, multiplicity)].
 
     Eigenvalues with |Re| <= 1e-9 count; imaginary parts are clustered at the
-    same tolerance.
+    same tolerance.  ``analyze_fixed_point`` reads it for its mixing check.
     """
     eigs = gen.spectrum
     imags = sorted(float(ev.imag) for ev in eigs if abs(ev.real) <= PERIODIC_ATOL)
@@ -255,24 +256,6 @@ def spectral_gap(gen: Superoperator) -> tuple:
     """
     gap = analyze_fixed_point(gen, ()).gap
     return gap, -gap
-
-
-def _mixing_spectrum(gen: Superoperator) -> float:
-    """The least decay rate off the fixed subspace, read off
-    ``gen.spectrum``.  Raises unless the zero eigenvalue is simple and every
-    other eigenvalue decays."""
-    w = gen.spectrum
-    zero = np.abs(w) <= PERIODIC_ATOL
-    n_zero = int(np.sum(zero))
-    if n_zero != 1:
-        raise DegenerateFixedPointError(n_zero)
-    periodic = (np.abs(w.real) <= PERIODIC_ATOL) & ~zero
-    if np.any(periodic):
-        raise NotMixingError("not mixing: oscillatory periodic points present")
-    gamma = float(np.min(-w.real[~zero]))
-    if gamma <= 0:
-        raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
-    return gamma
 
 
 def _schrodinger(gen: Superoperator) -> Superoperator:
@@ -487,6 +470,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPointAnalysis:
     """The stationary state, the gap and the envelope c e^{-gamma t} over ``t_grid``.
 
+    Uniqueness is ``stationary_state``'s rank decision, and mixing is read off
+    ``periodic_points``: the one periodic point must be simple and at 0.  Any
+    other point off 0 raises ``NotMixingError`` for oscillation, and a zero
+    point of multiplicity above 1 or a growing mode for a spectrum reaching
+    the imaginary axis.  gamma is the least -Re lambda over the eigenvalues
+    off the axis, |Re lambda| > ``PERIODIC_ATOL``.
+
     One ``_semigroup`` dict holds the maps of ``t_grid`` and of t = 1, and
     every check reads T_t - P, with P the fixed projection of rho_pi
     (``_fixed_projection``), block-diagonal on the generator's invariant
@@ -499,7 +489,14 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPoi
     ``convergence_envelope`` and ``mixing_eta``.
     """
     rho_pi = stationary_state(gen)
-    gamma = _mixing_spectrum(gen)
+    points = periodic_points(gen)
+    if any(abs(im) > PERIODIC_ATOL for im, _ in points):
+        raise NotMixingError("not mixing: oscillatory periodic points present")
+    re = gen.spectrum.real
+    decay = -re[np.abs(re) > PERIODIC_ATOL]
+    if [n for _, n in points] != [1] or np.min(decay) <= 0:
+        raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
+    gamma = float(np.min(decay))
     gen_s = _schrodinger(gen)
     t_grid = tuple(map(float, t_grid))
     maps = _semigroup(gen_s, [*t_grid, 1.0])

@@ -38,8 +38,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import bounds, correlations, dynamics, geometry, model, qalgebra
-from .bounds import BoundReport, BoundsError, ModelConstants
+from . import bounds, correlations, decay, dynamics, geometry, model, qalgebra
+from .bounds import BoundReport, ModelConstants
 from .correlations import StateFunctional
 from .decay import FFunction
 from .geometry import FiniteMetricSpace, GeometryError
@@ -160,11 +160,12 @@ def _matrix_from_json(entries) -> np.ndarray:
     return np.array([[scalar(v) for v in row] for row in entries], dtype=complex)
 
 
-def parse_operator(desc, space: FiniteMetricSpace) -> ObservableOp:
+def parse_operator(desc, space: FiniteMetricSpace, where: str = "") -> ObservableOp:
     """An operator literal on its own support: 'Z0', 'Z0*X1', or an explicit
-    matrix object {'matrix': ..., 'sites': [...]}."""
+    matrix object {'matrix': ..., 'sites': [...]}, whose unknown keys are
+    refused under ``where``, its path within the field."""
     if isinstance(desc, Mapping):
-        _object("", desc, ("matrix", "sites"))
+        _object(where, desc, ("matrix", "sites"))
         sites = space.ordered([_site_from_json(s) for s in desc["sites"]])
         return from_matrix(_matrix_from_json(desc["matrix"]), sites)
     factors = {}
@@ -206,15 +207,17 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
 
 def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
     if isinstance(desc, Mapping):
-        def on_support(d, support: frozenset) -> ObservableOp:
-            op = parse_operator(d, space)
+        def on_support(d, support: frozenset, where: str) -> ObservableOp:
+            op = parse_operator(d, space, where)
             return op if frozenset(op.sites) == support else embed(op, space.ordered(support))
         terms = []
         for i, td in enumerate(_object("", desc, ("terms",))["terms"]):
             _object(f"terms[{i}]", td, ("support", "h", "kraus", "label"))
             support = frozenset(_site_from_json(s) for s in td["support"])
-            ham = on_support(td["h"], support) if td.get("h") is not None else None
-            kraus = tuple(on_support(kd, support) for kd in td.get("kraus", ()))
+            ham = on_support(td["h"], support, f"terms[{i}].h") \
+                if td.get("h") is not None else None
+            kraus = tuple(on_support(kd, support, f"terms[{i}].kraus[{j}]")
+                          for j, kd in enumerate(td.get("kraus", ())))
             terms.append(LindbladTerm(support, ham, kraus, label=td.get("label", f"term{i}")))
         return DissipativeInteraction(space, tuple(terms))
     family = {"tfim_dissipative": model.tfim_dissipative, "long_range_zz": model.long_range_zz}
@@ -517,12 +520,12 @@ def check_selection(cfg: ExperimentConfig) -> None:
 
 
 def random_model(seed: int, n_sites: int = 4) -> ExperimentConfig:
-    """The random suite's seed-deterministic config on ``chain(n_sites)``: on-site
-    fields and amplitude damping, plus two-site couplings with amplitudes
-    tapered by the decay profile power(3), written as explicit terms; Z on the
-    first and last sites, the domination suite on the R grid 1, 2, 3 and the r
-    grid 1, and t = 0, which the suite replaces by a grid scaled to the
-    model's velocity."""
+    """The random suite's seed-deterministic config on ``chain(n_sites)``, as
+    it runs: on-site fields and amplitude damping, plus two-site couplings
+    with amplitudes tapered by the decay profile power(3), written as
+    explicit terms; Z on the first and last sites, the domination suite on
+    the R grid 1, 2, 3, the r grid 1, and the t grid i h / 5, i = 0..5, over
+    the horizon h = 2 / v scaled to the model's velocity (h = 1 when v = 0)."""
     rng = np.random.default_rng(seed)
     space = FiniteMetricSpace.chain(n_sites)
     f = FFunction.power(3.0)
@@ -543,6 +546,11 @@ def random_model(seed: int, n_sites: int = 4) -> ExperimentConfig:
             kind = rng.integers(0, 3)
             terms.append({"support": [x, y], "label": f"pair{x}{y}",
                           "h": {"matrix": _matrix_json(amp * basis[kind]), "sites": [x, y]}})
+    # the velocity v = |L|_F C_F of ModelConstants, from its two factors alone:
+    # the runner computes the model's constants, once
+    v = (model.interaction_f_norm(parse_interaction({"terms": terms}, space), f)
+         * decay.conv_constant(f, space))
+    horizon = 2.0 / v if v > 0 else 1.0
     return config_from_dict({
         "space": space.descriptor,
         "f_function": f.describe(),
@@ -550,7 +558,8 @@ def random_model(seed: int, n_sites: int = 4) -> ExperimentConfig:
         "observables": {"a": f"Z{space.points[0]}", "b": f"Z{space.points[-1]}"},
         "k_map": "commutator",
         "theorems": list(DOMINATION_SUITE),
-        "grids": {"t": [0.0], "R": [1.0, 2.0, 3.0], "r": [1.0]},
+        "grids": {"t": [i * horizon / 5.0 for i in range(6)], "R": [1.0, 2.0, 3.0],
+                  "r": [1.0]},
         "state": "product(+)",
         "seed": seed,
     })
@@ -587,15 +596,13 @@ class NumericalFailure(RuntimeError):
 class ExperimentRunner:
     """Executes the selected theorem checks for one config.  Construction
     raises ``ConfigError`` when the selection cannot run on the config
-    (``check_selection``), before any model work.  ``consts`` are the
-    config's model constants when the caller has computed them already, as
-    the random suite does for its time grid."""
+    (``check_selection``), before any model work, and then computes the
+    config's model constants."""
 
-    def __init__(self, cfg: ExperimentConfig, consts: Optional[ModelConstants] = None):
+    def __init__(self, cfg: ExperimentConfig):
         check_selection(cfg)
         self.cfg = cfg
-        self.consts = consts if consts is not None else ModelConstants.from_model(
-            cfg.f, cfg.interaction, cfg.nu)
+        self.consts = ModelConstants.from_model(cfg.f, cfg.interaction, cfg.nu)
         sites, dims = cfg.space.points, cfg.interaction.dims
         self.a = embed(cfg.a_local, sites, dims)
         self.b = embed(cfg.b_local, sites, dims) if cfg.b_local is not None else None
@@ -715,21 +722,15 @@ class Theorem:
     dense: bool = False
 
 
-def _bound(rhs: Callable, lhs: Callable, nan_outside: bool = False,
-           hypothesis: bool = False, **extra) -> Callable:
+def _bound(rhs: Callable, lhs: Callable, nan_outside: bool = False, **extra) -> Callable:
     """Rows of one report per point.  ``rhs(runner, params)`` is a float or a
-    ``WindowedValue``, whose flags the report carries; with ``hypothesis`` a
-    ``BoundsError`` from it flags the row instead.  ``lhs(runner, params)`` is
+    ``WindowedValue``, whose flags the report carries: the evaluator in
+    ``bounds`` decides the row's windows.  ``lhs(runner, params)`` is
     evaluated after it, except that with ``nan_outside`` an out-of-window row
     records NaN.  ``extra`` maps further param keys to config fields."""
     def rows(run: ExperimentRunner, name: str, params: dict) -> list:
         params.update((key, getattr(run.cfg, attr)) for key, attr in extra.items())
-        try:
-            value = rhs(run, params)
-        except BoundsError:
-            if not hypothesis:
-                raise
-            value = _flagged("hypothesis")
+        value = rhs(run, params)
         flags = {}
         if isinstance(value, bounds.WindowedValue):
             value, flags = value.value, value.flags
@@ -737,10 +738,6 @@ def _bound(rhs: Callable, lhs: Callable, nan_outside: bool = False,
         return [BoundReport(name, params, float("nan") if out else lhs(run, params), value,
                             flags=flags)]
     return rows
-
-
-def _flagged(flag: str) -> bounds.WindowedValue:
-    return bounds.WindowedValue(float("nan"), {flag: False})
 
 
 def _k_sites(run: ExperimentRunner) -> frozenset:
@@ -778,7 +775,7 @@ THEOREMS = {
     "strong_lrb": Theorem("certify-lrb", ("t",), _bound(
         lambda run, p: bounds.rhs_strong_lrb(
             run.consts, run.cfg.k_map.cb_upper, run.a_norm, len(run.cfg.x_sites), p["d"],
-            p["t"]) if run.consts.r0 > 0 else _flagged("finite_range"),
+            p["t"]),
         ExperimentRunner._lhs_k, nan_outside=True), distance=_k_sites, needs_b=True),
     "composite_lrb": Theorem("certify-lrb", ("t", "R", "r"), _bound(
         lambda run, p: bounds.rhs_composite_lrb(
@@ -832,14 +829,14 @@ THEOREMS = {
         ExperimentRunner._covariance),
         needs_b=True, reads_state=True, dense=True),
     "fixed_point_exponential": Theorem("fixed-point", (), _bound(
-        _fixed_point_exponential, ExperimentRunner._covariance, hypothesis=True, a="a_weight"),
+        _fixed_point_exponential, ExperimentRunner._covariance, a="a_weight"),
         distance=_b_sites, needs_b=True, dense=True),
     "fixed_point_power_law": Theorem("fixed-point", (), _bound(
         lambda run, p: bounds.rhs_fixed_point_power_law(
             run.consts, run.a_norm, run.b_norm, len(run.cfg.x_sites),
             len(run.cfg.y_sites), p["d"], run.cfg.eps, run.cfg.delta, run.cfg.eta_exp,
             run.analysis.governance()),
-        ExperimentRunner._covariance, hypothesis=True, **_EPS_DELTA, eta_exp="eta_exp"),
+        ExperimentRunner._covariance, **_EPS_DELTA, eta_exp="eta_exp"),
         distance=_b_sites, needs_b=True, dense=True),
 }
 

@@ -306,6 +306,24 @@ class TestSpectralGap:
         with pytest.raises(CorrelationsError, match="growth-bound identity violated"):
             lr.analyze_fixed_point(gen, [0.5, 1.0])
 
+    def test_mixing_read_off_the_periodic_points(self, damped4, monkeypatch):
+        # the analysis reads periodic_points once, and its gap is the least
+        # decay rate of every eigenvalue but the simple zero one, bit for bit
+        calls = []
+        periodic_points = correlations.periodic_points
+
+        def counted(gen):
+            calls.append(gen)
+            return periodic_points(gen)
+
+        monkeypatch.setattr(correlations, "periodic_points", counted)
+        space, f, inter = mixed_field_chain(3, alpha=3.0)
+        for gen in (lr.generator(inter), damped4[0]):
+            calls.clear()
+            gap = lr.analyze_fixed_point(gen, [1.0]).gap
+            assert len(calls) == 1 and calls[0] is gen
+            assert gap == min(-ev.real for ev in sorted(gen.spectrum, key=abs)[1:])
+
     def test_gap_is_the_analysis_gap(self, damped4):
         # the gap's t = 1 map is built whether or not 1 is on the grid
         space, f, inter = mixed_field_chain(2, alpha=3.0)

@@ -81,6 +81,12 @@ def fixed_point_raw(**overrides):
     return raw
 
 
+def row(name: str, *values):
+    """A parametrize row with the id ``<name>-<last value>``: the id is the
+    row's own, so inserting a row renames no other."""
+    return pytest.param(*values, id=f"{name}-{values[-1]}")
+
+
 class TestLoadConfig:
     def test_minimal_chain_config(self):
         cfg = config_from_dict(minimal_raw())
@@ -198,32 +204,48 @@ class TestLoadConfig:
         assert len(reports) == 2 and all(r.passes() for r in reports if r.valid)
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"grid": {"t": [0.5]}}, "grid: unknown field"),
-        ({"poly": {"eta": 0.5}}, "poly.eta: unknown field"),
-        ({"interaction": "tfim_dissipative(0.5, 0.4, 1.0, 2.0)"},
-         "interaction: tfim_dissipative takes 3 positional argument(s), got 4"),
-        ({"interaction": "tfim_dissipative(0.5, 0.4, 1.0, gamma=2.0)"},
-         "interaction: tfim_dissipative takes no keyword argument 'gamma'"),
-        ({"interaction": "long_range_zz(0.5, 3)"},
-         "interaction: long_range_zz takes 3 positional argument(s), got 2"),
-        ({"space": "chain(4, metric=l2)"}, "space: chain takes no keyword argument 'metric'"),
-        ({"f_function": "weighted(0.5, power(3), 2)"},
-         "f_function: weighted takes 2 positional argument(s), got 3"),
-        ({"space": "grid(2,2,metric=l1)"}, "space: grid takes no keyword argument 'metric'"),
+        row("overrides0", {"grid": {"t": [0.5]}}, "grid: unknown field"),
+        row("overrides1", {"poly": {"eta": 0.5}}, "poly.eta: unknown field"),
+        row("overrides2", {"interaction": "tfim_dissipative(0.5, 0.4, 1.0, 2.0)"},
+            "interaction: tfim_dissipative takes 3 positional argument(s), got 4"),
+        row("overrides3", {"interaction": "tfim_dissipative(0.5, 0.4, 1.0, gamma=2.0)"},
+            "interaction: tfim_dissipative takes no keyword argument 'gamma'"),
+        row("overrides4", {"interaction": "long_range_zz(0.5, 3)"},
+            "interaction: long_range_zz takes 3 positional argument(s), got 2"),
+        row("overrides5", {"space": "chain(4, metric=l2)"},
+            "space: chain takes no keyword argument 'metric'"),
+        row("overrides6", {"f_function": "weighted(0.5, power(3), 2)"},
+            "f_function: weighted takes 2 positional argument(s), got 3"),
+        row("overrides7", {"space": "grid(2,2,metric=l1)"},
+            "space: grid takes no keyword argument 'metric'"),
         # a nested object refuses an unknown key too: "Kraus" would load the
         # term with no Kraus operators, "cb_uper" the factorization bound
-        ({"interaction": {"terms": [{"support": [0], "h": "X0", "Kraus": ["M0"]}]}},
-         "interaction: terms[0].Kraus: unknown field"),
-        ({"interaction": {"terms": [], "term": []}}, "interaction: term: unknown field"),
-        ({"k_map": {"matrix": harness._matrix_json(
+        row("overrides8",
+            {"interaction": {"terms": [{"support": [0], "h": "X0", "Kraus": ["M0"]}]}},
+            "interaction: terms[0].Kraus: unknown field"),
+        row("overrides9", {"interaction": {"terms": [], "term": []}},
+            "interaction: term: unknown field"),
+        row("overrides10", {"k_map": {"matrix": harness._matrix_json(
             lr.commutator_map(lr.site_operator("Z", 1)).matrix), "support": [1],
             "cb_uper": 0.1}}, "k_map: cb_uper: unknown field"),
-        ({"space": {"points": [0, 1], "dist": [[0, 1], [1, 0]], "metric": "l1"}},
-         "space: metric: unknown field"),
-        ({"f_function": {"grid": [0, 1], "values": [1, 0.5], "value": [1, 0.5]}},
-         "f_function: value: unknown field"),
-        ({"observables": {"a": {"matrix": [[1, 0], [0, -1]], "sites": [0], "site": [1]},
-                          "b": "Z1"}}, "observables.a: site: unknown field"),
+        row("overrides11",
+            {"space": {"points": [0, 1], "dist": [[0, 1], [1, 0]], "metric": "l1"}},
+            "space: metric: unknown field"),
+        row("overrides12",
+            {"f_function": {"grid": [0, 1], "values": [1, 0.5], "value": [1, 0.5]}},
+            "f_function: value: unknown field"),
+        row("overrides13",
+            {"observables": {"a": {"matrix": [[1, 0], [0, -1]], "sites": [0], "site": [1]},
+                             "b": "Z1"}}, "observables.a: site: unknown field"),
+        # an operator object inside a term is refused at its path in the term
+        row("term_h", {"interaction": {"terms": [
+            {"support": [0], "h": {"matrix": [[0, 1], [1, 0]], "sites": [0], "site": [0]}}]}},
+            "interaction: terms[0].h.site: unknown field; expected one of matrix, sites"),
+        row("term_kraus", {"interaction": {"terms": [
+            {"support": [0], "h": "X0"},
+            {"support": [1],
+             "kraus": [{"matrix": [[0, 1], [0, 0]], "sites": [1], "site": [1]}]}]}},
+            "interaction: terms[1].kraus[0].site: unknown field; expected one of matrix, sites"),
     ])
     def test_refusal_names_the_field_or_descriptor(self, overrides, message):
         with pytest.raises(ConfigError) as info:
@@ -781,72 +803,75 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw, field", [
-        ({"seed": 1, "nu": "abc"}, "nu"),
-        ({"seed": 1, "nu": 0}, "nu"),
-        ({"seed": 1, "nu": -1}, "nu"),
-        ({"seed": 1, "nu": "nan"}, "nu"),
-        ({"seed": "x"}, "seed"),
-        ({"seed": -1}, "seed"),
-        ({"seed": 1.5}, "seed"),
-        ({"seed": 1, "poly": {"epsilon": "e"}}, "poly.epsilon"),
-        ({"seed": 1, "poly": {"a_weight": None}}, "poly.a_weight"),
-        ({"seed": 1, "poly": 3}, "poly"),
-        ({"seed": 1, "observables": [1]}, "observables"),
-        ({"seed": 1, "grids": 3}, "grids"),
-        ({"seed": 1, "theorems": 3}, "theorems"),
-        ({"seed": 1, "theorems": [["full_lrb"]]}, "theorems"),
-        ([1, 2], "file"),
-        ({"seed": 1, "poly": {"a_weight": -1}}, "poly.a_weight"),
-        ({"seed": 1, "poly": {"a_weight": math.nan}}, "poly.a_weight"),
-        ({"seed": 1, "poly": {"a_weight": math.inf}}, "poly.a_weight"),
-        ({"seed": 1, "poly": {"epsilon": math.nan}}, "poly.epsilon"),
-        ({"seed": 1, "poly": {"delta": math.inf}}, "poly.delta"),
-        ({"seed": 1, "poly": {"eta_exp": -math.inf}}, "poly.eta_exp"),
-        ({"seed": 1, "grid": {"t": [0.5]}}, "grid"),
-        ({"seed": 1, "poly": {"eta": 0.5}}, "poly.eta"),
-        ({"seed": 1, "observables": {"a": "Z0", "c": "Z3"}}, "observables.c"),
-        ({"seed": 1, "grids": {"T": [0.5]}}, "grids.T"),
-        ({"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4, 1.0, gamma=2.0)"},
-         "interaction"),
-        ({"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4, 1.0, 2.0)"}, "interaction"),
-        ({"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4)"}, "interaction"),
-        ({"seed": 1, "space": "chain(4, 7)"}, "space"),
-        ({"seed": 1, "space": "grid(2,2,3)"}, "space"),
-        ({"seed": 1, "f_function": "power(3, 9)"}, "f_function"),
-        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"}, "state": "product(0, 1)"},
-         "state"),
-        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"}, "state": "maximally_mixed(0)"},
-         "state"),
+        row("raw0", {"seed": 1, "nu": "abc"}, "nu"),
+        row("raw1", {"seed": 1, "nu": 0}, "nu"),
+        row("raw2", {"seed": 1, "nu": -1}, "nu"),
+        row("raw3", {"seed": 1, "nu": "nan"}, "nu"),
+        row("raw4", {"seed": "x"}, "seed"),
+        row("raw5", {"seed": -1}, "seed"),
+        row("raw6", {"seed": 1.5}, "seed"),
+        row("raw7", {"seed": 1, "poly": {"epsilon": "e"}}, "poly.epsilon"),
+        row("raw8", {"seed": 1, "poly": {"a_weight": None}}, "poly.a_weight"),
+        row("raw9", {"seed": 1, "poly": 3}, "poly"),
+        row("raw10", {"seed": 1, "observables": [1]}, "observables"),
+        row("raw11", {"seed": 1, "grids": 3}, "grids"),
+        row("raw12", {"seed": 1, "theorems": 3}, "theorems"),
+        row("raw13", {"seed": 1, "theorems": [["full_lrb"]]}, "theorems"),
+        row("raw14", [1, 2], "file"),
+        row("raw15", {"seed": 1, "poly": {"a_weight": -1}}, "poly.a_weight"),
+        row("raw16", {"seed": 1, "poly": {"a_weight": math.nan}}, "poly.a_weight"),
+        row("raw17", {"seed": 1, "poly": {"a_weight": math.inf}}, "poly.a_weight"),
+        row("raw18", {"seed": 1, "poly": {"epsilon": math.nan}}, "poly.epsilon"),
+        row("raw19", {"seed": 1, "poly": {"delta": math.inf}}, "poly.delta"),
+        row("raw20", {"seed": 1, "poly": {"eta_exp": -math.inf}}, "poly.eta_exp"),
+        row("raw21", {"seed": 1, "grid": {"t": [0.5]}}, "grid"),
+        row("raw22", {"seed": 1, "poly": {"eta": 0.5}}, "poly.eta"),
+        row("raw23", {"seed": 1, "observables": {"a": "Z0", "c": "Z3"}}, "observables.c"),
+        row("raw24", {"seed": 1, "grids": {"T": [0.5]}}, "grids.T"),
+        row("raw25", {"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4, 1.0, gamma=2.0)"},
+            "interaction"),
+        row("raw26", {"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4, 1.0, 2.0)"},
+            "interaction"),
+        row("raw27", {"seed": 1, "interaction": "tfim_dissipative(0.5, 0.4)"}, "interaction"),
+        row("raw28", {"seed": 1, "space": "chain(4, 7)"}, "space"),
+        row("raw29", {"seed": 1, "space": "grid(2,2,3)"}, "space"),
+        row("raw30", {"seed": 1, "f_function": "power(3, 9)"}, "f_function"),
+        row("raw31", {"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
+                      "state": "product(0, 1)"}, "state"),
+        row("raw32", {"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
+                      "state": "maximally_mixed(0)"}, "state"),
         # a number is a JSON number and a grid a JSON array: float() would read
         # "2" as 2.0 and true as 1.0, and a string grid character by character
-        ({"seed": 1, "nu": "2"}, "nu"),
-        ({"seed": 1, "nu": True}, "nu"),
-        ({"seed": 1, "poly": {"epsilon": True}}, "poly.epsilon"),
-        ({"seed": 1, "poly": {"delta": "0.3"}}, "poly.delta"),
-        ({"seed": 1, "grids": {"t": "10"}}, "grids.t"),
-        ({"seed": 1, "grids": {"t": [True, False]}}, "grids.t"),
-        ({"seed": 1, "grids": {"t": {"0": 1}}}, "grids.t"),
-        ({"seed": 1, "grids": {"R": "12"}}, "grids.R"),
-        ({"seed": 1, "grids": {"r": ["1"]}}, "grids.r"),
-        ({"seed": 1, "f_function": {"grid": "012", "values": [1.0, 0.5, 0.25]}},
-         "f_function"),
-        ({"seed": 1, "f_function": {"grid": [0, 1], "values": [True, True]}}, "f_function"),
-        ({"seed": 1, "space": {"points": [0, 1], "dist": [[0, "1"], [1, 0]]}}, "space"),
-        ({"seed": 1, "observables": {"a": {"matrix": [["1", 0], [0, -1]], "sites": [0]}}},
-         "observables.a"),
-        ({"seed": 1, "observables": {"a": {"matrix": [[[1, False], 0], [0, -1]], "sites": [0]}}},
-         "observables.a"),
-        ({"seed": 1, "observables": {"a": {"matrix": [[[1, 0, 7], 0], [0, -1]], "sites": [0]}}},
-         "observables.a"),
-        ({"seed": 1, "k_map": {"matrix": harness._matrix_json(
+        row("raw33", {"seed": 1, "nu": "2"}, "nu"),
+        row("raw34", {"seed": 1, "nu": True}, "nu"),
+        row("raw35", {"seed": 1, "poly": {"epsilon": True}}, "poly.epsilon"),
+        row("raw36", {"seed": 1, "poly": {"delta": "0.3"}}, "poly.delta"),
+        row("raw37", {"seed": 1, "grids": {"t": "10"}}, "grids.t"),
+        row("raw38", {"seed": 1, "grids": {"t": [True, False]}}, "grids.t"),
+        row("raw39", {"seed": 1, "grids": {"t": {"0": 1}}}, "grids.t"),
+        row("raw40", {"seed": 1, "grids": {"R": "12"}}, "grids.R"),
+        row("raw41", {"seed": 1, "grids": {"r": ["1"]}}, "grids.r"),
+        row("raw42", {"seed": 1, "f_function": {"grid": "012", "values": [1.0, 0.5, 0.25]}},
+            "f_function"),
+        row("raw43", {"seed": 1, "f_function": {"grid": [0, 1], "values": [True, True]}},
+            "f_function"),
+        row("raw44", {"seed": 1, "space": {"points": [0, 1], "dist": [[0, "1"], [1, 0]]}},
+            "space"),
+        row("raw45", {"seed": 1, "observables": {
+            "a": {"matrix": [["1", 0], [0, -1]], "sites": [0]}}}, "observables.a"),
+        row("raw46", {"seed": 1, "observables": {
+            "a": {"matrix": [[[1, False], 0], [0, -1]], "sites": [0]}}}, "observables.a"),
+        row("raw47", {"seed": 1, "observables": {
+            "a": {"matrix": [[[1, 0, 7], 0], [0, -1]], "sites": [0]}}}, "observables.a"),
+        row("raw48", {"seed": 1, "k_map": {"matrix": harness._matrix_json(
             lr.commutator_map(lr.site_operator("Z", 3)).matrix), "support": [3],
             "cb_upper": "2"}}, "k_map"),
         # a state object is exactly one of product and density, and a product
         # map names only sites of the space
-        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
-          "state": {"product": "+", "density": [[1]]}}, "state"),
-        ({"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
-          "state": {"product": {"0": "0", "1": "0", "2": "0", "3": "0", "7": "0"}}}, "state"),
+        row("raw49", {"seed": 1, "observables": {"a": "Z0", "b": "Z3"},
+                      "state": {"product": "+", "density": [[1]]}}, "state"),
+        row("raw50", {"seed": 1, "observables": {"a": "Z0", "b": "Z3"}, "state": {
+            "product": {"0": "0", "1": "0", "2": "0", "3": "0", "7": "0"}}}, "state"),
     ])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, raw, field):
         path = tmp_path / "bad.json"
@@ -1056,7 +1081,8 @@ class TestCli:
         assert "violations 0" in out
 
     def test_random_suite_computes_each_models_constants_once(self, monkeypatch, capsys):
-        # the suite's time grid and the runner share one ModelConstants
+        # the runner is the one place that builds a model's constants; the
+        # random model's time grid reads only the velocity's two factors
         calls = []
         from_model = ModelConstants.from_model
 
@@ -1102,6 +1128,9 @@ class TestCli:
         # a unique fixed point, but coherences decay at 7.5e-10, within the
         # periodic tolerance, so they count as oscillating
         ("long_range_zz(0.5, 2.0, 1.5e-9)", "not mixing: oscillatory periodic points present"),
+        # |00><00| is the unique fixed point, but ten modes decay at 1e-9 or
+        # slower, within the periodic tolerance: the zero point is not simple
+        ("tfim_dissipative(0.0, 0.0, 1e-9)", "not mixing: spectrum reaches the imaginary axis"),
     ])
     def test_fixed_point_failures(self, tmp_path, capsys, interaction, cause):
         path = tmp_path / "fp.json"
@@ -1111,6 +1140,44 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err == "numerical failure: fixed_point_correlation at " \
             f"t=0.5, R=None, r=None: {cause}\n"
+
+    def test_on_site_interaction_flags_strong_lrb(self, tmp_path):
+        # range 0 leaves strong_lrb's hop count undefined: NaN rhs and lhs
+        path = tmp_path / "onsite.json"
+        path.write_text(json.dumps(minimal_raw(
+            space="chain(3)", interaction="long_range_zz(0.0, 3.0, 1.0)",
+            observables={"a": "Z0", "b": "Z2"}, theorems=["strong_lrb"],
+            grids={"t": [0.0]})))
+        assert cli.main(["certify-lrb", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "reports.csv").read_text().splitlines()[1:] == [
+            "strong_lrb,0,,,2,nan,nan,nan,false,false"]
+        (rep,) = json.loads((tmp_path / "reports.json").read_text())["reports"]
+        assert rep["flags"] == {"finite_range": False}
+
+    def test_fixed_point_hypotheses_flag_their_rows(self, tmp_path):
+        # d = 2 is not above 2: both clustering bounds are NaN and flagged,
+        # and their rows still record the fixed point's covariance
+        interaction = "tfim_dissipative(0.4, 0.3, 1.0)"
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(fixed_point_raw(
+            space="chain(3)", interaction=interaction, observables={"a": "Z0", "b": "Z2"})))
+        assert cli.main(["fixed-point", "--config", str(path), "--out", str(tmp_path)]) == 0
+        gen = model.generator(harness.parse_interaction(interaction,
+                                                        lr.FiniteMetricSpace.chain(3)))
+        rho = lr.stationary_state(gen).density
+        z, one = np.diag([1.0, -1.0]), np.eye(2)
+        z0, z2 = np.kron(np.kron(z, one), one), np.kron(np.kron(one, one), z)
+        cov = abs(np.trace(rho @ z0 @ z2) - np.trace(rho @ z0) * np.trace(rho @ z2))
+        assert cov > 1e-3
+        reports = json.loads((tmp_path / "reports.json").read_text())["reports"]
+        flagged = [r for r in reports if r["theorem"] in ("fixed_point_exponential",
+                                                           "fixed_point_power_law")]
+        assert [r["theorem"] for r in flagged] == ["fixed_point_exponential",
+                                                   "fixed_point_power_law"]
+        for rep in flagged:
+            assert rep["params"]["d"] == 2.0 and rep["flags"] == {"hypothesis": False}
+            assert rep["rhs"] is None and not rep["valid"] and not rep["pass"]
+            assert rep["lhs"] == pytest.approx(cov, rel=1e-10)
 
     def test_split_generator_with_a_coherent_fixed_point(self, tmp_path):
         # site 0's transverse field gives the fixed point coherences, and the
