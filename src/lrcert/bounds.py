@@ -85,6 +85,10 @@ class ModelConstants:
         """Closed form of the integral of (e^{v s} - 1) over [0, t]."""
         return _growth_integral(self.v, t)
 
+    def local_bracket(self, t: float) -> float:
+        """t + (C_F + |F|) / C_F * growth_integral(t), the local bounds' bracket."""
+        return t + (self.conv + self.fnorm) / self.conv * self.growth_integral(t)
+
 
 def _growth_integral(v: float, t: float) -> float:
     if t < 0:
@@ -323,8 +327,7 @@ def rhs_local_approx(c: ModelConstants, a_norm: float, xs: Iterable[Site],
     outside = c.space.all_sites() - geometry.inflate(c.space, xs, r)
     if not outside:
         return WindowedValue(0.0, flags)
-    bracket = t + (c.conv + c.fnorm) / c.conv * c.growth_integral(t)
-    value = a_norm * c.l_fnorm * bracket * c.pairs(xs, outside)
+    value = a_norm * c.l_fnorm * c.local_bracket(t) * c.pairs(xs, outside)
     return WindowedValue(value, flags)
 
 
@@ -341,8 +344,7 @@ def rhs_correlation_general(c: ModelConstants, a_norm: float, b_norm: float,
     out_x = vol - geometry.inflate(c.space, xs, r)
     out_y = vol - geometry.inflate(c.space, ys, r)
     sums = (c.pairs(xs, out_x) if out_x else 0.0) + (c.pairs(ys, out_y) if out_y else 0.0)
-    bracket = t + (c.conv + c.fnorm) / c.conv * c.growth_integral(t)
-    return WindowedValue(2.0 * a_norm * b_norm * c.l_fnorm * bracket * sums, flags)
+    return WindowedValue(2.0 * a_norm * b_norm * c.l_fnorm * c.local_bracket(t) * sums, flags)
 
 
 def rhs_dynamic_correlation(c: ModelConstants, a_norm: float, b_norm: float,
@@ -379,9 +381,8 @@ def rhs_fixed_point_exponential(c_a: ModelConstants, f0_norm: float, a_norm: flo
     if d <= 2 or a_weight <= 0 or v_a == 0.0:
         return WindowedValue(float("nan"), {"hypothesis": False})
     t_a = a_weight * d / (4.0 * v_a)
-    bracket = t_a + (c_a.conv + c_a.fnorm) / c_a.conv * c_a.growth_integral(t_a)
     first = 2.0 * a_norm * b_norm * (x_size + y_size) * c_a.l_fnorm * f0_norm \
-        * bracket * math.exp(-a_weight * d / 2.0)
+        * c_a.local_bracket(t_a) * math.exp(-a_weight * d / 2.0)
     return first + 3.0 * a_norm * b_norm * float(g(t_a))
 
 

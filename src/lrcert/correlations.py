@@ -17,17 +17,18 @@ the best state found, so it is attained, not estimated.
 question reads the ``FixedPointAnalysis`` it returns.  It builds rho_pi
 (``stationary_state``, which alone decides that it is unique), checks mixing
 on ``periodic_points``, reads the gap gamma off the generator's spectrum
-(``Superoperator.spectrum``), and builds the Schroedinger maps exp(tL) of its
-grid as one dict (``_semigroup``, where a time that is the sum of two earlier
-ones is their maps' product) and the fixed projection P.  Its checks read
-T_t - P: the growth-bound identity at t = 1 and the upper bracket of each
-grid time, under the envelope c e^{-gamma t}.  The generator is a
-``Superoperator``, one CSR matrix: every O(n^3) step runs on its invariant
-blocks (``Superoperator._blocks``), gathered from its stored entries, one
-batched LAPACK call per block size, so the generator is never densified; only
-the ascent reads a dense map.  The analysis runs no ascent:
-``convergence_envelope`` and ``mixing_eta`` read its maps for the lower
-brackets, and ``spectral_gap`` is its gap on an empty grid.
+(``Superoperator.spectrum``), and builds the Schroedinger maps exp(tL_s) of
+its grid as one dict (``_semigroup``, a sum of two earlier times being their
+maps' product) and the fixed projection P.  Its checks read T_t - P: the
+growth-bound identity at t = 1 and the upper bracket of each grid time,
+under the envelope c e^{-gamma t}.  The generator is the Heisenberg
+``Superoperator`` L, one CSR matrix, and L_s = L^H its CSR conjugate
+transpose: every O(n^3) step runs on their shared invariant blocks
+(``Superoperator._blocks``), gathered from the stored entries, one batched
+LAPACK call per block size, so neither is densified; only the ascent reads a
+dense map.  The analysis runs no ascent: ``convergence_envelope`` and
+``mixing_eta`` read its maps for the lower brackets, and ``spectral_gap`` is
+its gap on an empty grid.
 ``correlation`` evolves observables through ``Dynamics``, and ``c_ab``
 localizes them there, each to the inflation of its own support; the
 fixed-point rows' first term w(T_t(A B_t)) is ``covariance`` at w evolved by
@@ -43,7 +44,7 @@ import numpy as np
 
 from .dynamics import Dynamics
 from .geometry import Site
-from .model import Superoperator
+from .model import Superoperator, expm_blocks
 from .qalgebra import (
     ObservableOp,
     _resolve_dims,
@@ -181,18 +182,17 @@ def c_ab(dynamics: Dynamics, r: float, t: float, a: ObservableOp, b: ObservableO
 
 
 def stationary_state(gen: Superoperator) -> StateFunctional:
-    """The unique density matrix annihilated by the Schroedinger generator.
+    """The unique density matrix annihilated by L_s = L^H, ``gen`` being L.
 
     Null vectors are singular vectors below ``1e-10 * |L|``; the rank decision
     additionally demands a 1e3 gap ratio to the first retained singular value.
-    Both read the union of the singular values of the generator's invariant
-    blocks (one batched SVD per block size), and the null vector is its
-    block's singular vector, zero off the block.  The state stays zero off
-    that block: the roundoff of its positive-semidefinite clip is dropped
-    there, so the fixed projection lies in one block (``_fixed_projection``).
+    Both read the union of the singular values of L_s on the invariant blocks
+    (one batched SVD per block size), and the null vector is its block's
+    singular vector, zero off the block.  The state stays zero off that
+    block: the roundoff of its positive-semidefinite clip is dropped there,
+    so the fixed projection lies in one block (``_fixed_projection``).
     """
-    gen_s = _schrodinger(gen)
-    svds = [np.linalg.svd(m) for m in gen_s._gather()]
+    svds = [np.linalg.svd(m) for m in gen._gather(gen.matrix.conj().T.tocsr())]
     flat = np.concatenate([sv[1].ravel() for sv in svds])
     s = np.sort(flat)[::-1]
     scale = s[0] if s[0] > 0 else 1.0
@@ -210,10 +210,10 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
     g = int(np.argmin([sv[1].min() for sv in svds]))
     b, j = np.unravel_index(np.argmin(svds[g][1]), svds[g][1].shape)
     vec = np.zeros(flat.size, dtype=complex)
-    vec[gen_s._blocks[g][b]] = svds[g][2][b, j].conj()
-    rho = devectorize(vec, gen_s.sites, gen_s.dims).matrix
+    vec[gen._blocks[g][b]] = svds[g][2][b, j].conj()
+    rho = devectorize(vec, gen.sites, gen.dims).matrix
     in_block = np.zeros(rho.size, dtype=bool)
-    in_block[gen_s._blocks[g][b]] = True
+    in_block[gen._blocks[g][b]] = True
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
@@ -225,7 +225,7 @@ def stationary_state(gen: Superoperator) -> StateFunctional:
     rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     rho[~in_block.reshape(rho.shape, order="F")] = 0.0
     rho = rho / np.trace(rho).real
-    return StateFunctional(rho, gen_s.sites, gen_s.dims)
+    return StateFunctional(rho, gen.sites, gen.dims)
 
 
 def periodic_points(gen: Superoperator) -> list:
@@ -258,27 +258,22 @@ def spectral_gap(gen: Superoperator) -> tuple:
     return gap, -gap
 
 
-def _schrodinger(gen: Superoperator) -> Superoperator:
-    return gen if gen.picture == "schrodinger" else gen.adjoint
-
-
 def _semigroup(gen: Superoperator, times: Iterable[float]) -> dict:
-    """{t: exp(t L_s)} over ``times``, with L_s the Schroedinger generator of
-    ``gen``, each map on the invariant blocks (one read-only (k, n, n) stack
-    per block size, as ``Superoperator._exp_blocks``).  The maps are built in
-    ascending order, and a time that equals the sum of two earlier ones
+    """{t: exp(t L_s)} over ``times``, with L_s = L^H and L = ``gen``, each map
+    on the invariant blocks (one read-only (k, n, n) stack per block size,
+    ``model.expm_blocks`` of L_s gathered for that time).  The maps are built
+    in ascending order, and a time that equals the sum of two earlier ones
     exactly (in floating point) is the product of their maps, the semigroup
     law exp((s + u) L) = exp(s L) exp(u L) that is also the squaring step of
     scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); any
     other time is exponentiated.  No dense map is formed; the ascent
     scatters the one it reads (``FixedPointAnalysis.lower_bracket``)."""
-    gen_s = _schrodinger(gen)
     maps: dict = {}
     for t in sorted(set(map(float, times))):
         s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
                  None)
         if s is None:
-            maps[t] = gen_s._exp_blocks(t)
+            maps[t] = expm_blocks(gen._gather(gen.matrix.conj().T.tocsr()), t)
         else:
             maps[t] = [x @ y for x, y in zip(maps[s], maps[t - s])]
         for m in maps[t]:
@@ -286,9 +281,9 @@ def _semigroup(gen: Superoperator, times: Iterable[float]) -> dict:
     return maps
 
 
-def _fixed_projection(gen_s: Superoperator, rho_pi: np.ndarray) -> list:
+def _fixed_projection(gen: Superoperator, rho_pi: np.ndarray) -> list:
     """The fixed projection P = vec(rho_pi) vec(1)^T of the Schroedinger maps
-    on the invariant blocks of ``gen_s``, one (k, n, n) stack per block size.
+    on the invariant blocks of ``gen``, one (k, n, n) stack per block size.
 
     P lies in one block when the zero eigenvalue is simple.  L_s is
     block-diagonal, so its spectrum is the union of its blocks' spectra, and
@@ -302,11 +297,11 @@ def _fixed_projection(gen_s: Superoperator, rho_pi: np.ndarray) -> list:
     r = rho_pi.flatten(order="F")
     one = np.eye(rho_pi.shape[0], dtype=complex).flatten(order="F")
     support = (r != 0) | (one != 0)
-    touched = sum(int(np.count_nonzero(support[idx].any(axis=1))) for idx in gen_s._blocks)
+    touched = sum(int(np.count_nonzero(support[idx].any(axis=1))) for idx in gen._blocks)
     if touched != 1:
         raise CorrelationsError(
             f"the fixed projection spans {touched} invariant blocks of the generator, not one")
-    return [r[idx][:, :, None] * one[idx][:, None, :] for idx in gen_s._blocks]
+    return [r[idx][:, :, None] * one[idx][:, None, :] for idx in gen._blocks]
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -322,7 +317,7 @@ class FixedPointAnalysis:
     gap gamma, the upper bracket sqrt(dim) |T_t - P|_2 of each grid time
     (``uppers``) and the least c >= 1 with c e^{-gamma t} above every one;
     and the grid's ``_semigroup`` maps on the invariant blocks of the
-    Schroedinger ``generator``, which the lower brackets read."""
+    Heisenberg ``generator`` it analysed, which the lower brackets read."""
 
     rho_pi: StateFunctional
     gap: float
@@ -361,7 +356,7 @@ class FixedPointAnalysis:
 
 def convergence_envelope(analysis: FixedPointAnalysis, n_starts: int = 16,
                          seed: int = 11) -> tuple:
-    """Per-time brackets of the state-picture distance to the fixed projection
+    """Per-time brackets of the distance of evolved states to the fixed projection
     over the grid of ``analysis``.
 
     Returns ``(c, gamma, samples)``, the analysis' envelope and, per grid
@@ -470,6 +465,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPointAnalysis:
     """The stationary state, the gap and the envelope c e^{-gamma t} over ``t_grid``.
 
+    ``gen`` is the Heisenberg generator L, kept as the analysis' ``generator``.
     Uniqueness is ``stationary_state``'s rank decision, and mixing is read off
     ``periodic_points``: the one periodic point must be simple and at 0.  Any
     other point off 0 raises ``NotMixingError`` for oscillation, and a zero
@@ -497,10 +493,9 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPoi
     if [n for _, n in points] != [1] or np.min(decay) <= 0:
         raise NotMixingError("not mixing: spectrum reaches the imaginary axis")
     gamma = float(np.min(decay))
-    gen_s = _schrodinger(gen)
     t_grid = tuple(map(float, t_grid))
-    maps = _semigroup(gen_s, [*t_grid, 1.0])
-    proj = _fixed_projection(gen_s, rho_pi.density)
+    maps = _semigroup(gen, [*t_grid, 1.0])
+    proj = _fixed_projection(gen, rho_pi.density)
 
     def minus_p(t: float) -> list:
         return [m - p for m, p in zip(maps[t], proj)]
@@ -515,4 +510,4 @@ def analyze_fixed_point(gen: Superoperator, t_grid: Sequence[float]) -> FixedPoi
                              for d in minus_p(t))
               for t in t_grid}
     c = max([1.0, *(upper * math.exp(gamma * t) for t, upper in uppers.items())])
-    return FixedPointAnalysis(rho_pi, gamma, c, uppers, {t: maps[t] for t in t_grid}, gen_s)
+    return FixedPointAnalysis(rho_pi, gamma, c, uppers, {t: maps[t] for t in t_grid}, gen)

@@ -14,15 +14,15 @@ the fixed-point group's (the analysis' block maps) is a ``Dynamics`` method
 or built from its evolutions: the quasi-locality norm, the truncation and
 local approximation errors here, ``correlations.correlation`` and ``c_ab``.
 The module-level ``evolve`` acts the same way with a ``Superoperator``
-generator.  Every generator is a ``Superoperator``, one CSR matrix
-(``model.assemble``).  The one dense map left is ``propagator``'s, the
-read-only array ``Superoperator.exp``: one dense ``expm`` per block size of
-the generator's invariant blocks (``Superoperator._exp_blocks``), scattered
-into the whole map; the fixed-point analysis keeps the blocks instead.  The
-runner's analysis reads the full generator held here, block by block, and
-never densifies it.  Dense work caps at ``model.MAX_DENSE_DIM`` (six qubits);
-the action path has no ceiling of its own, and an observation map acts on
-its own sites (``qalgebra.apply_map``).
+generator.  Every generator is a Heisenberg ``Superoperator``, one CSR
+matrix (``model.assemble``).  The one dense map left is ``propagator``'s, the
+read-only array ``Superoperator.exp``: the package's one dense exponential,
+``model.expm_blocks``, of the generator's invariant blocks, scattered into
+the whole map; the fixed-point analysis keeps the blocks instead.  The
+runner's analysis is handed the full generator held here and reads it block
+by block, never densifying it.  Dense work caps at ``model.MAX_DENSE_DIM``
+(six qubits); the action path has no ceiling of its own, and an observation
+map acts on its own sites (``qalgebra.apply_map``).
 """
 from __future__ import annotations
 

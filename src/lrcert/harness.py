@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -208,17 +209,19 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
 def parse_interaction(desc, space: FiniteMetricSpace) -> DissipativeInteraction:
     if isinstance(desc, Mapping):
         def on_support(d, support: frozenset, where: str) -> ObservableOp:
-            op = parse_operator(d, space, where)
-            return op if frozenset(op.sites) == support else embed(op, space.ordered(support))
+            with _at(where):
+                op = parse_operator(d, space, where)
+                return op if frozenset(op.sites) == support else embed(op, space.ordered(support))
         terms = []
         for i, td in enumerate(_object("", desc, ("terms",))["terms"]):
-            _object(f"terms[{i}]", td, ("support", "h", "kraus", "label"))
-            support = frozenset(_site_from_json(s) for s in td["support"])
-            ham = on_support(td["h"], support, f"terms[{i}].h") \
-                if td.get("h") is not None else None
-            kraus = tuple(on_support(kd, support, f"terms[{i}].kraus[{j}]")
-                          for j, kd in enumerate(td.get("kraus", ())))
-            terms.append(LindbladTerm(support, ham, kraus, label=td.get("label", f"term{i}")))
+            with _at(f"terms[{i}]"):
+                _object(f"terms[{i}]", td, ("support", "h", "kraus", "label"))
+                support = frozenset(space.ordered(_site_from_json(s) for s in td["support"]))
+                ham = on_support(td["h"], support, f"terms[{i}].h") \
+                    if td.get("h") is not None else None
+                kraus = tuple(on_support(kd, support, f"terms[{i}].kraus[{j}]")
+                              for j, kd in enumerate(td.get("kraus", ())))
+                terms.append(LindbladTerm(support, ham, kraus, label=td.get("label", f"term{i}")))
         return DissipativeInteraction(space, tuple(terms))
     family = {"tfim_dissipative": model.tfim_dissipative, "long_range_zz": model.long_range_zz}
     name, args = _parse_call(desc, "interaction", dict.fromkeys(family, (3,)))
@@ -429,6 +432,18 @@ def _object(where: str, value, keys) -> Mapping:
             raise ConfigError(f"{where}.{key}".lstrip("."),
                               f"unknown field; expected one of {', '.join(keys)}")
     return value
+
+
+@contextmanager
+def _at(where: str):
+    """Names a refusal raised inside ``where`` by that path; one that names its
+    own path already, an unknown key, passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        raise ConfigError(where, str(exc)) from exc
 
 
 def _number(value) -> float:

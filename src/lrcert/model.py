@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from . import geometry
+from . import decay, geometry
 from .geometry import FiniteMetricSpace, Site
 from .qalgebra import (
     ObservableOp,
@@ -56,10 +56,11 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Linear map on the vectorized observable algebra of a volume, its matrix
-    held in canonical CSR form: sorted indices, no duplicates and no stored
-    zeros.  Any other input is converted once; a canonical CSR input with no
-    stored zero, such as ``assemble``'s, is kept as it is, not copied.
+    """The Heisenberg generator L of a volume, a linear map on its vectorized
+    observable algebra, its matrix M held in canonical CSR form: sorted
+    indices, no duplicates and no stored zeros.  Any other input is converted
+    once; a canonical CSR input with no stored zero, such as ``assemble``'s,
+    is kept as it is, not copied.
 
     Its O(n^3) work runs on its invariant coordinate blocks (``_blocks``),
     the connected components of the nonzero pattern of M + M^H.  A block of
@@ -67,17 +68,18 @@ class Superoperator:
     block-diagonal over the blocks, and its exponentials, eigenvalues and
     singular values are those of its blocks: the symmetry reduction of Buca
     and Prosen (New J. Phys. 14, 073007, 2012), read off the sparsity pattern.
-    The blocks, their entries (``_gather``) and the adjoint are read off the
-    stored entries, so the map is never densified.  Blocks of one size are
-    stacked, so each step is one batched LAPACK call per block size; a map
-    that does not split is one block and runs the same calls on its whole
-    matrix.  A dense map it yields, such as ``exp``, is a read-only array.
+    The pattern is that of M^H as well, so the Schroedinger generator
+    L_s = L^H, the CSR conjugate transpose of M, has the same blocks, and
+    ``_gather`` reads either matrix's blocks off its stored entries: the map
+    is never densified.  Blocks of one size are stacked, so each step is one
+    batched LAPACK call per block size; a map that does not split is one
+    block and runs the same calls on its whole matrix.  A dense map it
+    yields, such as ``exp``, is a read-only array.
     """
 
     matrix: scipy.sparse.csr_matrix
     sites: tuple
     dims: tuple
-    picture: str  # "heisenberg" | "schrodinger"
 
     def __post_init__(self):
         m = self.matrix
@@ -89,8 +91,6 @@ class Superoperator:
         total = int(np.prod(self.dims))
         if m.shape != (total * total, total * total):
             raise ModelError(f"superoperator shape {m.shape} inconsistent with volume")
-        if self.picture not in ("heisenberg", "schrodinger"):
-            raise ModelError(f"unknown picture {self.picture!r}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "sites", tuple(self.sites))
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -113,11 +113,11 @@ class Superoperator:
         return tuple(order[starts[sizes == n][:, None] + np.arange(n)]
                      for n in np.unique(sizes))
 
-    def _gather(self) -> list:
-        """The invariant blocks of the matrix, one writable (k, n, n) stack
-        per size group of ``_blocks``: one COO scatter per group of the
-        stored entries of the matrix, each in its block, at its places there."""
-        csr = self.matrix
+    def _gather(self, matrix: Optional[scipy.sparse.csr_matrix] = None) -> list:
+        """The invariant blocks of ``matrix`` (the map's own or its conjugate
+        transpose), one writable (k, n, n) stack per size group of ``_blocks``:
+        one COO scatter of its stored entries per group, each at its place."""
+        csr = self.matrix if matrix is None else matrix
         group, block, place = (np.empty(csr.shape[0], dtype=np.intp) for _ in range(3))
         for g, idx in enumerate(self._blocks):
             group[idx] = g
@@ -153,36 +153,22 @@ class Superoperator:
         w.flags.writeable = False
         return w
 
-    @cached_property
-    def adjoint(self) -> "Superoperator":
-        """The trace-pairing adjoint, in the other picture; built once per map
-        as the CSR conjugate transpose of the matrix.  M^H + M is the pattern
-        of both, so the adjoint shares ``_blocks``."""
-        flipped = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-        adjoint = Superoperator(self.matrix.conj().T.tocsr(), self.sites, self.dims,
-                                picture=flipped)
-        adjoint.__dict__["_blocks"] = self._blocks
-        return adjoint
-
     def exp(self, t: float) -> np.ndarray:
-        """exp(t M) for t >= 0, read-only: ``_exp_blocks`` scattered into
-        the dense map."""
-        return self._scatter(self._exp_blocks(t))
+        """exp(t M) for t >= 0, read-only: its blocks' ``expm_blocks``, scattered."""
+        return self._scatter(expm_blocks(self._gather(), t))
 
-    def _exp_blocks(self, t: float) -> list:
-        """exp(t M) on the invariant blocks, one (k, n, n) stack per size
-        group: the identity at t = 0, else one call of scipy's ``expm`` per
-        group, the package's dense exponential."""
-        t = float(t)
-        if t < 0:
-            raise ModelError("propagation time must be nonnegative")
-        if t == 0.0:
-            return [np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
-                    for k, n in (idx.shape for idx in self._blocks)]
-        stacks = self._gather()
-        for s in stacks:
-            s *= t
-        return [scipy.linalg.expm(s) for s in stacks]
+
+def expm_blocks(stacks: list, t: float) -> list:
+    """exp(t M) of each (k, n, n) stack of blocks M, the package's one dense
+    exponential: the identity at t = 0, else M scaled by t in place and one
+    call of scipy's ``expm`` per stack."""
+    if t < 0:
+        raise ModelError("propagation time must be nonnegative")
+    if t == 0.0:
+        return [np.broadcast_to(np.eye(s.shape[-1], dtype=complex), s.shape) for s in stacks]
+    for s in stacks:
+        s *= t
+    return [scipy.linalg.expm(s) for s in stacks]
 
 
 @dataclass(frozen=True)
@@ -232,7 +218,7 @@ class LindbladTerm:
 
 
 def own_superop(term: LindbladTerm) -> np.ndarray:
-    """Dense Heisenberg-picture matrix of the term on its own support:
+    """Dense Heisenberg generator of the term on its own support:
     A -> i[H, A] + sum_j K_j* A K_j - (1/2){K_j* K_j, A}.  Built once per
     term, as ``term.superop``."""
     total = int(np.prod(term.dims))
@@ -358,7 +344,7 @@ def assemble(terms: Iterable[LindbladTerm], vol_sites: tuple, dims: tuple) -> Su
     acc = scipy.sparse.csr_matrix((total * total, total * total), dtype=complex)
     for t in terms:
         acc = acc + local_superop(t, vol_sites, dims)
-    return Superoperator(acc, vol_sites, dims, picture="heisenberg")
+    return Superoperator(acc, vol_sites, dims)
 
 
 def interaction_f_norm(interaction: DissipativeInteraction, f: Callable) -> float:
@@ -371,10 +357,7 @@ def interaction_f_norm(interaction: DissipativeInteraction, f: Callable) -> floa
     for t in interaction.terms:
         idx = space.indices(t.support)
         anchored[np.ix_(idx, idx)] += t.cb_upper
-    fm = np.asarray(f(space.dist), dtype=float)
-    if np.min(fm) <= 0:
-        raise ModelError("profile must be positive on the space")
-    return float(np.max(anchored / fm))
+    return float(np.max(anchored / decay._f_matrix(f, space)))
 
 
 # -- named interaction families -------------------------------------------------

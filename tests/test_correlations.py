@@ -188,7 +188,7 @@ class TestCheckDynamicCorrelation:
 class TestStationaryState:
     def test_amplitude_damping_ground_state(self):
         space, inter = single_qubit_damping(gamma=1.3)
-        rho = lr.stationary_state(lr.generator(inter).adjoint)
+        rho = lr.stationary_state(lr.generator(inter))
         np.testing.assert_allclose(rho.density, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_zero_generator_fully_degenerate(self):
@@ -209,7 +209,7 @@ class TestStationaryState:
     def test_invariance_under_dynamics(self):
         space, f, inter = mixed_field_chain(3, alpha=3.0)
         gen = lr.generator(inter)
-        rho = lr.stationary_state(gen.adjoint)
+        rho = lr.stationary_state(gen)
         rng = np.random.default_rng(77)
         for t in (0.3, 1.1):
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -270,14 +270,14 @@ class TestSpectralGap:
     def test_scaling(self):
         space, inter = single_qubit_damping(1.0)
         gen = lr.generator(inter)
-        scaled = lr.Superoperator(3.0 * gen.matrix, gen.sites, gen.dims, gen.picture)
+        scaled = lr.Superoperator(3.0 * gen.matrix, gen.sites, gen.dims)
         gap1, _ = lr.spectral_gap(gen)
         gap3, _ = lr.spectral_gap(scaled)
         assert gap3 == pytest.approx(3.0 * gap1, rel=1e-10)
 
     def test_oscillatory_spectrum_rejected(self):
         m = np.diag([0.0, -1.0, 2.0j, -2.0j]).astype(complex)
-        fake = lr.Superoperator(m, (0,), (2,), "heisenberg")
+        fake = lr.Superoperator(m, (0,), (2,))
         with pytest.raises(NotMixingError):
             lr.spectral_gap(fake)
 
@@ -298,9 +298,9 @@ class TestSpectralGap:
         space, f, inter = mixed_field_chain(2, alpha=3.0)
         gen = lr.generator(inter)
 
-        def zero_projection(gen_s, rho_pi):
+        def zero_projection(gen, rho_pi):
             return [np.zeros((k, n, n), dtype=complex) for k, n in
-                    (idx.shape for idx in gen_s._blocks)]
+                    (idx.shape for idx in gen._blocks)]
 
         monkeypatch.setattr(correlations, "_fixed_projection", zero_projection)
         with pytest.raises(CorrelationsError, match="growth-bound identity violated"):
@@ -387,7 +387,7 @@ def damped4():
     space = lr.FiniteMetricSpace.chain(4)
     inter = lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0)
     gen = lr.generator(inter)
-    rho = lr.stationary_state(gen.adjoint)
+    rho = lr.stationary_state(gen)
     return gen, rho
 
 
@@ -430,7 +430,7 @@ class TestMixingEta:
 
     def test_lower_attained_at_returned_state(self, damped4):
         gen, rho = damped4
-        prop = lr.propagator(gen.adjoint, 4.0)
+        prop = lr.propagator(gen, 4.0).conj().T
         value, psi = correlations._multistart_state_distance(prop, rho.density, 64, 23)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         image = (prop @ np.outer(psi, psi.conj()).flatten(order="F")).reshape(
@@ -439,7 +439,7 @@ class TestMixingEta:
 
     def test_oscillatory_rejected(self):
         m = np.diag([0.0, -1.0, 1.5j, -1.5j]).astype(complex)
-        fake = lr.Superoperator(m, (0,), (2,), "heisenberg")
+        fake = lr.Superoperator(m, (0,), (2,))
         with pytest.raises(NotMixingError):
             lr.analyze_fixed_point(fake, [1.0])
 
@@ -503,25 +503,23 @@ class TestSemigroupStore:
         times = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
         calls = _counting_expm(monkeypatch)
         maps = correlations._semigroup(gen, times)
-        gen_s = gen.adjoint
-        assert _one_call_per_block_size(gen_s, calls)
+        assert _one_call_per_block_size(gen, calls)
         monkeypatch.undo()
         assert sorted(maps) == list(times)
         for t in times:
             assert not any(m.flags.writeable for m in maps[t])
-            want = scipy.linalg.expm(t * gen_s.matrix.toarray())
-            np.testing.assert_allclose(gen_s._scatter(maps[t]), want, rtol=0, atol=1e-12)
+            want = scipy.linalg.expm(t * gen.matrix.conj().T.toarray())
+            np.testing.assert_allclose(gen._scatter(maps[t]), want, rtol=0, atol=1e-12)
 
     def test_analysis_keeps_the_grid_maps(self, damped4):
         # the gap's t = 1 map is not kept unless 1 is on the grid
         gen, _ = damped4
-        gen_s = gen.adjoint
         grid = (0.0, 0.5, 2.0)
         analysis = lr.analyze_fixed_point(gen, grid)
         assert sorted(analysis.maps) == list(grid)
         rho = StateFunctional.product(gen.sites, "+").density
         for t in grid:
-            want = scipy.linalg.expm(t * gen_s.matrix.toarray()) @ rho.flatten(order="F")
+            want = scipy.linalg.expm(t * gen.matrix.conj().T.toarray()) @ rho.flatten(order="F")
             np.testing.assert_allclose(analysis.evolve(t, rho).flatten(order="F"), want,
                                        rtol=0, atol=1e-12)
         assert np.array_equal(analysis.evolve(0.0, rho), rho)
@@ -529,17 +527,12 @@ class TestSemigroupStore:
                            match=r"t = 1\.0 is not on the analysis grid \[0\.0, 0\.5, 2\.0\]"):
             analysis.evolve(1.0, rho)
 
-    def test_schrodinger_adjoint_built_once(self, damped4):
-        gen, _ = damped4
-        assert gen.adjoint is gen.adjoint
-        assert correlations._schrodinger(gen) is gen.adjoint
-
     def test_analysis_exponentiates_once(self, monkeypatch):
         space = lr.FiniteMetricSpace.chain(3)
         gen = lr.generator(lr.tfim_dissipative(space, j=0.2, h=0.0, gamma=1.0))
         calls = _counting_expm(monkeypatch)
         lr.analyze_fixed_point(gen, [0.5, 1.0, 2.0, 4.0])
-        assert _one_call_per_block_size(gen.adjoint, calls)
+        assert _one_call_per_block_size(gen, calls)
 
     def test_upper_brackets_unchanged(self, recorded_brackets):
         # sqrt(dim) |T_t - P|_2 from one scipy expm per time (and the eta
@@ -712,7 +705,7 @@ def _oracle(gen, times):
     (maps, eigenvalues, stationary density, gap, upper brackets).  The maps
     follow ``_semigroup``'s rule: a time that is the sum of two earlier ones
     is their product."""
-    m_s = gen.adjoint.matrix.toarray()
+    m_s = gen.matrix.conj().T.toarray()
     maps = {}
     for t in times:
         s = next((u for u in sorted(maps, reverse=True) if t - u in maps and u + (t - u) == t),
@@ -737,7 +730,7 @@ def _oracle(gen, times):
 def _blockwise(gen, times):
     """The same quantities as ``_oracle``, through the package: one analysis."""
     analysis = lr.analyze_fixed_point(gen, times)
-    maps = {t: gen.adjoint._scatter(analysis.maps[t]) for t in times}
+    maps = {t: gen._scatter(analysis.maps[t]) for t in times}
     return maps, gen.spectrum, analysis.rho_pi.density, analysis.gap, analysis.uppers
 
 
@@ -762,7 +755,7 @@ def _damped_models(draw, field: bool):
         terms.append(LindbladTerm(frozenset([x, y]), from_matrix(zz, (x, y)), ()))
     interaction = DissipativeInteraction(space, tuple(terms))
     csr = lr.Dynamics(interaction).generator()
-    dense = lr.Superoperator(csr.matrix.toarray(), csr.sites, csr.dims, csr.picture)
+    dense = lr.Superoperator(csr.matrix.toarray(), csr.sites, csr.dims)
     return dense, csr
 
 

@@ -198,14 +198,16 @@ class TestChoi:
         np.testing.assert_allclose(c, np.outer(omega, omega.conj()), atol=1e-14)
         assert choi_min_eigenvalue(np.eye(4, dtype=complex)) >= -1e-14
 
+    # the Schroedinger map exp(t L_s) is the conjugate transpose of the
+    # Heisenberg propagator exp(t L)
     def test_time_zero_psd(self, chain4):
-        gen = lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0)).adjoint
-        assert choi_min_eigenvalue(lr.propagator(gen, 0.0)) >= -1e-12
+        gen = lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
+        assert choi_min_eigenvalue(lr.propagator(gen, 0.0).conj().T) >= -1e-12
 
     def test_damping_choi_psd(self):
         space, inter = single_qubit_damping()
-        gen = lr.generator(inter).adjoint
-        assert choi_min_eigenvalue(lr.propagator(gen, 1.0)) >= -1e-12
+        gen = lr.generator(inter)
+        assert choi_min_eigenvalue(lr.propagator(gen, 1.0).conj().T) >= -1e-12
 
     def test_kraus_consistency(self):
         # Choi of a map given by Kraus operators equals sum |vec K><vec K|
@@ -224,7 +226,7 @@ class TestChoi:
         # tracing out the input does not
         inter = lr.tfim_dissipative(lr.FiniteMetricSpace.chain(n), 0.4, 0.3, 1.0)
         dim = 2 ** n
-        c = _choi(lr.propagator(lr.generator(inter).adjoint, 0.7))
+        c = _choi(lr.propagator(lr.generator(inter), 0.7).conj().T)
         c = c.reshape(dim, dim, dim, dim)
         np.testing.assert_allclose(np.einsum("iaja->ij", c), np.eye(dim), rtol=0, atol=1e-13)
         assert np.abs(np.einsum("aiaj->ij", c) - np.eye(dim)).max() > 0.1

@@ -246,6 +246,16 @@ class TestLoadConfig:
             {"support": [1],
              "kraus": [{"matrix": [[0, 1], [0, 0]], "sites": [1], "site": [1]}]}]}},
             "interaction: terms[1].kraus[0].site: unknown field; expected one of matrix, sites"),
+        # so is every other fault inside a term: at its operator, else at the term
+        row("term_kraus_entry", {"interaction": {"terms": [
+            {"support": [0], "h": "X0"},
+            {"support": [1], "kraus": [{"matrix": [[0, "1"], [0, 0]], "sites": [1]}]}]}},
+            "interaction: terms[1].kraus[0]: must be a number, got '1'"),
+        row("term_support", {"interaction": {"terms": [{"support": [5], "h": "Z5"}]}},
+            "interaction: terms[0]: sites not in space: ['5']"),
+        row("term_hermiticity", {"interaction": {"terms": [
+            {"support": [0], "h": {"matrix": [[0, 1], [0, 0]], "sites": [0]}}]}},
+            "interaction: terms[0]: hamiltonian part must be self-adjoint"),
     ])
     def test_refusal_names_the_field_or_descriptor(self, overrides, message):
         with pytest.raises(ConfigError) as info:
@@ -677,8 +687,8 @@ class TestRunExperiment:
 
     def test_fixed_point_run_densifies_nothing(self, monkeypatch):
         # the analysis reads the layer's CSR generator itself, block by
-        # block: no sparse matrix is densified, and no map, the adjoint
-        # included, holds a dense matrix
+        # block: no sparse matrix is densified, no map holds a dense matrix,
+        # and the one map built is the generator the analysis keeps
         def refuse(*args, **kwargs):
             raise AssertionError("a sparse matrix was densified")
 
@@ -697,10 +707,10 @@ class TestRunExperiment:
                                                state="stationary"))
         runner = harness.ExperimentRunner(cfg)
         assert len(runner.run()) == 6
-        assert [s.picture for s in built] == ["heisenberg", "schrodinger"]
+        assert len(built) == 1
         assert not any(isinstance(s.matrix, np.ndarray) for s in built)
         assert built[0] is runner.dynamics.generator()
-        assert runner.analysis.generator is runner.dynamics.generator().adjoint
+        assert runner.analysis.generator is runner.dynamics.generator()
 
     def test_stationary_state_computed_once(self, monkeypatch):
         # the stationary auxiliary state is the analysis' fixed point
@@ -1191,7 +1201,7 @@ class TestCli:
         gen = model.generator(harness.parse_interaction(COHERENT_SPLIT,
                                                         lr.FiniteMetricSpace.chain(2)))
         assert len(gen._blocks) > 1
-        (null,) = scipy.linalg.null_space(gen.adjoint.matrix.toarray()).T
+        (null,) = scipy.linalg.null_space(gen.matrix.conj().T.toarray()).T
         want = null.reshape((4, 4), order="F") / null.reshape((4, 4), order="F").trace()
         assert abs(want[0, 2]) > 0.1
         np.testing.assert_allclose(lr.stationary_state(gen).density, want, rtol=0, atol=1e-12)

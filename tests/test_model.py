@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import lrcert as lr
@@ -16,7 +17,7 @@ from lrcert.model import (
 )
 from lrcert.qalgebra import from_matrix
 
-from conftest import csr_arrays, single_qubit_damping
+from conftest import csr_arrays, mixed_field_chain, single_qubit_damping
 
 
 def lindblad_action(term, a):
@@ -209,41 +210,35 @@ class TestFiniteRangeBound:
 
 
 class TestAdjointGenerator:
+    """The Schroedinger generator L_s = L^H, the CSR conjugate transpose of the
+    Heisenberg generator, as the fixed-point analysis reads it."""
+
     def test_zero_map(self, chain4):
         gen = lr.generator(DissipativeInteraction(chain4, ()))
-        adj = gen.adjoint
-        assert adj.matrix.nnz == 0
-        assert adj.picture == "schrodinger"
+        assert gen.matrix.conj().T.nnz == 0
 
     def test_pure_hamiltonian_oracle(self):
         space = lr.FiniteMetricSpace.chain(1)
         h = from_matrix(np.array([[0.3, 0.1], [0.1, -0.3]]), (0,))
         inter = DissipativeInteraction(space, (LindbladTerm(frozenset([0]), h, ()),))
-        adj = lr.generator(inter).adjoint
+        adj = lr.generator(inter).matrix.conj().T
         rng = np.random.default_rng(31)
         for _ in range(5):
             rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            got = lr.devectorize(adj.matrix @ rho.flatten(order="F"), (0,)).matrix
+            got = lr.devectorize(adj @ rho.flatten(order="F"), (0,)).matrix
             want = -1j * (h.matrix @ rho - rho @ h.matrix)
             np.testing.assert_allclose(got, want, atol=1e-13)
-
-    def test_involution(self, chain4):
-        inter = lr.tfim_dissipative(chain4, 0.3, 0.2, 0.9)
-        gen = lr.generator(inter)
-        twice = gen.adjoint.adjoint
-        np.testing.assert_array_equal(twice.matrix.toarray(), gen.matrix.toarray())
-        assert twice.picture == "heisenberg"
 
     def test_trace_pairing(self):
         space = lr.FiniteMetricSpace.chain(2)
         inter = lr.tfim_dissipative(space, 0.4, 0.3, 1.1)
         gen = lr.generator(inter)
-        adj = gen.adjoint
+        adj = gen.matrix.conj().T
         rng = np.random.default_rng(32)
         for _ in range(5):
             rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            lhs = np.trace((lr.devectorize(adj.matrix @ rho.flatten(order="F"),
+            lhs = np.trace((lr.devectorize(adj @ rho.flatten(order="F"),
                                            (0, 1)).matrix).conj().T @ a)
             rhs = np.trace(rho.conj().T @ lr.devectorize(
                 gen.matrix @ a.flatten(order="F"), (0, 1)).matrix)
@@ -251,12 +246,34 @@ class TestAdjointGenerator:
 
     def test_trace_annihilation(self, chain4):
         inter = lr.tfim_dissipative(chain4, 0.5, 0.4, 1.0)
-        adj = lr.generator(inter).adjoint
+        adj = lr.generator(inter).matrix.conj().T
         rng = np.random.default_rng(33)
         d = 16
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        out = lr.devectorize(adj.matrix @ rho.flatten(order="F"), chain4.points).matrix
+        out = lr.devectorize(adj @ rho.flatten(order="F"), chain4.points).matrix
         assert abs(np.trace(out)) <= 1e-10 * np.linalg.norm(rho)
+
+    @pytest.mark.parametrize("inter, split", [
+        (lr.tfim_dissipative(lr.FiniteMetricSpace.chain(3), 0.2, 0.0, 1.0), True),
+        (mixed_field_chain(3, alpha=3.0)[2], False),
+    ], ids=["damped-split", "mixed-field-one-block"])
+    def test_analysis_reads_the_conjugate_transposes_blocks(self, inter, split, monkeypatch):
+        # the stationary state's SVD and the semigroup's exponential read L_s
+        # gathered on the Heisenberg generator's blocks: entry for entry the
+        # blocks of a map built from the conjugate transpose on its own blocks
+        gen = lr.generator(inter)
+        assert (sum(idx.shape[0] for idx in gen._blocks) > 1) == split
+        own = lr.Superoperator(gen.matrix.conj().T, gen.sites, gen.dims)
+        assert len(gen._blocks) == len(own._blocks)
+        assert all(map(np.array_equal, gen._blocks, own._blocks))
+        svd, expm, seen = np.linalg.svd, scipy.linalg.expm, []
+        monkeypatch.setattr(np.linalg, "svd", lambda m: seen.append(m.copy()) or svd(m))
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: seen.append(m.copy()) or expm(m))
+        lr.stationary_state(gen)
+        lr.correlations._semigroup(gen, [1.0])  # t = 1 leaves the blocks unscaled
+        want = own._gather()
+        assert len(seen) == 2 * len(want)
+        assert all(map(np.array_equal, seen, want + want))
 
 
 def storage_inputs(csr):
@@ -289,7 +306,7 @@ class TestSuperoperatorStorage:
         assert gen.matrix.format == "csr" and gen.matrix.has_canonical_format
         assert np.all(gen.matrix.data != 0)
         for m in storage_inputs(gen.matrix):
-            sup = lr.Superoperator(m, gen.sites, gen.dims, "heisenberg")
+            sup = lr.Superoperator(m, gen.sites, gen.dims)
             assert sup.matrix.format == "csr" and sup.matrix.has_canonical_format
             assert all(map(np.array_equal, csr_arrays(sup.matrix), csr_arrays(gen.matrix)))
             assert len(sup._blocks) == len(gen._blocks)
@@ -299,13 +316,12 @@ class TestSuperoperatorStorage:
     def test_canonical_csr_is_kept(self, chain4):
         gen = lr.generator(lr.tfim_dissipative(chain4, 0.4, 0.3, 1.0))
         assert gen.matrix.format == "csr"
-        assert lr.Superoperator(gen.matrix, gen.sites, gen.dims, "heisenberg").matrix \
-            is gen.matrix
+        assert lr.Superoperator(gen.matrix, gen.sites, gen.dims).matrix is gen.matrix
 
     def test_stored_zero_is_dropped_from_a_copy(self):
         m = scipy.sparse.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]).astype(complex))
         m.data[0] = 0.0
-        sup = lr.Superoperator(m, (0,), (2,), "heisenberg")
+        sup = lr.Superoperator(m, (0,), (2,))
         assert sup.matrix is not m and sup.matrix.nnz == 2 and m.nnz == 3
         assert np.array_equal(sup.matrix.toarray(), m.toarray())
 
