@@ -3,9 +3,11 @@
 A left-hand side needs the semigroup only through its action on a few
 observables, so ``Dynamics`` holds the CSR generators of one interaction on its
 space and local dimensions (``DissipativeInteraction.dims``), one per term
-set, and applies exp(t L) to vectorized observables with scipy's
-``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), never
-forming the propagator.  A generator is its term set
+set, and applies exp(t L) to vectorized observables by Al-Mohy and Higham's
+truncated Taylor algorithm (SIAM J. Sci. Comput. 33, 2011, algorithm 3.2),
+never forming the propagator: ``_action`` is scipy's ``expm_multiply`` at one
+time point, the same arithmetic in the same order without its per-call
+wrapper.  A generator is its term set
 (``DissipativeInteraction.terms_for``): every term, the terms of diameter at
 most R (the range-R approximant) or the terms inside a region (the strictly
 local dynamics; ``local_error`` reads its region, the r-inflation of the
@@ -41,17 +43,79 @@ class DynamicsError(ValueError):
     pass
 
 
+# theta_m of Al-Mohy and Higham: m Taylor terms of exp(A) meet the double
+# precision tolerance while the 1-norm of A is at most theta_m.  m = 1..30 is
+# Higham's "Computing Matrix Functions", table A.3, and m = 35..55 is table 3.1
+# of the algorithm's paper; ascending in m, as scipy lists them.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+# Condition (3.13) with m_max = 55, p_max = 8, ell = 2 and one vector, in the
+# order of scipy's arithmetic: below it the exact 1-norm picks (m*, s).
+_NORM_3_13 = 2 * 2 * 8 * (8 + 3) * (_THETA[55] / 55.0)
+
+
+def _degree_and_steps(a: scipy.sparse.csr_matrix, norm: float) -> tuple:
+    """(m*, s): the Taylor degree and the number of steps for exp(a), the
+    first minimum of m * s over the tabulated m (code fragment 3.1).  Beyond
+    (3.13) the 1-norm is replaced by alpha_p = max(d_p, d_p+1), with d_p the
+    p-th root of ``onenormest`` of a^p, which draws from numpy's global random
+    state (3.11)."""
+    if norm == 0:
+        return 0, 1
+    if norm <= _NORM_3_13:
+        costs = [(m, int(np.ceil(norm / theta))) for m, theta in _THETA.items()]
+    else:
+        d = {p: scipy.sparse.linalg.onenormest(scipy.sparse.linalg.aslinearoperator(a) ** p)
+             ** (1.0 / p) for p in range(2, 10)}
+        costs = [(m, int(np.ceil(max(d[p], d[p + 1]) / theta)))
+                 for p in range(2, 9) for m, theta in _THETA.items() if m >= p * (p - 1) - 1]
+    m, s = min(costs, key=lambda cost: cost[0] * cost[1])
+    return m, max(s, 1)
+
+
 def _action(matrix: scipy.sparse.csr_matrix, t: float, vec: np.ndarray) -> np.ndarray:
     """exp(t * matrix) @ vec without forming the exponential; t = 0 returns a
-    copy of ``vec``, exactly.  The CSR matrix is scaled with its index arrays
-    shared, not copied, which lowers the peak allocation of a call."""
+    copy of ``vec``, exactly.  Otherwise this is scipy's ``expm_multiply`` of
+    the t-scaled matrix on ``vec``, operation for operation, so the result is
+    the same to the bit: shift by mu = trace / n, pick (m*, s) from the exact
+    1-norm of the shifted matrix, then s steps of at most m* Taylor terms, each
+    stopped once two terms fall below the unit roundoff times the partial sum,
+    and scaled by exp(mu / s).  The CSR matrix is scaled with its index arrays
+    shared, not copied, and the shift is one CSR subtraction, as scipy's."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
     if t == 0.0:
         return vec.copy()
+    n = matrix.shape[0]
     scaled = scipy.sparse.csr_matrix((t * matrix.data, matrix.indices, matrix.indptr),
                                      shape=matrix.shape)
-    return scipy.sparse.linalg.expm_multiply(scaled, vec)
+    mu = scaled.trace() / float(n)
+    diagonal = np.arange(n + 1, dtype=matrix.indptr.dtype)
+    a = scaled - scipy.sparse.csr_matrix((np.full(n, mu), diagonal[:-1], diagonal),
+                                         shape=matrix.shape)
+    m, s = _degree_and_steps(a, np.bincount(a.indices, weights=np.abs(a.data),
+                                            minlength=n).max())
+    tol = 2.0 ** -53
+    f = b = vec
+    eta = np.exp(mu / float(s))
+    for _ in range(s):
+        c1 = np.abs(b).max()
+        for j in range(m):
+            b = 1.0 / float(s * (j + 1)) * (a @ b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= tol * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
 
 
 class Dynamics:

@@ -26,7 +26,7 @@ def _as_frozen(space: "FiniteMetricSpace", sites: Iterable[Site]) -> frozenset:
     members = frozenset(sites)
     unknown = [s for s in members if s not in space._index]
     if unknown:
-        raise GeometryError(f"sites not in space: {sorted(map(repr, unknown))}")
+        raise GeometryError(f"sites not in space: [{', '.join(sorted(map(repr, unknown)))}]")
     return members
 
 

@@ -377,7 +377,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     def section(where, fn, *args):
         try:
             return fn(*args)
-        except (KeyError, ValueError, TypeError, IndexError, GeometryError) as exc:
+        except KeyError as exc:
+            raise ConfigError(where, f"missing field {exc}") from exc
+        except (ValueError, TypeError, IndexError, GeometryError) as exc:
             raise ConfigError(where, str(exc)) from exc
 
     if not isinstance(raw, Mapping):
@@ -437,12 +439,15 @@ def _object(where: str, value, keys) -> Mapping:
 @contextmanager
 def _at(where: str):
     """Names a refusal raised inside ``where`` by that path; one that names its
-    own path already, an unknown key, passes unchanged."""
+    own path already, an unknown key, passes unchanged.  A ``KeyError`` is a
+    required key missing from the config object read there."""
     try:
         yield
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except KeyError as exc:
+        raise ConfigError(where, f"missing field {exc}") from exc
+    except (ValueError, TypeError, IndexError) as exc:
         raise ConfigError(where, str(exc)) from exc
 
 

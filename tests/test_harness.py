@@ -252,7 +252,18 @@ class TestLoadConfig:
             {"support": [1], "kraus": [{"matrix": [[0, "1"], [0, 0]], "sites": [1]}]}]}},
             "interaction: terms[1].kraus[0]: must be a number, got '1'"),
         row("term_support", {"interaction": {"terms": [{"support": [5], "h": "Z5"}]}},
+            "interaction: terms[0]: sites not in space: [5]"),
+        row("term_string_site", {"interaction": {"terms": [{"support": ["5"], "h": "Z0"}]}},
             "interaction: terms[0]: sites not in space: ['5']"),
+        # a required key left out is named as missing
+        row("missing_matrix",
+            {"observables": {"a": {"sites": [0]}, "b": "Z1"}},
+            "observables.a: missing field 'matrix'"),
+        row("missing_support", {"interaction": {"terms": [{"h": "Z0"}]}},
+            "interaction: terms[0]: missing field 'support'"),
+        row("term_h_missing_matrix",
+            {"interaction": {"terms": [{"support": [0], "h": {"sites": [0]}}]}},
+            "interaction: terms[0].h: missing field 'matrix'"),
         row("term_hermiticity", {"interaction": {"terms": [
             {"support": [0], "h": {"matrix": [[0, 1], [0, 0]], "sites": [0]}}]}},
             "interaction: terms[0]: hamiltonian part must be self-adjoint"),
