@@ -343,7 +343,7 @@ def rhs_correlation_general(c: ModelConstants, a_norm: float, b_norm: float,
     flags = {"radius_window": r >= 1.0}
     out_x = vol - geometry.inflate(c.space, xs, r)
     out_y = vol - geometry.inflate(c.space, ys, r)
-    sums = (c.pairs(xs, out_x) if out_x else 0.0) + (c.pairs(ys, out_y) if out_y else 0.0)
+    sums = c.pairs(xs, out_x) + c.pairs(ys, out_y)
     return WindowedValue(2.0 * a_norm * b_norm * c.l_fnorm * c.local_bracket(t) * sums, flags)
 
 

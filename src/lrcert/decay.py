@@ -22,7 +22,7 @@ class DecayError(ValueError):
 
 @dataclass(frozen=True)
 class FFunction:
-    """Positive non-increasing radial profile with an introspectable descriptor.
+    """Positive non-increasing radial profile.
 
     ``kind`` is one of ``power`` (params: alpha), ``weighted`` (params: a,
     plus a base profile) or ``table``.  The power-law exponent is exposed for
@@ -76,13 +76,6 @@ class FFunction:
             raise DecayError(f"unknown profile kind {self.kind!r}")
         return out if out.shape else float(out)
 
-    def describe(self) -> str:
-        if self.kind == "power":
-            return f"power({self.alpha:g})"
-        if self.kind == "weighted":
-            return f"weighted({self.a:g},{self.base.describe()})"
-        return f"table({len(self.grid)} points)"
-
     @property
     def power_exponent(self) -> Optional[float]:
         """alpha when the profile is a pure power law, else None."""
@@ -129,7 +122,8 @@ def exp_tail(t: float, k: float) -> float:
 
     Evaluated by forward summation of the (all-positive) tail terms with
     compensated accumulation, so there is no cancellation in either the
-    k << t or k >> t regime.  Relative error is well under 1e-12.
+    k << t or k >> t regime.  Relative error is well under 1e-12.  A term or
+    a partial sum past the double range raises ``OverflowError``.
     """
     if t < 0:
         raise DecayError("exp_tail needs t >= 0")
@@ -153,6 +147,8 @@ def exp_tail(t: float, k: float) -> float:
         total = s
         n += 1
         term *= t / n
+        if math.isinf(term) or math.isinf(total):
+            raise OverflowError(f"exp_tail({t}, {k}) exceeds the double range")
         if term == 0.0 or (n > 2.0 * t and term < total * 2.5e-17):
             break
     return total

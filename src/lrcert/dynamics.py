@@ -15,8 +15,8 @@ observable's support, off the observable).  Every exact left-hand side but
 the fixed-point group's (the analysis' block maps) is a ``Dynamics`` method
 or built from its evolutions: the quasi-locality norm, the truncation and
 local approximation errors here, ``correlations.correlation`` and ``c_ab``.
-The module-level ``evolve`` acts the same way with a ``Superoperator``
-generator.  Every generator is a Heisenberg ``Superoperator``, one CSR
+Each evolution is the module-level ``evolve``'s, kept by ``Dynamics.evolve``.
+Every generator is a Heisenberg ``Superoperator``, one CSR
 matrix (``model.assemble``).  The one dense map left is ``propagator``'s, the
 read-only array ``Superoperator.exp``: the package's one dense exponential,
 ``model.expm_blocks``, of the generator's invariant blocks, scattered into
@@ -125,7 +125,7 @@ class Dynamics:
     CSR form on first use and keyed by the terms' identities: a range or a
     region that keeps every term is the full generator itself, and two that
     keep the same terms share one matrix.  Evolved observables are kept by
-    (generator, t, content), so every theorem of a run shares each evolution.
+    (generator, t, volume, content), so every theorem of a run shares each evolution.
     ``counters`` counts this work: generators assembled, evolutions computed,
     evolutions found kept, and ``expm_multiply`` calls.
     """
@@ -151,16 +151,14 @@ class Dynamics:
 
     def evolve(self, t: float, a: ObservableOp,
                terms: Optional[Iterable[LindbladTerm]] = None) -> ObservableOp:
-        """exp(t L) applied to ``a``, with L the generator of ``terms``."""
-        if tuple(a.sites) != self.sites or tuple(a.dims) != self.dims:
-            raise DynamicsError("observable volume differs from the generator volume")
+        """exp(t L) applied to ``a`` by ``evolve``, L the generator of ``terms``."""
         gen = self.generator(terms)
-        vec = vectorize(a)
-        key = (id(gen), float(t), hashlib.blake2b(vec.tobytes(), digest_size=16).digest())
+        key = (id(gen), float(t), a.sites, a.dims,
+               hashlib.blake2b(a.matrix.tobytes(), digest_size=16).digest())
         if key in self._evolved:
             self.counters["evolution_hits"] += 1
         else:
-            self._evolved[key] = devectorize(_action(gen.matrix, t, vec), a.sites, a.dims)
+            self._evolved[key] = evolve(gen, t, a)
             self.counters["evolutions"] += 1
             self.counters["expm_multiply"] += int(t > 0)
         return self._evolved[key]

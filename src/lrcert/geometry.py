@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class FiniteMetricSpace:
 
     points: tuple
     dist: np.ndarray
-    descriptor: str = "explicit"
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,8 +77,7 @@ class FiniteMetricSpace:
         if n < 1:
             raise GeometryError("chain needs n >= 1")
         idx = np.arange(n)
-        return cls(tuple(range(n)), np.abs(idx[:, None] - idx[None, :]).astype(float),
-                   descriptor=f"chain({n})")
+        return cls(tuple(range(n)), np.abs(idx[:, None] - idx[None, :]).astype(float))
 
     @classmethod
     def grid(cls, nx: int, ny: int) -> "FiniteMetricSpace":
@@ -89,11 +87,7 @@ class FiniteMetricSpace:
         pts = tuple(itertools.product(range(nx), range(ny)))
         coords = np.array(pts, dtype=float)
         d = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
-        return cls(pts, d, descriptor=f"grid({nx},{ny})")
-
-    @classmethod
-    def explicit(cls, points: Sequence[Site], dist) -> "FiniteMetricSpace":
-        return cls(tuple(points), np.asarray(dist, dtype=float))
+        return cls(pts, d)
 
     # -- basic queries -------------------------------------------------------
 

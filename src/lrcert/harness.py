@@ -32,7 +32,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -106,7 +106,7 @@ def parse_space(desc) -> FiniteMetricSpace:
         _object("", desc, ("points", "dist"))
         points = [_site_from_json(p) for p in desc["points"]]
         _within_ceiling(len(points))
-        return FiniteMetricSpace.explicit(points, [_numbers(row) for row in desc["dist"]])
+        return FiniteMetricSpace(points, [_numbers(row) for row in desc["dist"]])
     name, args = _parse_call(desc, "space", {"chain": (1,), "grid": (2,)})
     if name == "chain":
         return FiniteMetricSpace.chain(_within_ceiling(int(args[0])))
@@ -401,6 +401,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     unknown = [t for t in theorems if not isinstance(t, str) or t not in THEOREMS]
     if unknown:
         raise ConfigError("theorems", f"unknown theorem tags {unknown}")
+    repeated = list(dict.fromkeys(t for t in theorems if theorems.count(t) > 1))
+    if repeated:
+        raise ConfigError("theorems", f"repeated theorem tags {repeated}")
     grids = _object("grids", raw.get("grids", {}), ("t", "R", "r"))
     t_grid = section("grids.t", _grid, grids.get("t", [0.0, 0.25, 0.5]))
     big_r_grid = section("grids.R", _grid, grids.get("R", [1.0, 2.0]), True)
@@ -566,23 +569,22 @@ def random_model(seed: int, n_sites: int = 4) -> ExperimentConfig:
             kind = rng.integers(0, 3)
             terms.append({"support": [x, y], "label": f"pair{x}{y}",
                           "h": {"matrix": _matrix_json(amp * basis[kind]), "sites": [x, y]}})
-    # the velocity v = |L|_F C_F of ModelConstants, from its two factors alone:
-    # the runner computes the model's constants, once
-    v = (model.interaction_f_norm(parse_interaction({"terms": terms}, space), f)
-         * decay.conv_constant(f, space))
-    horizon = 2.0 / v if v > 0 else 1.0
-    return config_from_dict({
-        "space": space.descriptor,
-        "f_function": f.describe(),
+    cfg = config_from_dict({
+        "space": f"chain({n_sites})",
+        "f_function": "power(3)",
         "interaction": {"terms": terms},
         "observables": {"a": f"Z{space.points[0]}", "b": f"Z{space.points[-1]}"},
         "k_map": "commutator",
         "theorems": list(DOMINATION_SUITE),
-        "grids": {"t": [i * horizon / 5.0 for i in range(6)], "R": [1.0, 2.0, 3.0],
-                  "r": [1.0]},
+        "grids": {"t": [0.0], "R": [1.0, 2.0, 3.0], "r": [1.0]},
         "state": "product(+)",
         "seed": seed,
     })
+    # the velocity |L|_F C_F alone: the runner computes the model's constants, once
+    v = model.interaction_f_norm(cfg.interaction, f) * decay.conv_constant(f, space)
+    horizon = 2.0 / v if v > 0 else 1.0
+    grids = {**cfg.raw["grids"], "t": [i * horizon / 5.0 for i in range(6)]}
+    return replace(cfg, t_grid=tuple(grids["t"]), raw={**cfg.raw, "grids": grids})
 
 
 # -- the runner -------------------------------------------------------------------
@@ -688,8 +690,7 @@ class ExperimentRunner:
                     reports.extend(spec.rows(self, name, params))
             except (ValueError, ArithmeticError) as exc:
                 raise NumericalFailure(name, point, exc) from exc
-            self.theorem_wall_s[name] = (self.theorem_wall_s.get(name, 0.0)
-                                         + time.perf_counter() - started)
+            self.theorem_wall_s[name] = time.perf_counter() - started
         return sort_reports(reports)
 
     # left-hand sides at a grid point, shared between theorems ---------------------------
@@ -893,10 +894,9 @@ def reports_to_csv(reports: Sequence[BoundReport]) -> str:
     lines = ["theorem,t,R,r,d,lhs,rhs,slack,valid,pass"]
     for rep in reports:
         p = rep.params
-        slack = rep.slack if not math.isnan(rep.rhs) else float("nan")
         lines.append(",".join([
             rep.theorem, _fmt(p.get("t")), _fmt(p.get("R")), _fmt(p.get("r")),
-            _fmt(p.get("d")), _fmt(rep.lhs), _fmt(rep.rhs), _fmt(slack),
+            _fmt(p.get("d")), _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.slack),
             str(rep.valid).lower(), str(rep.passes()).lower()]))
     return "\n".join(lines) + "\n"
 

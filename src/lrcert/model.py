@@ -190,10 +190,11 @@ class LindbladTerm:
         if not support:
             raise ModelError("term needs nonempty support")
         h = self.hamiltonian
+        h_norm = op_norm(h) if h is not None else 0.0
         if h is not None:
             if frozenset(h.sites) != support:
                 raise ModelError("hamiltonian volume must equal the term support")
-            if op_norm(h.matrix - h.matrix.conj().T) > HERMITICITY_ATOL * max(1.0, op_norm(h)):
+            if op_norm(h.matrix - h.matrix.conj().T) > HERMITICITY_ATOL * max(1.0, h_norm):
                 raise ModelError("hamiltonian part must be self-adjoint")
         kraus = tuple(self.kraus)
         for k in kraus:
@@ -207,7 +208,6 @@ class LindbladTerm:
                            else tuple(sorted(support, key=repr)))
         object.__setattr__(self, "dims", tuple(ref.dims) if ref is not None
                            else (2,) * len(support))
-        h_norm = op_norm(h) if h is not None else 0.0
         k_norms = [op_norm(k) for k in kraus]
         object.__setattr__(self, "cb_upper", 2.0 * h_norm + 2.0 * sum(x * x for x in k_norms))
         own = own_superop(self)

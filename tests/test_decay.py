@@ -162,6 +162,12 @@ class TestExpTail:
         with pytest.raises(DecayError):
             lr.exp_tail(-0.1, 1.0)
 
+    def test_overflow_raises(self):
+        # the terms t**n / n! peak near n = t, past the double range at t = 800
+        assert lr.exp_tail(700.0, 2) == 1.0142320547350051e+304
+        with pytest.raises(OverflowError):
+            lr.exp_tail(800.0, 2)
+
     @pytest.mark.parametrize("t", [0.01, 0.5, 1.0, 3.7, 10.0])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 13, 20])
     def test_against_mpmath(self, t, k):

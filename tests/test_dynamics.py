@@ -421,6 +421,22 @@ class TestDynamicsLayer:
         with pytest.raises(DynamicsError):
             dyn.evolve(0.1, lr.site_operator("X", 0))
 
+    @pytest.mark.parametrize("n_sites", [2, 3, 4])
+    @pytest.mark.parametrize("region", [False, True], ids=["full", "region"])
+    def test_evolve_is_the_module_level_evolve(self, n_sites, region):
+        inter = harness.random_model(n_sites, n_sites=n_sites).interaction
+        terms = inter.terms_for(frozenset({0, 1})) if region else None
+        dyn = lr.Dynamics(inter)
+        gen = dyn.generator(terms)
+        rng = np.random.default_rng(n_sites)
+        dim = 2 ** n_sites
+        a = from_matrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+                        inter.space.points)
+        for t in (0.0, 0.3, 1.7):
+            got, want = dyn.evolve(t, a, terms), dynamics.evolve(gen, t, a)
+            assert (got.sites, got.dims) == (want.sites, want.dims)
+            assert np.array_equal(got.matrix, want.matrix)
+
 
 @functools.lru_cache(maxsize=None)
 def kernel_generator(kind, n_sites, seed):

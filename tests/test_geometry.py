@@ -134,21 +134,21 @@ class TestValidation:
     def test_triangle_violation_rejected(self):
         bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(GeometryError, match="triangle"):
-            lr.FiniteMetricSpace.explicit([0, 1, 2], bad)
+            lr.FiniteMetricSpace([0, 1, 2], bad)
 
     def test_asymmetry_rejected(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(GeometryError, match="symmetric"):
-            lr.FiniteMetricSpace.explicit([0, 1], bad)
+            lr.FiniteMetricSpace([0, 1], bad)
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(GeometryError, match="duplicate"):
-            lr.FiniteMetricSpace.explicit([0, 0], np.zeros((2, 2)))
+            lr.FiniteMetricSpace([0, 0], np.zeros((2, 2)))
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(GeometryError, match="diagonal"):
-            lr.FiniteMetricSpace.explicit([0, 1], np.array([[0.5, 1.0], [1.0, 0.0]]))
+            lr.FiniteMetricSpace([0, 1], np.array([[0.5, 1.0], [1.0, 0.0]]))
 
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
-            lr.FiniteMetricSpace.explicit([], np.zeros((0, 0)))
+            lr.FiniteMetricSpace([], np.zeros((0, 0)))

@@ -267,6 +267,9 @@ class TestLoadConfig:
         row("term_hermiticity", {"interaction": {"terms": [
             {"support": [0], "h": {"matrix": [[0, 1], [0, 0]], "sites": [0]}}]}},
             "interaction: terms[0]: hamiltonian part must be self-adjoint"),
+        # a repeated tag would run the theorem twice and double its rows
+        row("theorems_repeated", {"theorems": ["full_lrb", "full_lrb"]},
+            "theorems: repeated theorem tags ['full_lrb']"),
     ])
     def test_refusal_names_the_field_or_descriptor(self, overrides, message):
         with pytest.raises(ConfigError) as info:
@@ -510,6 +513,17 @@ class TestRandomModel:
         assert len(harness.random_model(1, n_sites=6).space) == 6
         with pytest.raises(ConfigError, match="space: volume exceeds the 8-site ceiling"):
             harness.random_model(1, n_sites=9)
+
+    def test_raw_loads_as_the_model(self, tmp_path):
+        # raw is the file that states the model: loaded, it runs the same
+        path = tmp_path / "model.json"
+        for n_sites in range(2, 6):
+            for seed in range(5):
+                cfg = harness.random_model(seed, n_sites=n_sites)
+                path.write_text(json.dumps(cfg.raw))
+                loaded = load_config(path)
+                assert loaded.config_hash() == cfg.config_hash()
+                assert loaded.t_grid == cfg.t_grid
 
     def test_finite_f_norm_by_construction(self):
         for seed in range(5):
@@ -793,6 +807,23 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "reports.csv").exists()
         assert "total rows" in proc.stdout
+
+    def test_series_overflow_is_a_numerical_failure(self, tmp_path):
+        # v t = 4148 on the shipped example at t = 200: the truncation bound's
+        # exponential tail leaves the double range, a numerical failure
+        raw = json.loads((DOCS / "tfim_dissipative.json").read_text())
+        raw["grids"]["t"] = [200]
+        raw["theorems"] = ["range_truncation"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrcert", "sweep", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "range_truncation at t=200.0" in proc.stderr
 
     def test_golden_tightest_ratio(self, capsys):
         cfg = load_config(DOCS / "tfim_dissipative.json")
