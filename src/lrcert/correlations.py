@@ -147,7 +147,7 @@ class StateFunctional:
                    governance=product_governance)
 
     def expect(self, a: ObservableOp) -> complex:
-        if tuple(a.sites) != self.sites:
+        if (a.sites, a.dims) != (self.sites, self.dims):
             raise CorrelationsError("observable volume differs from the state volume")
         return complex(np.trace(self.density @ a.matrix))
 

@@ -58,21 +58,29 @@ _THETA = {
 # Condition (3.13) with m_max = 55, p_max = 8, ell = 2 and one vector, in the
 # order of scipy's arithmetic: below it the exact 1-norm picks (m*, s).
 _NORM_3_13 = 2 * 2 * 8 * (8 + 3) * (_THETA[55] / 55.0)
+# the seed of numpy's global random state while ``onenormest`` draws from it
+_ESTIMATE_SEED = 0
 
 
 def _degree_and_steps(a: scipy.sparse.csr_matrix, norm: float) -> tuple:
     """(m*, s): the Taylor degree and the number of steps for exp(a), the
     first minimum of m * s over the tabulated m (code fragment 3.1).  Beyond
     (3.13) the 1-norm is replaced by alpha_p = max(d_p, d_p+1), with d_p the
-    p-th root of ``onenormest`` of a^p, which draws from numpy's global random
-    state (3.11)."""
+    p-th root of ``onenormest`` of a^p (3.11), which draws from numpy's global
+    random state: the estimates run from ``_ESTIMATE_SEED``, so a long time
+    gives one result, and the caller's state is restored afterwards."""
     if norm == 0:
         return 0, 1
     if norm <= _NORM_3_13:
         costs = [(m, int(np.ceil(norm / theta))) for m, theta in _THETA.items()]
     else:
-        d = {p: scipy.sparse.linalg.onenormest(scipy.sparse.linalg.aslinearoperator(a) ** p)
-             ** (1.0 / p) for p in range(2, 10)}
+        state = np.random.get_state()
+        np.random.seed(_ESTIMATE_SEED)
+        try:
+            d = {p: scipy.sparse.linalg.onenormest(scipy.sparse.linalg.aslinearoperator(a) ** p)
+                 ** (1.0 / p) for p in range(2, 10)}
+        finally:
+            np.random.set_state(state)
         costs = [(m, int(np.ceil(max(d[p], d[p + 1]) / theta)))
                  for p in range(2, 9) for m, theta in _THETA.items() if m >= p * (p - 1) - 1]
     m, s = min(costs, key=lambda cost: cost[0] * cost[1])

@@ -14,13 +14,13 @@ A generator is its term set: L = sum_Z L_Z over every term (the full
 dynamics), the terms with diam Z <= R (the range-R approximant) or the terms
 inside a region (the strictly local dynamics), as ``terms_for`` selects them.
 Each term builds its superoperator on its own support once
-(``LindbladTerm.superop``); ``local_superop`` embeds it into a volume by index
-arithmetic alone, every entry an entry of that matrix, and ``assemble`` sums
-the embedded terms in their stored order into a Heisenberg ``Superoperator``,
-one CSR matrix, so a caller that keys its generators by their terms
-(``dynamics.Dynamics``) builds one per distinct set.  No generator is dense;
-``generator`` refuses, over ``MAX_DENSE_DIM``, a volume too large for the
-dense block work that reads the full generator.
+(``LindbladTerm.superop``); ``local_superop`` embeds it into a volume by one
+transpose of its legs and one sort of its entries, every entry an entry of
+that matrix, and ``assemble`` sums the embedded terms in their stored order
+into a Heisenberg ``Superoperator``, one CSR matrix, so a caller that keys its
+generators by their terms (``dynamics.Dynamics``) builds one per distinct set.
+No generator is dense; ``generator`` refuses, over ``MAX_DENSE_DIM``, a volume
+too large for the dense block work that reads the full generator.
 """
 from __future__ import annotations
 
@@ -239,15 +239,11 @@ def own_superop(term: LindbladTerm) -> np.ndarray:
 def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> scipy.sparse.csr_matrix:
     """The term on the volume ``sites`` in CSR form: ``term.superop``
     tensored with the identity on the rest of the volume, legs permuted into
-    the volume's column-stacking order.  Every stored entry is an entry of
-    ``term.superop``, and the column indices of each row are sorted.
-
-    A vec index of the volume is a sum of per-leg offsets, so with sigma the
-    leg permutation the entry (p, q) of the term meets the rest-of-volume
-    index k at row inv(p rest^2 + k) = f(p) + g(k) and column f(q) + g(k),
-    where f(p) = inv(p rest^2) and g(k) = inv(k).  Row i of the result is
-    therefore row p = sigma(i) // rest^2 of the term, shifted by i - f(p);
-    sorting each term row by f once sorts every row of the result."""
+    the volume's column-stacking order, each row's column indices sorted.
+    With inv the leg permutation from the term-then-rest order into the
+    volume's, entry (p, q) of the term meets rest-of-volume index k at row
+    inv(p rest^2 + k) and column inv(q rest^2 + k): every stored entry is an
+    entry of ``term.superop``, and sorted by position they are the CSR arrays."""
     by_site = dict(zip(sites, dims))
     if any(by_site.get(s) != d for s, d in zip(term.sites, term.dims)):
         raise ModelError("term dimensions do not match the volume")
@@ -256,23 +252,15 @@ def local_superop(term: LindbladTerm, sites: tuple, dims: tuple) -> scipy.sparse
     # a vec index runs over column sites (slowest), then row sites
     legs = tuple((leg, s) for part in (term.sites, rest) for leg in ("col", "row") for s in part)
     target = tuple((leg, s) for leg in ("col", "row") for s in sites)
-    sigma = _basis_permutation(legs, target, tuple(dims) * 2)
-    n, m = sigma.size, term.superop.shape[0]
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(n)
-    offset = inv[np.arange(m) * rest2]
+    inv = _basis_permutation(target, legs, tuple(by_site[s] for _, s in legs))
+    n, k = inv.size, np.arange(rest2)
     p, q = np.nonzero(term.superop)
-    order = np.lexsort((offset[q], p))
-    p, q = p[order], q[order]
-    values, shift = term.superop[p, q], offset[q]
-    counts = np.bincount(p, minlength=m)
-    row_term = sigma // rest2
-    per_row = counts[row_term]
-    indptr = np.concatenate(([0], np.cumsum(per_row)))
-    src = np.repeat(np.cumsum(counts)[row_term] - per_row - indptr[:-1], per_row) \
-        + np.arange(indptr[-1])
-    indices = np.repeat(np.arange(n) - offset[row_term], per_row) + shift[src]
-    out = scipy.sparse.csr_matrix((values[src], indices, indptr), shape=(n, n))
+    rows = inv[p[:, None] * rest2 + k].ravel()
+    cols = inv[q[:, None] * rest2 + k].ravel()
+    order = np.argsort(rows * n + cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    values = term.superop[p, q][order // rest2]
+    out = scipy.sparse.csr_matrix((values, cols[order], indptr), shape=(n, n))
     out.has_sorted_indices = True
     return out
 

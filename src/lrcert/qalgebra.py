@@ -140,13 +140,11 @@ def site_operator(name_or_matrix, site: Site) -> ObservableOp:
 
 
 def _basis_permutation(src_sites: tuple, dst_sites: tuple, dst_dims: tuple) -> np.ndarray:
-    """Index map sigma with M_dst[i, j] = M_src[sigma[i], sigma[j]]."""
-    pos = {s: k for k, s in enumerate(dst_sites)}
-    src_order = [pos[s] for s in src_sites]
-    total = int(np.prod(dst_dims))
-    digits = np.unravel_index(np.arange(total), dst_dims)
-    src_dims = tuple(dst_dims[k] for k in src_order)
-    return np.ravel_multi_index([digits[k] for k in src_order], src_dims)
+    """Index map sigma with M_dst[i, j] = M_src[sigma[i], sigma[j]]: the source
+    basis, one axis per source site, transposed into the destination's order."""
+    by_site = dict(zip(dst_sites, dst_dims))
+    basis = np.arange(int(np.prod(dst_dims))).reshape([by_site[s] for s in src_sites])
+    return basis.transpose([src_sites.index(s) for s in dst_sites]).ravel()
 
 
 def embed(op: ObservableOp, sites: Sequence[Site], dims=None) -> ObservableOp:

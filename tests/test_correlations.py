@@ -55,6 +55,13 @@ class TestStateFunctional:
         got = omega.expect(a @ b)
         assert got == pytest.approx(omega.expect(a) * omega.expect(b), abs=1e-14)
 
+    def test_expectation_refuses_other_local_dimensions(self):
+        # same sites and total dimension, local dimensions swapped
+        omega = StateFunctional.maximally_mixed((0, 1), (2, 3))
+        a = from_matrix(np.diag(np.arange(6.0)), (0, 1), dims=(3, 2))
+        with pytest.raises(CorrelationsError, match="differs from the state volume"):
+            omega.expect(a)
+
     def test_governance_zero_beyond_contact(self):
         assert correlations.product_governance(3, 4, 0.5) == 0.0
         assert correlations.product_governance(3, 4, 0.0) == 2.0

@@ -302,6 +302,19 @@ def layer_models(sizes=(3, 4)):
         yield lr.harness.random_model(30 + n, n_sites=n).interaction
 
 
+def mixed_dims_model():
+    """A qutrit at site 1 under a field, coupled to the qubit at site 0, and
+    amplitude damping on the qubit at site 2; the interleaved order then
+    moves the qutrit to the front."""
+    space = lr.FiniteMetricSpace.chain(3)
+    spin1_z = np.diag([1.0, 0.0, -1.0])
+    terms = (model.LindbladTerm(frozenset([1]), from_matrix(spin1_z, (1,), dims=(3,)), ()),
+             model.LindbladTerm(frozenset([0, 1]), from_matrix(
+                 np.kron(model.PAULI_Z, spin1_z), (0, 1), dims=(2, 3)), ()),
+             model.LindbladTerm(frozenset([2]), None, (from_matrix(model.LOWERING, (2,)),)))
+    return DissipativeInteraction(space, terms)
+
+
 def interleaved(points):
     """The volume's sites with every other one moved to the back, so a
     two-site term such as (0, 1) runs against the volume's order."""
@@ -318,21 +331,22 @@ class TestSparseAssembly:
         assert np.array_equal(gen.matrix.toarray(), want)
         assert np.array_equal(lr.Dynamics(inter).generator().matrix.toarray(), want)
 
-    @pytest.mark.parametrize("inter", list(layer_models((3, 4, 5))))
+    @pytest.mark.parametrize("inter", list(layer_models((3, 4, 5))) + [mixed_dims_model()])
     def test_embedding_equals_kronecker_formula(self, inter):
         """Bit for bit: in the volume's own order the Kronecker formula's rows
         are already sorted; in an interleaved order they hold the same entries
         in another order, which ``local_superop`` sorts."""
-        points = inter.space.points
-        dims = (2,) * len(points)
+        points, dims = inter.space.points, inter.dims
+        swapped = interleaved(points)
+        swapped_dims = tuple(dict(zip(points, dims))[s] for s in swapped)
         for term in inter.terms:
             want = kron_term_superop(term, points, dims)
             assert want.has_sorted_indices
             got = model.local_superop(term, points, dims)
             assert all(map(np.array_equal, csr_arrays(got), csr_arrays(want)))
-            want = kron_term_superop(term, interleaved(points), dims)
+            want = kron_term_superop(term, swapped, swapped_dims)
             want.sort_indices()
-            got = model.local_superop(term, interleaved(points), dims)
+            got = model.local_superop(term, swapped, swapped_dims)
             assert all(map(np.array_equal, csr_arrays(got), csr_arrays(want)))
 
     @pytest.mark.parametrize("inter", list(layer_models((3,))))
@@ -460,6 +474,14 @@ def scipy_action(matrix, t, vec):
     return scipy.sparse.linalg.expm_multiply(scaled, vec)
 
 
+def shipped_generator_and_z0():
+    """The shipped example's full generator and the vectorized Z on site 0."""
+    cfg = harness.load_config(Path(__file__).resolve().parent.parent
+                              / "docs" / "tfim_dissipative.json")
+    matrix = lr.Dynamics(cfg.interaction).generator().matrix
+    return matrix, lr.vectorize(lr.embed(lr.site_operator("Z", 0), cfg.space.points))
+
+
 class TestActionKernel:
     @given(kind=st.sampled_from(["full", "region", "hamiltonian", "empty"]),
            n_sites=st.integers(2, 4), seed=st.integers(0, 3),
@@ -484,7 +506,7 @@ class TestActionKernel:
         # t |L - mu I|_1 is 29.9 at t = 3.25, where m * s ties between
         # (40, 5) and (50, 4) and the first minimum is kept; past condition
         # (3.13) the degree is chosen from onenormest of the powers 2..9,
-        # which draws from numpy's global random state
+        # which draws from numpy's global random state, seeded by the kernel
         cfg = harness.load_config(Path(__file__).resolve().parent.parent
                                   / "docs" / "tfim_dissipative.json")
         matrix = lr.Dynamics(cfg.interaction).generator().matrix
@@ -496,8 +518,25 @@ class TestActionKernel:
         np.random.seed(11)
         got = dynamics._action(matrix, t, vec)
         assert len(estimates) == powers
-        np.random.seed(11)
+        np.random.seed(dynamics._ESTIMATE_SEED)
         assert np.array_equal(got, scipy_action(matrix, t, vec))
+
+    def test_long_times_do_not_depend_on_the_global_random_state(self):
+        # at t = 200 the unseeded estimates pick one of two Taylor degrees
+        matrix, vec = shipped_generator_and_z0()
+        results = []
+        for seed in range(40):
+            np.random.seed(seed)
+            results.append(dynamics._action(matrix, 200.0, vec))
+        assert all(np.array_equal(r, results[0]) for r in results)
+
+    def test_long_times_leave_the_global_random_state_as_found(self):
+        matrix, vec = shipped_generator_and_z0()
+        np.random.seed(5)
+        want = np.random.get_state()
+        dynamics._action(matrix, 20.0, vec)
+        got = np.random.get_state()
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
 
     def test_time_zero_copies_and_negative_time_refused(self):
         matrix = kernel_generator("full", 2, 0)

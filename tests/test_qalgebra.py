@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrcert as lr
 from lrcert import model, qalgebra
@@ -18,7 +20,28 @@ def rand_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
+def digit_permutation(src_sites, dst_sites, dst_dims):
+    """The reference for ``_basis_permutation``: every destination index
+    unravelled into one digit per site and re-ravelled in the source order."""
+    pos = {s: k for k, s in enumerate(dst_sites)}
+    src_order = [pos[s] for s in src_sites]
+    digits = np.unravel_index(np.arange(int(np.prod(dst_dims))), dst_dims)
+    return np.ravel_multi_index([digits[k] for k in src_order],
+                                tuple(dst_dims[k] for k in src_order))
+
+
 class TestEmbed:
+    @given(data=st.data(), n=st.integers(1, 6), tuple_sites=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_basis_permutation_equals_digit_permutation(self, data, n, tuple_sites):
+        sites = [(k // 2, k % 2) if tuple_sites else k for k in range(n)]
+        src = tuple(data.draw(st.permutations(sites)))
+        dst = tuple(data.draw(st.permutations(sites)))
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        got = qalgebra._basis_permutation(src, dst, dims)
+        want = digit_permutation(src, dst, dims)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_identity_embeds_to_identity(self):
         ident = lr.identity((1,))
         out = lr.embed(ident, (0, 1, 2))
