@@ -84,7 +84,7 @@ def _run_config(args) -> int:
     if group is not None:
         theorems = tuple(t for t in group if t in (cfg.theorems or group)) or group
     else:
-        theorems = cfg.theorems or harness.ALL_THEOREMS
+        theorems = cfg.theorems or tuple(harness.THEOREMS)
     try:
         reports, manifest = harness.run_experiment(replace(cfg, theorems=theorems),
                                                    out_dir=args.out)

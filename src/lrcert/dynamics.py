@@ -17,10 +17,10 @@ or built from its evolutions: the quasi-locality norm, the truncation and
 local approximation errors here, ``correlations.correlation`` and ``c_ab``.
 Each evolution is the module-level ``evolve``'s, kept by ``Dynamics.evolve``.
 Every generator is a Heisenberg ``Superoperator``, one CSR
-matrix (``model.assemble``).  The one dense map left is ``propagator``'s, the
-read-only array ``Superoperator.exp``: the package's one dense exponential,
-``model.expm_blocks``, of the generator's invariant blocks, scattered into
-the whole map; the fixed-point analysis keeps the blocks instead.  The
+matrix (``model.assemble``).  The one dense map left is ``propagator``'s, a
+read-only array: the package's one dense exponential, ``model.expm_blocks``,
+of the generator's invariant blocks, scattered into the whole map; the
+fixed-point analysis keeps the blocks instead.  The
 runner's analysis is handed the full generator held here and reads it block
 by block, never densifying it.  Dense work caps at ``model.MAX_DENSE_DIM``
 (six qubits); the action path has no ceiling of its own, and an observation
@@ -202,11 +202,11 @@ class Dynamics:
 
 
 def propagator(gen: Superoperator, t: float) -> np.ndarray:
-    """exp(t * gen) as a read-only dense array (``Superoperator.exp``);
-    defined for t >= 0 only (semigroup, not a group)."""
+    """exp(t * gen), read-only: ``model.expm_blocks`` of its invariant blocks,
+    scattered; defined for t >= 0 only (semigroup, not a group)."""
     if t < 0:
         raise DynamicsError("propagation time must be nonnegative")
-    return gen.exp(t)
+    return gen._scatter(model.expm_blocks(gen._gather(), t))
 
 
 def evolve(gen: Superoperator, t: float, a: ObservableOp) -> ObservableOp:

@@ -62,7 +62,6 @@ SINGLE_POINT_CEILING = 8
 class ConfigError(ValueError):
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
-        self.where = where
 
 
 # -- descriptor parsing -----------------------------------------------------------
@@ -147,6 +146,16 @@ def _site_from_json(p):
     return tuple(p) if isinstance(p, list) else p
 
 
+def _in_order(space: FiniteMetricSpace, values) -> tuple:
+    """The sites of an explicit matrix, its tensor factors: each once and in
+    the space's order, which a list in any other order would be re-read in."""
+    sites = tuple(_site_from_json(s) for s in values)
+    if sites != space.ordered(sites):
+        raise ValueError(f"sites {list(sites)} must be listed once each in the "
+                         f"space's order, {list(space.ordered(sites))}")
+    return sites
+
+
 def _matrix_json(m) -> list:
     """A complex matrix as JSON entries [re, im], which ``_matrix_from_json`` reads."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -167,16 +176,15 @@ def parse_operator(desc, space: FiniteMetricSpace, where: str = "") -> Observabl
     refused under ``where``, its path within the field."""
     if isinstance(desc, Mapping):
         _object(where, desc, ("matrix", "sites"))
-        sites = space.ordered([_site_from_json(s) for s in desc["sites"]])
-        return from_matrix(_matrix_from_json(desc["matrix"]), sites)
+        return from_matrix(_matrix_from_json(desc["matrix"]), _in_order(space, desc["sites"]))
     factors = {}
     for token in str(desc).split("*"):
         token = token.strip()
         letter, idx = token[0].upper(), token[1:]
         if letter not in qalgebra.PAULI or letter == "I":
             raise ValueError(f"unknown operator letter in {token!r}")
-        if not idx:
-            raise ValueError(f"operator literal {token!r} names no site")
+        if not (idx.isascii() and idx.isdigit()):
+            raise ValueError(f"operator literal {token!r} needs a site index of decimal digits")
         site = int(idx)
         if site in factors:
             raise ValueError(f"repeated site in {desc!r}")
@@ -198,8 +206,7 @@ def parse_observation_map(desc, space: FiniteMetricSpace, b_local: Optional[Obse
         _object("", desc, ("matrix", "support", "cb_upper", "cb_lower"))
         bracket = {key: _number(desc[key]) for key in ("cb_upper", "cb_lower") if key in desc}
         return qalgebra.general_map(
-            _matrix_from_json(desc["matrix"]),
-            space.ordered([_site_from_json(s) for s in desc["support"]]),
+            _matrix_from_json(desc["matrix"]), _in_order(space, desc["support"]),
             probe_seed=seed, **bracket)
     _, args = _parse_call(desc, "observation-map", {"commutator": (0, 1)})
     target = parse_operator(args[0], space) if args else b_local
@@ -397,7 +404,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     b_desc = obs.get("b")
     b_local = section("observables.b", parse_operator, b_desc, space) \
         if b_desc is not None else None
-    theorems = section("theorems", tuple, raw.get("theorems", []))
+    theorems = raw.get("theorems", [])
+    if not isinstance(theorems, (list, tuple)):  # a string would be read char by char
+        raise ConfigError("theorems", f"must be a list of theorem tags, got {theorems!r}")
     unknown = [t for t in theorems if not isinstance(t, str) or t not in THEOREMS]
     if unknown:
         raise ConfigError("theorems", f"unknown theorem tags {unknown}")
@@ -418,7 +427,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     cfg = ExperimentConfig(
         f=f, nu=nu, interaction=interaction, a_local=a_local, b_local=b_local,
         t_grid=t_grid, big_r_grid=big_r_grid, r_grid=r_grid,
-        theorems=theorems,
+        theorems=tuple(theorems),
         eps=eps, delta=delta, eta_exp=eta_exp, a_weight=a_weight,
         seed=seed,
         raw=dict(raw),
@@ -490,7 +499,8 @@ def _seed(value) -> int:
 
 
 def _grid(values, positive: bool = False) -> tuple:
-    """A nonempty list of finite numbers, each > 0 if ``positive``, else >= 0."""
+    """A nonempty list of finite numbers, each > 0 if ``positive``, else >= 0,
+    and each once: a repeated value would run its rows twice."""
     grid = _numbers(values)
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -498,6 +508,9 @@ def _grid(values, positive: bool = False) -> tuple:
     bad = [x for x in grid if not (math.isfinite(x) and (x > 0 if positive else x >= 0))]
     if bad:
         raise ValueError(f"values must be finite and {rule}, got {bad}")
+    repeated = list(dict.fromkeys(x for x in grid if grid.count(x) > 1))
+    if repeated:
+        raise ValueError(f"repeated values {repeated}")
     return grid
 
 
@@ -560,7 +573,7 @@ def random_model(seed: int, n_sites: int = 4) -> ExperimentConfig:
         gamma = rng.uniform(0.5, 1.5)
         terms.append({"support": [s], "label": f"site{s}",
                       "h": {"matrix": _matrix_json(ham), "sites": [s]},
-                      "kraus": [{"matrix": _matrix_json(math.sqrt(gamma) * model.LOWERING),
+                      "kraus": [{"matrix": _matrix_json(math.sqrt(gamma) * qalgebra.PAULI["M"]),
                                  "sites": [s]}]})
     basis = [np.kron(p, p) for p in paulis]
     for i, x in enumerate(space.points):
@@ -603,16 +616,6 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-class NumericalFailure(RuntimeError):
-    """A theorem check that failed numerically, naming the grid point."""
-
-    def __init__(self, theorem: str, point: dict, cause: Exception):
-        where = ", ".join(f"{axis}={point.get(axis)}" for axis in ("t", "R", "r"))
-        super().__init__(f"{theorem} at {where}: {cause}")
-        self.theorem = theorem
-        self.point = dict(point)
 
 
 class ExperimentRunner:
@@ -671,7 +674,7 @@ class ExperimentRunner:
 
     def run(self) -> list:
         """Every selected check over its grid; a numerical failure is re-raised
-        as a ``NumericalFailure`` naming the theorem and its grid point.  Each
+        as a ``RuntimeError`` naming the theorem and its grid point.  Each
         theorem's wall time goes to ``theorem_wall_s``; work shared between
         theorems counts for the first that asks for it."""
         cfg = self.cfg
@@ -689,7 +692,8 @@ class ExperimentRunner:
                     params = {"t": None, "R": None, "r": None, **point, "d": d}
                     reports.extend(spec.rows(self, name, params))
             except (ValueError, ArithmeticError) as exc:
-                raise NumericalFailure(name, point, exc) from exc
+                where = ", ".join(f"{axis}={point.get(axis)}" for axis in ("t", "R", "r"))
+                raise RuntimeError(f"{name} at {where}: {exc}") from exc
             self.theorem_wall_s[name] = time.perf_counter() - started
         return sort_reports(reports)
 
@@ -781,7 +785,7 @@ def _fixed_point_exponential(run: ExperimentRunner, p: dict) -> float:
 
 _EPS_DELTA = {"eps": "eps", "delta": "delta"}
 
-# theorem -> how it is certified; ALL_THEOREMS and the CLI groups keep this order
+# theorem -> how it is certified; ``sweep`` and the CLI groups keep this order
 THEOREMS = {
     "finite_range_lrb": Theorem("certify-lrb", ("t", "R"), _bound(
         lambda run, p: bounds.rhs_finite_range_lrb(
@@ -861,7 +865,6 @@ THEOREMS = {
         distance=_b_sites, needs_b=True, dense=True),
 }
 
-ALL_THEOREMS = tuple(THEOREMS)
 # CLI subcommand -> its theorems
 GROUPS = {spec.group: tuple(name for name, other in THEOREMS.items()
                             if other.group == spec.group) for spec in THEOREMS.values()}

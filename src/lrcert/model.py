@@ -37,6 +37,7 @@ import scipy.sparse.csgraph
 from . import decay, geometry
 from .geometry import FiniteMetricSpace, Site
 from .qalgebra import (
+    PAULI,
     ObservableOp,
     embed,
     _basis_permutation,
@@ -73,8 +74,8 @@ class Superoperator:
     ``_gather`` reads either matrix's blocks off its stored entries: the map
     is never densified.  Blocks of one size are stacked, so each step is one
     batched LAPACK call per block size; a map that does not split is one
-    block and runs the same calls on its whole matrix.  A dense map it
-    yields, such as ``exp``, is a read-only array.
+    block and runs the same calls on its whole matrix.  A dense map
+    scattered from its blocks (``dynamics.propagator``) is read-only.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -152,10 +153,6 @@ class Superoperator:
         w = np.concatenate([np.linalg.eig(s)[0].ravel() for s in self._gather()])
         w.flags.writeable = False
         return w
-
-    def exp(self, t: float) -> np.ndarray:
-        """exp(t M) for t >= 0, read-only: its blocks' ``expm_blocks``, scattered."""
-        return self._scatter(expm_blocks(self._gather(), t))
 
 
 def expm_blocks(stacks: list, t: float) -> list:
@@ -311,7 +308,7 @@ class DissipativeInteraction:
 def generator(interaction: DissipativeInteraction) -> Superoperator:
     """The full generator on the interaction's space, ``assemble`` of every
     term.  It feeds dense block work (the fixed-point analysis,
-    ``Superoperator.exp``), so a volume whose vectorized dimension exceeds
+    ``dynamics.propagator``), so a volume whose vectorized dimension exceeds
     ``MAX_DENSE_DIM`` is refused before any matrix is built."""
     _check_dense(interaction.dims)
     return assemble(interaction.terms, interaction.space.points, interaction.dims)
@@ -350,21 +347,17 @@ def interaction_f_norm(interaction: DissipativeInteraction, f: Callable) -> floa
 
 # -- named interaction families -------------------------------------------------
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-
-
 def tfim_dissipative(space: FiniteMetricSpace, j: float, h: float,
                      gamma: float) -> DissipativeInteraction:
     """Nearest-neighbour ZZ couplings, transverse X field, on-site amplitude
     damping.  One term per support: field and damping share each site term."""
+    _check_family(gamma, j=j, h=h)
     terms = []
     for s in space.points:
-        ham = from_matrix(h * PAULI_X, (s,), frozenset([s])) if h != 0.0 else None
+        ham = from_matrix(h * PAULI["X"], (s,), frozenset([s])) if h != 0.0 else None
         kraus = ()
         if gamma != 0.0:
-            kraus = (from_matrix(math.sqrt(gamma) * LOWERING, (s,), frozenset([s])),)
+            kraus = (from_matrix(math.sqrt(gamma) * PAULI["M"], (s,), frozenset([s])),)
         if ham is not None or kraus:
             terms.append(LindbladTerm(frozenset([s]), ham, kraus, label=f"site{s!r}"))
     if j != 0.0:
@@ -378,10 +371,11 @@ def long_range_zz(space: FiniteMetricSpace, j: float, alpha_int: float,
                   gamma: float) -> DissipativeInteraction:
     """All-to-all ZZ pairs with amplitude j / (1 + d)**alpha_int, plus on-site
     amplitude damping at rate gamma."""
+    _check_family(gamma, j=j, alpha_int=alpha_int)
     terms = []
     for s in space.points:
         if gamma != 0.0:
-            k = from_matrix(math.sqrt(gamma) * LOWERING, (s,), frozenset([s]))
+            k = from_matrix(math.sqrt(gamma) * PAULI["M"], (s,), frozenset([s]))
             terms.append(LindbladTerm(frozenset([s]), None, (k,), label=f"damp{s!r}"))
     if j != 0.0:
         pts = space.points
@@ -393,9 +387,18 @@ def long_range_zz(space: FiniteMetricSpace, j: float, alpha_int: float,
     return DissipativeInteraction(space, tuple(terms))
 
 
+def _check_family(gamma: float, **args: float) -> None:
+    """Refuse, by name, a non-finite argument of a family or a negative damping rate."""
+    for name, x in args.items():
+        if not math.isfinite(x):
+            raise ModelError(f"{name} must be finite, got {float(x)}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ModelError(f"gamma must be finite and >= 0, got {float(gamma)}")
+
+
 def _two_site_zz(space: FiniteMetricSpace, x: Site, y: Site, amp: float) -> ObservableOp:
     sites = space.ordered([x, y])
-    return from_matrix(amp * np.kron(PAULI_Z, PAULI_Z), sites, frozenset(sites))
+    return from_matrix(amp * np.kron(PAULI["Z"], PAULI["Z"]), sites, frozenset(sites))
 
 
 def _nearest_neighbour_pairs(space: FiniteMetricSpace) -> list:

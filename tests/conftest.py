@@ -7,8 +7,8 @@ import scipy.linalg
 
 import lrcert as lr
 from lrcert import bounds, harness
-from lrcert.model import DissipativeInteraction, LindbladTerm, LOWERING, PAULI_X, PAULI_Z
-from lrcert.qalgebra import _choi, from_matrix
+from lrcert.model import DissipativeInteraction, LindbladTerm
+from lrcert.qalgebra import PAULI, _choi, from_matrix
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +60,7 @@ def csr_arrays(m):
 
 def single_qubit_damping(gamma=1.0):
     space = lr.FiniteMetricSpace.chain(1)
-    k = from_matrix(math.sqrt(gamma) * LOWERING, (0,), frozenset([0]))
+    k = from_matrix(math.sqrt(gamma) * PAULI["M"], (0,), frozenset([0]))
     term = LindbladTerm(frozenset([0]), None, (k,))
     return space, DissipativeInteraction(space, (term,))
 
@@ -75,13 +75,13 @@ def mixed_field_chain(n, alpha, j=0.4, h=0.3, gamma=1.0):
     f = lr.FFunction.power(alpha)
     terms = []
     for s in space.points:
-        ham = from_matrix(h * PAULI_X, (s,), frozenset([s]))
-        kraus = (from_matrix(math.sqrt(gamma) * LOWERING, (s,), frozenset([s])),)
+        ham = from_matrix(h * PAULI["X"], (s,), frozenset([s]))
+        kraus = (from_matrix(math.sqrt(gamma) * PAULI["M"], (s,), frozenset([s])),)
         terms.append(LindbladTerm(frozenset([s]), ham, kraus, label=f"site{s}"))
     for i, x in enumerate(space.points):
         for y in space.points[i + 1:]:
             amp = j * float(f(space.d(x, y)))
-            ham = from_matrix(amp * np.kron(PAULI_Z, PAULI_Z), (x, y), frozenset([x, y]))
+            ham = from_matrix(amp * np.kron(PAULI["Z"], PAULI["Z"]), (x, y), frozenset([x, y]))
             terms.append(LindbladTerm(frozenset([x, y]), ham, (), label=f"zz{x}{y}"))
     return space, f, DissipativeInteraction(space, tuple(terms))
 

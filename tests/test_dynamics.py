@@ -310,8 +310,8 @@ def mixed_dims_model():
     spin1_z = np.diag([1.0, 0.0, -1.0])
     terms = (model.LindbladTerm(frozenset([1]), from_matrix(spin1_z, (1,), dims=(3,)), ()),
              model.LindbladTerm(frozenset([0, 1]), from_matrix(
-                 np.kron(model.PAULI_Z, spin1_z), (0, 1), dims=(2, 3)), ()),
-             model.LindbladTerm(frozenset([2]), None, (from_matrix(model.LOWERING, (2,)),)))
+                 np.kron(lr.qalgebra.PAULI["Z"], spin1_z), (0, 1), dims=(2, 3)), ()),
+             model.LindbladTerm(frozenset([2]), None, (from_matrix(lr.qalgebra.PAULI["M"], (2,)),)))
     return DissipativeInteraction(space, terms)
 
 

@@ -270,6 +270,38 @@ class TestLoadConfig:
         # a repeated tag would run the theorem twice and double its rows
         row("theorems_repeated", {"theorems": ["full_lrb", "full_lrb"]},
             "theorems: repeated theorem tags ['full_lrb']"),
+        # so would a repeated grid value run its rows twice
+        row("t_repeated", {"grids": {"t": [0.5, 0.5], "R": [1], "r": [1]}},
+            "grids.t: repeated values [0.5]"),
+        row("R_repeated", {"grids": {"t": [0.5], "R": [1, 1.0], "r": [1]}},
+            "grids.R: repeated values [1.0]"),
+        # a string would be read tag by character
+        row("theorems_string", {"theorems": "full_lrb"},
+            "theorems: must be a list of theorem tags, got 'full_lrb'"),
+        # a family refuses its argument by name, not by a failed SVD or sqrt
+        row("nan_j", {"interaction": "tfim_dissipative(nan, 0.4, 1)"},
+            "interaction: j must be finite, got nan"),
+        row("negative_gamma", {"interaction": "tfim_dissipative(0.5, 0.4, -1)"},
+            "interaction: gamma must be finite and >= 0, got -1.0"),
+        # explicit tensor factors follow the space's order; another order
+        # would be re-read in it
+        row("sites_out_of_order", {"space": "chain(3)", "observables": {
+            "a": {"matrix": np.kron(np.diag([1, -1]), [[0, 1], [1, 0]]).tolist(),
+                  "sites": [1, 0]}, "b": "Z2"}},
+            "observables.a: sites [1, 0] must be listed once each in the space's order, "
+            "[0, 1]"),
+        row("sites_repeated", {"observables": {
+            "a": {"matrix": np.eye(4).tolist(), "sites": [0, 0]}, "b": "Z1"}},
+            "observables.a: sites [0, 0] must be listed once each in the space's order, [0]"),
+        row("k_map_support_out_of_order", {
+            "space": "chain(4)", "observables": {"a": "Z0", "b": "Z3"},
+            "k_map": {"matrix": harness._matrix_json(lr.commutator_map(lr.from_matrix(
+                np.kron(np.diag([1, -1]), [[0, 1], [1, 0]]), (2, 3))).matrix),
+                "support": [3, 2]}},
+            "k_map: sites [3, 2] must be listed once each in the space's order, [2, 3]"),
+        # int() would read "0_1" as site 1
+        row("underscore_index", {"observables": {"a": "Z0_1", "b": "Z1"}},
+            "observables.a: operator literal 'Z0_1' needs a site index of decimal digits"),
     ])
     def test_refusal_names_the_field_or_descriptor(self, overrides, message):
         with pytest.raises(ConfigError) as info:
@@ -452,7 +484,7 @@ def qutrit_config(**overrides) -> harness.ExperimentConfig:
     spin1_x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
     lower = np.diag([1.0, 1.0], k=1)
     qutrit = lr.from_matrix(0.4 * spin1_x, (0,), dims=(3,))
-    coupling = lr.from_matrix(0.5 * np.kron(SPIN1_Z, model.PAULI_Z), (0, 1), dims=(3, 2))
+    coupling = lr.from_matrix(0.5 * np.kron(SPIN1_Z, lr.qalgebra.PAULI["Z"]), (0, 1), dims=(3, 2))
     terms = [model.LindbladTerm(frozenset([0]), qutrit,
                                 (lr.from_matrix(lower, (0,), dims=(3,)),)),
              model.LindbladTerm(frozenset([0, 1]), coupling, ())]

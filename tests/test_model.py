@@ -11,11 +11,9 @@ from lrcert import model
 from lrcert.model import (
     DissipativeInteraction,
     LindbladTerm,
-    LOWERING,
     ModelError,
-    PAULI_Z,
 )
-from lrcert.qalgebra import from_matrix
+from lrcert.qalgebra import PAULI, from_matrix
 
 from conftest import csr_arrays, mixed_field_chain, single_qubit_damping
 
@@ -51,7 +49,7 @@ class TestLindbladSuperop:
         space, inter = single_qubit_damping(gamma=1.0)
         gen = lr.generator(inter)
         out = lr.devectorize(gen.matrix @ lr.vectorize(lr.site_operator("Z", 0)), (0,))
-        np.testing.assert_allclose(out.matrix, np.eye(2) - PAULI_Z, atol=1e-14)
+        np.testing.assert_allclose(out.matrix, np.eye(2) - PAULI["Z"], atol=1e-14)
 
     def test_damping_on_excited_projector(self):
         space, inter = single_qubit_damping(gamma=1.0)
@@ -93,7 +91,7 @@ def pair_only_interaction(space, amp=0.5):
     pts = space.points
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            h = from_matrix(amp * np.kron(PAULI_Z, PAULI_Z), (x, y), frozenset([x, y]))
+            h = from_matrix(amp * np.kron(PAULI["Z"], PAULI["Z"]), (x, y), frozenset([x, y]))
             terms.append(LindbladTerm(frozenset([x, y]), h, ()))
     return DissipativeInteraction(space, tuple(terms))
 
@@ -113,13 +111,13 @@ class TestInteractionDims:
         space = lr.FiniteMetricSpace.chain(3)
         terms = (LindbladTerm(frozenset([1]), from_matrix(SPIN1_Z, (1,), dims=(3,)), ()),
                  LindbladTerm(frozenset([0, 1]),
-                              from_matrix(np.kron(PAULI_Z, SPIN1_Z), (0, 1), dims=(2, 3)), ()))
+                              from_matrix(np.kron(PAULI["Z"], SPIN1_Z), (0, 1), dims=(2, 3)), ()))
         inter = DissipativeInteraction(space, terms)
         assert inter.dims == lr.generator(inter).dims == lr.Dynamics(inter).dims == (2, 3, 2)
 
     def test_inconsistent_dimensions_refused(self):
         space = lr.FiniteMetricSpace.chain(2)
-        qubit = LindbladTerm(frozenset([0]), from_matrix(PAULI_Z, (0,)), ())
+        qubit = LindbladTerm(frozenset([0]), from_matrix(PAULI["Z"], (0,)), ())
         qutrit = LindbladTerm(frozenset([0]), from_matrix(SPIN1_Z, (0,), dims=(3,)), ())
         with pytest.raises(ModelError, match="inconsistent local dimension at site 0"):
             DissipativeInteraction(space, (qubit, qutrit)).dims
@@ -169,7 +167,7 @@ class TestInteractionFNorm:
 
     def test_single_pair_term(self):
         space = lr.FiniteMetricSpace.chain(2)
-        h = from_matrix(0.5 * np.kron(PAULI_Z, PAULI_Z), (0, 1))
+        h = from_matrix(0.5 * np.kron(PAULI["Z"], PAULI["Z"]), (0, 1))
         term = LindbladTerm(frozenset([0, 1]), h, ())
         inter = DissipativeInteraction(space, (term,))
         f = lr.FFunction.power(2.0)
@@ -335,8 +333,25 @@ class TestSupNormAndRange:
         assert onsite.range_r0 == 0.0
 
     def test_cb_surrogate_value(self):
-        h = from_matrix(0.7 * PAULI_Z, (0,))
-        k = from_matrix(math.sqrt(0.9) * LOWERING, (0,), frozenset([0]))
+        h = from_matrix(0.7 * PAULI["Z"], (0,))
+        k = from_matrix(math.sqrt(0.9) * PAULI["M"], (0,), frozenset([0]))
         term = LindbladTerm(frozenset([0]), h, (k, k))
         assert term.cb_upper == pytest.approx(2 * 0.7 + 2 * (0.9 + 0.9))
         assert 0.0 <= term.cb_lower <= term.cb_upper
+
+
+class TestFamilyArguments:
+    @pytest.mark.parametrize("family, args, message", [
+        ("tfim_dissipative", (math.nan, 0.4, 1.0), "j must be finite, got nan"),
+        ("tfim_dissipative", (0.5, math.inf, 1.0), "h must be finite, got inf"),
+        ("tfim_dissipative", (0.5, 0.4, -1), "gamma must be finite and >= 0, got -1.0"),
+        ("long_range_zz", (-math.inf, 3.0, 1.0), "j must be finite, got -inf"),
+        ("long_range_zz", (0.5, math.nan, 1.0), "alpha_int must be finite, got nan"),
+        ("long_range_zz", (0.5, 3.0, math.nan), "gamma must be finite and >= 0, got nan"),
+    ])
+    def test_refusal_names_the_argument(self, chain4, family, args, message):
+        # refused before any term is built, so a Python caller reads the cause
+        # rather than a failed SVD or math.sqrt's domain error
+        with pytest.raises(ModelError) as info:
+            getattr(model, family)(chain4, *args)
+        assert str(info.value) == message
